@@ -122,10 +122,7 @@ class _SamplerGroup:
         self.tree = tree
         self.cap = cap
         self.bank = PolyBank(rows, family, seed)
-        if self.bank.fast:
-            self.winner_key = np.full(rows, self.bank.max_key, dtype=np.uint64)
-        else:
-            self.winner_key = np.full(rows, self.bank.max_key, dtype=object)
+        self.winner_key = self.bank.max_keys()
         self.winner_seg: List[Optional[Segment]] = [None] * rows
         self.own_seen: List[Optional[Set[int]]] = [None] * rows
         self.own_sat: List[bool] = [False] * rows
@@ -247,6 +244,13 @@ class GeneralAlphaEstimator:
         self._pending: List = []
         self._pending_ids = 0
         self._chunk_ids = 256
+
+    @property
+    def hash_path(self) -> str:
+        """"object" when either sampler bank hashes on Python integers,
+        else "blas"."""
+        paths = {self.rel.bank.hash_path, self.rho.bank.hash_path}
+        return "object" if "object" in paths else "blas"
 
     def process(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:

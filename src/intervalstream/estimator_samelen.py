@@ -80,10 +80,7 @@ class _ShiftState:
                                     rng.spawn(10 + shift), cfg.kmv_k)
         self.bank = PolyBank(cfg.k, family, rng.spawn(20 + shift).seed)
         k = cfg.k
-        if self.bank.fast:
-            self.winner_key = np.full(k, self.bank.max_key, dtype=np.uint64)
-        else:
-            self.winner_key = np.full(k, self.bank.max_key, dtype=object)
+        self.winner_key = self.bank.max_keys()
         self.winner_idx = np.full(k, -2, dtype=np.int64)
         self.lm_l = np.zeros(k, dtype=np.int64)
         self.lm_r = np.zeros(k, dtype=np.int64)
@@ -134,6 +131,13 @@ class SamelenAlphaEstimator:
         rng = SplitMix64(config.seed)
         self.states = [_ShiftState(a, config, rng) for a in (0, 1, 2)]
         self.items = 0
+
+    @property
+    def hash_path(self) -> str:
+        """"object" when any shift's bank hashes on Python integers, else
+        "blas"."""
+        paths = {st.bank.hash_path for st in self.states}
+        return "object" if "object" in paths else "blas"
 
     def process(self, iv: Interval) -> None:
         cfg = self.config

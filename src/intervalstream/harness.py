@@ -99,7 +99,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         output = res.value
         units = res.peak_units
         details.update(branch=res.branch, degraded=res.degraded,
-                       rho_available=res.rho_available)
+                       rho_available=res.rho_available, hash_path=est.hash_path)
     elif algorithm == "estimate-general-oracle":
         output = estimate_oracle_mode(inst, eps)
         units = 0
@@ -111,7 +111,8 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         res = est.estimate()
         output = res.value
         units = res.units
-        details.update(type2_counts=res.type2_counts, k=res.k)
+        details.update(type2_counts=res.type2_counts, k=res.k,
+                       hash_path=est.hash_path)
     elif algorithm == "estimate-samelen-oracle":
         output = samelen_estimate_oracle(inst, lam, eps)
         units = 0

@@ -241,8 +241,10 @@ class PolyBank:
     Row j holds the coefficients of one random polynomial; eval() returns
     the rows x points matrix of hash values and keys() the combined
     (value, point) lexicographic keys used for permutation-order minima.
-    Runs on uint64 when the field fits; falls back to exact Python
-    integers otherwise.
+    Runs exact float64 limb matmuls on uint64 data (the "blas" path) when
+    the combined key fits in uint64 and a limb width keeps the float64
+    sums exact; falls back to exact Python integers (the "object" path)
+    otherwise.
     """
 
     def __init__(self, rows: int, family: HashFamily, seed: int):
@@ -251,39 +253,35 @@ class PolyBank:
         self.prime = family.prime
         self.degree = family.degree
         self.key_span = family.universe + 1
-        self.fast = self.prime ** 2 < (1 << 64) and self.prime * self.key_span < (1 << 63)
+        self._bits = self._limb_bits()
+        self.fast = bool(self._bits) and self.prime * self.key_span < (1 << 63)
         flat = bulk_below(seed, self.prime, rows * family.degree)
         if self.fast:
             self.coeffs = flat.reshape(rows, family.degree)
-            bits = self._limb_bits()
-            if bits:
-                mask = np.uint64((1 << bits) - 1)
-                limbs = (int(self.prime - 1).bit_length() + bits - 1) // bits
-                self._limb_parts = [
-                    ((self.coeffs >> np.uint64(limb * bits)) & mask).astype(np.float64)
-                    for limb in range(limbs)]
+            mask = np.uint64((1 << self._bits) - 1)
+            limbs = (int(self.prime - 1).bit_length() + self._bits - 1) // self._bits
+            self._limb_parts = [
+                ((self.coeffs >> np.uint64(limb * self._bits)) & mask).astype(np.float64)
+                for limb in range(limbs)]
         else:
             self.coeffs = [[int(v) for v in flat[r * family.degree:(r + 1) * family.degree]]
                            for r in range(rows)]
 
     @property
-    def max_key(self) -> int:
-        return self.prime * self.key_span
+    def hash_path(self) -> str:
+        """"blas" when eval runs the float64 limb matmuls, "object" when it
+        runs Python-integer loops."""
+        return "blas" if self.fast else "object"
+
+    def max_keys(self) -> np.ndarray:
+        """One sentinel per row above every key, in the dtype keys() returns."""
+        return np.full(self.rows, self.prime * self.key_span,
+                       dtype=np.uint64 if self.fast else object)
 
     def eval(self, xs: Sequence[int]) -> np.ndarray:
         """Hash values, shape (rows, len(xs))."""
         if self.fast:
-            powers = self._power_table(xs)
-            limb_bits = self._limb_bits()
-            if limb_bits:
-                return self._eval_blas(powers, limb_bits)
-            x = np.asarray(xs, dtype=np.uint64)[None, :]
-            p = np.uint64(self.prime)
-            acc = np.broadcast_to(self.coeffs[:, -1][:, None],
-                                  (self.rows, x.shape[1])).copy()
-            for i in range(self.degree - 2, -1, -1):
-                acc = (acc * x + self.coeffs[:, i][:, None]) % p
-            return acc
+            return self._eval_blas(self._power_table(xs))
         out = np.empty((self.rows, len(xs)), dtype=object)
         for r in range(self.rows):
             cs = self.coeffs[r]
@@ -295,18 +293,35 @@ class PolyBank:
         return out
 
     def _power_table(self, xs: Sequence[int]) -> np.ndarray:
-        x = np.asarray(xs, dtype=np.uint64)
+        """x**i mod p for i < degree, exact in uint64 for any p < 2**62.
+
+        With B = bitlen(p - 1) and w = 63 - B, x splits into a top limb below
+        2**(64 - B) and `low` w-bit limbs, so the first product power * top
+        and every later step acc * 2**w + power * limb stay below 2**64.
+        For p - 1 < 2**32 there are no low limbs: one product per power.
+        """
         p = np.uint64(self.prime)
+        x = np.asarray(xs, dtype=np.uint64) % p
+        bits = (self.prime - 1).bit_length()
+        w = 63 - bits
+        low = -(-max(0, 2 * bits - 64) // w)
+        mask = np.uint64((1 << w) - 1)
+        top = x >> np.uint64(w * low)
+        limbs = [(x >> np.uint64(w * k)) & mask for k in reversed(range(low))]
         powers = np.empty((self.degree, len(xs)), dtype=np.uint64)
         powers[0] = 1
         for i in range(1, self.degree):
-            powers[i] = (powers[i - 1] * x) % p
+            acc = powers[i - 1] * top % p
+            for limb in limbs:
+                acc = ((acc << np.uint64(w)) + powers[i - 1] * limb) % p
+            powers[i] = acc
         return powers
 
     def _limb_bits(self) -> int:
-        """Widest limb split keeping float64 matmuls exact (products and
-        their degree-long sums below 2**53); 0 when none fits."""
-        for bits in (16, 8):
+        """Widest limb split keeping float64 arithmetic exact: the degree-long
+        matmul sums and the combine step acc * 2**bits + raw both stay below
+        (degree + 1) * 2**bits * (p - 1) < 2**53. 0 when none fits."""
+        for bits in (16, 8, 4):
             if (self.degree + 1) * (1 << bits) * (self.prime - 1) < (1 << 53):
                 return bits
         return 0
@@ -321,9 +336,9 @@ class PolyBank:
         r -= (r >= p) * p
         return r
 
-    def _eval_blas(self, powers: np.ndarray, limb_bits: int) -> np.ndarray:
+    def _eval_blas(self, powers: np.ndarray) -> np.ndarray:
         powers_f = powers.astype(np.float64)
-        shift_mod = float((1 << limb_bits) % self.prime)
+        shift_mod = float((1 << self._bits) % self.prime)
         acc = None
         for part in reversed(self._limb_parts):
             raw = part @ powers_f

@@ -91,6 +91,27 @@ def test_estimate_general_fallback():
     assert obj["output"] == 2.0 and obj["alpha"] == 2
 
 
+def test_estimate_reports_hash_path():
+    # the README n=4096 command hashes on the BLAS limb path
+    _, text = run_cli(["gen", "uniform", "--n", "4096", "--count", "1000",
+                       "--max-len", "64", "--seed", "7"])
+    code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
+                         "--seed", "3", "--scale", "1e-7"], stdin_text=text)
+    assert code == 0
+    assert json.loads(out)["details"]["hash_path"] == "blas"
+    # at n=2**14 seg ids span 2**28 and the combined key overflows uint64
+    code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
+                         "--seed", "3", "--scale", "1e-9"],
+                        stdin_text="n 16384\n1 3\n100 200\n9000 9001\n")
+    assert code == 0
+    assert json.loads(out)["details"]["hash_path"] == "object"
+    code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "1",
+                         "--eps", "0.3", "--seed", "2"],
+                        stdin_text="n 9\n1 2\n4 5\n7 8\n")
+    assert code == 0
+    assert json.loads(out)["details"]["hash_path"] == "blas"
+
+
 def test_estimate_oracle_mode():
     code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.3",
                          "--oracle-mode"], stdin_text="n 16\n1 3\n4 7\n")

@@ -5,6 +5,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
+from intervalstream.estimator import EstimatorConfig
 from intervalstream.hashing import (ExactDistinct, HashFamily, KMVDistinct,
                                     KWiseHash, MinSampler, MinWisePermutation,
                                     PolyBank, bulk_below, bulk_u64, next_prime)
@@ -187,26 +188,99 @@ def test_pairwise_collision_rate():
     assert abs(collisions - expected) <= 3 * sigma
 
 
-def test_polybank_slow_path_matches_semantics():
-    # force the exact-integer fallback with a deliberately huge field
-    fam = HashFamily.create(10, 1e-10 if False else 0.4)
-    big = HashFamily(universe=10, eps=0.4, prime=next_prime(1 << 40), degree=3)
-    bank = PolyBank(4, big, seed=5)
-    assert not bank.fast or big.prime ** 2 < (1 << 64)
-    xs = [1, 5, 9]
-    keys = bank.keys(xs)
-    for r in range(4):
+def _blas_rule(bank) -> bool:
+    """The dispatch rule: the combined key fits in uint64 and some limb width
+    keeps the float64 limb sums exact."""
+    limb_ok = any((bank.degree + 1) * (1 << b) * (bank.prime - 1) < (1 << 53)
+                  for b in (16, 8, 4))
+    return bank.prime * bank.key_span < (1 << 63) and limb_ok
+
+
+def test_polybank_fast_iff_key_and_limb_bounds():
+    # p ~ 2**40 passes the limb bound at width 8; p ~ 2**50 fails every width
+    for prime, fast in ((next_prime(1 << 40), True), (next_prime(1 << 50), False)):
+        fam = HashFamily(universe=10, eps=0.4, prime=prime, degree=3)
+        bank = PolyBank(4, fam, seed=5)
+        assert bank.fast == _blas_rule(bank) == fast
+        assert bank.hash_path == ("blas" if fast else "object")
+        xs = [1, 5, 9]
+        keys = bank.keys(xs)
+        assert keys.dtype == bank.max_keys().dtype
+        for r in range(4):
+            h = bank.row_hash(r)
+            for j, x in enumerate(xs):
+                assert int(keys[r, j]) == h(x) * bank.key_span + x
+
+
+def _largest_prime_for_limb(degree: int, bits: int) -> int:
+    """Largest prime p with (degree + 1) * 2**bits * (p - 1) < 2**53."""
+    p = ((1 << 53) - 1) // ((degree + 1) << bits) + 1
+    while next_prime(p) != p:
+        p -= 1
+    return p
+
+
+def _families_above_2_32():
+    """(family, limb width, at the float64 edge): the n=4096 estimator
+    families and, per limb width 8 and 4, the largest prime passing it."""
+    cfg = EstimatorConfig(n=4096, user_eps=0.45, seed=0)
+    fams = [(HashFamily.create(4096 ** 2, cfg.eps_rel), 8, False),
+            (HashFamily.create(4096 ** 2, cfg.eps_rho), 8, False)]
+    for degree, bits in ((27, 8), (3, 4)):
+        prime = _largest_prime_for_limb(degree, bits)
+        fams.append((HashFamily(universe=1000, eps=0.4, prime=prime, degree=degree), bits, True))
+    return fams
+
+
+@pytest.mark.parametrize("fam,bits,edge", _families_above_2_32(),
+                         ids=["n4096-rel", "n4096-rho", "edge-b8", "edge-b4"])
+def test_polybank_blas_exact_above_2_32(fam, bits, edge):
+    assert fam.prime > 1 << 32
+    bank = PolyBank(6, fam, seed=11)
+    assert bank.fast and bank.hash_path == "blas"
+    assert bank._limb_bits() == bits
+    rng = SplitMix64(fam.prime)
+    xs = [1, 2, fam.universe, fam.prime - 1] + [rng.randrange(1, fam.prime - 1) for _ in range(40)]
+    values = bank.eval(xs)
+    assert values.dtype == np.uint64
+    for r in range(bank.rows):
         h = bank.row_hash(r)
-        for j, x in enumerate(xs):
-            assert int(keys[r, j]) == h(x) * bank.key_span + x
+        assert [int(v) for v in values[r]] == [h(x) for x in xs]
+    if edge:
+        above = HashFamily(universe=fam.universe, eps=fam.eps,
+                           prime=next_prime(fam.prime + 1), degree=fam.degree)
+        assert PolyBank(1, above, seed=1)._limb_bits() < bits
+
+
+def test_float_mod_exact_at_quotient_slips():
+    # a = k*p + {0, 1, p-1} below 2**53: floor(a * (1/p)) lands one off in
+    # both directions for these primes, so both fixups of _float_mod run
+    slips = {"low": 0, "high": 0}
+    for prime in (next_prime(3 * 10 ** 10), next_prime(10 ** 11), next_prime(10 ** 12),
+                  _largest_prime_for_limb(3, 4)):
+        bank = PolyBank(1, HashFamily(universe=1, eps=0.4, prime=prime, degree=2), seed=1)
+        top = ((1 << 53) - 1) // prime
+        ks = np.unique(np.linspace(0, top - 1, 2000).astype(np.int64)).astype(object)
+        for rem in (0, 1, prime - 1):
+            a = (ks * prime + rem).astype(np.float64)
+            raw = a - np.floor(a * (1.0 / prime)) * prime
+            slips["low"] += int((raw < 0).sum())
+            slips["high"] += int((raw >= prime).sum())
+            assert [int(v) for v in bank._float_mod(a)] == [rem] * len(ks)
+    assert slips["low"] > 0 and slips["high"] > 0
 
 
 def test_polybank_object_mode_forced():
     huge = HashFamily(universe=8, eps=0.3, prime=next_prime(1 << 63), degree=2)
-    bank = PolyBank(3, huge, seed=1)
-    assert not bank.fast
-    keys = bank.keys([1, 2, 8])
-    mins = keys.min(axis=1)
-    assert mins.shape == (3,)
-    for r in range(3):
-        assert int(mins[r]) == min(bank.row_key(r, x) for x in (1, 2, 8))
+    # the general estimator at n = 2**14: seg ids span n_pow2**2 = 2**28, so
+    # value * key_span overflows uint64
+    n14 = HashFamily.create((1 << 14) ** 2, EstimatorConfig(n=1 << 14, user_eps=0.45, seed=0).eps_rel)
+    for fam, xs in ((huge, [1, 2, 8]), (n14, [1, 2, 12345, n14.universe])):
+        bank = PolyBank(3, fam, seed=1)
+        assert not bank.fast and bank.hash_path == "object"
+        keys = bank.keys(xs)
+        mins = keys.min(axis=1)
+        assert mins.shape == (3,)
+        assert (mins < bank.max_keys()).all()
+        for r in range(3):
+            assert int(mins[r]) == min(bank.row_key(r, x) for x in xs)
