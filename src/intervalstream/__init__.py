@@ -11,7 +11,7 @@ from .generators import (gen_index_general, gen_index_samelen, gen_uniform,
 from .harness import TrialReport, run_single, run_trials, trial_success
 from .hashing import (ExactDistinct, HashFamily, KMVDistinct, KWiseHash,
                       MinSampler, MinWisePermutation)
-from .oracle import SegTree, Segment, alpha, beta, brute_force_alpha, gamma
+from .oracle import SegTree, alpha, beta, brute_force_alpha, gamma
 from .selector import PartitionSelector
 from .selector_samelen import ShiftedGridSelector
 

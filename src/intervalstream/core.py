@@ -136,6 +136,14 @@ def intersects(a: Interval, b: Interval) -> bool:
     return max(a.lcode, b.lcode) <= min(a.rcode, b.rcode)
 
 
+def pairwise_disjoint(intervals: Iterable[Interval]) -> bool:
+    """True iff no two of the intervals intersect.  Sorted by left code, an
+    intersecting pair implies an intersecting neighbour pair, so one sweep
+    over neighbours decides it in O(k log k)."""
+    ordered = sorted(intervals, key=lambda iv: iv.lcode)
+    return all(b.lcode > a.rcode for a, b in zip(ordered, ordered[1:]))
+
+
 def interval_subset(a: Interval, b: Interval) -> bool:
     """True iff every point of ``a`` lies in interval ``b``."""
     return b.lcode <= a.lcode and a.rcode <= b.rcode

@@ -23,18 +23,18 @@ import numpy as np
 
 from .core import DomainError, Instance, Interval
 from .hashing import HashFamily, PolyBank, make_counter
-from .oracle import SegTree, Segment, beta_hat, relevant_segments
+from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
 from .rng import SplitMix64
 from .selector import PartitionSelector
 
 
-def emitted_segments(tree: SegTree, iv: Interval) -> List[Segment]:
-    """Segments activated by one interval: the root followed by both
-    children of every node containing the interval, sizes non-increasing."""
+def emitted_segments(tree: SegTree, iv: Interval) -> List[int]:
+    """Nodes activated by one interval: the root followed by both children
+    of every internal node containing the interval, sizes non-increasing."""
     out = [tree.root]
-    for node in tree.containing_path(iv):
-        if node.size > 1:
-            out.extend(tree.children(node))
+    for u in tree.containing_path(iv):
+        if u < tree.n_pow2:
+            out += (2 * u, 2 * u + 1)
     return out
 
 
@@ -71,13 +71,12 @@ class EstimatorConfig:
 
     @property
     def levels(self) -> int:
-        n_pow2 = 1 << max(0, (self.n - 1).bit_length())
-        return n_pow2.bit_length() - 1
+        return SegTree(self.n).depth_levels
 
     @property
     def gamma_cap(self) -> int:
         """Capped tracker size: integer ceiling of the relevance threshold."""
-        return math.ceil(2.0 * self.levels ** 2 / self.eps1)
+        return math.ceil(relevance_threshold(self.n, self.eps1))
 
     @property
     def k_rel(self) -> int:
@@ -112,8 +111,8 @@ class GeneralEstimate:
 
 
 class _SamplerGroup:
-    """Rows of min-wise samplers over segment ids, each tracking its winner
-    segment, capped gamma counts for the winner and its parent, and
+    """Rows of min-wise samplers over tree nodes, each tracking its winner
+    node, capped gamma counts for the winner and its parent, and
     (optionally) a nested selector for the winner's 2-approximation size."""
 
     def __init__(self, rows: int, family: HashFamily, seed: int, tree: SegTree,
@@ -123,24 +122,19 @@ class _SamplerGroup:
         self.cap = cap
         self.bank = PolyBank(rows, family, seed)
         self.winner_key = self.bank.max_keys()
-        self.winner_seg: List[Optional[Segment]] = [None] * rows
+        self.winner_seg: List[Optional[int]] = [None] * rows
         self.own_seen: List[Optional[Set[int]]] = [None] * rows
         self.own_sat: List[bool] = [False] * rows
-        self.par_seg: List[Optional[Segment]] = [None] * rows
+        self.par_seg: List[Optional[int]] = [None] * rows
         self.par_seen: List[Optional[Set[int]]] = [None] * rows
         self.par_sat: List[bool] = [False] * rows
         self.selectors: Optional[List[Optional[PartitionSelector]]] = (
             [None] * rows if with_selectors else None)
-        self.own_rows: Dict[int, Set[int]] = {}   # target seg id -> rows
+        self.own_rows: Dict[int, Set[int]] = {}   # target node -> rows
         self.par_rows: Dict[int, Set[int]] = {}
         self.stored_units = 0
 
-    def update_winners(self, ids: Sequence[int], segs: Sequence[Segment]) -> None:
-        if not ids:
-            return
-        self.update_winners_keys(self.bank.keys(ids), segs)
-
-    def update_winners_keys(self, keys: np.ndarray, segs: Sequence[Segment]) -> None:
+    def update_winners_keys(self, keys: np.ndarray, nodes: Sequence[int]) -> None:
         col_min = keys.min(axis=1)
         mask = col_min < self.winner_key
         if not mask.any():
@@ -148,14 +142,14 @@ class _SamplerGroup:
         col_arg = keys.argmin(axis=1)
         for r in np.nonzero(mask)[0]:
             self.winner_key[r] = col_min[r]
-            self._reset_row(int(r), segs[int(col_arg[r])])
+            self._reset_row(int(r), nodes[int(col_arg[r])])
 
-    def _reset_row(self, r: int, seg: Segment) -> None:
+    def _reset_row(self, r: int, seg: int) -> None:
         old = self.winner_seg[r]
         if old is not None:
-            self.own_rows[self.tree.seg_id(old)].discard(r)
+            self.own_rows[old].discard(r)
             if self.par_seg[r] is not None:
-                self.par_rows[self.tree.seg_id(self.par_seg[r])].discard(r)
+                self.par_rows[self.par_seg[r]].discard(r)
             freed = (len(self.own_seen[r]) if self.own_seen[r] else 0) + \
                     (len(self.par_seen[r]) if self.par_seen[r] else 0)
             if self.selectors is not None and self.selectors[r] is not None:
@@ -164,17 +158,16 @@ class _SamplerGroup:
         self.winner_seg[r] = seg
         self.own_seen[r] = set()
         self.own_sat[r] = False
-        self.own_rows.setdefault(self.tree.seg_id(seg), set()).add(r)
+        self.own_rows.setdefault(seg, set()).add(r)
         if seg == self.tree.root:
             self.par_seg[r] = None
             self.par_seen[r] = None
             self.par_sat[r] = True  # the root needs no parent check
         else:
-            parent = self.tree.parent(seg)
-            self.par_seg[r] = parent
+            self.par_seg[r] = seg >> 1
             self.par_seen[r] = set()
             self.par_sat[r] = False
-            self.par_rows.setdefault(self.tree.seg_id(parent), set()).add(r)
+            self.par_rows.setdefault(seg >> 1, set()).add(r)
         if self.selectors is not None:
             self.selectors[r] = PartitionSelector()
 
@@ -183,12 +176,11 @@ class _SamplerGroup:
         seen.update(suffix)
         return len(seen) - before
 
-    def feed_interval(self, iv: Interval, path_ids: List[int],
-                      pos: Dict[int, int]) -> None:
-        for sid, idx in pos.items():
-            for r in self.own_rows.get(sid, ()):
+    def feed_interval(self, iv: Interval, path: List[int]) -> None:
+        for idx, v in enumerate(path):
+            for r in self.own_rows.get(v, ()):
                 if not self.own_sat[r]:
-                    self.stored_units += self._grow(self.own_seen[r], path_ids[idx:])
+                    self.stored_units += self._grow(self.own_seen[r], path[idx:])
                     if len(self.own_seen[r]) >= self.cap:
                         self.own_sat[r] = True
                         self.stored_units -= len(self.own_seen[r])
@@ -198,9 +190,9 @@ class _SamplerGroup:
                     before = sel.window_count
                     sel.process(iv)
                     self.stored_units += sel.window_count - before
-            for r in self.par_rows.get(sid, ()):
+            for r in self.par_rows.get(v, ()):
                 if not self.par_sat[r]:
-                    self.stored_units += self._grow(self.par_seen[r], path_ids[idx:])
+                    self.stored_units += self._grow(self.par_seen[r], path[idx:])
                     if len(self.par_seen[r]) >= self.cap:
                         self.par_sat[r] = True
                         self.stored_units -= len(self.par_seen[r])
@@ -227,7 +219,7 @@ class GeneralAlphaEstimator:
                 f"sampler counts k_rel={config.k_rel}, k0={config.k0} exceed "
                 f"limit {config.sampler_limit}; lower the scale parameter")
         rng = SplitMix64(config.seed)
-        id_universe = self.tree.n_pow2 ** 2
+        id_universe = 2 * self.tree.n_pow2
         fam_rel = HashFamily.create(id_universe, config.eps_rel, config.c1, config.c2)
         fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
         self.rel = _SamplerGroup(config.k_rel, fam_rel, rng.spawn(1).seed,
@@ -256,22 +248,9 @@ class GeneralAlphaEstimator:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
         self.items += 1
-        path = self.tree.containing_path(iv)
-        path_ids = [self.tree.seg_id(s) for s in path]
-        emitted: List[Segment] = [self.tree.root]
-        for node in path:
-            if node.size > 1:
-                emitted.extend(self.tree.children(node))
-
-        # duplicates never move a running minimum, so known-seen ids skip the banks
-        new_ids: List[int] = []
-        new_segs: List[Segment] = []
-        for seg in emitted:
-            sid = self.tree.seg_id(seg)
-            if self.counter.add(sid):
-                new_ids.append(sid)
-                new_segs.append(seg)
-        self._pending.append((iv, path_ids, new_ids, new_segs))
+        # duplicates never move a running minimum, so known-seen nodes skip the banks
+        new_ids = [v for v in emitted_segments(self.tree, iv) if self.counter.add(v)]
+        self._pending.append((iv, self.tree.containing_path(iv), new_ids))
         self._pending_ids += len(new_ids)
         if self._pending_ids >= self._chunk_ids or len(self._pending) >= 1024:
             self.flush()
@@ -283,24 +262,21 @@ class GeneralAlphaEstimator:
         if not self._pending:
             return
         all_ids: List[int] = []
-        all_segs: List[Segment] = []
         spans = []
-        for _, _, new_ids, new_segs in self._pending:
+        for _, _, new_ids in self._pending:
             spans.append((len(all_ids), len(all_ids) + len(new_ids)))
             all_ids.extend(new_ids)
-            all_segs.extend(new_segs)
         rel_keys = self.rel.bank.keys(all_ids) if all_ids else None
         rho_keys = self.rho.bank.keys(all_ids) if all_ids else None
-        for (iv, path_ids, _, _), (lo, hi) in zip(self._pending, spans):
+        for (iv, path, _), (lo, hi) in zip(self._pending, spans):
             if hi > lo:
-                segs = all_segs[lo:hi]
-                self.rel.update_winners_keys(rel_keys[:, lo:hi], segs)
-                self.rho.update_winners_keys(rho_keys[:, lo:hi], segs)
-            pos = {sid: i for i, sid in enumerate(path_ids)}
-            self.rel.feed_interval(iv, path_ids, pos)
-            self.rho.feed_interval(iv, path_ids, pos)
+                nodes = all_ids[lo:hi]
+                self.rel.update_winners_keys(rel_keys[:, lo:hi], nodes)
+                self.rho.update_winners_keys(rho_keys[:, lo:hi], nodes)
+            self.rel.feed_interval(iv, path)
+            self.rho.feed_interval(iv, path)
             if not self.root_sat:
-                self.root_seen.update(path_ids)
+                self.root_seen.update(path)
                 if len(self.root_seen) >= self.config.gamma_cap:
                     self.root_sat = True
                     self.root_seen = set()

@@ -15,7 +15,7 @@ from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from . import oracle
-from .core import Instance
+from .core import Instance, pairwise_disjoint
 from .estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
 from .estimator_samelen import SamelenAlphaEstimator, SamelenConfig, samelen_estimate_oracle
 from .selector import PartitionSelector
@@ -81,7 +81,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
             sel.process(iv)
         output = float(sel.window_count)
         units = sel.peak_windows
-        details["disjoint"] = _pairwise_disjoint(sel.solution())
+        details["disjoint"] = pairwise_disjoint(sel.solution())
     elif algorithm == "select-samelen":
         sel = ShiftedGridSelector(lam)
         for iv in inst:
@@ -89,7 +89,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         output = float(len(sel.solution()))
         units = sel.peak_windows
         details["best_shift"] = sel.best_shift()
-        details["disjoint"] = _pairwise_disjoint(sel.solution())
+        details["disjoint"] = pairwise_disjoint(sel.solution())
     elif algorithm == "estimate-general":
         est = GeneralAlphaEstimator(EstimatorConfig(
             n=inst.n, user_eps=eps, seed=seed, counter_kind=counter, scale=scale))
@@ -126,15 +126,6 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
                        peak_memory_units=units,
                        wall_time_s=wall if timing else None,
                        details=details)
-
-
-def _pairwise_disjoint(intervals) -> bool:
-    from .core import intersects
-    for i, a in enumerate(intervals):
-        for b in intervals[i + 1:]:
-            if intersects(a, b):
-                return False
-    return True
 
 
 def _trial_task(args) -> TrialReport:

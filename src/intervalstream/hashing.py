@@ -59,6 +59,14 @@ def _is_prime(x: int) -> bool:
     return True
 
 
+def horner(coeffs: Sequence[int], x: int, prime: int) -> int:
+    """sum(coeffs[i] * x**i) mod prime, on Python integers."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % prime
+    return acc
+
+
 @dataclass(frozen=True)
 class HashFamily:
     """Parameters of the permutation family over [universe].
@@ -94,10 +102,7 @@ class KWiseHash:
         self.coeffs = [rng.below(prime) for _ in range(degree)]
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.prime
-        return acc
+        return horner(self.coeffs, x, self.prime)
 
 
 class MinWisePermutation:
@@ -284,12 +289,7 @@ class PolyBank:
             return self._eval_blas(self._power_table(xs))
         out = np.empty((self.rows, len(xs)), dtype=object)
         for r in range(self.rows):
-            cs = self.coeffs[r]
-            for j, x in enumerate(xs):
-                acc = 0
-                for c in reversed(cs):
-                    acc = (acc * x + c) % self.prime
-                out[r, j] = acc
+            out[r] = [horner(self.coeffs[r], x, self.prime) for x in xs]
         return out
 
     def _power_table(self, xs: Sequence[int]) -> np.ndarray:
@@ -360,18 +360,8 @@ class PolyBank:
 
     def row_hash(self, r: int):
         """Scalar evaluator for row r (for replay checks)."""
-        if self.fast:
-            cs = [int(c) for c in self.coeffs[r]]
-        else:
-            cs = self.coeffs[r]
-
-        def h(x: int) -> int:
-            acc = 0
-            for c in reversed(cs):
-                acc = (acc * x + c) % self.prime
-            return acc
-
-        return h
+        cs = [int(c) for c in self.coeffs[r]]
+        return lambda x: horner(cs, x, self.prime)
 
     def row_key(self, r: int, x: int) -> int:
         return self.row_hash(r)(x) * self.key_span + x

@@ -6,48 +6,21 @@ memory; the streaming modules are validated against these values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Set
+from collections import Counter
+from typing import List, Set, Tuple
 
-from .core import Instance, Interval, Window, intersects
+from .core import Instance, Interval, intersects
 from .selector import PartitionSelector
-
-
-@dataclass(frozen=True, order=True)
-class Segment:
-    """Half-open segment [lo, hi) attached to one segment-tree node."""
-
-    lo: int
-    hi: int
-
-    @property
-    def lo_code(self) -> int:
-        return 2 * self.lo
-
-    @property
-    def hi_code(self) -> int:
-        return 2 * self.hi - 1
-
-    @property
-    def size(self) -> int:
-        return self.hi - self.lo
-
-    def contains(self, iv: Interval) -> bool:
-        return self.lo_code <= iv.lcode and iv.rcode <= self.hi_code
-
-    def contains_segment(self, other: "Segment") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def as_window(self) -> Window:
-        return Window(self.lo_code, self.hi_code)
-
-    def __str__(self) -> str:
-        return f"[{self.lo},{self.hi})"
 
 
 class SegTree:
     """Implicit balanced segment tree over elementary segments [i, i+1),
-    i in [1, n_pow2], with the universe rounded up to a power of two."""
+    i in [1, n_pow2], with the universe rounded up to a power of two.
+
+    Nodes are heap indices: the root is 1, the children of node v are 2v
+    and 2v+1, its parent is v >> 1, and leaf [x, x+1) is n_pow2 + x - 1.
+    This class is the only place that maps a node to the segment it covers.
+    """
 
     def __init__(self, n: int):
         if n < 1:
@@ -55,68 +28,38 @@ class SegTree:
         self.n = n
         self.n_pow2 = 1 << max(0, (n - 1).bit_length())
         self.depth_levels = self.n_pow2.bit_length() - 1  # log2(n_pow2)
-        self.root = Segment(1, self.n_pow2 + 1)
+        self.root = 1
 
-    def is_leaf(self, seg: Segment) -> bool:
-        return seg.size == 1
+    def span(self, v: int) -> Tuple[int, int]:
+        """The half-open segment [lo, hi) covered by node v."""
+        depth = v.bit_length() - 1
+        size = self.n_pow2 >> depth
+        lo = 1 + (v - (1 << depth)) * size
+        return lo, lo + size
 
-    def children(self, seg: Segment):
-        if seg.size == 1:
-            raise ValueError(f"leaf segment {seg} has no children")
-        mid = seg.lo + seg.size // 2
-        return Segment(seg.lo, mid), Segment(mid, seg.hi)
+    def contains(self, v: int, iv: Interval) -> bool:
+        """True iff every point of the interval lies in node v's segment."""
+        lo, hi = self.span(v)
+        return 2 * lo <= iv.lcode and iv.rcode <= 2 * hi - 1
 
-    def parent(self, seg: Segment) -> Segment:
-        if seg == self.root:
-            raise ValueError("root segment has no parent")
-        size2 = 2 * seg.size
-        lo = 1 + ((seg.lo - 1) // size2) * size2
-        return Segment(lo, lo + size2)
+    def segments(self) -> range:
+        """All 2*n_pow2 - 1 nodes, parents before children."""
+        return range(1, 2 * self.n_pow2)
 
-    def depth(self, seg: Segment) -> int:
-        return self.depth_levels - (seg.size.bit_length() - 1)
-
-    def segments(self) -> List[Segment]:
-        """All 2*n_pow2 - 1 segments, parents before children."""
-        out = [self.root]
-        i = 0
-        while i < len(out):
-            seg = out[i]
-            if seg.size > 1:
-                out.extend(self.children(seg))
-            i += 1
-        return out
-
-    def seg_id(self, seg: Segment) -> int:
-        """Injective id of a tree segment [x, y) in [1, n_pow2**2]."""
-        return self.n_pow2 * (seg.lo - 1) + (seg.hi - 1)
-
-    def containing_path(self, iv: Interval) -> List[Segment]:
-        """Segments containing the interval, root first (a root-to-node path).
-
-        Empty when the interval does not fit in the root, which cannot
-        happen for endpoints in [1, n].
-        """
-        if not self.root.contains(iv):
-            return []
-        path = [self.root]
-        node = self.root
-        while node.size > 1:
-            left, right = self.children(node)
-            if left.contains(iv):
-                node = left
-            elif right.contains(iv):
-                node = right
-            else:
-                break
-            path.append(node)
-        return path
-
-    def minimal_container(self, iv: Interval) -> Segment:
-        path = self.containing_path(iv)
-        if not path:
+    def minimal_container(self, iv: Interval) -> int:
+        """The smallest node containing the interval: the lowest common
+        ancestor of the leaves holding its two end codes (code c lies in
+        leaf [c >> 1, (c >> 1) + 1))."""
+        if iv.lcode < 2 or iv.rcode > 2 * self.n_pow2 + 1:
             raise ValueError(f"{iv} is outside the root segment")
-        return path[-1]
+        a = self.n_pow2 + (iv.lcode >> 1) - 1
+        b = self.n_pow2 + (iv.rcode >> 1) - 1
+        return a >> (a ^ b).bit_length()
+
+    def containing_path(self, iv: Interval) -> List[int]:
+        """Nodes containing the interval, root first (a root-to-node path)."""
+        v = self.minimal_container(iv)
+        return [v >> s for s in range(v.bit_length() - 1, -1, -1)]
 
 
 def alpha(inst: Instance) -> int:
@@ -157,97 +100,93 @@ def brute_force_alpha(inst: Instance) -> int:
     return best
 
 
-def beta(inst: Instance, seg: Segment) -> int:
-    """Exact alpha restricted to the intervals contained in the segment."""
-    contained = [iv for iv in inst.intervals if seg.contains(iv)]
+def beta(inst: Instance, v: int) -> int:
+    """Exact alpha restricted to the intervals contained in node v."""
+    tree = SegTree(inst.n)
+    contained = [iv for iv in inst.intervals if tree.contains(v, iv)]
     return alpha(Instance(inst.n, contained)) if contained else 0
 
 
-def beta_hat(inst: Instance, seg: Segment) -> int:
+def beta_hat(inst: Instance, v: int) -> int:
     """Size of the one-pass 2-approximation run on the intervals contained
-    in the segment, in stream order."""
+    in node v, in stream order."""
+    tree = SegTree(inst.n)
     sel = PartitionSelector()
     for iv in inst.intervals:
-        if seg.contains(iv):
+        if tree.contains(v, iv):
             sel.process(iv)
     return sel.window_count
 
 
-def gamma(inst: Instance, seg: Segment, tree: SegTree = None) -> int:
-    """Number of tree segments inside ``seg`` that contain an input interval."""
+def gamma(inst: Instance, v: int, tree: SegTree = None) -> int:
+    """Number of tree nodes in v's subtree that contain an input interval,
+    by direct enumeration (the reference for gamma_all)."""
     tree = tree or SegTree(inst.n)
     count = 0
-    stack = [seg]
+    stack = [v]
     while stack:
         node = stack.pop()
-        if any(node.contains(iv) for iv in inst.intervals):
+        if any(tree.contains(node, iv) for iv in inst.intervals):
             count += 1
-        if node.size > 1:
-            stack.extend(tree.children(node))
+        if node < tree.n_pow2:
+            stack.extend((2 * node, 2 * node + 1))
     return count
 
 
-def gamma_all(inst: Instance, tree: SegTree = None) -> Dict[Segment, int]:
-    """gamma for every tree segment in one bottom-up pass."""
-    tree = tree or SegTree(inst.n)
-    marked: Set[Segment] = set()
+def _holding_nodes(inst: Instance, tree: SegTree) -> Set[int]:
+    """Nodes that contain an input interval: the ancestors of the minimal
+    containers, at most m * (L + 1) of them."""
+    closure: Set[int] = set()
     for iv in inst.intervals:
-        marked.add(tree.minimal_container(iv))
-    gammas: Dict[Segment, int] = {}
-    for seg in reversed(tree.segments()):
-        if seg.size == 1:
-            below = 0
-        else:
-            left, right = tree.children(seg)
-            below = gammas[left] + gammas[right]
-        # a segment contains an interval iff its subtree holds a minimal container
-        holds = seg in marked or below > 0
-        gammas[seg] = below + (1 if holds else 0)
+        v = tree.minimal_container(iv)
+        while v and v not in closure:
+            closure.add(v)
+            v >>= 1
+    return closure
+
+
+def gamma_all(inst: Instance, tree: SegTree = None) -> Counter:
+    """gamma for every tree node, bottom-up over the nodes that contain an
+    interval; every other node reads 0."""
+    tree = tree or SegTree(inst.n)
+    gammas: Counter = Counter()
+    # children have larger indices, so each node is complete when reached
+    for v in sorted(_holding_nodes(inst, tree), reverse=True):
+        gammas[v] += 1
+        if v > 1:
+            gammas[v >> 1] += gammas[v]
     return gammas
 
 
-def active_segments(inst: Instance, tree: SegTree = None) -> Set[Segment]:
-    """The root plus every segment whose parent contains an input interval."""
+def active_segments(inst: Instance, tree: SegTree = None) -> Set[int]:
+    """The root plus every node whose parent contains an input interval."""
     tree = tree or SegTree(inst.n)
-    gammas = gamma_all(inst, tree)
     active = {tree.root}
-    for seg in tree.segments():
-        if seg.size > 1 and gammas[seg] > 0:
-            left_child, right_child = tree.children(seg)
-            # gamma(seg) > gamma of children combined iff seg itself holds one
-            if gammas[seg] > gammas[left_child] + gammas[right_child]:
-                active.add(left_child)
-                active.add(right_child)
+    for u in _holding_nodes(inst, tree):
+        if u < tree.n_pow2:
+            active.update((2 * u, 2 * u + 1))
     return active
 
 
 def relevance_threshold(n: int, eps: float) -> float:
-    tree = SegTree(n)
-    return 2.0 * tree.depth_levels ** 2 / eps
+    return 2.0 * SegTree(n).depth_levels ** 2 / eps
 
 
-def relevant_segments(inst: Instance, eps: float, tree: SegTree = None) -> Set[Segment]:
-    """Segments with small gamma whose parent's gamma meets the threshold;
-    falls back to the root when no segment qualifies."""
+def relevant_segments(inst: Instance, eps: float, tree: SegTree = None) -> Set[int]:
+    """Nodes with small gamma whose parent's gamma meets the threshold;
+    falls back to the root when no node qualifies."""
     if not 0 < eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {eps}")
     tree = tree or SegTree(inst.n)
     gammas = gamma_all(inst, tree)
-    threshold = 2.0 * tree.depth_levels ** 2 / eps
-    rel = set()
-    for seg in tree.segments():
-        if seg == tree.root:
-            continue
-        parent_gamma = gammas[tree.parent(seg)]
-        if parent_gamma >= threshold and 1 <= gammas[seg] < threshold:
-            rel.add(seg)
-    if not rel:
-        rel = {tree.root}
-    return rel
+    threshold = relevance_threshold(tree.n, eps)
+    # a node with gamma >= 1 holds an interval, so it is a key of gammas
+    rel = {v for v, g in gammas.items()
+           if v != tree.root and g < threshold and gammas[v >> 1] >= threshold}
+    return rel or {tree.root}
 
 
 def relevant_sum(inst: Instance, eps: float) -> int:
     """Sum of 2-approximation sizes over the relevant segments; lies in
     [(1/2 - eps) * alpha, alpha]."""
-    tree = SegTree(inst.n)
-    return sum(beta_hat(inst, seg) for seg in relevant_segments(inst, eps, tree))
+    return sum(beta_hat(inst, v) for v in relevant_segments(inst, eps))

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from intervalstream.core import Instance, Interval
+from intervalstream.core import Instance, Interval, pairwise_disjoint
 from intervalstream import oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       estimate_oracle_mode)
@@ -38,11 +38,6 @@ def verdict(num, name, ok, detail=""):
     print(f"CRITERION {num} ({name}): {status}" + (f" - {detail}" if detail else ""),
           flush=True)
     assert ok, f"criterion {num} ({name}): {detail}"
-
-
-def sorted_disjoint(intervals) -> bool:
-    ordered = sorted(intervals, key=lambda iv: iv.lcode)
-    return all(b.lcode > a.rcode for a, b in zip(ordered, ordered[1:]))
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +93,7 @@ def selector_runs(uniform_corpus, adversarial_corpus):
             "alpha": a,
             "size": len(solution),
             "peak": sel.peak_windows,
-            "disjoint": sorted_disjoint(solution),
+            "disjoint": pairwise_disjoint(solution),
             "from_stream": all(iv in stream_set for iv in solution),
         })
     elapsed = time.perf_counter() - start
@@ -238,7 +233,7 @@ def general_subchecks(est, inst, gammas, active_ids, active_set) -> int:
             elif len(group.own_seen[r]) != gammas[seg]:
                 bad += 1
             if seg != tree.root:
-                par = tree.parent(seg)
+                par = seg >> 1
                 if group.par_sat[r]:
                     if gammas[par] < cap:
                         bad += 1
@@ -254,7 +249,7 @@ def general_trials(inst, eps, scale, trials=100):
     tree = SegTree(inst.n)
     gammas = oracle.gamma_all(inst, tree)
     active = oracle.active_segments(inst, tree)
-    active_ids = [tree.seg_id(s) for s in active]
+    active_ids = list(active)
     outcomes = []
     for seed in range(trials):
         est = GeneralAlphaEstimator(EstimatorConfig(

@@ -99,10 +99,10 @@ def test_estimate_reports_hash_path():
                          "--seed", "3", "--scale", "1e-7"], stdin_text=text)
     assert code == 0
     assert json.loads(out)["details"]["hash_path"] == "blas"
-    # at n=2**14 seg ids span 2**28 and the combined key overflows uint64
+    # at n=2**26 nodes span 2**27 and the combined key overflows uint64
     code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
                          "--seed", "3", "--scale", "1e-9"],
-                        stdin_text="n 16384\n1 3\n100 200\n9000 9001\n")
+                        stdin_text="n 67108864\n1 3\n100 200\n9000 9001\n")
     assert code == 0
     assert json.loads(out)["details"]["hash_path"] == "object"
     code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "1",

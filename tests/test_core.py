@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from intervalstream.core import (DomainError, Instance, Interval, ParseError,
                                  Window, contained_in, format_stream,
-                                 intersects, parse_stream)
+                                 intersects, pairwise_disjoint, parse_stream)
+from intervalstream.rng import SplitMix64
 
 from conftest import all_intervals, brute_contained, brute_intersects
 
@@ -93,6 +94,29 @@ def test_position_codes_faithful_exhaustive():
     for a in ivs[::7]:
         for w in windows[::5]:
             assert contained_in(a, w) == brute_contained(a, w, n + 2), (a, str(w))
+
+
+def test_pairwise_disjoint_matches_brute_force():
+    def brute(ivs):
+        return not any(intersects(a, b)
+                       for i, a in enumerate(ivs) for b in ivs[i + 1:])
+
+    # touching closed ends meet, a half-open touch does not, duplicates meet
+    assert not pairwise_disjoint([Interval(1, 2), Interval(2, 3)])
+    assert pairwise_disjoint([Interval(2, 3, True, False), Interval(1, 2)])
+    assert not pairwise_disjoint([Interval(4, 4), Interval(4, 4)])
+    assert pairwise_disjoint([]) and pairwise_disjoint([Interval(5, 5)])
+    pool = all_intervals(8)
+    rng = SplitMix64(17)
+    outcomes = set()
+    for _ in range(3000):
+        # drawn with replacement, so duplicates occur
+        ivs = [pool[rng.below(len(pool))] for _ in range(rng.below(6))]
+        expect = brute(ivs)
+        assert pairwise_disjoint(ivs) == expect, ivs
+        assert pairwise_disjoint(reversed(ivs)) == expect, ivs
+        outcomes.add(expect)
+    assert outcomes == {True, False}
 
 
 def test_window_properties():

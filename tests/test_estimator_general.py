@@ -6,7 +6,7 @@ from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       emitted_segments, estimate_oracle_mode)
-from intervalstream.oracle import SegTree, Segment, beta_hat, relevant_segments
+from intervalstream.oracle import SegTree, beta_hat, relevant_segments
 from intervalstream.selector import PartitionSelector
 
 from conftest import all_intervals, random_instance
@@ -24,18 +24,13 @@ def run_estimator(inst, **cfg_kwargs):
     return est, est.estimate()
 
 
-def test_seg_id_examples():
-    tree = SegTree(16)
-    assert tree.seg_id(Segment(1, 2)) == 1
-    assert tree.seg_id(tree.root) == 16
-
-
 def test_emitted_segments_examples():
     tree = SegTree(4)
     segs = emitted_segments(tree, Interval(1, 2))
-    assert [str(s) for s in segs] == ["[1,5)", "[1,3)", "[3,5)", "[1,2)", "[2,3)"]
-    assert [str(s) for s in emitted_segments(tree, Interval(2, 3))] == \
-        ["[1,5)", "[1,3)", "[3,5)"]
+    assert segs == [1, 2, 3, 4, 5]
+    assert [tree.span(s) for s in segs] == [(1, 5), (1, 3), (3, 5), (1, 2), (2, 3)]
+    assert [tree.span(s) for s in emitted_segments(tree, Interval(2, 3))] == \
+        [(1, 5), (1, 3), (3, 5)]
 
 
 def test_emitted_segments_exhaustive_properties():
@@ -44,14 +39,14 @@ def test_emitted_segments_exhaustive_properties():
     for iv in all_intervals(16):
         segs = emitted_segments(tree, iv)
         assert len(segs) <= 2 * levels + 1
-        sizes = [s.size for s in segs]
+        sizes = [tree.span(s)[1] - tree.span(s)[0] for s in segs]
         assert sizes == sorted(sizes, reverse=True)
         for s in segs:
-            assert s == tree.root or tree.parent(s).contains(iv)
+            assert s == tree.root or tree.contains(s >> 1, iv)
         expect = {tree.root}
         for node in tree.segments():
-            if node.size > 1 and node.contains(iv):
-                expect.update(tree.children(node))
+            if node < tree.n_pow2 and tree.contains(node, iv):
+                expect.update((2 * node, 2 * node + 1))
         assert set(segs) == expect
         assert len(segs) == len(set(segs))
 
@@ -118,7 +113,7 @@ def test_n_act_exact_replay():
     est, _ = run_estimator(inst, n=64, user_eps=0.3, seed=2, scale=1e-9)
     active = oracle.active_segments(inst, est.tree)
     assert est.counter.estimate() == float(len(active))
-    assert est.counter.seen == {est.tree.seg_id(s) for s in active}
+    assert est.counter.seen == active
 
 
 def check_winners_and_trackers(est, inst):
@@ -126,7 +121,7 @@ def check_winners_and_trackers(est, inst):
     active set; unsaturated trackers hold exact gamma counts."""
     tree = est.tree
     active = oracle.active_segments(inst, tree)
-    active_ids = [tree.seg_id(s) for s in active]
+    active_ids = list(active)
     gammas = oracle.gamma_all(inst, tree)
     cap = est.config.gamma_cap
     for group in (est.rel, est.rho):
@@ -140,7 +135,7 @@ def check_winners_and_trackers(est, inst):
             else:
                 assert len(group.own_seen[r]) == gammas[seg]
             if seg != tree.root:
-                par = tree.parent(seg)
+                par = seg >> 1
                 if group.par_sat[r]:
                     assert gammas[par] >= cap
                 else:
@@ -176,6 +171,19 @@ def test_sampled_branch_random_instance():
     est, res = run_estimator(inst, n=n, user_eps=0.45, seed=9, scale=8e-8)
     assert res.branch == "sampled"
     check_winners_and_trackers(est, inst)
+
+
+@pytest.mark.parametrize("n", [1 << 14, 1 << 20])
+@pytest.mark.parametrize("eps", [0.45, 0.1])
+def test_hash_path_blas_up_to_2_20(n, eps):
+    # nodes are hashed over the universe 2 * n_pow2, so p * (universe + 1)
+    # stays below 2**63 and a limb width fits for every eps >= 0.1 here
+    est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=eps, seed=0, scale=1e-12))
+    assert est.rel.bank.family.universe == 2 * est.tree.n_pow2
+    assert est.hash_path == "blas"
+    est.process(Interval(1, 2))
+    est.process(Interval(n - 5, n, True, False))
+    assert est.estimate().value == 2.0
 
 
 def test_fallback_regime_matches_oracle_rule():

@@ -272,10 +272,10 @@ def test_float_mod_exact_at_quotient_slips():
 
 def test_polybank_object_mode_forced():
     huge = HashFamily(universe=8, eps=0.3, prime=next_prime(1 << 63), degree=2)
-    # the general estimator at n = 2**14: seg ids span n_pow2**2 = 2**28, so
+    # the general estimator at n = 2**26: nodes span 2 * n_pow2 = 2**27, so
     # value * key_span overflows uint64
-    n14 = HashFamily.create((1 << 14) ** 2, EstimatorConfig(n=1 << 14, user_eps=0.45, seed=0).eps_rel)
-    for fam, xs in ((huge, [1, 2, 8]), (n14, [1, 2, 12345, n14.universe])):
+    n26 = HashFamily.create(2 << 26, EstimatorConfig(n=1 << 26, user_eps=0.45, seed=0).eps_rel)
+    for fam, xs in ((huge, [1, 2, 8]), (n26, [1, 2, 12345, n26.universe])):
         bank = PolyBank(3, fam, seed=1)
         assert not bank.fast and bank.hash_path == "object"
         keys = bank.keys(xs)

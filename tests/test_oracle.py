@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalstream.core import Instance, Interval
-from intervalstream.oracle import (SegTree, Segment, active_segments, alpha,
+from intervalstream.oracle import (SegTree, active_segments, alpha,
                                    beta, beta_hat, brute_force_alpha, gamma,
                                    gamma_all, relevance_threshold,
                                    relevant_segments, relevant_sum)
 
-from conftest import random_instance
+from conftest import all_intervals, random_instance
 
 
 def test_alpha_examples():
@@ -35,37 +35,43 @@ def test_alpha_matches_brute_force(seed):
 
 
 def test_segtree_shape():
-    tree = SegTree(10)
-    assert tree.n_pow2 == 16
-    assert tree.root == Segment(1, 17)
-    segs = tree.segments()
-    assert len(segs) == 31
-    assert len(set(segs)) == 31
-    for seg in segs:
-        assert seg.size & (seg.size - 1) == 0
-        if seg.size > 1:
-            left, right = tree.children(seg)
-            assert (left.lo, left.hi, right.lo, right.hi) == \
-                (seg.lo, seg.lo + seg.size // 2, seg.lo + seg.size // 2, seg.hi)
-            assert tree.parent(left) == seg and tree.parent(right) == seg
-    assert tree.depth(tree.root) == 0
-    assert tree.depth(Segment(1, 2)) == 4
+    for n in (1, 2, 10, 16, 100):
+        tree = SegTree(n)
+        n_pow2 = tree.n_pow2
+        assert n_pow2 >= n and n_pow2 & (n_pow2 - 1) == 0 and n_pow2 < 2 * n
+        assert 1 << tree.depth_levels == n_pow2
+        assert tree.root == 1 and tree.span(tree.root) == (1, n_pow2 + 1)
+        assert list(tree.segments()) == list(range(1, 2 * n_pow2))
+        for v in tree.segments():
+            lo, hi = tree.span(v)
+            size = hi - lo
+            assert size << (v.bit_length() - 1) == n_pow2
+            if size > 1:
+                # the children split the parent's span at its midpoint
+                assert tree.span(2 * v) == (lo, lo + size // 2)
+                assert tree.span(2 * v + 1) == (lo + size // 2, hi)
+        # the leaves are n_pow2 .. 2*n_pow2 - 1, left to right
+        assert [tree.span(v) for v in range(n_pow2, 2 * n_pow2)] == \
+            [(x, x + 1) for x in range(1, n_pow2 + 1)]
 
 
-def test_seg_ids_injective_and_examples():
+def test_minimal_container_matches_brute_force():
     tree = SegTree(16)
-    assert tree.seg_id(Segment(1, 2)) == 1
-    assert tree.seg_id(tree.root) == 16
-    ids = [tree.seg_id(s) for s in tree.segments()]
-    assert len(set(ids)) == len(ids) == 31
-    assert all(1 <= i <= 16 ** 2 for i in ids)
+    for iv in all_intervals(16):
+        holders = [v for v in tree.segments() if tree.contains(v, iv)]
+        # the containing nodes form a root path; the deepest has the largest index
+        assert tree.containing_path(iv) == holders
+        assert tree.minimal_container(iv) == max(holders)
+    with pytest.raises(ValueError):
+        tree.minimal_container(Interval(9, 17))
 
 
 def test_beta_examples():
     tree = SegTree(4)
     inst = Instance(4, (Interval(1, 2), Interval(2, 3)))
-    assert beta(inst, Segment(1, 3)) == 1
-    assert beta(inst, Segment(3, 5)) == 0
+    assert tree.span(2) == (1, 3) and tree.span(3) == (3, 5)
+    assert beta(inst, 2) == 1
+    assert beta(inst, 3) == 0
     assert beta(inst, tree.root) == alpha(inst)
 
 
@@ -73,8 +79,9 @@ def test_gamma_enumeration_example():
     inst = Instance(4, (Interval(1, 2),))
     tree = SegTree(4)
     assert gamma(inst, tree.root, tree) == 2
-    assert gamma(inst, Segment(1, 3), tree) == 1
-    assert gamma(inst, Segment(1, 2), tree) == 0
+    assert tree.span(4) == (1, 2)
+    assert gamma(inst, 2, tree) == 1
+    assert gamma(inst, 4, tree) == 0
     empty = Instance(4, ())
     assert all(gamma(empty, s, tree) == 0 for s in tree.segments())
 
@@ -88,6 +95,21 @@ def test_gamma_all_matches_direct(seed):
         assert gammas[seg] == gamma(inst, seg, tree)
 
 
+def test_gamma_all_is_sparse():
+    # only nodes that contain an interval are stored: the ancestors of the
+    # m minimal containers, at most m * (L + 1) of 2 * 2**20 - 1 nodes
+    n, m = 1 << 20, 300
+    inst = random_instance(n, m, 64, seed=4, open_fraction=0.2)
+    tree = SegTree(n)
+    gammas = gamma_all(inst, tree)
+    assert len(gammas) <= m * (tree.depth_levels + 1)
+    assert gammas[tree.root] == len(gammas)
+    assert all(gammas[tree.minimal_container(iv)] >= 1 for iv in inst)
+    active = active_segments(inst, tree)
+    assert len(active) <= 1 + 2 * len(gammas)
+    assert all(gammas[v >> 1] >= 1 for v in active if v != tree.root)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_gamma_bounds(seed):
     inst = random_instance(32, 20, 10, seed, open_fraction=0.2)
@@ -98,7 +120,7 @@ def test_gamma_bounds(seed):
         b = beta(inst, seg)
         assert b <= gammas[seg] <= max(b * levels, b)
         if seg != tree.root:
-            assert gammas[seg] <= gammas[tree.parent(seg)]
+            assert gammas[seg] <= gammas[seg >> 1]
 
 
 def test_active_segments_definition():
@@ -109,7 +131,7 @@ def test_active_segments_definition():
     for seg in tree.segments():
         if seg == tree.root:
             continue
-        parent_holds = any(tree.parent(seg).contains(iv) for iv in inst)
+        parent_holds = any(tree.contains(seg >> 1, iv) for iv in inst)
         assert (seg in active) == parent_holds
 
 
@@ -138,7 +160,7 @@ def test_relevant_segments_nonfallback():
     rel = relevant_segments(inst, eps, tree)
     assert rel != {tree.root}
     for seg in rel:
-        assert gammas[tree.parent(seg)] >= threshold
+        assert gammas[seg >> 1] >= threshold
         assert 1 <= gammas[seg] < threshold
 
 
@@ -153,11 +175,13 @@ def test_relevant_disjoint_cover():
     rel = relevant_segments(inst, eps, tree)
     zero = {s for s in tree.segments()
             if s != tree.root and gammas[s] == 0
-            and gammas[tree.parent(s)] >= threshold}
+            and gammas[s >> 1] >= threshold}
     cover = rel | zero
-    for leaf in (Segment(i, i + 1) for i in range(1, tree.n_pow2 + 1)):
-        owners = [s for s in cover if s.contains_segment(leaf)]
-        assert len(owners) == 1, (str(leaf), [str(s) for s in owners])
+    for leaf in range(tree.n_pow2, 2 * tree.n_pow2):
+        (leaf_lo, leaf_hi) = tree.span(leaf)
+        owners = [s for s in cover
+                  if tree.span(s)[0] <= leaf_lo and leaf_hi <= tree.span(s)[1]]
+        assert len(owners) == 1, (tree.span(leaf), [tree.span(s) for s in owners])
 
 
 def test_relevant_sum_trivia():
@@ -185,7 +209,8 @@ def test_relevant_sum_bracket_dense_nonfallback():
 def test_beta_hat_is_two_approx():
     inst = random_instance(64, 60, 16, seed=9)
     tree = SegTree(64)
-    for seg in [tree.root, Segment(1, 33), Segment(33, 65)]:
+    assert tree.span(2) == (1, 33) and tree.span(3) == (33, 65)
+    for seg in [tree.root, 2, 3]:
         exact = beta(inst, seg)
         approx = beta_hat(inst, seg)
         assert approx <= exact <= 2 * approx or exact == approx == 0
