@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,54 +72,86 @@ class SamelenEstimate:
     units: int
 
 
+Extremes = Tuple[int, int, int, int]  # (lm_l, lm_r, rm_l, rm_r) codes
+
+# First-seen windows hashed per PolyBank.keys call.
+_CHUNK = 32
+
+
+def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
+    """Leftmost (smallest right end, ties to the larger left end) and
+    rightmost (largest left end, ties to the smaller right end) interval
+    codes of a window after adding iv; ext None starts a window."""
+    if ext is None:
+        return (iv.lcode, iv.rcode, iv.lcode, iv.rcode)
+    lm_l, lm_r, rm_l, rm_r = ext
+    if iv.rcode < lm_r or (iv.rcode == lm_r and iv.lcode > lm_l):
+        lm_l, lm_r = iv.lcode, iv.rcode
+    if iv.lcode > rm_l or (iv.lcode == rm_l and iv.rcode < rm_r):
+        rm_l, rm_r = iv.lcode, iv.rcode
+    return (lm_l, lm_r, rm_l, rm_r)
+
+
 class _ShiftState:
+    """k min-wise samplers over the occupied windows of one grid.
+
+    Keys are distinct, so a window can take a row only the first time it is
+    hashed; later occurrences meet a running minimum no larger than their
+    key.  Only windows the counter reports as possibly new are hashed, in
+    batches of _CHUNK.  Every row a window holds shares that window's
+    extremes, so they are kept once per window, and only for windows that
+    are pending or hold a row.
+    """
+
     def __init__(self, shift: int, cfg: SamelenConfig, rng: SplitMix64):
         self.shift = shift
         family = HashFamily.create(cfg.index_domain, cfg.eps2, cfg.c1, cfg.c2)
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift), cfg.kmv_k)
         self.bank = PolyBank(cfg.k, family, rng.spawn(20 + shift).seed)
-        k = cfg.k
         self.winner_key = self.bank.max_keys()
-        self.winner_idx = np.full(k, -2, dtype=np.int64)
-        self.lm_l = np.zeros(k, dtype=np.int64)
-        self.lm_r = np.zeros(k, dtype=np.int64)
-        self.rm_l = np.zeros(k, dtype=np.int64)
-        self.rm_r = np.zeros(k, dtype=np.int64)
-        self._key_columns: Dict[int, np.ndarray] = {}
-
-    def _keys_for(self, j: int) -> np.ndarray:
-        col = self._key_columns.get(j)
-        if col is None:
-            col = self.bank.keys([j + 2])[:, 0]
-            self._key_columns[j] = col
-        return col
+        self.winner_idx = np.full(cfg.k, -2, dtype=np.int64)
+        self.extremes: Dict[int, Extremes] = {}
+        self.pending: List[int] = []
 
     def observe(self, j: int, iv: Interval) -> None:
-        self.counter.add(j + 2)
-        keys = self._keys_for(j)
-        change = keys < self.winner_key
+        fresh = self.counter.add(j + 2)
+        ext = self.extremes.get(j)
+        if ext is None and not fresh:
+            return  # seen before and holds no row: it can never take one
+        self.extremes[j] = merge_extremes(ext, iv)
+        if ext is None:
+            self.pending.append(j)
+            if len(self.pending) >= _CHUNK:
+                self.flush()
+
+    def flush(self) -> None:
+        """Hash the pending windows in one call, move each row to its
+        minimum, and forget the extremes of windows left holding no row."""
+        if not self.pending:
+            return
+        keys = self.bank.keys([j + 2 for j in self.pending])
+        col_min = keys.min(axis=1)
+        change = col_min < self.winner_key
         if change.any():
-            self.winner_key[change] = keys[change]
-            self.winner_idx[change] = j
-            self.lm_l[change] = iv.lcode
-            self.lm_r[change] = iv.rcode
-            self.rm_l[change] = iv.lcode
-            self.rm_r[change] = iv.rcode
-        same = (self.winner_idx == j) & ~change
-        if same.any():
-            upd_rm = same & ((self.rm_l < iv.lcode) |
-                             ((self.rm_l == iv.lcode) & (iv.rcode < self.rm_r)))
-            self.rm_l[upd_rm] = iv.lcode
-            self.rm_r[upd_rm] = iv.rcode
-            upd_lm = same & ((iv.rcode < self.lm_r) |
-                             ((iv.rcode == self.lm_r) & (iv.lcode > self.lm_l)))
-            self.lm_l[upd_lm] = iv.lcode
-            self.lm_r[upd_lm] = iv.rcode
+            self.winner_key[change] = col_min[change]
+            self.winner_idx[change] = np.asarray(self.pending)[keys[change].argmin(axis=1)]
+        self.pending = []
+        self.extremes = {j: self.extremes[j] for j in self._held()[0]}
+
+    def _held(self) -> Tuple[List[int], List[int]]:
+        """Windows holding at least one row, and how many rows each holds."""
+        held, rows = np.unique(self.winner_idx[self.winner_idx != -2], return_counts=True)
+        return held.tolist(), rows.tolist()
 
     def type2_count(self) -> int:
-        has_winner = self.winner_idx != -2
-        return int(np.count_nonzero(has_winner & (self.rm_l > self.lm_r)))
+        """Rows whose window holds two disjoint intervals (call after flush)."""
+        count = 0
+        for j, rows in zip(*self._held()):
+            _, lm_r, rm_l, _ = self.extremes[j]
+            if rm_l > lm_r:
+                count += rows
+        return count
 
 
 class SamelenAlphaEstimator:
@@ -147,15 +179,15 @@ class SamelenAlphaEstimator:
             raise DomainError(f"interval {iv} outside [1, {cfg.n}]")
         self.items += 1
         for a in (0, 1, 2):
-            j = self._grid.window_index(a, iv.lcode)
-            if iv.rcode > self._grid.window_hi_code(a, j):
-                continue  # straddles a grid boundary for this shift
-            self.states[a].observe(j, iv)
+            j = self._grid.containing_window(a, iv)
+            if j is not None:
+                self.states[a].observe(j, iv)
 
     def estimate(self) -> SamelenEstimate:
         cfg = self.config
         gamma1_hats, type2_counts, shift_values = [], [], []
         for st in self.states:
+            st.flush()
             g1 = st.counter.estimate()
             m = st.type2_count()
             gamma1_hats.append(g1)
@@ -168,25 +200,15 @@ class SamelenAlphaEstimator:
                                k=cfg.k, units=units)
 
 
-def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Tuple[int, int, int, int]]:
+def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
     """Exact leftmost/rightmost codes (lm_l, lm_r, rm_l, rm_r) per occupied
     window index of one grid."""
     grid = ShiftedGridSelector(lam)
-    stats: Dict[int, Tuple[int, int, int, int]] = {}
+    stats: Dict[int, Extremes] = {}
     for iv in intervals:
-        j = grid.window_index(shift, iv.lcode)
-        if iv.rcode > grid.window_hi_code(shift, j):
-            continue
-        cur = stats.get(j)
-        if cur is None:
-            stats[j] = (iv.lcode, iv.rcode, iv.lcode, iv.rcode)
-            continue
-        lm_l, lm_r, rm_l, rm_r = cur
-        if iv.rcode < lm_r or (iv.rcode == lm_r and iv.lcode > lm_l):
-            lm_l, lm_r = iv.lcode, iv.rcode
-        if iv.lcode > rm_l or (iv.lcode == rm_l and iv.rcode < rm_r):
-            rm_l, rm_r = iv.lcode, iv.rcode
-        stats[j] = (lm_l, lm_r, rm_l, rm_r)
+        j = grid.containing_window(shift, iv)
+        if j is not None:
+            stats[j] = merge_extremes(stats.get(j), iv)
     return stats
 
 

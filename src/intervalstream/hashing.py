@@ -170,6 +170,10 @@ class KMVDistinct:
         self.saturated = False
 
     def add(self, x: int) -> bool:
+        """Returns True when x is possibly new: every first occurrence
+        returns True, and so may a repeat of an id the sketch rejected or
+        evicted, since it no longer remembers it.  False means x is a
+        repeat.  Callers that act only on True see every first occurrence."""
         if x in self._members:
             return False
         v = self.hash(x)
@@ -238,6 +242,12 @@ def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
         out[pending[good]] = draws[good] % np.uint64(bound)
         pending = pending[~good]
     return out
+
+
+# Matrix entries per row block of PolyBank._eval_blas: 512 KB float64
+# temporaries are reused from the heap, where full rows x columns ones were
+# mapped and faulted in afresh on every call.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class PolyBank:
@@ -320,8 +330,10 @@ class PolyBank:
     def _limb_bits(self) -> int:
         """Widest limb split keeping float64 arithmetic exact: the degree-long
         matmul sums and the combine step acc * 2**bits + raw both stay below
-        (degree + 1) * 2**bits * (p - 1) < 2**53. 0 when none fits."""
-        for bits in (16, 8, 4):
+        (degree + 1) * 2**bits * (p - 1) < 2**53.  The full width
+        bitlen(p - 1) comes first: one limb, nothing to recombine.  0 when
+        none fits."""
+        for bits in ((self.prime - 1).bit_length(), 16, 8, 4):
             if (self.degree + 1) * (1 << bits) * (self.prime - 1) < (1 << 53):
                 return bits
         return 0
@@ -329,32 +341,42 @@ class PolyBank:
     def _float_mod(self, a: np.ndarray) -> np.ndarray:
         """Exact a mod p for nonnegative integer-valued float64 arrays below
         2**53: floor-division remainder with a one-step fixup for the
-        quotient rounding slip."""
+        quotient rounding slip, computed in one scratch array."""
         p = float(self.prime)
-        r = a - np.floor(a * (1.0 / p)) * p
-        r += (r < 0) * p
-        r -= (r >= p) * p
+        r = np.multiply(a, 1.0 / p)
+        np.floor(r, out=r)
+        r *= -p
+        r += a
+        np.add(r, p, out=r, where=r < 0)
+        np.subtract(r, p, out=r, where=r >= p)
         return r
 
     def _eval_blas(self, powers: np.ndarray) -> np.ndarray:
+        """Limb matmuls and reductions one block of rows at a time, so the
+        float64 temporaries stay small; only the result is rows x columns."""
         powers_f = powers.astype(np.float64)
         shift_mod = float((1 << self._bits) % self.prime)
-        acc = None
-        for part in reversed(self._limb_parts):
-            raw = part @ powers_f
-            if acc is None:
+        out = np.empty((self.rows, powers.shape[1]), dtype=np.uint64)
+        step = max(1, _BLOCK_ENTRIES // max(1, powers.shape[1]))
+        for lo in range(0, self.rows, step):
+            acc = None
+            for part in reversed(self._limb_parts):
+                raw = part[lo:lo + step] @ powers_f
+                if acc is not None:
+                    acc *= shift_mod
+                    raw += acc
                 acc = self._float_mod(raw)
-            else:
-                acc = self._float_mod(acc * shift_mod + raw)
-        return acc.astype(np.uint64)
+            out[lo:lo + step] = acc
+        return out
 
     def keys(self, xs: Sequence[int]) -> np.ndarray:
         """Combined keys value * key_span + x: integer order equals the
         lexicographic order on (value, x)."""
         values = self.eval(xs)
         if self.fast:
-            x = np.asarray(xs, dtype=np.uint64)[None, :]
-            return values * np.uint64(self.key_span) + x
+            values *= np.uint64(self.key_span)
+            values += np.asarray(xs, dtype=np.uint64)[None, :]
+            return values
         x = np.asarray(xs, dtype=object)[None, :]
         return values * self.key_span + x
 

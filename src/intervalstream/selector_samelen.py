@@ -11,7 +11,7 @@ approximation overall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .core import Interval
 
@@ -48,17 +48,22 @@ class ShiftedGridSelector:
         holds the given left-endpoint code."""
         return (lcode - 2 * shift * self.lam) // (6 * self.lam)
 
-    def window_hi_code(self, shift: int, j: int) -> int:
-        return 2 * (shift + 3 * j + 3) * self.lam - 1
+    def containing_window(self, shift: int, iv: Interval) -> Optional[int]:
+        """Index of the grid window that contains iv, or None when iv
+        straddles a window boundary of this grid."""
+        j = self.window_index(shift, iv.lcode)
+        if iv.rcode > 2 * (shift + 3 * j + 3) * self.lam - 1:
+            return None
+        return j
 
     def process(self, iv: Interval) -> None:
         if iv.length != self.lam:
             raise ValueError(f"interval {iv} has length {iv.length}, expected {self.lam}")
         self.items += 1
         for a in (0, 1, 2):
-            j = self.window_index(a, iv.lcode)
-            if iv.rcode > self.window_hi_code(a, j):
-                continue  # straddles a grid boundary: not contained
+            j = self.containing_window(a, iv)
+            if j is None:
+                continue
             win = self.shifts[a].get(j)
             if win is None:
                 self.shifts[a][j] = GridWindow(iv, iv, iv)
@@ -99,9 +104,4 @@ class ShiftedGridSelector:
 def shift_subinstance(intervals, shift: int, lam: int) -> List[Interval]:
     """The intervals contained in some window of the given grid."""
     sel = ShiftedGridSelector(lam)
-    out = []
-    for iv in intervals:
-        j = sel.window_index(shift, iv.lcode)
-        if iv.rcode <= sel.window_hi_code(shift, j):
-            out.append(iv)
-    return out
+    return [iv for iv in intervals if sel.containing_window(shift, iv) is not None]

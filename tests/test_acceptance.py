@@ -156,6 +156,7 @@ def test_criterion_4_minwise_family():
             f"minwise={ok_min}, conditional={ok_cond}, runtime={elapsed:.2f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_relevant_sum_bracket(uniform_corpus, adversarial_corpus):
     failures = 0
     checked = 0
@@ -170,6 +171,7 @@ def test_criterion_5_relevant_sum_bracket(uniform_corpus, adversarial_corpus):
             f"{checked} checks, failures={failures}")
 
 
+@pytest.mark.slow
 def test_criterion_6_oracle_mode_estimators(uniform_corpus, adversarial_corpus,
                                             samelen_corpus):
     failures = 0
@@ -193,6 +195,7 @@ def test_criterion_6_oracle_mode_estimators(uniform_corpus, adversarial_corpus,
             f"{checked} checks, failures={failures}")
 
 
+@pytest.mark.slow
 def test_criterion_7_samelen_estimator_end_to_end():
     start = time.perf_counter()
     inst = gen_uniform_samelen(4096, 500, 16, seed=100)
@@ -261,6 +264,7 @@ def general_trials(inst, eps, scale, trials=100):
     return outcomes
 
 
+@pytest.mark.slow
 def test_criterion_8_general_estimator_n1024():
     start = time.perf_counter()
     n, eps, scale = 1024, 0.45, 1.4e-7
@@ -298,6 +302,7 @@ def test_criterion_8_general_estimator_n1024():
             f"sub-check violations={subcheck_violations}, runtime={elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8b_general_estimator_n2048():
     start = time.perf_counter()
     n, eps, scale = 2048, 0.45, 1.4e-7

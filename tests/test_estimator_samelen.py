@@ -1,10 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
-from intervalstream.estimator_samelen import (SamelenAlphaEstimator,
+from intervalstream.estimator_samelen import (_CHUNK, SamelenAlphaEstimator,
                                               SamelenConfig,
                                               samelen_estimate_oracle,
                                               shift_gamma_counts,
@@ -45,16 +46,10 @@ def test_containment_examples():
     grid = ShiftedGridSelector(1)
     iv = Interval(1, 2)
     # shift 0: window [0,3) has index 0 and contains [1,2]
-    assert grid.window_index(0, iv.lcode) == 0
-    assert iv.rcode <= grid.window_hi_code(0, 0)
+    assert grid.containing_window(0, iv) == 0
     # [4,5] is contained for shifts 0 and 1, straddles a shift-2 boundary
     iv2 = Interval(4, 5)
-    contained = []
-    for a in (0, 1, 2):
-        j = grid.window_index(a, iv2.lcode)
-        if iv2.rcode <= grid.window_hi_code(a, j):
-            contained.append(a)
-    assert contained == [0, 1]
+    assert [grid.containing_window(a, iv2) for a in (0, 1, 2)] == [1, 1, None]
 
 
 def test_hand_example_three_intervals():
@@ -131,15 +126,13 @@ def test_sampler_winner_replay():
             assert st.winner_key[r] == mins[r]
             j = occ[int(arg[r])]
             assert st.winner_idx[r] == j
-            lm_l, lm_r, rm_l, rm_r = stats[j]
-            assert (st.lm_l[r], st.lm_r[r], st.rm_l[r], st.rm_r[r]) == \
-                (lm_l, lm_r, rm_l, rm_r)
+            # a row's extremes are those of its winner window's entry
+            lm_l, lm_r, rm_l, rm_r = st.extremes[j]
+            assert (lm_l, lm_r, rm_l, rm_r) == stats[j]
             # type classification matches the exact sub-instance optimum
-            sub = [iv for iv in inst
-                   if est._grid.window_index(a, iv.lcode) == j
-                   and iv.rcode <= est._grid.window_hi_code(a, j)]
+            sub = [iv for iv in inst if est._grid.containing_window(a, iv) == j]
             window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
-            is_type2 = bool(st.rm_l[r] > st.lm_r[r])
+            is_type2 = bool(rm_l > lm_r)
             assert is_type2 == (window_alpha >= 2)
 
 
@@ -149,6 +142,48 @@ def test_space_units_bound():
     cfg = est.config
     expected_cap = sum(st.counter.units + 3 * cfg.k for st in est.states)
     assert res.units <= expected_cap
+
+
+def _entries(obj) -> int:
+    """Entries a container retains: the elements of an array, the entries of
+    a dict's values or of a list's items; anything else (a scalar or a
+    fixed-size record) counts once."""
+    if isinstance(obj, np.ndarray):
+        return obj.size
+    if isinstance(obj, dict):
+        return sum(_entries(v) for v in obj.values())
+    if isinstance(obj, (list, set)):
+        return sum(_entries(v) for v in obj)
+    return 1
+
+
+def test_retained_state_does_not_grow_with_m():
+    # The samplers keep O(k) whatever the number of occupied windows: every
+    # container of a shift state holds at most k + chunk entries, before and
+    # after the final flush, and only windows holding a row keep extremes.
+    # (The distinct counter is accounted for separately, in units.)
+    lam, eps, seed = 4, 0.45, 21
+    occupied = []
+    for m in (300, 3000):
+        inst = gen_uniform_samelen(1 << 16, m, lam, seed=seed)
+        est = SamelenAlphaEstimator(SamelenConfig(n=inst.n, lam=lam, user_eps=eps, seed=seed))
+        for iv in inst:
+            est.process(iv)
+        bound = est.config.k + _CHUNK
+        for phase in ("streamed", "estimated"):
+            if phase == "estimated":
+                est.estimate()
+            for a, st in enumerate(est.states):
+                containers = {name: v for name, v in vars(st).items()
+                              if isinstance(v, (np.ndarray, dict, list, set))}
+                assert {"winner_key", "winner_idx"} <= set(containers)
+                for name, v in containers.items():
+                    assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
+        for a, st in enumerate(est.states):
+            assert not st.pending
+            assert set(st.extremes) == set(st.winner_idx[st.winner_idx != -2].tolist())
+        occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
+    assert occupied[1] > 5 * occupied[0]
 
 
 def test_kmv_counter_mode_runs():

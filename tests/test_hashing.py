@@ -5,7 +5,9 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
+from intervalstream import hashing
 from intervalstream.estimator import EstimatorConfig
+from intervalstream.estimator_samelen import SamelenConfig
 from intervalstream.hashing import (ExactDistinct, HashFamily, KMVDistinct,
                                     KWiseHash, MinSampler, MinWisePermutation,
                                     PolyBank, bulk_below, bulk_u64, next_prime)
@@ -93,6 +95,25 @@ def test_kmv_exact_below_saturation():
         c.add(x)
     assert c.estimate() == 10.0
     assert not c.saturated
+
+
+def test_kmv_add_true_at_every_first_occurrence():
+    # a sketch of 4 saturates and evicts; add() may return True again for a
+    # rejected or evicted id, but never False at a first occurrence
+    fam = HashFamily.create(1024, 0.25)
+    c = KMVDistinct(4, fam, SplitMix64(3))
+    rng = SplitMix64(8)
+    seen, repeats_true = set(), 0
+    for _ in range(400):
+        x = rng.randrange(1, 200)
+        fresh = c.add(x)
+        if x not in seen:
+            assert fresh, x
+            seen.add(x)
+        elif fresh:
+            repeats_true += 1
+        assert len(c._heap) == len(c._members) <= 4
+    assert c.saturated and repeats_true > 0
 
 
 def test_kmv_monte_carlo_calibration():
@@ -220,9 +241,35 @@ def _largest_prime_for_limb(degree: int, bits: int) -> int:
     return p
 
 
+def _largest_prime_one_limb(degree: int) -> int:
+    """Largest prime p with (degree + 1) * 2**bitlen(p - 1) * (p - 1) < 2**53:
+    one full-width limb still keeps the float64 sums exact."""
+    for bits in range(52, 0, -1):
+        top = min((1 << bits) - 1, ((1 << 53) - 1) // ((degree + 1) << bits))
+        if top >= 1 << (bits - 1):
+            p = top + 1
+            while next_prime(p) != p:
+                p -= 1
+            return p
+    raise AssertionError("no prime fits one limb")
+
+
+def _assert_eval_matches_row_hash(bank):
+    fam = bank.family
+    rng = SplitMix64(fam.prime)
+    xs = [1, 2, fam.universe, fam.prime - 1] + [rng.randrange(1, fam.prime - 1) for _ in range(40)]
+    values = bank.eval(xs)
+    assert values.dtype == np.uint64
+    for r in range(bank.rows):
+        h = bank.row_hash(r)
+        assert [int(v) for v in values[r]] == [h(x) for x in xs]
+
+
 def _families_above_2_32():
-    """(family, limb width, at the float64 edge): the n=4096 estimator
-    families and, per limb width 8 and 4, the largest prime passing it."""
+    """(family, limb width, at the float64 edge): the general estimator's
+    rel and rho families over the universe 4096**2 (the n=4096 seg-id
+    universe before heap-index ids) and, per limb width 8 and 4, the largest
+    prime passing it."""
     cfg = EstimatorConfig(n=4096, user_eps=0.45, seed=0)
     fams = [(HashFamily.create(4096 ** 2, cfg.eps_rel), 8, False),
             (HashFamily.create(4096 ** 2, cfg.eps_rho), 8, False)]
@@ -233,23 +280,51 @@ def _families_above_2_32():
 
 
 @pytest.mark.parametrize("fam,bits,edge", _families_above_2_32(),
-                         ids=["n4096-rel", "n4096-rho", "edge-b8", "edge-b4"])
+                         ids=["u4096sq-rel", "u4096sq-rho", "edge-b8", "edge-b4"])
 def test_polybank_blas_exact_above_2_32(fam, bits, edge):
     assert fam.prime > 1 << 32
     bank = PolyBank(6, fam, seed=11)
     assert bank.fast and bank.hash_path == "blas"
     assert bank._limb_bits() == bits
-    rng = SplitMix64(fam.prime)
-    xs = [1, 2, fam.universe, fam.prime - 1] + [rng.randrange(1, fam.prime - 1) for _ in range(40)]
-    values = bank.eval(xs)
-    assert values.dtype == np.uint64
-    for r in range(bank.rows):
-        h = bank.row_hash(r)
-        assert [int(v) for v in values[r]] == [h(x) for x in xs]
+    _assert_eval_matches_row_hash(bank)
     if edge:
         above = HashFamily(universe=fam.universe, eps=fam.eps,
                            prime=next_prime(fam.prime + 1), degree=fam.degree)
         assert PolyBank(1, above, seed=1)._limb_bits() < bits
+
+
+def _one_limb_families():
+    """(family, at the float64 edge): the same-length estimator at n=2**20
+    (lambda 16, eps 0.2), the general estimator's rel family at n=4096 over
+    heap-index ids (universe 2*4096), and the largest prime one full-width
+    limb takes at degree 20."""
+    samelen = SamelenConfig(n=1 << 20, lam=16, user_eps=0.2, seed=0)
+    general = EstimatorConfig(n=4096, user_eps=0.45, seed=0)
+    return [(HashFamily.create(samelen.index_domain, samelen.eps2), False),
+            (HashFamily.create(2 * 4096, general.eps_rel), False),
+            (HashFamily(universe=1000, eps=0.4, prime=_largest_prime_one_limb(20), degree=20),
+             True)]
+
+
+@pytest.mark.parametrize("fam,edge", _one_limb_families(),
+                         ids=["samelen-n2^20", "general-n4096-rel", "edge-one-limb"])
+def test_polybank_one_full_width_limb(fam, edge):
+    bank = PolyBank(6, fam, seed=11)
+    assert bank.fast and bank._limb_bits() == (fam.prime - 1).bit_length()
+    assert len(bank._limb_parts) == 1
+    _assert_eval_matches_row_hash(bank)
+    if edge:
+        above = HashFamily(universe=fam.universe, eps=fam.eps,
+                           prime=next_prime(fam.prime + 1), degree=fam.degree)
+        assert PolyBank(1, above, seed=1)._limb_bits() == 16
+
+
+@pytest.mark.parametrize("fam", [_one_limb_families()[0][0], _families_above_2_32()[0][0]],
+                         ids=["one-limb", "limbs-b8"])
+def test_polybank_row_blocks_match_row_hash(fam, monkeypatch):
+    # 44 points in blocks of 2 rows: 7 rows leave a short last block
+    monkeypatch.setattr(hashing, "_BLOCK_ENTRIES", 2 * 44)
+    _assert_eval_matches_row_hash(PolyBank(7, fam, seed=3))
 
 
 def test_float_mod_exact_at_quotient_slips():
