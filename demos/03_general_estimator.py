@@ -9,7 +9,10 @@ every estimate by its exact value to validate the combination formula.
 
 Two regimes appear below: a small universe where the relevance threshold is
 unreachable and the estimator falls back to a single nested selector, and a
-dense large universe where the sampled pipeline engages.
+dense large universe where the sampled pipeline engages.  At the desk-scale
+sampler counts used here the sampled estimate is 0: only 2 of the 3331
+active segments are relevant, none of the 5 rho rows holds one
+(rho_available = 0), so the average nested size rho_hat is 0.
 """
 
 from intervalstream.core import Instance, Interval
@@ -42,5 +45,12 @@ for iv in inst:
 res = est.estimate()
 print(f"  branch = {res.branch}, N_act = {res.n_act_hat:.0f}, "
       f"relevant winners = {res.relevant_count}/{cfg.k_rel}, degraded = {res.degraded}")
-print(f"  sampled estimate = {res.value:.1f} (noisy at desk scale)")
+relevant = oracle.relevant_segments(inst, cfg.eps1)
+print(f"  rho rows holding a relevant segment: rho_available = {res.rho_available} "
+      f"of k0 = {cfg.k0} (k_rho = {cfg.k_rho} wanted)")
+print(f"  only {len(relevant)} of {res.n_act_hat:.0f} active segments are relevant, "
+      f"so the k0 rho rows almost never hold one")
+print(f"  sampled estimate = {res.value:.1f}: N_rel * rho_hat / (1 + eps1)^2 with "
+      f"rho_hat = {res.rho_hat:g}, the mean nested size over the rho rows holding a "
+      f"relevant segment (0 when there are none)")
 print(f"  oracle-mode value = {estimate_oracle_mode(inst, 0.45):.1f}, alpha = {a}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -28,11 +28,13 @@ from .rng import SplitMix64
 from .selector import PartitionSelector
 
 
-def emitted_segments(tree: SegTree, iv: Interval) -> List[int]:
+def emitted_segments(tree: SegTree, iv: Interval,
+                     path: Optional[List[int]] = None) -> List[int]:
     """Nodes activated by one interval: the root followed by both children
-    of every internal node containing the interval, sizes non-increasing."""
+    of every internal node containing the interval, sizes non-increasing.
+    path, when given, is tree.containing_path(iv)."""
     out = [tree.root]
-    for u in tree.containing_path(iv):
+    for u in path if path is not None else tree.containing_path(iv):
         if u < tree.n_pow2:
             out += (2 * u, 2 * u + 1)
     return out
@@ -108,103 +110,84 @@ class GeneralEstimate:
     rho_hat: float = 0.0
     rho_available: int = 0      # relevant winners among the k0 rho samplers
     peak_units: int = 0
+    tracked_nodes: int = 0      # peak size of the node table
+
+
+class _Node:
+    """State of one tree node u, shared by every row of both groups that
+    holds u (own role) or a child of u (parent role).
+
+    Rows take a node only at its first emission, so u's entry starts at the
+    first emission of u or of a child of u, and no interval is contained in
+    u before either.  The tracker is therefore exactly min(gamma(u), cap)
+    whichever row created it: `seen` holds the nodes of u's subtree that
+    contain an interval until there are cap of them, then None.  `selector`
+    is the nested 2-approximation over the intervals contained in u, kept
+    for a rho row's winner and for the root; it is dropped when the tracker
+    saturates, since u can then never be relevant.
+    """
+
+    __slots__ = ("refs", "seen", "selector")
+
+    def __init__(self, refs: int, with_selector: bool):
+        self.refs = refs
+        self.seen: Optional[Set[int]] = set()
+        self.selector = PartitionSelector() if with_selector else None
+
+    @property
+    def saturated(self) -> bool:
+        return self.seen is None
+
+    @property
+    def units(self) -> int:
+        """The entry itself, its tracked nodes and its selector's windows."""
+        return (1 + (len(self.seen) if self.seen is not None else 0)
+                + (self.selector.window_count if self.selector is not None else 0))
+
+    def add(self, iv: Interval, below: Sequence[int], cap: int) -> int:
+        """Feed an interval contained in u; below is its containing path
+        from u down.  Returns the change in units."""
+        before = len(self.seen)
+        self.seen.update(below)
+        if len(self.seen) >= cap:
+            freed = before + (self.selector.window_count if self.selector is not None else 0)
+            self.seen = self.selector = None
+            return -freed
+        grown = len(self.seen) - before
+        if self.selector is not None:
+            windows = self.selector.window_count
+            self.selector.process(iv)
+            grown += self.selector.window_count - windows
+        return grown
+
+
+def _lineage(v: int) -> Tuple[int, ...]:
+    """The nodes a row holding v references: v, and its parent unless v is
+    the root."""
+    return (v, v >> 1) if v > 1 else (v,)
 
 
 class _SamplerGroup:
-    """Rows of min-wise samplers over tree nodes, each tracking its winner
-    node, capped gamma counts for the winner and its parent, and
-    (optionally) a nested selector for the winner's 2-approximation size."""
+    """Rows of min-wise samplers over tree nodes, each keeping the key and
+    node of its running minimum (node 0: none yet)."""
 
-    def __init__(self, rows: int, family: HashFamily, seed: int, tree: SegTree,
-                 cap: int, with_selectors: bool):
-        self.rows = rows
-        self.tree = tree
-        self.cap = cap
+    def __init__(self, rows: int, family: HashFamily, seed: int):
         self.bank = PolyBank(rows, family, seed)
         self.winner_key = self.bank.max_keys()
-        self.winner_seg: List[Optional[int]] = [None] * rows
-        self.own_seen: List[Optional[Set[int]]] = [None] * rows
-        self.own_sat: List[bool] = [False] * rows
-        self.par_seg: List[Optional[int]] = [None] * rows
-        self.par_seen: List[Optional[Set[int]]] = [None] * rows
-        self.par_sat: List[bool] = [False] * rows
-        self.selectors: Optional[List[Optional[PartitionSelector]]] = (
-            [None] * rows if with_selectors else None)
-        self.own_rows: Dict[int, Set[int]] = {}   # target node -> rows
-        self.par_rows: Dict[int, Set[int]] = {}
-        self.stored_units = 0
+        self.winner_node = np.zeros(rows, dtype=np.int64)
 
-    def update_winners_keys(self, keys: np.ndarray, nodes: Sequence[int]) -> None:
-        col_min = keys.min(axis=1)
-        mask = col_min < self.winner_key
-        if not mask.any():
-            return
-        col_arg = keys.argmin(axis=1)
-        for r in np.nonzero(mask)[0]:
-            self.winner_key[r] = col_min[r]
-            self._reset_row(int(r), nodes[int(col_arg[r])])
-
-    def _reset_row(self, r: int, seg: int) -> None:
-        old = self.winner_seg[r]
-        if old is not None:
-            self.own_rows[old].discard(r)
-            if self.par_seg[r] is not None:
-                self.par_rows[self.par_seg[r]].discard(r)
-            freed = (len(self.own_seen[r]) if self.own_seen[r] else 0) + \
-                    (len(self.par_seen[r]) if self.par_seen[r] else 0)
-            if self.selectors is not None and self.selectors[r] is not None:
-                freed += self.selectors[r].window_count
-            self.stored_units -= freed
-        self.winner_seg[r] = seg
-        self.own_seen[r] = set()
-        self.own_sat[r] = False
-        self.own_rows.setdefault(seg, set()).add(r)
-        if seg == self.tree.root:
-            self.par_seg[r] = None
-            self.par_seen[r] = None
-            self.par_sat[r] = True  # the root needs no parent check
-        else:
-            self.par_seg[r] = seg >> 1
-            self.par_seen[r] = set()
-            self.par_sat[r] = False
-            self.par_rows.setdefault(seg >> 1, set()).add(r)
-        if self.selectors is not None:
-            self.selectors[r] = PartitionSelector()
-
-    def _grow(self, seen: Set[int], suffix: Sequence[int]) -> int:
-        before = len(seen)
-        seen.update(suffix)
-        return len(seen) - before
-
-    def feed_interval(self, iv: Interval, path: List[int]) -> None:
-        for idx, v in enumerate(path):
-            for r in self.own_rows.get(v, ()):
-                if not self.own_sat[r]:
-                    self.stored_units += self._grow(self.own_seen[r], path[idx:])
-                    if len(self.own_seen[r]) >= self.cap:
-                        self.own_sat[r] = True
-                        self.stored_units -= len(self.own_seen[r])
-                        self.own_seen[r] = set()
-                if self.selectors is not None:
-                    sel = self.selectors[r]
-                    before = sel.window_count
-                    sel.process(iv)
-                    self.stored_units += sel.window_count - before
-            for r in self.par_rows.get(v, ()):
-                if not self.par_sat[r]:
-                    self.stored_units += self._grow(self.par_seen[r], path[idx:])
-                    if len(self.par_seen[r]) >= self.cap:
-                        self.par_sat[r] = True
-                        self.stored_units -= len(self.par_seen[r])
-                        self.par_seen[r] = set()
-
-    def is_relevant(self, r: int) -> bool:
-        seg = self.winner_seg[r]
-        if seg is None or seg == self.tree.root:
-            return False
-        if not self.par_sat[r] or self.own_sat[r]:
-            return False
-        return len(self.own_seen[r]) >= 1
+    def move(self, keys: np.ndarray, ids: np.ndarray):
+        """Move every row to its minimum over the columns of keys (node ids
+        ids).  Returns the nodes the moved rows released, the nodes they
+        took, and the column at which each was taken."""
+        cols = keys.argmin(axis=1)
+        col_min = np.take_along_axis(keys, cols[:, None], axis=1)[:, 0]
+        moved = np.nonzero(col_min < self.winner_key)[0]
+        released = self.winner_node[moved]
+        cols = cols[moved]
+        self.winner_key[moved] = col_min[moved]
+        self.winner_node[moved] = ids[cols]
+        return released, ids[cols], cols
 
 
 class GeneralAlphaEstimator:
@@ -222,16 +205,17 @@ class GeneralAlphaEstimator:
         id_universe = 2 * self.tree.n_pow2
         fam_rel = HashFamily.create(id_universe, config.eps_rel, config.c1, config.c2)
         fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
-        self.rel = _SamplerGroup(config.k_rel, fam_rel, rng.spawn(1).seed,
-                                 self.tree, config.gamma_cap, with_selectors=False)
-        self.rho = _SamplerGroup(config.k0, fam_rho, rng.spawn(2).seed,
-                                 self.tree, config.gamma_cap, with_selectors=True)
+        self.rel = _SamplerGroup(config.k_rel, fam_rel, rng.spawn(1).seed)
+        self.rho = _SamplerGroup(config.k0, fam_rho, rng.spawn(2).seed)
         self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3), config.kmv_k)
-        self.root_seen: Set[int] = set()
-        self.root_sat = False
-        self.root_selector = PartitionSelector()
+        # node table; the estimator holds the root entry, whose selector is
+        # the fallback branch's estimate until the root saturates
+        self.nodes: Dict[int, _Node] = {self.tree.root: _Node(1, with_selector=True)}
+        self._node_units = self.nodes[self.tree.root].units
+        self._row_units = config.k_rel + config.k0  # one winner (key, node) per row
         self.items = 0
         self.peak_units = 0
+        self.peak_nodes = 0
         # intervals buffer until enough fresh ids justify one batched hash pass
         self._pending: List = []
         self._pending_ids = 0
@@ -249,62 +233,107 @@ class GeneralAlphaEstimator:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
         self.items += 1
         # duplicates never move a running minimum, so known-seen nodes skip the banks
-        new_ids = [v for v in emitted_segments(self.tree, iv) if self.counter.add(v)]
-        self._pending.append((iv, self.tree.containing_path(iv), new_ids))
+        path = self.tree.containing_path(iv)
+        new_ids = [v for v in emitted_segments(self.tree, iv, path) if self.counter.add(v)]
+        self._pending.append((iv, path, new_ids))
         self._pending_ids += len(new_ids)
         if self._pending_ids >= self._chunk_ids or len(self._pending) >= 1024:
             self.flush()
 
     def flush(self) -> None:
-        """Apply buffered intervals: one batched hash evaluation per sampler
-        group, then per-interval winner updates and tracker feeds in stream
-        order (identical outcome to unbuffered processing)."""
+        """Apply buffered intervals: one batched hash evaluation and one
+        min/argmin per sampler group move every row to its minimum over the
+        chunk.  Entries of nodes the rows took start at the interval that
+        first emitted the node, so nodes held only inside the chunk never
+        get one; the intervals then feed the node table in stream order
+        (identical outcome to unbuffered processing)."""
         if not self._pending:
             return
-        all_ids: List[int] = []
-        spans = []
-        for _, _, new_ids in self._pending:
-            spans.append((len(all_ids), len(all_ids) + len(new_ids)))
-            all_ids.extend(new_ids)
-        rel_keys = self.rel.bank.keys(all_ids) if all_ids else None
-        rho_keys = self.rho.bank.keys(all_ids) if all_ids else None
-        for (iv, path, _), (lo, hi) in zip(self._pending, spans):
-            if hi > lo:
-                nodes = all_ids[lo:hi]
-                self.rel.update_winners_keys(rel_keys[:, lo:hi], nodes)
-                self.rho.update_winners_keys(rho_keys[:, lo:hi], nodes)
-            self.rel.feed_interval(iv, path)
-            self.rho.feed_interval(iv, path)
-            if not self.root_sat:
-                self.root_seen.update(path)
-                if len(self.root_seen) >= self.config.gamma_cap:
-                    self.root_sat = True
-                    self.root_seen = set()
-            self.root_selector.process(iv)
-            units = (self.rel.stored_units + self.rho.stored_units + len(self.root_seen)
-                     + self.root_selector.window_count + self.counter.units)
-            self.peak_units = max(self.peak_units, units)
+        all_ids = [v for _, _, new_ids in self._pending for v in new_ids]
+        births = self._move_rows(all_ids) if all_ids else {}
+        cap = self.config.gamma_cap
+        for item, (iv, path, _) in enumerate(self._pending):
+            for v, node in births.get(item, ()):
+                self.nodes[v] = node
+                self._node_units += node.units
+            for idx, v in enumerate(path):
+                node = self.nodes.get(v)
+                if node is not None and not node.saturated:
+                    self._node_units += node.add(iv, path[idx:], cap)
+            self.peak_units = max(self.peak_units, self._node_units + self._row_units
+                                  + self.counter.units)
+            self.peak_nodes = max(self.peak_nodes, len(self.nodes))
         self._pending = []
         self._pending_ids = 0
 
+    def _move_rows(self, all_ids: List[int]) -> Dict[int, List[Tuple[int, _Node]]]:
+        """Move both groups' rows over the pending chunk and update the
+        table's references: entries no row references any more are
+        dropped, and entries of newly referenced nodes are returned keyed
+        by the pending item they start at."""
+        ids = np.asarray(all_ids, dtype=np.int64)
+        item_of = np.repeat(np.arange(len(self._pending)),
+                            [len(new_ids) for _, _, new_ids in self._pending])
+        refs: Dict[int, int] = {}
+        start: Dict[int, int] = {}      # node without an entry -> its first item
+        selected: Set[int] = set()      # nodes a rho row took
+        for group in (self.rel, self.rho):
+            released, taken, cols = group.move(group.bank.keys(all_ids), ids)
+            nodes, first, counts = np.unique(taken, return_index=True, return_counts=True)
+            for v, item, count in zip(nodes.tolist(), item_of[cols[first]].tolist(),
+                                      counts.tolist()):
+                for u in _lineage(v):
+                    refs[u] = refs.get(u, 0) + count
+                    if u not in self.nodes:
+                        start[u] = min(item, start.get(u, item))
+                if group is self.rho:
+                    selected.add(v)
+            nodes, counts = np.unique(released[released > 0], return_counts=True)
+            for v, count in zip(nodes.tolist(), counts.tolist()):
+                for u in _lineage(v):
+                    refs[u] = refs.get(u, 0) - count
+        for u, delta in refs.items():
+            node = self.nodes.get(u)
+            if node is not None:
+                node.refs += delta
+                if node.refs == 0:
+                    del self.nodes[u]
+                    self._node_units -= node.units
+        births: Dict[int, List[Tuple[int, _Node]]] = {}
+        for u, item in start.items():
+            births.setdefault(item, []).append((u, _Node(refs[u], u in selected)))
+        return births
+
+    def is_relevant(self, v: int) -> bool:
+        """Small capped gamma under a saturated parent (never the root)."""
+        if v <= self.tree.root:
+            return False
+        node = self.nodes[v]
+        return self.nodes[v >> 1].saturated and not node.saturated and len(node.seen) >= 1
+
     def estimate(self) -> GeneralEstimate:
         self.flush()
-        if not self.root_sat:
-            return GeneralEstimate(value=float(self.root_selector.window_count),
-                                   branch="fallback", peak_units=self.peak_units)
+        root = self.nodes[self.tree.root]
+        if not root.saturated:
+            return GeneralEstimate(value=float(root.selector.window_count),
+                                   branch="fallback", peak_units=self.peak_units,
+                                   tracked_nodes=self.peak_nodes)
         cfg = self.config
         n_act = self.counter.estimate()
-        x = sum(1 for r in range(self.rel.rows) if self.rel.is_relevant(r))
+        held = np.union1d(self.rel.winner_node, self.rho.winner_node)
+        relevant = [v for v in held.tolist() if self.is_relevant(v)]
+        x = int(np.isin(self.rel.winner_node, relevant).sum())
         n_rel = n_act * x / cfg.k_rel
-        rho_rows = [r for r in range(self.rho.rows) if self.rho.is_relevant(r)]
-        take = rho_rows[:cfg.k_rho]
-        sizes = [self.rho.selectors[r].window_count for r in take]
+        rho_rows = np.nonzero(np.isin(self.rho.winner_node, relevant))[0]
+        take = self.rho.winner_node[rho_rows[:cfg.k_rho]].tolist()
+        sizes = [self.nodes[v].selector.window_count for v in take]
         rho_hat = (sum(sizes) / len(sizes)) if sizes else 0.0
         value = n_rel * rho_hat / (1.0 + cfg.eps1) ** 2
         return GeneralEstimate(value=value, branch="sampled",
                                degraded=len(rho_rows) < cfg.k_rho,
                                n_act_hat=n_act, relevant_count=x, rho_hat=rho_hat,
-                               rho_available=len(rho_rows), peak_units=self.peak_units)
+                               rho_available=len(rho_rows), peak_units=self.peak_units,
+                               tracked_nodes=self.peak_nodes)
 
 
 def estimate_oracle_mode(inst: Instance, user_eps: float) -> float:

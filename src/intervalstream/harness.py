@@ -99,7 +99,8 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         output = res.value
         units = res.peak_units
         details.update(branch=res.branch, degraded=res.degraded,
-                       rho_available=res.rho_available, hash_path=est.hash_path)
+                       rho_available=res.rho_available, hash_path=est.hash_path,
+                       relevant_count=res.relevant_count, tracked_nodes=res.tracked_nodes)
     elif algorithm == "estimate-general-oracle":
         output = estimate_oracle_mode(inst, eps)
         units = 0

@@ -6,7 +6,9 @@ from __future__ import annotations
 
 import math
 
+from intervalstream import oracle
 from intervalstream.core import Instance, Interval, Window, intersects
+from intervalstream.hashing import ExactDistinct
 from intervalstream.rng import SplitMix64
 
 
@@ -77,6 +79,42 @@ def validate_partition(selector, stream, n: int) -> None:
         for i, a in enumerate(contained):
             for b in contained[i + 1:]:
                 assert intersects(a, b)
+
+
+def general_replay_violations(est, inst, gammas=None, active=None):
+    """Replay the general estimator's deterministic sub-checks against the
+    oracle; returns one message per violation.  Every row's winner is the
+    true permutation minimum over the active set; the trackers of the
+    winner node and of its parent, read through the node table, hold the
+    exact gamma or are saturated with gamma >= cap; an exact counter counts
+    exactly the active segments.  gammas and active may be passed in when
+    many runs share one instance."""
+    tree = est.tree
+    gammas = oracle.gamma_all(inst, tree) if gammas is None else gammas
+    active = oracle.active_segments(inst, tree) if active is None else active
+    active_ids = sorted(active)
+    cap = est.config.gamma_cap
+    bad = []
+    if isinstance(est.counter, ExactDistinct) and est.counter.estimate() != len(active_ids):
+        bad.append(f"counter {est.counter.estimate()} != {len(active_ids)} active")
+    for name, group in (("rel", est.rel), ("rho", est.rho)):
+        keys = group.bank.keys(active_ids)
+        mins, args = keys.min(axis=1), keys.argmin(axis=1)
+        for r, v in enumerate(group.winner_node.tolist()):
+            if group.winner_key[r] != mins[r] or v != active_ids[args[r]]:
+                bad.append(f"{name} row {r}: winner {v} is not the minimum "
+                           f"{active_ids[args[r]]}")
+                continue
+            for u in (v, v >> 1) if v != tree.root else (v,):
+                node = est.nodes.get(u)
+                if node is None:
+                    bad.append(f"{name} row {r}: node {u} has no entry")
+                elif node.saturated:
+                    if gammas[u] < cap:
+                        bad.append(f"node {u} saturated at gamma {gammas[u]} < {cap}")
+                elif len(node.seen) != gammas[u]:
+                    bad.append(f"node {u} tracks {len(node.seen)} != gamma {gammas[u]}")
+    return bad
 
 
 def random_instance(n: int, count: int, max_len: int, seed: int,

@@ -29,6 +29,7 @@ from intervalstream.oracle import SegTree
 from intervalstream.selector import PartitionSelector
 from intervalstream.selector_samelen import ShiftedGridSelector, shift_subinstance
 
+from conftest import general_replay_violations
 from test_cli import run_cli
 from test_hashing import minwise_frequencies, DRAWS
 
@@ -214,37 +215,6 @@ def crafted_point_instance(n: int, count: int) -> Instance:
     return Instance(n, tuple(Interval(i, i) for i in range(1, count + 1)))
 
 
-def general_subchecks(est, inst, gammas, active_ids, active_set) -> int:
-    """Count violations of the deterministic sub-checks: winner equals the
-    true permutation minimum, trackers hold exact gamma counts, and the
-    exact counter equals the true active-segment count."""
-    bad = 0
-    tree = est.tree
-    cap = est.config.gamma_cap
-    if est.counter.estimate() != float(len(active_ids)):
-        bad += 1
-    for group in (est.rel, est.rho):
-        mins = group.bank.keys(active_ids).min(axis=1)
-        for r in range(group.rows):
-            seg = group.winner_seg[r]
-            if seg is None or group.winner_key[r] != mins[r] or seg not in active_set:
-                bad += 1
-                continue
-            if group.own_sat[r]:
-                if gammas[seg] < cap:
-                    bad += 1
-            elif len(group.own_seen[r]) != gammas[seg]:
-                bad += 1
-            if seg != tree.root:
-                par = seg >> 1
-                if group.par_sat[r]:
-                    if gammas[par] < cap:
-                        bad += 1
-                elif len(group.par_seen[r]) != gammas[par]:
-                    bad += 1
-    return bad
-
-
 def general_trials(inst, eps, scale, trials=100):
     """The criterion-8 protocol: run the streaming estimator over inst once
     per seed in range(trials) with the exact counter.  Returns one
@@ -252,7 +222,6 @@ def general_trials(inst, eps, scale, trials=100):
     tree = SegTree(inst.n)
     gammas = oracle.gamma_all(inst, tree)
     active = oracle.active_segments(inst, tree)
-    active_ids = list(active)
     outcomes = []
     for seed in range(trials):
         est = GeneralAlphaEstimator(EstimatorConfig(
@@ -260,7 +229,7 @@ def general_trials(inst, eps, scale, trials=100):
         for iv in inst:
             est.process(iv)
         outcomes.append((est.estimate(),
-                         general_subchecks(est, inst, gammas, active_ids, active)))
+                         len(general_replay_violations(est, inst, gammas, active))))
     return outcomes
 
 

@@ -6,10 +6,11 @@ from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       emitted_segments, estimate_oracle_mode)
+from intervalstream.hashing import KMVDistinct
 from intervalstream.oracle import SegTree, beta_hat, relevant_segments
 from intervalstream.selector import PartitionSelector
 
-from conftest import all_intervals, random_instance
+from conftest import all_intervals, general_replay_violations, random_instance
 
 
 def dense_instance(n: int) -> Instance:
@@ -116,37 +117,11 @@ def test_n_act_exact_replay():
     assert est.counter.seen == active
 
 
-def check_winners_and_trackers(est, inst):
-    """Deterministic sub-checks: winner = true permutation minimum over the
-    active set; unsaturated trackers hold exact gamma counts."""
-    tree = est.tree
-    active = oracle.active_segments(inst, tree)
-    active_ids = list(active)
-    gammas = oracle.gamma_all(inst, tree)
-    cap = est.config.gamma_cap
-    for group in (est.rel, est.rho):
-        mins = group.bank.keys(active_ids).min(axis=1)
-        for r in range(group.rows):
-            assert group.winner_key[r] == mins[r], f"row {r} winner not the minimum"
-            seg = group.winner_seg[r]
-            assert seg is not None and seg in active
-            if group.own_sat[r]:
-                assert gammas[seg] >= cap
-            else:
-                assert len(group.own_seen[r]) == gammas[seg]
-            if seg != tree.root:
-                par = seg >> 1
-                if group.par_sat[r]:
-                    assert gammas[par] >= cap
-                else:
-                    assert len(group.par_seen[r]) == gammas[par]
-
-
 def test_winner_and_tracker_replay_fallback_regime():
     inst = random_instance(64, 100, 16, seed=3, open_fraction=0.15)
     est, res = run_estimator(inst, n=64, user_eps=0.3, seed=7, scale=1e-9)
     assert res.branch == "fallback"
-    check_winners_and_trackers(est, inst)
+    assert general_replay_violations(est, inst) == []
 
 
 def test_sampled_branch_dense():
@@ -155,12 +130,12 @@ def test_sampled_branch_dense():
     est, res = run_estimator(inst, n=n, user_eps=0.45, seed=3, scale=8e-8)
     assert res.branch == "sampled"
     assert res.n_act_hat == float(len(oracle.active_segments(inst, est.tree)))
-    check_winners_and_trackers(est, inst)
+    assert general_replay_violations(est, inst) == []
     # relevance classification of every sampler row matches the oracle
     rel_set = relevant_segments(inst, est.config.eps1, est.tree)
     for group in (est.rel, est.rho):
-        for r in range(group.rows):
-            assert group.is_relevant(r) == (group.winner_seg[r] in rel_set)
+        for v in group.winner_node.tolist():
+            assert est.is_relevant(v) == (v in rel_set)
 
 
 def test_sampled_branch_random_instance():
@@ -170,7 +145,83 @@ def test_sampled_branch_random_instance():
     inst = gen_uniform(n, 6000, 2, seed=2)
     est, res = run_estimator(inst, n=n, user_eps=0.45, seed=9, scale=8e-8)
     assert res.branch == "sampled"
-    check_winners_and_trackers(est, inst)
+    assert general_replay_violations(est, inst) == []
+
+
+@pytest.mark.parametrize("n, branch", [(64, "fallback"), (2048, "sampled")])
+def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
+    # an 8-entry sketch forgets ids, which then come back as possibly new and
+    # are hashed again; a repeat never beats a minimum no larger than its
+    # key, so every row keeps the winner and the trackers of the exact run
+    if n == 64:
+        inst, kw = random_instance(64, 100, 16, seed=3), dict(user_eps=0.3, scale=1e-9)
+    else:
+        inst, kw = dense_instance(n), dict(user_eps=0.45, scale=8e-8)
+    est_exact, res_exact = run_estimator(inst, n=n, seed=7, counter_kind="exact", **kw)
+    monkeypatch.setattr(EstimatorConfig, "kmv_k", property(lambda self: 8))
+    fresh = []
+    add = KMVDistinct.add
+
+    def counted_add(sketch, x):
+        fresh.append(add(sketch, x))
+        return fresh[-1]
+
+    monkeypatch.setattr(KMVDistinct, "add", counted_add)
+    est_kmv, res_kmv = run_estimator(inst, n=n, seed=7, counter_kind="kmv", **kw)
+    active = oracle.active_segments(inst, est_kmv.tree)
+    assert est_kmv.counter.k == 8 and sum(fresh) > len(active), "no id was forgotten"
+    assert res_exact.branch == res_kmv.branch == branch
+    assert general_replay_violations(est_exact, inst) == []
+    assert general_replay_violations(est_kmv, inst) == []
+    for g_exact, g_kmv in ((est_exact.rel, est_kmv.rel), (est_exact.rho, est_kmv.rho)):
+        assert g_kmv.winner_node.tolist() == g_exact.winner_node.tolist()
+        assert [est_kmv.is_relevant(v) for v in g_kmv.winner_node.tolist()] == \
+            [est_exact.is_relevant(v) for v in g_exact.winner_node.tolist()]
+
+
+@pytest.mark.parametrize("m", [1664, 2048])
+def test_retained_state_is_per_held_node(monkeypatch, m):
+    # sampled branch: the root saturates, so its selector goes, and no
+    # selector is fed once its node's tracker saturates; the table never
+    # holds a node that no row holds in either role
+    n = 2048
+    inst = Instance(n, tuple(Interval(i, i) for i in range(1, m + 1)))
+    est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=0.45, seed=4, scale=1.4e-7))
+    owner = {}
+
+    def process(sel, iv):
+        v = owner.get(id(sel))
+        if v is None or v not in est.nodes or est.nodes[v].selector is not sel:
+            owner.clear()
+            owner.update((id(node.selector), u) for u, node in est.nodes.items()
+                         if node.selector is not None)
+            v = owner.get(id(sel))
+        assert v is not None, "a selector outside the node table was fed"
+        assert not est.nodes[v].saturated, f"selector of saturated node {v} was fed"
+        return feed(sel, iv)
+
+    feed = PartitionSelector.process
+    monkeypatch.setattr(PartitionSelector, "process", process)
+    flush = est.flush
+    flushes = []
+
+    def checked_flush():
+        flush()
+        held = set(est.rel.winner_node.tolist()) | set(est.rho.winner_node.tolist())
+        allowed = held | {v >> 1 for v in held if v > 1} | {est.tree.root}
+        assert set(est.nodes) <= allowed
+        root = est.nodes[est.tree.root]
+        assert not root.saturated or root.selector is None
+        flushes.append(len(est.nodes))
+
+    est.flush = checked_flush
+    for iv in inst:
+        est.process(iv)
+    res = est.estimate()
+    assert res.branch == "sampled" and len(flushes) > 2
+    assert est.nodes[est.tree.root].selector is None
+    assert res.tracked_nodes == max(flushes)
+    assert general_replay_violations(est, inst) == []
 
 
 @pytest.mark.parametrize("n", [1 << 14, 1 << 20])
