@@ -41,10 +41,11 @@ def _write(args, text: str) -> None:
 
 
 def _read_instance(args, require_header: bool = False) -> Instance:
+    # line by line: the text of the whole stream is never held at once
     if args.infile:
         with open(args.infile) as fh:
-            return parse_stream(fh.read(), require_header=require_header)
-    return parse_stream(sys.stdin.read(), require_header=require_header)
+            return parse_stream(fh, require_header=require_header)
+    return parse_stream(sys.stdin, require_header=require_header)
 
 
 def _instance_id(args) -> str:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Union
+from operator import itemgetter
+from typing import Iterable, Iterator, Tuple, Union
 
 
 class ParseError(ValueError):
@@ -31,42 +32,108 @@ _OPENNESS = {"cc": (False, False), "co": (False, True),
 _SUFFIX = {v: k for k, v in _OPENNESS.items()}
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+def _invalid(left: int, right: int, left_open: bool, right_open: bool) -> str:
+    """Why an interval whose left code exceeds its right code is invalid."""
+    if left > right:
+        return f"left {left} > right {right}"
+    return ("empty interval: zero-length endpoints must be closed, got "
+            f"Interval(left={left!r}, right={right!r}, left_open={left_open!r}, "
+            f"right_open={right_open!r})")
+
+
+class Interval(tuple):
     """An integer-endpoint interval, any combination of open/closed ends.
 
     Zero-length intervals must be closed on both ends; an open zero-length
     interval would be empty and is rejected.
+
+    An Interval is stored as its pair of position codes ``(lcode, rcode)``,
+    so ``lc, rc = iv`` unpacks them.  The endpoints and openness flags are
+    derived from the codes.  Equality and hashing follow the codes, which
+    determine the fields one to one; ordering follows the fields
+    ``(left, right, left_open, right_open)``.
     """
 
-    left: int
-    right: int
-    left_open: bool = False
-    right_open: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.left > self.right:
-            raise DomainError(f"left {self.left} > right {self.right}")
-        if self.lcode > self.rcode:
-            raise DomainError(
-                f"empty interval: zero-length endpoints must be closed, got {self!r}")
+    def __new__(cls, left: int, right: int, left_open: bool = False,
+                right_open: bool = False) -> "Interval":
+        # the one structural check: left > right, and an open zero-length
+        # interval, are exactly the cases with lcode > rcode
+        lcode = 2 * left + (1 if left_open else 0)
+        rcode = 2 * right - (1 if right_open else 0)
+        if lcode > rcode:
+            raise DomainError(_invalid(left, right, left_open, right_open))
+        return tuple.__new__(cls, (lcode, rcode))
+
+    lcode = property(itemgetter(0))
+    rcode = property(itemgetter(1))
 
     @property
-    def lcode(self) -> int:
-        return 2 * self.left + (1 if self.left_open else 0)
+    def left(self) -> int:
+        return self[0] >> 1
 
     @property
-    def rcode(self) -> int:
-        return 2 * self.right - (1 if self.right_open else 0)
+    def right(self) -> int:
+        return (self[1] + 1) >> 1
+
+    @property
+    def left_open(self) -> bool:
+        return bool(self[0] & 1)
+
+    @property
+    def right_open(self) -> bool:
+        return bool(self[1] & 1)
 
     @property
     def length(self) -> int:
         return self.right - self.left
 
+    def _field_values(self) -> Tuple[int, int, bool, bool]:
+        return (self.left, self.right, self.left_open, self.right_open)
+
+    def __getnewargs__(self):
+        return self._field_values()
+
+    def __repr__(self) -> str:
+        left, right, left_open, right_open = self._field_values()
+        return (f"Interval(left={left!r}, right={right!r}, "
+                f"left_open={left_open!r}, right_open={right_open!r})")
+
     def __str__(self) -> str:
         lb = "(" if self.left_open else "["
         rb = ")" if self.right_open else "]"
         return f"{lb}{self.left},{self.right}{rb}"
+
+    # A plain tuple never equals or orders against an Interval, although
+    # an Interval is one: these take precedence over tuple's own
+    # comparisons in both operand orders.
+    def __eq__(self, other):
+        return isinstance(other, Interval) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = tuple.__hash__
+
+    def __lt__(self, other):
+        return self._field_values() < _fields_of(other, "<")
+
+    def __le__(self, other):
+        return self._field_values() <= _fields_of(other, "<=")
+
+    def __gt__(self, other):
+        return self._field_values() > _fields_of(other, ">")
+
+    def __ge__(self, other):
+        return self._field_values() >= _fields_of(other, ">=")
+
+
+def _fields_of(other, op: str) -> Tuple[int, int, bool, bool]:
+    if not isinstance(other, Interval):
+        raise TypeError(f"'{op}' not supported between instances of 'Interval' "
+                        f"and {type(other).__name__!r}")
+    return other._field_values()
 
 
 # Extended code type for windows: integer codes or +-inf.
@@ -140,13 +207,9 @@ def pairwise_disjoint(intervals: Iterable[Interval]) -> bool:
     """True iff no two of the intervals intersect.  Sorted by left code, an
     intersecting pair implies an intersecting neighbour pair, so one sweep
     over neighbours decides it in O(k log k)."""
-    ordered = sorted(intervals, key=lambda iv: iv.lcode)
-    return all(b.lcode > a.rcode for a, b in zip(ordered, ordered[1:]))
-
-
-def interval_subset(a: Interval, b: Interval) -> bool:
-    """True iff every point of ``a`` lies in interval ``b``."""
-    return b.lcode <= a.lcode and a.rcode <= b.rcode
+    ordered = sorted(intervals, key=itemgetter(0))
+    return all(b_lcode > a_rcode
+               for (_, a_rcode), (b_lcode, _) in zip(ordered, ordered[1:]))
 
 
 def contained_in(a: Interval, w: Window) -> bool:
@@ -156,7 +219,12 @@ def contained_in(a: Interval, w: Window) -> bool:
 
 @dataclass(frozen=True)
 class Instance:
-    """A coordinate universe bound plus intervals in stream order."""
+    """A coordinate universe bound plus intervals in stream order.
+
+    Constructing one checks n and that every interval lies in [1, n];
+    ``parse_stream`` checks each line itself and builds its Instance with
+    ``_trusted``.
+    """
 
     n: int
     intervals: tuple = field(default_factory=tuple)
@@ -165,9 +233,18 @@ class Instance:
         if self.n < 1:
             raise DomainError(f"n must be positive, got {self.n}")
         object.__setattr__(self, "intervals", tuple(self.intervals))
+        top = 2 * self.n
         for iv in self.intervals:
-            if iv.left < 1 or iv.right > self.n:
+            if iv.lcode < 2 or iv.rcode > top:
                 raise DomainError(f"interval {iv} outside [1, {self.n}]")
+
+    @classmethod
+    def _trusted(cls, n: int, intervals: tuple) -> "Instance":
+        """An Instance over intervals already checked against [1, n]."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "n", n)
+        object.__setattr__(inst, "intervals", intervals)
+        return inst
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -183,60 +260,67 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
     ``<left> <right>`` with an optional openness token in
     {cc, co, oc, oo} (default cc).  ``#`` starts a comment line.
     Without a header, n defaults to the maximum observed endpoint.
+
+    This is the check for text input: each line is checked once here, for
+    shape, structure and range, and the Intervals and the Instance are
+    built without checking again.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     declared_n = None
+    limit = math.inf          # the declared n, once the header is read
     intervals = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    append, new_interval = intervals.append, tuple.__new__
+    for lineno, line in enumerate(lines, start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
         tokens = line.split()
+        if not tokens:
+            continue
         if tokens[0] == "n":
             if intervals or declared_n is not None:
                 raise ParseError(lineno, "header must come first and appear once")
             if len(tokens) != 2:
-                raise ParseError(lineno, f"bad header {line!r}")
+                raise ParseError(lineno, f"bad header {line.strip()!r}")
             try:
                 declared_n = int(tokens[1])
             except ValueError:
                 raise ParseError(lineno, f"bad header value {tokens[1]!r}") from None
             if declared_n < 1:
                 raise DomainError(f"line {lineno}: n must be positive, got {declared_n}")
+            limit = declared_n
             continue
         if len(tokens) not in (2, 3):
-            raise ParseError(lineno, f"expected 'left right [flags]', got {line!r}")
+            raise ParseError(lineno, f"expected 'left right [flags]', got {line.strip()!r}")
         try:
             left, right = int(tokens[0]), int(tokens[1])
         except ValueError:
-            raise ParseError(lineno, f"non-integer endpoint in {line!r}") from None
+            raise ParseError(lineno, f"non-integer endpoint in {line.strip()!r}") from None
         flags = tokens[2] if len(tokens) == 3 else "cc"
         if flags not in _OPENNESS:
             raise ParseError(lineno, f"unknown openness flags {flags!r}")
         left_open, right_open = _OPENNESS[flags]
-        try:
-            iv = Interval(left, right, left_open, right_open)
-        except DomainError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if iv.left < 1:
-            raise DomainError(f"line {lineno}: endpoint {iv.left} < 1")
-        if declared_n is not None and iv.right > declared_n:
-            raise DomainError(f"line {lineno}: endpoint {iv.right} > declared n {declared_n}")
-        intervals.append(iv)
+        # Interval(left, right, left_open, right_open), inlined: this loop
+        # is the hot spot of every command that reads a file
+        lcode, rcode = 2 * left + left_open, 2 * right - right_open
+        if lcode > rcode:
+            raise ParseError(lineno, _invalid(left, right, left_open, right_open))
+        if left < 1:
+            raise DomainError(f"line {lineno}: endpoint {left} < 1")
+        if right > limit:
+            raise DomainError(f"line {lineno}: endpoint {right} > declared n {declared_n}")
+        append(new_interval(Interval, (lcode, rcode)))
     if declared_n is None:
         if require_header:
             raise ParseError(0, "header 'n <int>' is required here")
-        declared_n = max((iv.right for iv in intervals), default=1)
-    return Instance(declared_n, tuple(intervals))
+        declared_n = (max(map(itemgetter(1), intervals)) + 1) >> 1 if intervals else 1
+    return Instance._trusted(declared_n, tuple(intervals))
 
 
 def format_stream(inst: Instance) -> str:
     """Canonical text form; parse_stream(format_stream(x)) == x."""
     out = [f"n {inst.n}"]
-    for iv in inst.intervals:
-        suffix = _SUFFIX[(iv.left_open, iv.right_open)]
-        if suffix == "cc":
-            out.append(f"{iv.left} {iv.right}")
-        else:
-            out.append(f"{iv.left} {iv.right} {suffix}")
+    for lcode, rcode in inst.intervals:
+        line = f"{lcode >> 1} {(rcode + 1) >> 1}"
+        suffix = _SUFFIX[(bool(lcode & 1), bool(rcode & 1))]
+        out.append(line if suffix == "cc" else f"{line} {suffix}")
     return "\n".join(out) + "\n"

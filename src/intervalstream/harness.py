@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -141,15 +142,19 @@ def run_trials(algorithm: str, inst: Instance, trials: int, base_seed: int,
     """Run independent seeded trials and summarize them.
 
     Seeds are base_seed + index; reports come back in seed order regardless
-    of worker count.
+    of worker count.  The pool has min(workers, trials, CPUs) processes,
+    because a fork-started pool starts all of its processes at once.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     alpha = oracle.alpha(inst)
     tasks = [dict(algorithm=algorithm, inst=inst, seed=base_seed + t, eps=eps,
                   lam=lam, scale=scale, counter=counter, instance_id=instance_id,
                   alpha=alpha, timing=timing)
              for t in range(trials)]
+    workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_trial_task, tasks))
@@ -177,11 +182,18 @@ def run_trials(algorithm: str, inst: Instance, trials: int, base_seed: int,
 
 
 def median_of_groups(values: List[float], groups: int) -> List[float]:
-    """Split values into contiguous groups and take each group's median."""
+    """Split values into contiguous groups and take each group's median.
+    Every value counts: the first len(values) % groups groups hold one
+    value more than the others."""
     if groups < 1 or groups > len(values):
         raise ValueError(f"groups must be in [1, {len(values)}], got {groups}")
-    size = len(values) // groups
-    return [median(values[g * size:(g + 1) * size]) for g in range(groups)]
+    size, extra = divmod(len(values), groups)
+    out, start = [], 0
+    for g in range(groups):
+        end = start + size + (1 if g < extra else 0)
+        out.append(median(values[start:end]))
+        start = end
+    return out
 
 
 def summary_to_json(summary: Dict) -> str:

@@ -7,6 +7,7 @@ memory; the streaming modules are validated against these values.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 from typing import List, Set, Tuple
 
 from .core import Instance, Interval, intersects
@@ -40,7 +41,8 @@ class SegTree:
     def contains(self, v: int, iv: Interval) -> bool:
         """True iff every point of the interval lies in node v's segment."""
         lo, hi = self.span(v)
-        return 2 * lo <= iv.lcode and iv.rcode <= 2 * hi - 1
+        lcode, rcode = iv
+        return 2 * lo <= lcode and rcode <= 2 * hi - 1
 
     def segments(self) -> range:
         """All 2*n_pow2 - 1 nodes, parents before children."""
@@ -50,10 +52,11 @@ class SegTree:
         """The smallest node containing the interval: the lowest common
         ancestor of the leaves holding its two end codes (code c lies in
         leaf [c >> 1, (c >> 1) + 1))."""
-        if iv.lcode < 2 or iv.rcode > 2 * self.n_pow2 + 1:
+        lcode, rcode = iv
+        if lcode < 2 or rcode > 2 * self.n_pow2 + 1:
             raise ValueError(f"{iv} is outside the root segment")
-        a = self.n_pow2 + (iv.lcode >> 1) - 1
-        b = self.n_pow2 + (iv.rcode >> 1) - 1
+        a = self.n_pow2 + (lcode >> 1) - 1
+        b = self.n_pow2 + (rcode >> 1) - 1
         return a >> (a ^ b).bit_length()
 
     def containing_path(self, iv: Interval) -> List[int]:
@@ -64,13 +67,13 @@ class SegTree:
 
 def alpha(inst: Instance) -> int:
     """Exact maximum independent-subset size, by earliest-finish greedy."""
-    order = sorted(inst.intervals, key=lambda iv: (iv.rcode, iv.lcode))
     count = 0
     last_rcode = -1
-    for iv in order:
-        if iv.lcode > last_rcode:
+    # ties in rcode need no order: any one of them that fits ends the same
+    for lcode, rcode in sorted(inst.intervals, key=itemgetter(1)):
+        if lcode > last_rcode:
             count += 1
-            last_rcode = iv.rcode
+            last_rcode = rcode
     return count
 
 
@@ -104,7 +107,7 @@ def beta(inst: Instance, v: int) -> int:
     """Exact alpha restricted to the intervals contained in node v."""
     tree = SegTree(inst.n)
     contained = [iv for iv in inst.intervals if tree.contains(v, iv)]
-    return alpha(Instance(inst.n, contained)) if contained else 0
+    return alpha(Instance._trusted(inst.n, tuple(contained))) if contained else 0
 
 
 def beta_hat(inst: Instance, v: int) -> int:

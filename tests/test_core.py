@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -156,3 +158,111 @@ def test_instance_rejects_out_of_universe():
         Instance(5, (Interval(1, 6),))
     with pytest.raises(DomainError):
         Instance(0, ())
+
+
+def fields(iv):
+    return (iv.left, iv.right, iv.left_open, iv.right_open)
+
+
+def test_interval_fields_derive_from_codes():
+    for left, right, lo, ro in [(1, 3, False, False), (1, 3, True, False),
+                                (2, 11, True, True), (4, 9, False, True),
+                                (7, 7, False, False), (-3, 2, True, True)]:
+        iv = Interval(left, right, lo, ro)
+        assert fields(iv) == (left, right, lo, ro)
+        assert tuple(iv) == (iv.lcode, iv.rcode)
+        assert iv.length == right - left
+        assert type(iv.left_open) is bool and type(iv.right_open) is bool
+
+
+def test_interval_repr_and_str():
+    assert repr(Interval(1, 3)) == "Interval(left=1, right=3, left_open=False, right_open=False)"
+    assert repr(Interval(2, 11, True, False)) == (
+        "Interval(left=2, right=11, left_open=True, right_open=False)")
+    assert str(Interval(1, 3)) == "[1,3]"
+    assert str(Interval(1, 3, True, False)) == "(1,3]"
+    assert str(Interval(1, 3, False, True)) == "[1,3)"
+    assert str(Interval(2, 11, True, True)) == "(2,11)"
+    assert str(Interval(5, 5)) == "[5,5]"
+
+
+def test_interval_equality_and_hash_follow_fields():
+    pool = all_intervals(5)
+    twins = [Interval(*fields(iv)) for iv in pool]
+    for a, a2 in zip(pool, twins):
+        assert a == a2 and not a != a2 and hash(a) == hash(a2)
+        for b in pool[::3]:
+            assert (a == b) == (fields(a) == fields(b))
+            assert (a != b) == (fields(a) != fields(b))
+    assert len(set(pool + twins)) == len(pool)
+    # an Interval equals no tuple, neither its codes nor its fields
+    iv = Interval(1, 3)
+    for other in [(2, 6), (1, 3, False, False), [2, 6], None]:
+        assert iv != other and other != iv
+        assert not iv == other and not other == iv
+
+
+@given(interval_strategy, interval_strategy)
+def test_interval_order_is_field_order(a, b):
+    assert (a < b) == (fields(a) < fields(b))
+    assert (a <= b) == (fields(a) <= fields(b))
+    assert (a > b) == (fields(a) > fields(b))
+    assert (a >= b) == (fields(a) >= fields(b))
+
+
+@given(st.lists(interval_strategy, max_size=30))
+def test_interval_sort_is_field_sort(ivs):
+    assert [fields(iv) for iv in sorted(ivs)] == sorted(fields(iv) for iv in ivs)
+
+
+def test_interval_order_differs_from_code_order():
+    closed, half_open = Interval(1, 5), Interval(1, 3, left_open=True)
+    assert closed > half_open and half_open < closed
+    assert tuple(closed) < tuple(half_open)  # (2, 10) < (3, 6) by codes
+    with pytest.raises(TypeError):
+        closed < (3, 6)
+    with pytest.raises(TypeError):
+        (3, 6) > closed
+
+
+def test_interval_is_immutable():
+    iv = Interval(2, 11, True, True)
+    for name in ("left", "right", "left_open", "right_open", "lcode", "rcode",
+                 "length", "other"):
+        with pytest.raises(AttributeError):
+            setattr(iv, name, 1)
+    assert fields(iv) == (2, 11, True, True)
+
+
+def test_interval_pickle_and_copy_round_trip():
+    for iv in all_intervals(4) + [Interval(-3, 2, True, False)]:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(iv, protocol))
+            assert type(back) is Interval and back == iv and fields(back) == fields(iv)
+        assert copy.copy(iv) == iv and copy.deepcopy(iv) == iv
+
+
+def test_interval_domain_errors():
+    with pytest.raises(DomainError, match="left 5 > right 3"):
+        Interval(5, 3)
+    for lo, ro in [(True, False), (False, True), (True, True)]:
+        with pytest.raises(DomainError, match="empty interval"):
+            Interval(4, 4, lo, ro)
+
+
+def test_parse_reports_structural_errors_with_line():
+    with pytest.raises(ParseError, match="line 2: left 4 > right 3"):
+        parse_stream("n 5\n4 3\n")
+    with pytest.raises(ParseError, match=r"line 1: empty interval: .*left_open=True"):
+        parse_stream("3 3 oc\n")
+    with pytest.raises(DomainError, match="line 2: endpoint 7 > declared n 5"):
+        parse_stream("n 5\n1 7\n")
+
+
+def test_parse_builds_the_checked_instance():
+    text = "n 30\n1 5 oo\n2 9 co\n3 3\n4 20 oc  # note\n\n10 30\n"
+    expect = Instance(30, (Interval(1, 5, True, True), Interval(2, 9, False, True),
+                           Interval(3, 3), Interval(4, 20, True, False), Interval(10, 30)))
+    assert parse_stream(text) == expect
+    assert parse_stream(text.splitlines(keepends=True)) == expect
+    assert parse_stream("2 5\n1 7 co\n").n == 7

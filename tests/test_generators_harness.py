@@ -3,7 +3,7 @@ import math
 import pytest
 
 from intervalstream.core import Instance, Interval
-from intervalstream import oracle
+from intervalstream import harness, oracle
 from intervalstream.generators import (expected_alpha_index_general,
                                        expected_alpha_index_samelen,
                                        gen_index_general, gen_index_samelen,
@@ -137,6 +137,50 @@ def test_median_of_groups():
                             trials=6, base_seed=0, groups=3)
     assert len(summary["group_medians"]) == 3
     assert summary["median_of_groups"] == summary["median_output"]
+
+
+def test_median_of_groups_counts_every_value():
+    # 10 values in 3 groups: sizes 4, 3, 3, so the last value counts
+    vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 100.0]
+    assert median_of_groups(vals, 3) == [2.5, 6.0, 9.0]
+    assert median_of_groups(vals[:7], 3) == [2.0, 4.5, 6.5]
+    assert median_of_groups(vals, 10) == vals
+    assert median_of_groups(vals, 1) == [5.5]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records the pool size asked for
+    and runs the tasks in this process."""
+    sizes = []
+
+    def __init__(self, max_workers):
+        RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_run_trials_pool_capped_by_trials_and_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    inst = gen_uniform(64, 20, 8, seed=1)
+    serial, _ = run_trials("select-general", inst, trials=5, base_seed=0)
+    for workers, trials, sizes in [(8, 2, [2]), (8, 5, [3]), (2, 5, [2]),
+                                   (4, 1, []), (1, 5, [])]:
+        RecordingPool.sizes = []
+        reports, _ = run_trials("select-general", inst, trials=trials, base_seed=0,
+                                workers=workers)
+        assert RecordingPool.sizes == sizes, (workers, trials)
+        assert [r.to_json() for r in reports] == [r.to_json() for r in serial[:trials]]
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            run_trials("select-general", inst, trials=2, base_seed=0, workers=workers)
 
 
 def test_success_recomputable_from_fields():
