@@ -32,15 +32,6 @@ _OPENNESS = {"cc": (False, False), "co": (False, True),
 _SUFFIX = {v: k for k, v in _OPENNESS.items()}
 
 
-def _invalid(left: int, right: int, left_open: bool, right_open: bool) -> str:
-    """Why an interval whose left code exceeds its right code is invalid."""
-    if left > right:
-        return f"left {left} > right {right}"
-    return ("empty interval: zero-length endpoints must be closed, got "
-            f"Interval(left={left!r}, right={right!r}, left_open={left_open!r}, "
-            f"right_open={right_open!r})")
-
-
 class Interval(tuple):
     """An integer-endpoint interval, any combination of open/closed ends.
 
@@ -63,7 +54,12 @@ class Interval(tuple):
         lcode = 2 * left + (1 if left_open else 0)
         rcode = 2 * right - (1 if right_open else 0)
         if lcode > rcode:
-            raise DomainError(_invalid(left, right, left_open, right_open))
+            if left > right:
+                raise DomainError(f"left {left} > right {right}")
+            raise DomainError(
+                "empty interval: zero-length endpoints must be closed, got "
+                f"Interval(left={left!r}, right={right!r}, left_open={left_open!r}, "
+                f"right_open={right_open!r})")
         return tuple.__new__(cls, (lcode, rcode))
 
     lcode = property(itemgetter(0))
@@ -261,15 +257,14 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
     {cc, co, oc, oo} (default cc).  ``#`` starts a comment line.
     Without a header, n defaults to the maximum observed endpoint.
 
-    This is the check for text input: each line is checked once here, for
-    shape, structure and range, and the Intervals and the Instance are
-    built without checking again.
+    This is the check for text input: each line is checked once, for
+    shape, structure (by the Interval constructor) and range, and the
+    Instance is built without checking again.
     """
     lines = text.splitlines() if isinstance(text, str) else text
     declared_n = None
     limit = math.inf          # the declared n, once the header is read
     intervals = []
-    append, new_interval = intervals.append, tuple.__new__
     for lineno, line in enumerate(lines, start=1):
         if "#" in line:
             line = line.split("#", 1)[0]
@@ -299,28 +294,29 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
         if flags not in _OPENNESS:
             raise ParseError(lineno, f"unknown openness flags {flags!r}")
         left_open, right_open = _OPENNESS[flags]
-        # Interval(left, right, left_open, right_open), inlined: this loop
-        # is the hot spot of every command that reads a file
-        lcode, rcode = 2 * left + left_open, 2 * right - right_open
-        if lcode > rcode:
-            raise ParseError(lineno, _invalid(left, right, left_open, right_open))
+        try:
+            iv = Interval(left, right, left_open, right_open)
+        except DomainError as exc:
+            raise ParseError(lineno, str(exc)) from None
         if left < 1:
             raise DomainError(f"line {lineno}: endpoint {left} < 1")
         if right > limit:
             raise DomainError(f"line {lineno}: endpoint {right} > declared n {declared_n}")
-        append(new_interval(Interval, (lcode, rcode)))
+        intervals.append(iv)
     if declared_n is None:
         if require_header:
             raise ParseError(0, "header 'n <int>' is required here")
-        declared_n = (max(map(itemgetter(1), intervals)) + 1) >> 1 if intervals else 1
+        declared_n = max((iv.right for iv in intervals), default=1)
     return Instance._trusted(declared_n, tuple(intervals))
 
 
 def format_stream(inst: Instance) -> str:
     """Canonical text form; parse_stream(format_stream(x)) == x."""
     out = [f"n {inst.n}"]
-    for lcode, rcode in inst.intervals:
-        line = f"{lcode >> 1} {(rcode + 1) >> 1}"
-        suffix = _SUFFIX[(bool(lcode & 1), bool(rcode & 1))]
-        out.append(line if suffix == "cc" else f"{line} {suffix}")
+    for iv in inst.intervals:
+        suffix = _SUFFIX[(iv.left_open, iv.right_open)]
+        if suffix == "cc":
+            out.append(f"{iv.left} {iv.right}")
+        else:
+            out.append(f"{iv.left} {iv.right} {suffix}")
     return "\n".join(out) + "\n"
