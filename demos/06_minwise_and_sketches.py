@@ -29,7 +29,8 @@ print(f"stream {stream} -> sampled element {sampler.winner} "
 print("\nempirical min-wise uniformity over 20000 permutations, |X| = 16:")
 xs = list(range(3, 67, 4))
 bank = PolyBank(20000, fam, seed=42)
-winners = np.asarray(xs)[bank.keys(xs).argmin(axis=1)]
+_, cols = bank.keys(xs)  # each permutation's minimum over xs, as a column of xs
+winners = np.asarray(xs)[cols]
 freq = collections.Counter(winners.tolist())
 worst = max(abs(freq[x] / 20000 - 1 / 16) for x in xs)
 print(f"  ideal frequency 1/16 = {1 / 16:.4f}; worst deviation = {worst:.4f} "

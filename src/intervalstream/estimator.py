@@ -176,18 +176,18 @@ class _SamplerGroup:
         self.winner_key = self.bank.max_keys()
         self.winner_node = np.zeros(rows, dtype=np.int64)
 
-    def move(self, keys: np.ndarray, ids: np.ndarray):
-        """Move every row to its minimum over the columns of keys (node ids
-        ids).  Returns the nodes the moved rows released, the nodes they
-        took, and the column at which each was taken."""
-        cols = keys.argmin(axis=1)
-        col_min = np.take_along_axis(keys, cols[:, None], axis=1)[:, 0]
-        moved = np.nonzero(col_min < self.winner_key)[0]
+    def move(self, ids: List[int]):
+        """Move every row whose minimum over the node ids ids is below its
+        running minimum.  Returns the nodes the moved rows released, the
+        nodes they took, and the index in ids at which each was taken."""
+        mins, cols = self.bank.keys(ids)
+        moved = np.nonzero(mins < self.winner_key)[0]
         released = self.winner_node[moved]
         cols = cols[moved]
-        self.winner_key[moved] = col_min[moved]
-        self.winner_node[moved] = ids[cols]
-        return released, ids[cols], cols
+        taken = np.asarray(ids, dtype=np.int64)[cols]
+        self.winner_key[moved] = mins[moved]
+        self.winner_node[moved] = taken
+        return released, taken, cols
 
 
 class GeneralAlphaEstimator:
@@ -228,6 +228,11 @@ class GeneralAlphaEstimator:
         paths = {self.rel.bank.hash_path, self.rho.bank.hash_path}
         return "object" if "object" in paths else "blas"
 
+    @property
+    def columns_hashed(self) -> int:
+        """Ids hashed so far, summed over both sampler banks."""
+        return self.rel.bank.columns_hashed + self.rho.bank.columns_hashed
+
     def process(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
@@ -241,12 +246,13 @@ class GeneralAlphaEstimator:
             self.flush()
 
     def flush(self) -> None:
-        """Apply buffered intervals: one batched hash evaluation and one
-        min/argmin per sampler group move every row to its minimum over the
-        chunk.  Entries of nodes the rows took start at the interval that
-        first emitted the node, so nodes held only inside the chunk never
-        get one; the intervals then feed the node table in stream order
-        (identical outcome to unbuffered processing)."""
+        """Apply buffered intervals: one batched hash pass per sampler group
+        returns each row's minimum over the chunk, and rows whose minimum is
+        below their running one move to it.  Entries of nodes the rows took
+        start at the interval that first emitted the node, so nodes held
+        only inside the chunk never get one; the intervals then feed the
+        node table in stream order (identical outcome to unbuffered
+        processing)."""
         if not self._pending:
             return
         all_ids = [v for _, _, new_ids in self._pending for v in new_ids]
@@ -271,14 +277,13 @@ class GeneralAlphaEstimator:
         table's references: entries no row references any more are
         dropped, and entries of newly referenced nodes are returned keyed
         by the pending item they start at."""
-        ids = np.asarray(all_ids, dtype=np.int64)
         item_of = np.repeat(np.arange(len(self._pending)),
                             [len(new_ids) for _, _, new_ids in self._pending])
         refs: Dict[int, int] = {}
         start: Dict[int, int] = {}      # node without an entry -> its first item
         selected: Set[int] = set()      # nodes a rho row took
         for group in (self.rel, self.rho):
-            released, taken, cols = group.move(group.bank.keys(all_ids), ids)
+            released, taken, cols = group.move(all_ids)
             nodes, first, counts = np.unique(taken, return_index=True, return_counts=True)
             for v, item, count in zip(nodes.tolist(), item_of[cols[first]].tolist(),
                                       counts.tolist()):

@@ -130,12 +130,10 @@ class _ShiftState:
         minimum, and forget the extremes of windows left holding no row."""
         if not self.pending:
             return
-        keys = self.bank.keys([j + 2 for j in self.pending])
-        col_min = keys.min(axis=1)
-        change = col_min < self.winner_key
-        if change.any():
-            self.winner_key[change] = col_min[change]
-            self.winner_idx[change] = np.asarray(self.pending)[keys[change].argmin(axis=1)]
+        mins, cols = self.bank.keys([j + 2 for j in self.pending])
+        change = mins < self.winner_key
+        self.winner_key[change] = mins[change]
+        self.winner_idx[change] = np.asarray(self.pending)[cols[change]]
         self.pending = []
         self.extremes = {j: self.extremes[j] for j in self._held()[0]}
 
@@ -170,6 +168,11 @@ class SamelenAlphaEstimator:
         "blas"."""
         paths = {st.bank.hash_path for st in self.states}
         return "object" if "object" in paths else "blas"
+
+    @property
+    def columns_hashed(self) -> int:
+        """Window keys hashed so far, summed over the three grids' banks."""
+        return sum(st.bank.columns_hashed for st in self.states)
 
     def process(self, iv: Interval) -> None:
         cfg = self.config

@@ -228,13 +228,15 @@ def bulk_u64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 
 def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
-    """Vectorized unbiased draws in [0, bound) via rejection."""
+    """Vectorized unbiased draws in [0, bound) via rejection: draw i is
+    replaced by later draws of the stream, in order, while it is rejected."""
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
     limit = np.uint64((1 << 64) - ((1 << 64) % bound))
-    out = np.empty(count, dtype=np.uint64)
-    pending = np.arange(count)
-    offset = 0
+    draws = bulk_u64(seed, count)
+    out = draws % np.uint64(bound)
+    pending = np.nonzero(draws >= limit)[0]
+    offset = count
     while pending.size:
         draws = bulk_u64(seed, pending.size, offset)
         offset += pending.size
@@ -244,7 +246,7 @@ def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
     return out
 
 
-# Matrix entries per row block of PolyBank._eval_blas: 512 KB float64
+# Matrix entries per row block of PolyBank._value_blocks: 512 KB float64
 # temporaries are reused from the heap, where full rows x columns ones were
 # mapped and faulted in afresh on every call.
 _BLOCK_ENTRIES = 1 << 16
@@ -254,12 +256,12 @@ class PolyBank:
     """A bank of independent family members evaluated jointly.
 
     Row j holds the coefficients of one random polynomial; eval() returns
-    the rows x points matrix of hash values and keys() the combined
-    (value, point) lexicographic keys used for permutation-order minima.
-    Runs exact float64 limb matmuls on uint64 data (the "blas" path) when
-    the combined key fits in uint64 and a limb width keeps the float64
-    sums exact; falls back to exact Python integers (the "object" path)
-    otherwise.
+    the rows x points matrix of hash values and keys() each row's minimum
+    combined (value, point) lexicographic key, as used for permutation-order
+    minima.  Runs exact float64 limb matmuls on uint64 data (the "blas"
+    path) when the combined key fits in uint64 and a limb width keeps the
+    float64 sums exact; falls back to exact Python integers (the "object"
+    path) otherwise.
     """
 
     def __init__(self, rows: int, family: HashFamily, seed: int):
@@ -268,16 +270,20 @@ class PolyBank:
         self.prime = family.prime
         self.degree = family.degree
         self.key_span = family.universe + 1
+        self.columns_hashed = 0
         self._bits = self._limb_bits()
         self.fast = bool(self._bits) and self.prime * self.key_span < (1 << 63)
         flat = bulk_below(seed, self.prime, rows * family.degree)
         if self.fast:
             self.coeffs = flat.reshape(rows, family.degree)
-            mask = np.uint64((1 << self._bits) - 1)
             limbs = (int(self.prime - 1).bit_length() + self._bits - 1) // self._bits
-            self._limb_parts = [
-                ((self.coeffs >> np.uint64(limb * self._bits)) & mask).astype(np.float64)
-                for limb in range(limbs)]
+            if limbs == 1:
+                self._limb_parts = [self.coeffs.astype(np.float64)]
+            else:
+                mask = np.uint64((1 << self._bits) - 1)
+                self._limb_parts = [
+                    ((self.coeffs >> np.uint64(limb * self._bits)) & mask).astype(np.float64)
+                    for limb in range(limbs)]
         else:
             self.coeffs = [[int(v) for v in flat[r * family.degree:(r + 1) * family.degree]]
                            for r in range(rows)]
@@ -289,14 +295,18 @@ class PolyBank:
         return "blas" if self.fast else "object"
 
     def max_keys(self) -> np.ndarray:
-        """One sentinel per row above every key, in the dtype keys() returns."""
+        """One sentinel per row above every key, in the dtype of the minima
+        keys() returns."""
         return np.full(self.rows, self.prime * self.key_span,
                        dtype=np.uint64 if self.fast else object)
 
     def eval(self, xs: Sequence[int]) -> np.ndarray:
         """Hash values, shape (rows, len(xs))."""
         if self.fast:
-            return self._eval_blas(self._power_table(xs))
+            out = np.empty((self.rows, len(xs)), dtype=np.uint64)
+            for lo, values in self._value_blocks(xs):
+                out[lo:lo + len(values)] = values
+            return out
         out = np.empty((self.rows, len(xs)), dtype=object)
         for r in range(self.rows):
             out[r] = [horner(self.coeffs[r], x, self.prime) for x in xs]
@@ -351,34 +361,51 @@ class PolyBank:
         np.subtract(r, p, out=r, where=r >= p)
         return r
 
-    def _eval_blas(self, powers: np.ndarray) -> np.ndarray:
-        """Limb matmuls and reductions one block of rows at a time, so the
-        float64 temporaries stay small; only the result is rows x columns."""
-        powers_f = powers.astype(np.float64)
+    def _value_blocks(self, xs: Sequence[int]):
+        """Exact hash values as float64, one block of rows at a time: yields
+        (first row, block).  Limb matmuls and reductions run per block, so
+        the float64 temporaries stay small."""
+        powers = self._power_table(xs).astype(np.float64)
         shift_mod = float((1 << self._bits) % self.prime)
-        out = np.empty((self.rows, powers.shape[1]), dtype=np.uint64)
         step = max(1, _BLOCK_ENTRIES // max(1, powers.shape[1]))
         for lo in range(0, self.rows, step):
             acc = None
             for part in reversed(self._limb_parts):
-                raw = part[lo:lo + step] @ powers_f
+                raw = part[lo:lo + step] @ powers
                 if acc is not None:
                     acc *= shift_mod
                     raw += acc
                 acc = self._float_mod(raw)
-            out[lo:lo + step] = acc
-        return out
+            yield lo, acc
 
-    def keys(self, xs: Sequence[int]) -> np.ndarray:
-        """Combined keys value * key_span + x: integer order equals the
-        lexicographic order on (value, x)."""
-        values = self.eval(xs)
-        if self.fast:
-            values *= np.uint64(self.key_span)
-            values += np.asarray(xs, dtype=np.uint64)[None, :]
-            return values
-        x = np.asarray(xs, dtype=object)[None, :]
-        return values * self.key_span + x
+    def keys(self, xs: Sequence[int]):
+        """Each row's smallest combined key value * key_span + x over xs,
+        and the index in xs of the first column holding it, as (mins, cols).
+        Integer order on combined keys is the lexicographic order on
+        (value, x), so equal values tie to the smaller x and duplicate ids
+        to the earlier column.
+
+        On the blas path the columns are stable-sorted by x, so each row
+        block's argmin over its exact float64 values, taken while the block
+        is cache-resident, already breaks both ties; no rows x columns
+        matrix is built."""
+        self.columns_hashed += len(xs)
+        if not self.fast:
+            keys = self.eval(xs) * self.key_span + np.asarray(xs, dtype=object)[None, :]
+            cols = keys.argmin(axis=1)
+            return keys[np.arange(self.rows), cols], cols
+        x = np.asarray(xs, dtype=np.uint64)
+        order = np.argsort(x, kind="stable")
+        x = x[order]
+        mins = np.empty(self.rows, dtype=np.uint64)
+        cols = np.empty(self.rows, dtype=np.intp)
+        for lo, values in self._value_blocks(x):
+            arg = values.argmin(axis=1)
+            mins[lo:lo + len(arg)] = values[np.arange(len(arg)), arg]
+            cols[lo:lo + len(arg)] = arg
+        mins *= np.uint64(self.key_span)
+        mins += x[cols]
+        return mins, order[cols]
 
     def row_hash(self, r: int):
         """Scalar evaluator for row r (for replay checks)."""

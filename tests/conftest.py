@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from intervalstream import oracle
 from intervalstream.core import Instance, Interval, Window, intersects
 from intervalstream.hashing import ExactDistinct
@@ -81,6 +83,16 @@ def validate_partition(selector, stream, n: int) -> None:
                 assert intersects(a, b)
 
 
+def reference_minima(bank, xs):
+    """Each row's smallest combined key value * key_span + x over xs and the
+    first column holding it, from the full eval matrix: the reference for
+    PolyBank.keys, which never builds that matrix."""
+    values = bank.eval(xs)
+    keys = values * bank.key_span + np.asarray(xs, dtype=values.dtype)[None, :]
+    cols = keys.argmin(axis=1)
+    return keys[np.arange(bank.rows), cols], cols
+
+
 def general_replay_violations(est, inst, gammas=None, active=None):
     """Replay the general estimator's deterministic sub-checks against the
     oracle; returns one message per violation.  Every row's winner is the
@@ -98,8 +110,7 @@ def general_replay_violations(est, inst, gammas=None, active=None):
     if isinstance(est.counter, ExactDistinct) and est.counter.estimate() != len(active_ids):
         bad.append(f"counter {est.counter.estimate()} != {len(active_ids)} active")
     for name, group in (("rel", est.rel), ("rho", est.rho)):
-        keys = group.bank.keys(active_ids)
-        mins, args = keys.min(axis=1), keys.argmin(axis=1)
+        mins, args = reference_minima(group.bank, active_ids)
         for r, v in enumerate(group.winner_node.tolist()):
             if group.winner_key[r] != mins[r] or v != active_ids[args[r]]:
                 bad.append(f"{name} row {r}: winner {v} is not the minimum "

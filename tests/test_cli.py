@@ -6,6 +6,7 @@ import pytest
 
 from intervalstream.cli import main
 from intervalstream.core import parse_stream
+from intervalstream.estimator_samelen import shift_gamma_counts
 from intervalstream import oracle
 
 
@@ -112,6 +113,27 @@ def test_estimate_reports_hash_path():
     assert json.loads(out)["details"]["hash_path"] == "blas"
 
 
+def test_estimate_reports_columns_hashed():
+    # with an exact counter every active node (general: in both banks) and
+    # every occupied window of each grid (samelen) is hashed exactly once
+    _, text = run_cli(["gen", "uniform", "--n", "4096", "--count", "300",
+                       "--max-len", "64", "--seed", "7"])
+    inst = parse_stream(text)
+    code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
+                         "--seed", "3", "--scale", "1e-7"], stdin_text=text)
+    assert code == 0
+    active = oracle.active_segments(inst, oracle.SegTree(inst.n))
+    assert json.loads(out)["details"]["columns_hashed"] == 2 * len(active)
+    _, text = run_cli(["gen", "uniform", "--n", "4096", "--count", "300",
+                       "--length", "8", "--seed", "7"])
+    inst = parse_stream(text)
+    code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "8",
+                         "--eps", "0.3", "--seed", "2"], stdin_text=text)
+    assert code == 0
+    windows = sum(shift_gamma_counts(inst.intervals, a, 8)[0] for a in (0, 1, 2))
+    assert json.loads(out)["details"]["columns_hashed"] == windows
+
+
 def test_estimate_oracle_mode():
     code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.3",
                          "--oracle-mode"], stdin_text="n 16\n1 3\n4 7\n")
@@ -173,6 +195,15 @@ def test_trials_byte_identical_repetition(tmp_path):
 def test_parse_error_exit_code():
     code, _ = run_cli(["exact"], stdin_text="garbage line here\n")
     assert code == 2
+
+
+def test_missing_input_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.txt"
+    for args in (["exact"], ["estimate", "--algo", "general"]):
+        code, out = run_cli(args + ["--in", str(missing)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
 
 
 def test_console_entrypoint_subprocess():

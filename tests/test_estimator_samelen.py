@@ -13,6 +13,8 @@ from intervalstream.estimator_samelen import (_CHUNK, SamelenAlphaEstimator,
 from intervalstream.generators import gen_uniform_samelen
 from intervalstream.selector_samelen import ShiftedGridSelector, shift_subinstance
 
+from conftest import reference_minima
+
 
 def run(inst, lam, eps, seed, counter="exact"):
     est = SamelenAlphaEstimator(SamelenConfig(
@@ -118,9 +120,7 @@ def test_sampler_winner_replay():
         if not occupied_keys:
             assert (st.winner_idx == -2).all()
             continue
-        keys = st.bank.keys(occupied_keys)
-        mins = keys.min(axis=1)
-        arg = keys.argmin(axis=1)
+        mins, arg = reference_minima(st.bank, occupied_keys)
         occ = list(stats)
         for r in range(est.config.k):
             assert st.winner_key[r] == mins[r]

@@ -13,6 +13,8 @@ from intervalstream.hashing import (ExactDistinct, HashFamily, KMVDistinct,
                                     PolyBank, bulk_below, bulk_u64, next_prime)
 from intervalstream.rng import SplitMix64
 
+from conftest import reference_minima
+
 DRAWS = 20000
 
 
@@ -130,6 +132,17 @@ def test_kmv_monte_carlo_calibration():
     assert good >= 90
 
 
+def _assert_keys_are_row_minima(bank, xs):
+    """keys() holds each row's smallest row_key over xs, at the first column
+    holding it."""
+    mins, cols = bank.keys(xs)
+    assert mins.dtype == bank.max_keys().dtype and mins.shape == cols.shape == (bank.rows,)
+    for r in range(bank.rows):
+        row = [bank.row_key(r, x) for x in xs]
+        assert int(mins[r]) == min(row)
+        assert int(cols[r]) == row.index(min(row))
+
+
 def test_kwise_scalar_matches_bank_rows():
     fam = HashFamily.create(256, 0.3)
     bank = PolyBank(8, fam, seed=99)
@@ -139,7 +152,8 @@ def test_kwise_scalar_matches_bank_rows():
         h = bank.row_hash(r)
         for j, x in enumerate(xs):
             assert int(values[r, j]) == h(x)
-            assert int(bank.keys(xs)[r, j]) == h(x) * bank.key_span + x
+            assert bank.row_key(r, x) == h(x) * bank.key_span + x
+    _assert_keys_are_row_minima(bank, xs)
 
 
 def test_bulk_u64_matches_scalar():
@@ -156,14 +170,47 @@ def test_bulk_below_bounds_and_determinism():
     assert a.max() < 97
 
 
+def _bulk_below_by_rounds(seed, bound, count):
+    """Rejection in rounds: every pending draw is redrawn from the stream's
+    next values, in order, until it falls below the largest multiple of
+    bound that fits in 64 bits."""
+    limit = np.uint64((1 << 64) - ((1 << 64) % bound))
+    out = np.empty(count, dtype=np.uint64)
+    pending = np.arange(count)
+    offset = 0
+    while pending.size:
+        draws = bulk_u64(seed, pending.size, offset)
+        offset += pending.size
+        good = draws < limit
+        out[pending[good]] = draws[good] % np.uint64(bound)
+        pending = pending[~good]
+    return out
+
+
+@pytest.mark.parametrize("bound,rejects", [(97, False), (next_prime(1 << 23), False),
+                                           ((1 << 63) + 1, True)],
+                         ids=["small", "p-2^23", "2^63+1"])
+def test_bulk_below_matches_rejection_rounds(bound, rejects):
+    # at bound 2**63 + 1 every draw from 2**63 + 1 up is rejected: about half
+    count = 2000
+    draws = bulk_u64(21, count)
+    limit = (1 << 64) - ((1 << 64) % bound)
+    assert bool((draws >= np.uint64(limit)).any()) == rejects
+    got = bulk_below(21, bound, count)
+    assert (got == _bulk_below_by_rounds(21, bound, count)).all()
+    assert all(int(v) < bound for v in got)
+    if not rejects:
+        assert (got == draws % np.uint64(bound)).all()
+
+
 def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
     """Empirical winner frequencies of a fixed set under independent
     permutations; shared with the acceptance suite."""
     fam = HashFamily.create(n, eps)
     xs = list(range(3, 3 + 4 * x_count, 4))
     bank = PolyBank(draws, fam, seed=seed)
-    keys = bank.keys(xs)
-    winners = np.asarray(xs)[keys.argmin(axis=1)]
+    _, cols = reference_minima(bank, xs)
+    winners = np.asarray(xs)[cols]
     freq = collections.Counter(winners.tolist())
     return xs, winners.tolist(), freq
 
@@ -224,13 +271,7 @@ def test_polybank_fast_iff_key_and_limb_bounds():
         bank = PolyBank(4, fam, seed=5)
         assert bank.fast == _blas_rule(bank) == fast
         assert bank.hash_path == ("blas" if fast else "object")
-        xs = [1, 5, 9]
-        keys = bank.keys(xs)
-        assert keys.dtype == bank.max_keys().dtype
-        for r in range(4):
-            h = bank.row_hash(r)
-            for j, x in enumerate(xs):
-                assert int(keys[r, j]) == h(x) * bank.key_span + x
+        _assert_keys_are_row_minima(bank, [9, 1, 5])
 
 
 def _largest_prime_for_limb(degree: int, bits: int) -> int:
@@ -324,7 +365,45 @@ def test_polybank_one_full_width_limb(fam, edge):
 def test_polybank_row_blocks_match_row_hash(fam, monkeypatch):
     # 44 points in blocks of 2 rows: 7 rows leave a short last block
     monkeypatch.setattr(hashing, "_BLOCK_ENTRIES", 2 * 44)
-    _assert_eval_matches_row_hash(PolyBank(7, fam, seed=3))
+    bank = PolyBank(7, fam, seed=3)
+    _assert_eval_matches_row_hash(bank)
+    rng = SplitMix64(4)
+    xs = [rng.randrange(1, fam.universe) for _ in range(44)]
+    mins, cols = bank.keys(xs)
+    ref_mins, ref_cols = reference_minima(bank, xs)
+    assert (mins == ref_mins).all() and (cols == ref_cols).all()
+    _assert_keys_are_row_minima(bank, xs)
+
+
+def _kernel(bank) -> str:
+    if not bank.fast:
+        return "object"
+    return "one-limb" if len(bank._limb_parts) == 1 else "multi-limb"
+
+
+_TIE_FAMILIES = [_one_limb_families()[0][0], _families_above_2_32()[0][0],
+                 HashFamily(universe=64, eps=0.3, prime=next_prime(1 << 63), degree=3)]
+
+
+@pytest.mark.parametrize("fam,kernel", zip(_TIE_FAMILIES, ["one-limb", "multi-limb", "object"]),
+                         ids=["one-limb", "multi-limb", "object"])
+def test_keys_ties_to_smaller_id_and_earlier_column(fam, kernel, monkeypatch):
+    # blocks of 3 rows leave a short last block on the blas path
+    monkeypatch.setattr(hashing, "_BLOCK_ENTRIES", 3 * 6)
+    # degree 1: constant polynomials, every id gets its row's one value
+    const = PolyBank(5, HashFamily(fam.universe, fam.eps, fam.prime, degree=1), seed=8)
+    assert _kernel(const) == kernel
+    assert (const.eval([5, 2, 9]) == const.eval([5, 2, 9])[:, :1]).all()
+    mins, cols = const.keys([5, 9, 2, 7, 2, 3])
+    assert cols.tolist() == [2] * 5
+    assert all(int(m) == const.row_key(r, 2) for r, m in enumerate(mins))
+    bank = PolyBank(5, fam, seed=9)
+    assert _kernel(bank) == kernel
+    for xs in ([40, 3, 17, 3, 8, 40], [7, 7, 7], [12, 1, 30, 6, 6, 2]):
+        mins, cols = bank.keys(xs)
+        ref_mins, ref_cols = reference_minima(bank, xs)
+        assert (mins == ref_mins).all() and (cols == ref_cols).all()
+        _assert_keys_are_row_minima(bank, xs)
 
 
 def test_float_mod_exact_at_quotient_slips():
@@ -353,9 +432,6 @@ def test_polybank_object_mode_forced():
     for fam, xs in ((huge, [1, 2, 8]), (n26, [1, 2, 12345, n26.universe])):
         bank = PolyBank(3, fam, seed=1)
         assert not bank.fast and bank.hash_path == "object"
-        keys = bank.keys(xs)
-        mins = keys.min(axis=1)
-        assert mins.shape == (3,)
+        mins, _ = bank.keys(xs)
         assert (mins < bank.max_keys()).all()
-        for r in range(3):
-            assert int(mins[r]) == min(bank.row_key(r, x) for x in xs)
+        _assert_keys_are_row_minima(bank, xs)
