@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .core import DomainError, Instance, Interval
-from .hashing import HashFamily, PolyBank, make_counter
+from .hashing import HashFamily, SamplerRows, make_counter
 from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
 from .rng import SplitMix64
 from .selector import PartitionSelector
@@ -167,29 +167,6 @@ def _lineage(v: int) -> Tuple[int, ...]:
     return (v, v >> 1) if v > 1 else (v,)
 
 
-class _SamplerGroup:
-    """Rows of min-wise samplers over tree nodes, each keeping the key and
-    node of its running minimum (node 0: none yet)."""
-
-    def __init__(self, rows: int, family: HashFamily, seed: int):
-        self.bank = PolyBank(rows, family, seed)
-        self.winner_key = self.bank.max_keys()
-        self.winner_node = np.zeros(rows, dtype=np.int64)
-
-    def move(self, ids: List[int]):
-        """Move every row whose minimum over the node ids ids is below its
-        running minimum.  Returns the nodes the moved rows released, the
-        nodes they took, and the index in ids at which each was taken."""
-        mins, cols = self.bank.keys(ids)
-        moved = np.nonzero(mins < self.winner_key)[0]
-        released = self.winner_node[moved]
-        cols = cols[moved]
-        taken = np.asarray(ids, dtype=np.int64)[cols]
-        self.winner_key[moved] = mins[moved]
-        self.winner_node[moved] = taken
-        return released, taken, cols
-
-
 class GeneralAlphaEstimator:
     """Streaming estimator; feed intervals with process(), finish with
     estimate()."""
@@ -205,14 +182,14 @@ class GeneralAlphaEstimator:
         id_universe = 2 * self.tree.n_pow2
         fam_rel = HashFamily.create(id_universe, config.eps_rel, config.c1, config.c2)
         fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
-        self.rel = _SamplerGroup(config.k_rel, fam_rel, rng.spawn(1).seed)
-        self.rho = _SamplerGroup(config.k0, fam_rho, rng.spawn(2).seed)
+        self.rel = SamplerRows(config.k_rel, fam_rel, rng.spawn(1).seed)
+        self.rho = SamplerRows(config.k0, fam_rho, rng.spawn(2).seed)
         self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3), config.kmv_k)
         # node table; the estimator holds the root entry, whose selector is
         # the fallback branch's estimate until the root saturates
         self.nodes: Dict[int, _Node] = {self.tree.root: _Node(1, with_selector=True)}
         self._node_units = self.nodes[self.tree.root].units
-        self._row_units = config.k_rel + config.k0  # one winner (key, node) per row
+        self._row_units = config.k_rel + config.k0  # one winner (value, node) per row
         self.items = 0
         self.peak_units = 0
         self.peak_nodes = 0
@@ -247,12 +224,12 @@ class GeneralAlphaEstimator:
 
     def flush(self) -> None:
         """Apply buffered intervals: one batched hash pass per sampler group
-        returns each row's minimum over the chunk, and rows whose minimum is
-        below their running one move to it.  Entries of nodes the rows took
-        start at the interval that first emitted the node, so nodes held
-        only inside the chunk never get one; the intervals then feed the
-        node table in stream order (identical outcome to unbuffered
-        processing)."""
+        returns each row's minimum over the chunk, and rows whose minimum
+        comes before their running one move to it.  Entries of nodes the
+        rows took start at the interval that first emitted the node, so
+        nodes held only inside the chunk never get one; the intervals then
+        feed the node table in stream order (identical outcome to
+        unbuffered processing)."""
         if not self._pending:
             return
         all_ids = [v for _, _, new_ids in self._pending for v in new_ids]
@@ -325,12 +302,12 @@ class GeneralAlphaEstimator:
                                    tracked_nodes=self.peak_nodes)
         cfg = self.config
         n_act = self.counter.estimate()
-        held = np.union1d(self.rel.winner_node, self.rho.winner_node)
+        held = np.union1d(self.rel.winner_id, self.rho.winner_id)
         relevant = [v for v in held.tolist() if self.is_relevant(v)]
-        x = int(np.isin(self.rel.winner_node, relevant).sum())
+        x = int(np.isin(self.rel.winner_id, relevant).sum())
         n_rel = n_act * x / cfg.k_rel
-        rho_rows = np.nonzero(np.isin(self.rho.winner_node, relevant))[0]
-        take = self.rho.winner_node[rho_rows[:cfg.k_rho]].tolist()
+        rho_rows = np.nonzero(np.isin(self.rho.winner_id, relevant))[0]
+        take = self.rho.winner_id[rho_rows[:cfg.k_rho]].tolist()
         sizes = [self.nodes[v].selector.window_count for v in take]
         rho_hat = (sum(sizes) / len(sizes)) if sizes else 0.0
         value = n_rel * rho_hat / (1.0 + cfg.eps1) ** 2

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import DomainError, Instance, Interval
-from .hashing import HashFamily, PolyBank, make_counter
+from .hashing import HashFamily, SamplerRows, make_counter
 from .rng import SplitMix64
 from .selector_samelen import ShiftedGridSelector
 
@@ -54,7 +54,7 @@ class SamelenConfig:
 
     @property
     def index_domain(self) -> int:
-        """Hash universe for window keys: grid index j mapped to j + 2 >= 1."""
+        """Hash universe for window ids: grid index j mapped to j + 2 >= 1."""
         return math.ceil(2 * self.n / (3 * self.lam)) + 2
 
     @property
@@ -95,9 +95,10 @@ def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
 class _ShiftState:
     """k min-wise samplers over the occupied windows of one grid.
 
-    Keys are distinct, so a window can take a row only the first time it is
-    hashed; later occurrences meet a running minimum no larger than their
-    key.  Only windows the counter reports as possibly new are hashed, in
+    Window j is hashed as the id j + 2, which also keys its extremes.  Ids
+    are distinct, so a window can take a row only the first time it is
+    hashed; later occurrences meet a running minimum no later than its own.
+    Only windows the counter reports as possibly new are hashed, in
     batches of _CHUNK.  Every row a window holds shares that window's
     extremes, so they are kept once per window, and only for windows that
     are pending or hold a row.
@@ -108,20 +109,19 @@ class _ShiftState:
         family = HashFamily.create(cfg.index_domain, cfg.eps2, cfg.c1, cfg.c2)
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift), cfg.kmv_k)
-        self.bank = PolyBank(cfg.k, family, rng.spawn(20 + shift).seed)
-        self.winner_key = self.bank.max_keys()
-        self.winner_idx = np.full(cfg.k, -2, dtype=np.int64)
+        self.rows = SamplerRows(cfg.k, family, rng.spawn(20 + shift).seed)
         self.extremes: Dict[int, Extremes] = {}
         self.pending: List[int] = []
 
     def observe(self, j: int, iv: Interval) -> None:
-        fresh = self.counter.add(j + 2)
-        ext = self.extremes.get(j)
+        w = j + 2
+        fresh = self.counter.add(w)
+        ext = self.extremes.get(w)
         if ext is None and not fresh:
             return  # seen before and holds no row: it can never take one
-        self.extremes[j] = merge_extremes(ext, iv)
+        self.extremes[w] = merge_extremes(ext, iv)
         if ext is None:
-            self.pending.append(j)
+            self.pending.append(w)
             if len(self.pending) >= _CHUNK:
                 self.flush()
 
@@ -130,23 +130,22 @@ class _ShiftState:
         minimum, and forget the extremes of windows left holding no row."""
         if not self.pending:
             return
-        mins, cols = self.bank.keys([j + 2 for j in self.pending])
-        change = mins < self.winner_key
-        self.winner_key[change] = mins[change]
-        self.winner_idx[change] = np.asarray(self.pending)[cols[change]]
+        self.rows.move(self.pending)
         self.pending = []
-        self.extremes = {j: self.extremes[j] for j in self._held()[0]}
+        self.extremes = {w: self.extremes[w] for w in self._held()[0]}
 
     def _held(self) -> Tuple[List[int], List[int]]:
-        """Windows holding at least one row, and how many rows each holds."""
-        held, rows = np.unique(self.winner_idx[self.winner_idx != -2], return_counts=True)
+        """Ids of the windows holding at least one row, and how many rows
+        each holds."""
+        ids = self.rows.winner_id
+        held, rows = np.unique(ids[ids > 0], return_counts=True)
         return held.tolist(), rows.tolist()
 
     def type2_count(self) -> int:
         """Rows whose window holds two disjoint intervals (call after flush)."""
         count = 0
-        for j, rows in zip(*self._held()):
-            _, lm_r, rm_l, _ = self.extremes[j]
+        for w, rows in zip(*self._held()):
+            _, lm_r, rm_l, _ = self.extremes[w]
             if rm_l > lm_r:
                 count += rows
         return count
@@ -166,13 +165,13 @@ class SamelenAlphaEstimator:
     def hash_path(self) -> str:
         """"object" when any shift's bank hashes on Python integers, else
         "blas"."""
-        paths = {st.bank.hash_path for st in self.states}
+        paths = {st.rows.bank.hash_path for st in self.states}
         return "object" if "object" in paths else "blas"
 
     @property
     def columns_hashed(self) -> int:
-        """Window keys hashed so far, summed over the three grids' banks."""
-        return sum(st.bank.columns_hashed for st in self.states)
+        """Window ids hashed so far, summed over the three grids' banks."""
+        return sum(st.rows.bank.columns_hashed for st in self.states)
 
     def process(self, iv: Interval) -> None:
         cfg = self.config

@@ -229,12 +229,16 @@ def bulk_u64(seed: int, count: int, offset: int = 0) -> np.ndarray:
 
 def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
     """Vectorized unbiased draws in [0, bound) via rejection: draw i is
-    replaced by later draws of the stream, in order, while it is rejected."""
+    replaced by later draws of the stream, in order, while it is rejected.
+    A bound dividing 2**64 rejects nothing."""
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    limit = np.uint64((1 << 64) - ((1 << 64) % bound))
     draws = bulk_u64(seed, count)
     out = draws % np.uint64(bound)
+    rem = (1 << 64) % bound
+    if not rem:
+        return out
+    limit = np.uint64((1 << 64) - rem)
     pending = np.nonzero(draws >= limit)[0]
     offset = count
     while pending.size:
@@ -257,9 +261,8 @@ class PolyBank:
 
     Row j holds the coefficients of one random polynomial; eval() returns
     the rows x points matrix of hash values and keys() each row's minimum
-    combined (value, point) lexicographic key, as used for permutation-order
-    minima.  Runs exact float64 limb matmuls on uint64 data (the "blas"
-    path) when the combined key fits in uint64 and a limb width keeps the
+    in the min-wise order on (value, point).  Runs exact float64 limb
+    matmuls on uint64 data (the "blas" path) when a limb width keeps the
     float64 sums exact; falls back to exact Python integers (the "object"
     path) otherwise.
     """
@@ -269,10 +272,9 @@ class PolyBank:
         self.family = family
         self.prime = family.prime
         self.degree = family.degree
-        self.key_span = family.universe + 1
         self.columns_hashed = 0
         self._bits = self._limb_bits()
-        self.fast = bool(self._bits) and self.prime * self.key_span < (1 << 63)
+        self.fast = bool(self._bits)
         flat = bulk_below(seed, self.prime, rows * family.degree)
         if self.fast:
             self.coeffs = flat.reshape(rows, family.degree)
@@ -293,12 +295,6 @@ class PolyBank:
         """"blas" when eval runs the float64 limb matmuls, "object" when it
         runs Python-integer loops."""
         return "blas" if self.fast else "object"
-
-    def max_keys(self) -> np.ndarray:
-        """One sentinel per row above every key, in the dtype of the minima
-        keys() returns."""
-        return np.full(self.rows, self.prime * self.key_span,
-                       dtype=np.uint64 if self.fast else object)
 
     def eval(self, xs: Sequence[int]) -> np.ndarray:
         """Hash values, shape (rows, len(xs))."""
@@ -339,8 +335,8 @@ class PolyBank:
 
     def _limb_bits(self) -> int:
         """Widest limb split keeping float64 arithmetic exact: the degree-long
-        matmul sums and the combine step acc * 2**bits + raw both stay below
-        (degree + 1) * 2**bits * (p - 1) < 2**53.  The full width
+        matmul sums and the limb recombination acc * 2**bits + raw both stay
+        below (degree + 1) * 2**bits * (p - 1) < 2**53.  The full width
         bitlen(p - 1) comes first: one limb, nothing to recombine.  0 when
         none fits."""
         for bits in ((self.prime - 1).bit_length(), 16, 8, 4):
@@ -379,38 +375,57 @@ class PolyBank:
             yield lo, acc
 
     def keys(self, xs: Sequence[int]):
-        """Each row's smallest combined key value * key_span + x over xs,
-        and the index in xs of the first column holding it, as (mins, cols).
-        Integer order on combined keys is the lexicographic order on
-        (value, x), so equal values tie to the smaller x and duplicate ids
-        to the earlier column.
+        """Each row's smallest hash value over xs and the index in xs of the
+        column holding it, as (values, cols), in the min-wise order on
+        (value, x): equal values tie to the smaller x and repeated ids to
+        the earlier column.
 
-        On the blas path the columns are stable-sorted by x, so each row
-        block's argmin over its exact float64 values, taken while the block
-        is cache-resident, already breaks both ties; no rows x columns
-        matrix is built."""
+        The columns are stable-sorted by x first, so one argmin per row
+        breaks both ties.  On the blas path it runs over each row block's
+        exact float64 values while the block is cache-resident, so no
+        rows x columns matrix is built."""
         self.columns_hashed += len(xs)
-        if not self.fast:
-            keys = self.eval(xs) * self.key_span + np.asarray(xs, dtype=object)[None, :]
-            cols = keys.argmin(axis=1)
-            return keys[np.arange(self.rows), cols], cols
-        x = np.asarray(xs, dtype=np.uint64)
+        x = np.asarray(xs, dtype=np.uint64 if self.fast else object)
         order = np.argsort(x, kind="stable")
         x = x[order]
-        mins = np.empty(self.rows, dtype=np.uint64)
+        values = np.empty(self.rows, dtype=x.dtype)
         cols = np.empty(self.rows, dtype=np.intp)
-        for lo, values in self._value_blocks(x):
-            arg = values.argmin(axis=1)
-            mins[lo:lo + len(arg)] = values[np.arange(len(arg)), arg]
+        for lo, block in self._value_blocks(x) if self.fast else [(0, self.eval(x))]:
+            arg = block.argmin(axis=1)
+            values[lo:lo + len(arg)] = block[np.arange(len(arg)), arg]
             cols[lo:lo + len(arg)] = arg
-        mins *= np.uint64(self.key_span)
-        mins += x[cols]
-        return mins, order[cols]
+        return values, order[cols]
 
     def row_hash(self, r: int):
         """Scalar evaluator for row r (for replay checks)."""
         cs = [int(c) for c in self.coeffs[r]]
         return lambda x: horner(cs, x, self.prime)
 
-    def row_key(self, r: int, x: int) -> int:
-        return self.row_hash(r)(x) * self.key_span + x
+
+class SamplerRows:
+    """Rows of min-wise samplers over positive integer ids, each keeping the
+    hash value and the id of its running minimum in the (value, id) order
+    (id 0: none yet).  Winner values are uint64 on the bank's blas path and
+    Python integers on its object path."""
+
+    def __init__(self, rows: int, family: HashFamily, seed: int):
+        self.bank = PolyBank(rows, family, seed)
+        # the field prime lies above every hash value
+        self.winner_value = np.full(rows, family.prime,
+                                    dtype=np.uint64 if self.bank.fast else object)
+        self.winner_id = np.zeros(rows, dtype=np.int64)
+
+    def move(self, ids: Sequence[int]):
+        """Move every row whose minimum over ids comes first in the (value,
+        id) order: a smaller value, or an equal value at a smaller id; a
+        repeat of a row's own winner leaves it.  Returns the ids the moved
+        rows released, the ids they took, and the index in ids at which
+        each was taken."""
+        values, cols = self.bank.keys(ids)
+        taken = np.asarray(ids, dtype=np.int64)[cols]
+        moved = np.nonzero((values < self.winner_value) | (
+            (values == self.winner_value) & (taken < self.winner_id)))[0]
+        released = self.winner_id[moved]
+        self.winner_value[moved] = values[moved]
+        self.winner_id[moved] = taken[moved]
+        return released, taken[moved], cols[moved]

@@ -84,13 +84,15 @@ def validate_partition(selector, stream, n: int) -> None:
 
 
 def reference_minima(bank, xs):
-    """Each row's smallest combined key value * key_span + x over xs and the
-    first column holding it, from the full eval matrix: the reference for
-    PolyBank.keys, which never builds that matrix."""
+    """Each row's smallest hash value over xs and the first column holding
+    the smallest id among those with that value, filtered from the full
+    eval matrix: the reference for PolyBank.keys, which never builds that
+    matrix."""
     values = bank.eval(xs)
-    keys = values * bank.key_span + np.asarray(xs, dtype=values.dtype)[None, :]
-    cols = keys.argmin(axis=1)
-    return keys[np.arange(bank.rows), cols], cols
+    mins = values.min(axis=1)
+    ids = np.asarray(xs, dtype=np.int64)
+    tied = np.where(values == mins[:, None], ids[None, :], np.iinfo(np.int64).max)
+    return mins, tied.argmin(axis=1)
 
 
 def general_replay_violations(est, inst, gammas=None, active=None):
@@ -111,8 +113,8 @@ def general_replay_violations(est, inst, gammas=None, active=None):
         bad.append(f"counter {est.counter.estimate()} != {len(active_ids)} active")
     for name, group in (("rel", est.rel), ("rho", est.rho)):
         mins, args = reference_minima(group.bank, active_ids)
-        for r, v in enumerate(group.winner_node.tolist()):
-            if group.winner_key[r] != mins[r] or v != active_ids[args[r]]:
+        for r, v in enumerate(group.winner_id.tolist()):
+            if group.winner_value[r] != mins[r] or v != active_ids[args[r]]:
                 bad.append(f"{name} row {r}: winner {v} is not the minimum "
                            f"{active_ids[args[r]]}")
                 continue

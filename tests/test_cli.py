@@ -100,12 +100,14 @@ def test_estimate_reports_hash_path():
                          "--seed", "3", "--scale", "1e-7"], stdin_text=text)
     assert code == 0
     assert json.loads(out)["details"]["hash_path"] == "blas"
-    # at n=2**26 nodes span 2**27 and the combined key overflows uint64
-    code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
-                         "--seed", "3", "--scale", "1e-9"],
-                        stdin_text="n 67108864\n1 3\n100 200\n9000 9001\n")
-    assert code == 0
-    assert json.loads(out)["details"]["hash_path"] == "object"
+    # at n=2**26 nodes span 2**27, still on BLAS; at n=2**34 (nodes span
+    # 2**35) no limb width keeps the rel bank's float64 sums exact
+    for n, path in ((1 << 26, "blas"), (1 << 34, "object")):
+        code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
+                             "--seed", "3", "--scale", "1e-9"],
+                            stdin_text=f"n {n}\n1 3\n100 200\n9000 9001\n")
+        assert code == 0
+        assert json.loads(out)["details"]["hash_path"] == path
     code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "1",
                          "--eps", "0.3", "--seed", "2"],
                         stdin_text="n 9\n1 2\n4 5\n7 8\n")

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -6,6 +7,7 @@ from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       emitted_segments, estimate_oracle_mode)
+from intervalstream.generators import gen_uniform
 from intervalstream.hashing import KMVDistinct
 from intervalstream.oracle import SegTree, beta_hat, relevant_segments
 from intervalstream.selector import PartitionSelector
@@ -134,13 +136,12 @@ def test_sampled_branch_dense():
     # relevance classification of every sampler row matches the oracle
     rel_set = relevant_segments(inst, est.config.eps1, est.tree)
     for group in (est.rel, est.rho):
-        for v in group.winner_node.tolist():
+        for v in group.winner_id.tolist():
             assert est.is_relevant(v) == (v in rel_set)
 
 
 def test_sampled_branch_random_instance():
     # a random stream of short intervals also saturates the root tracker
-    from intervalstream.generators import gen_uniform
     n = 2048
     inst = gen_uniform(n, 6000, 2, seed=2)
     est, res = run_estimator(inst, n=n, user_eps=0.45, seed=9, scale=8e-8)
@@ -174,9 +175,9 @@ def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
     assert general_replay_violations(est_exact, inst) == []
     assert general_replay_violations(est_kmv, inst) == []
     for g_exact, g_kmv in ((est_exact.rel, est_kmv.rel), (est_exact.rho, est_kmv.rho)):
-        assert g_kmv.winner_node.tolist() == g_exact.winner_node.tolist()
-        assert [est_kmv.is_relevant(v) for v in g_kmv.winner_node.tolist()] == \
-            [est_exact.is_relevant(v) for v in g_exact.winner_node.tolist()]
+        assert g_kmv.winner_id.tolist() == g_exact.winner_id.tolist()
+        assert [est_kmv.is_relevant(v) for v in g_kmv.winner_id.tolist()] == \
+            [est_exact.is_relevant(v) for v in g_exact.winner_id.tolist()]
 
 
 @pytest.mark.parametrize("m", [1664, 2048])
@@ -207,7 +208,7 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
 
     def checked_flush():
         flush()
-        held = set(est.rel.winner_node.tolist()) | set(est.rho.winner_node.tolist())
+        held = set(est.rel.winner_id.tolist()) | set(est.rho.winner_id.tolist())
         allowed = held | {v >> 1 for v in held if v > 1} | {est.tree.root}
         assert set(est.nodes) <= allowed
         root = est.nodes[est.tree.root]
@@ -227,14 +228,38 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
 @pytest.mark.parametrize("n", [1 << 14, 1 << 20])
 @pytest.mark.parametrize("eps", [0.45, 0.1])
 def test_hash_path_blas_up_to_2_20(n, eps):
-    # nodes are hashed over the universe 2 * n_pow2, so p * (universe + 1)
-    # stays below 2**63 and a limb width fits for every eps >= 0.1 here
+    # nodes are hashed over the universe 2 * n_pow2, and a limb width keeps
+    # the float64 sums exact for every eps >= 0.1 here
     est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=eps, seed=0, scale=1e-12))
     assert est.rel.bank.family.universe == 2 * est.tree.n_pow2
     assert est.hash_path == "blas"
     est.process(Interval(1, 2))
     est.process(Interval(n - 5, n, True, False))
     assert est.estimate().value == 2.0
+
+
+@pytest.mark.parametrize("eps,top", [(0.45, 33), (0.1, 31), (0.01, 27)])
+def test_largest_blas_n_pow2(eps, top):
+    # the limb bound alone sets the boundary: BLAS up to n_pow2 = 2**top,
+    # the object path from the next doubling
+    for exp, path in ((top, "blas"), (top + 1, "object")):
+        est = GeneralAlphaEstimator(EstimatorConfig(n=1 << exp, user_eps=eps, seed=0,
+                                                    scale=1e-15))
+        assert est.tree.n_pow2 == 1 << exp
+        assert est.hash_path == path
+    assert est.rel.bank.hash_path == "object"
+
+
+def test_n_2_26_uniform_stays_on_blas():
+    # the object path takes about 10 s on this input and BLAS about 0.1 s,
+    # so the gate fails a fall back onto Python integers at n_pow2 = 2**26
+    inst = gen_uniform(1 << 26, 50, 64, seed=7)
+    start = time.perf_counter()
+    est, res = run_estimator(inst, n=inst.n, user_eps=0.45, seed=3, scale=3e-8)
+    elapsed = time.perf_counter() - start
+    assert est.hash_path == "blas" and res.branch == "fallback"
+    assert elapsed < 2.5, elapsed
+    assert general_replay_violations(est, inst) == []
 
 
 def test_fallback_regime_matches_oracle_rule():

@@ -116,18 +116,18 @@ def test_sampler_winner_replay():
     est, _ = run(inst, lam=lam, eps=0.3, seed=13)
     for a, st in enumerate(est.states):
         stats = shift_window_stats(inst.intervals, a, lam)
-        occupied_keys = [j + 2 for j in stats]
-        if not occupied_keys:
-            assert (st.winner_idx == -2).all()
+        occupied_ids = [j + 2 for j in stats]
+        if not occupied_ids:
+            assert (st.rows.winner_id == 0).all()
             continue
-        mins, arg = reference_minima(st.bank, occupied_keys)
+        mins, arg = reference_minima(st.rows.bank, occupied_ids)
         occ = list(stats)
         for r in range(est.config.k):
-            assert st.winner_key[r] == mins[r]
+            assert st.rows.winner_value[r] == mins[r]
             j = occ[int(arg[r])]
-            assert st.winner_idx[r] == j
+            assert st.rows.winner_id[r] == j + 2
             # a row's extremes are those of its winner window's entry
-            lm_l, lm_r, rm_l, rm_r = st.extremes[j]
+            lm_l, lm_r, rm_l, rm_r = st.extremes[j + 2]
             assert (lm_l, lm_r, rm_l, rm_r) == stats[j]
             # type classification matches the exact sub-instance optimum
             sub = [iv for iv in inst if est._grid.containing_window(a, iv) == j]
@@ -174,14 +174,15 @@ def test_retained_state_does_not_grow_with_m():
             if phase == "estimated":
                 est.estimate()
             for a, st in enumerate(est.states):
-                containers = {name: v for name, v in vars(st).items()
+                containers = {name: v for obj in (st, st.rows)
+                              for name, v in vars(obj).items()
                               if isinstance(v, (np.ndarray, dict, list, set))}
-                assert {"winner_key", "winner_idx"} <= set(containers)
+                assert {"winner_value", "winner_id"} <= set(containers)
                 for name, v in containers.items():
                     assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
         for a, st in enumerate(est.states):
             assert not st.pending
-            assert set(st.extremes) == set(st.winner_idx[st.winner_idx != -2].tolist())
+            assert set(st.extremes) == set(st.rows.winner_id[st.rows.winner_id != 0].tolist())
         occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
     assert occupied[1] > 5 * occupied[0]
 

@@ -10,7 +10,8 @@ from intervalstream.estimator import EstimatorConfig
 from intervalstream.estimator_samelen import SamelenConfig
 from intervalstream.hashing import (ExactDistinct, HashFamily, KMVDistinct,
                                     KWiseHash, MinSampler, MinWisePermutation,
-                                    PolyBank, bulk_below, bulk_u64, next_prime)
+                                    PolyBank, SamplerRows, bulk_below, bulk_u64,
+                                    next_prime)
 from intervalstream.rng import SplitMix64
 
 from conftest import reference_minima
@@ -133,13 +134,15 @@ def test_kmv_monte_carlo_calibration():
 
 
 def _assert_keys_are_row_minima(bank, xs):
-    """keys() holds each row's smallest row_key over xs, at the first column
-    holding it."""
-    mins, cols = bank.keys(xs)
-    assert mins.dtype == bank.max_keys().dtype and mins.shape == cols.shape == (bank.rows,)
+    """keys() holds each row's smallest (row_hash(x), x) over xs: its value,
+    and the first column holding it."""
+    values, cols = bank.keys(xs)
+    assert values.dtype == (np.uint64 if bank.fast else object)
+    assert values.shape == cols.shape == (bank.rows,)
     for r in range(bank.rows):
-        row = [bank.row_key(r, x) for x in xs]
-        assert int(mins[r]) == min(row)
+        h = bank.row_hash(r)
+        row = [(h(x), x) for x in xs]
+        assert int(values[r]) == min(row)[0]
         assert int(cols[r]) == row.index(min(row))
 
 
@@ -148,11 +151,15 @@ def test_kwise_scalar_matches_bank_rows():
     bank = PolyBank(8, fam, seed=99)
     xs = [1, 7, 19, 250]
     values = bank.eval(xs)
+    mins, cols = bank.keys(xs)
     for r in range(8):
         h = bank.row_hash(r)
         for j, x in enumerate(xs):
             assert int(values[r, j]) == h(x)
-            assert bank.row_key(r, x) == h(x) * bank.key_span + x
+        # a scalar permutation on row r's coefficients orders xs as the bank does
+        perm = MinWisePermutation(fam, SplitMix64(0))
+        perm.hash.coeffs = [int(c) for c in bank.coeffs[r]]
+        assert (int(mins[r]), xs[int(cols[r])]) == perm.key(min(xs, key=perm.key))
     _assert_keys_are_row_minima(bank, xs)
 
 
@@ -173,34 +180,39 @@ def test_bulk_below_bounds_and_determinism():
 def _bulk_below_by_rounds(seed, bound, count):
     """Rejection in rounds: every pending draw is redrawn from the stream's
     next values, in order, until it falls below the largest multiple of
-    bound that fits in 64 bits."""
-    limit = np.uint64((1 << 64) - ((1 << 64) % bound))
+    bound up to 2**64."""
+    limit = (1 << 64) - ((1 << 64) % bound)
     out = np.empty(count, dtype=np.uint64)
     pending = np.arange(count)
     offset = 0
     while pending.size:
         draws = bulk_u64(seed, pending.size, offset)
         offset += pending.size
-        good = draws < limit
+        good = np.array([int(d) < limit for d in draws], dtype=bool)
         out[pending[good]] = draws[good] % np.uint64(bound)
         pending = pending[~good]
     return out
 
 
 @pytest.mark.parametrize("bound,rejects", [(97, False), (next_prime(1 << 23), False),
-                                           ((1 << 63) + 1, True)],
-                         ids=["small", "p-2^23", "2^63+1"])
+                                           ((1 << 63) + 1, True), (2, False),
+                                           (1 << 63, False)],
+                         ids=["small", "p-2^23", "2^63+1", "2", "2^63"])
 def test_bulk_below_matches_rejection_rounds(bound, rejects):
-    # at bound 2**63 + 1 every draw from 2**63 + 1 up is rejected: about half
+    # at bound 2**63 + 1 every draw from 2**63 + 1 up is rejected: about half;
+    # a bound dividing 2**64 (2, 2**63) rejects none
     count = 2000
     draws = bulk_u64(21, count)
     limit = (1 << 64) - ((1 << 64) % bound)
-    assert bool((draws >= np.uint64(limit)).any()) == rejects
+    assert any(int(d) >= limit for d in draws) == rejects
     got = bulk_below(21, bound, count)
     assert (got == _bulk_below_by_rounds(21, bound, count)).all()
     assert all(int(v) < bound for v in got)
     if not rejects:
         assert (got == draws % np.uint64(bound)).all()
+        # with no rejection, draw i is the i-th scalar draw
+        rng = SplitMix64(21)
+        assert got.tolist() == [rng.below(bound) for _ in range(count)]
 
 
 def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
@@ -257,14 +269,13 @@ def test_pairwise_collision_rate():
 
 
 def _blas_rule(bank) -> bool:
-    """The dispatch rule: the combined key fits in uint64 and some limb width
-    keeps the float64 limb sums exact."""
-    limb_ok = any((bank.degree + 1) * (1 << b) * (bank.prime - 1) < (1 << 53)
-                  for b in (16, 8, 4))
-    return bank.prime * bank.key_span < (1 << 63) and limb_ok
+    """The dispatch rule: some limb width, the full bitlen(p - 1) or 16, 8
+    or 4 bits, keeps the float64 limb sums exact."""
+    return any((bank.degree + 1) * (1 << b) * (bank.prime - 1) < (1 << 53)
+               for b in ((bank.prime - 1).bit_length(), 16, 8, 4))
 
 
-def test_polybank_fast_iff_key_and_limb_bounds():
+def test_polybank_fast_iff_limb_bound():
     # p ~ 2**40 passes the limb bound at width 8; p ~ 2**50 fails every width
     for prime, fast in ((next_prime(1 << 40), True), (next_prime(1 << 50), False)):
         fam = HashFamily(universe=10, eps=0.4, prime=prime, degree=3)
@@ -396,14 +407,37 @@ def test_keys_ties_to_smaller_id_and_earlier_column(fam, kernel, monkeypatch):
     assert (const.eval([5, 2, 9]) == const.eval([5, 2, 9])[:, :1]).all()
     mins, cols = const.keys([5, 9, 2, 7, 2, 3])
     assert cols.tolist() == [2] * 5
-    assert all(int(m) == const.row_key(r, 2) for r, m in enumerate(mins))
+    assert all(int(m) == const.row_hash(r)(2) for r, m in enumerate(mins))
+    # across move calls: an equal value moves a row only at a smaller id, so
+    # neither a larger id nor a repeat of its winner (an id an evicting KMV
+    # sketch reports again) moves it
+    rows = SamplerRows(5, const.family, seed=8)
+    assert _kernel(rows.bank) == kernel
+    values = [const.row_hash(r)(1) for r in range(5)]
+    for ids, winner, moved in (([9, 5, 7], 5, [0] * 5), ([6, 3], 3, [5] * 5),
+                               ([4], 3, []), ([3, 3], 3, []), ([8, 2, 2], 2, [3] * 5)):
+        released, taken, cols = rows.move(ids)
+        assert released.tolist() == moved
+        assert taken.tolist() == [winner] * len(moved)
+        assert cols.tolist() == [ids.index(winner) for _ in moved]
+        assert rows.winner_id.tolist() == [winner] * 5
+        assert [int(v) for v in rows.winner_value] == values
     bank = PolyBank(5, fam, seed=9)
     assert _kernel(bank) == kernel
-    for xs in ([40, 3, 17, 3, 8, 40], [7, 7, 7], [12, 1, 30, 6, 6, 2]):
+    chunks = ([40, 3, 17, 3, 8, 40], [7, 7, 7], [12, 1, 30, 6, 6, 2])
+    for xs in chunks:
         mins, cols = bank.keys(xs)
         ref_mins, ref_cols = reference_minima(bank, xs)
         assert (mins == ref_mins).all() and (cols == ref_cols).all()
         _assert_keys_are_row_minima(bank, xs)
+    # moving over the chunks in turn ends at each row's minimum over them all
+    rows = SamplerRows(5, fam, seed=9)
+    for xs in chunks:
+        rows.move(xs)
+    union = [x for xs in chunks for x in xs]
+    ref_mins, ref_cols = reference_minima(bank, union)
+    assert (rows.winner_value == ref_mins).all()
+    assert rows.winner_id.tolist() == [union[c] for c in ref_cols]
 
 
 def test_float_mod_exact_at_quotient_slips():
@@ -426,12 +460,15 @@ def test_float_mod_exact_at_quotient_slips():
 
 def test_polybank_object_mode_forced():
     huge = HashFamily(universe=8, eps=0.3, prime=next_prime(1 << 63), degree=2)
-    # the general estimator at n = 2**26: nodes span 2 * n_pow2 = 2**27, so
-    # value * key_span overflows uint64
-    n26 = HashFamily.create(2 << 26, EstimatorConfig(n=1 << 26, user_eps=0.45, seed=0).eps_rel)
-    for fam, xs in ((huge, [1, 2, 8]), (n26, [1, 2, 12345, n26.universe])):
+    # the general estimator's rel bank at n = 2**34: nodes span
+    # 2 * n_pow2 = 2**35, and no limb width keeps the float64 sums exact;
+    # at n = 2**26 it is still on BLAS
+    eps_rel = EstimatorConfig(n=2, user_eps=0.45, seed=0).eps_rel
+    assert PolyBank(3, HashFamily.create(2 << 26, eps_rel), seed=1).fast
+    n34 = HashFamily.create(2 << 34, eps_rel)
+    for fam, xs in ((huge, [1, 2, 8]), (n34, [1, 2, 12345, n34.universe])):
         bank = PolyBank(3, fam, seed=1)
         assert not bank.fast and bank.hash_path == "object"
         mins, _ = bank.keys(xs)
-        assert (mins < bank.max_keys()).all()
+        assert all(0 <= v < bank.prime for v in mins)
         _assert_keys_are_row_minima(bank, xs)
