@@ -11,19 +11,16 @@ import math
 
 import numpy as np
 
-from intervalstream.hashing import (HashFamily, KMVDistinct, MinSampler,
-                                    MinWisePermutation, PolyBank)
-from intervalstream.rng import SplitMix64
+from intervalstream.hashing import HashFamily, KMVDistinct, PolyBank, SamplerRows
 
 fam = HashFamily.create(64, eps=0.25)
 print(f"family over [64] at eps=0.25: prime = {fam.prime}, degree = {fam.degree}")
 
-perm = MinWisePermutation(fam, SplitMix64(7))
-sampler = MinSampler(perm)
+sampler = SamplerRows(1, fam, seed=7)  # one row: one permutation of [64]
 stream = [9, 33, 9, 57, 12, 9, 33]
 for x in stream:
-    sampler.observe(x)
-print(f"stream {stream} -> sampled element {sampler.winner} "
+    sampler.move([x])
+print(f"stream {stream} -> sampled element {sampler.winner_id[0]} "
       "(multiplicity never matters)")
 
 print("\nempirical min-wise uniformity over 20000 permutations, |X| = 16:")
@@ -39,7 +36,7 @@ print(f"  ideal frequency 1/16 = {1 / 16:.4f}; worst deviation = {worst:.4f} "
 print("\nbottom-k distinct counter, k = ceil(96/0.2^2):")
 kmv_fam = HashFamily.create(100_000, eps=0.2)
 k = math.ceil(96 / 0.2 ** 2)
-counter = KMVDistinct(k, kmv_fam, SplitMix64(5))
+counter = KMVDistinct(k, kmv_fam, seed=5)
 for x in range(1, 50_001):
     counter.add(x)
 print(f"  50000 distinct ids -> estimate {counter.estimate():.0f} "

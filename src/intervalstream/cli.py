@@ -20,12 +20,8 @@ from .core import DomainError, Instance, ParseError, format_stream, parse_stream
 from .generators import (expected_alpha_index_general, expected_alpha_index_samelen,
                          gen_index_general, gen_index_samelen, gen_uniform,
                          gen_uniform_samelen, random_index_input)
-from .harness import run_single, run_trials, summary_to_json
+from .harness import ALGORITHMS, TrialReport, run_single, run_trials, summary_to_json
 from .hashing import HashFamily, make_counter
-from .rng import SplitMix64
-
-_ESTIMATE_ALGOS = ("estimate-general", "estimate-general-oracle",
-                   "estimate-samelen", "estimate-samelen-oracle")
 
 
 def _dump(obj) -> str:
@@ -111,22 +107,21 @@ def _distinct_points_estimate(args, inst: Instance) -> int:
     for iv in inst:
         if iv.length != 0:
             raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
-    rng = SplitMix64(args.seed)
     family = HashFamily.create(inst.n, args.eps)
-    counter = make_counter(args.counter, family, rng,
+    counter = make_counter(args.counter, family, args.seed,
                            kmv_k=math.ceil(96.0 / args.eps ** 2))
     for iv in inst:
         counter.add(iv.left)
     alpha = len({iv.left for iv in inst})
     output = counter.estimate()
     success = (2.0 / 3.0) * (1.0 - args.eps) * alpha <= output <= alpha
-    obj = {"kind": "trial", "instance_id": _instance_id(args),
-           "algorithm": "estimate-samelen", "alpha": alpha, "output": output,
-           "success": success, "peak_memory_units": counter.units,
-           "params": {"seed": args.seed, "eps": args.eps, "lambda": 0,
-                      "scale": args.scale, "counter": args.counter},
-           "wall_time_s": None, "details": {"route": "distinct-points"}}
-    _write(args, _dump(obj) + "\n")
+    report = TrialReport(
+        instance_id=_instance_id(args), algorithm="estimate-samelen",
+        params={"seed": args.seed, "eps": args.eps, "lambda": 0,
+                "scale": args.scale, "counter": args.counter},
+        output=output, alpha=alpha, success=success,
+        peak_memory_units=counter.units, details={"route": "distinct-points"})
+    _write(args, report.to_json() + "\n")
     return 0 if success else 1
 
 
@@ -151,7 +146,7 @@ def cmd_exact(args) -> int:
 
 
 def cmd_trials(args) -> int:
-    require_header = args.algo in _ESTIMATE_ALGOS
+    require_header = args.algo.startswith("estimate-")
     inst = _read_instance(args, require_header=require_header)
     reports, summary = run_trials(args.algo, inst, trials=args.trials,
                                   base_seed=args.seed, eps=args.eps, lam=args.lam,
@@ -217,10 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exact.set_defaults(func=cmd_exact)
 
     p_tr = sub.add_parser("trials", help="independent seeded trials plus summary")
-    p_tr.add_argument("--algo", choices=["select-general", "select-samelen",
-                                         "estimate-general", "estimate-general-oracle",
-                                         "estimate-samelen", "estimate-samelen-oracle"],
-                      required=True)
+    p_tr.add_argument("--algo", choices=ALGORITHMS, required=True)
     p_tr.add_argument("--trials", type=int, default=10)
     p_tr.add_argument("--seed", type=int, default=0)
     p_tr.add_argument("--eps", type=float, default=0.25)

@@ -167,7 +167,7 @@ class Window:
     def low(self) -> Code:
         if self.lo_code == -math.inf:
             return -math.inf
-        return self.lo_code // 2 if self.lo_code % 2 == 0 else (self.lo_code - 1) // 2
+        return self.lo_code // 2
 
     @property
     def low_closed(self) -> bool:
@@ -177,7 +177,7 @@ class Window:
     def high(self) -> Code:
         if self.hi_code == math.inf:
             return math.inf
-        return self.hi_code // 2 if self.hi_code % 2 == 0 else (self.hi_code + 1) // 2
+        return (self.hi_code + 1) // 2
 
     @property
     def high_closed(self) -> bool:

@@ -184,7 +184,7 @@ class GeneralAlphaEstimator:
         fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
         self.rel = SamplerRows(config.k_rel, fam_rel, rng.spawn(1).seed)
         self.rho = SamplerRows(config.k0, fam_rho, rng.spawn(2).seed)
-        self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3), config.kmv_k)
+        self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3).seed, config.kmv_k)
         # node table; the estimator holds the root entry, whose selector is
         # the fallback branch's estimate until the root saturates
         self.nodes: Dict[int, _Node] = {self.tree.root: _Node(1, with_selector=True)}

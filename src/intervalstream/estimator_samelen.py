@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .core import DomainError, Instance, Interval
 from .hashing import HashFamily, SamplerRows, make_counter
 from .rng import SplitMix64
-from .selector_samelen import ShiftedGridSelector
+from .selector_samelen import (Extremes, ShiftedGridSelector, holds_pair,
+                               merge_extremes)
 
 
 @dataclass
@@ -72,24 +73,8 @@ class SamelenEstimate:
     units: int
 
 
-Extremes = Tuple[int, int, int, int]  # (lm_l, lm_r, rm_l, rm_r) codes
-
 # First-seen windows hashed per PolyBank.keys call.
 _CHUNK = 32
-
-
-def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
-    """Leftmost (smallest right end, ties to the larger left end) and
-    rightmost (largest left end, ties to the smaller right end) interval
-    codes of a window after adding iv; ext None starts a window."""
-    if ext is None:
-        return (iv.lcode, iv.rcode, iv.lcode, iv.rcode)
-    lm_l, lm_r, rm_l, rm_r = ext
-    if iv.rcode < lm_r or (iv.rcode == lm_r and iv.lcode > lm_l):
-        lm_l, lm_r = iv.lcode, iv.rcode
-    if iv.lcode > rm_l or (iv.lcode == rm_l and iv.rcode < rm_r):
-        rm_l, rm_r = iv.lcode, iv.rcode
-    return (lm_l, lm_r, rm_l, rm_r)
 
 
 class _ShiftState:
@@ -108,7 +93,7 @@ class _ShiftState:
         self.shift = shift
         family = HashFamily.create(cfg.index_domain, cfg.eps2, cfg.c1, cfg.c2)
         self.counter = make_counter(cfg.counter_kind, family,
-                                    rng.spawn(10 + shift), cfg.kmv_k)
+                                    rng.spawn(10 + shift).seed, cfg.kmv_k)
         self.rows = SamplerRows(cfg.k, family, rng.spawn(20 + shift).seed)
         self.extremes: Dict[int, Extremes] = {}
         self.pending: List[int] = []
@@ -143,12 +128,8 @@ class _ShiftState:
 
     def type2_count(self) -> int:
         """Rows whose window holds two disjoint intervals (call after flush)."""
-        count = 0
-        for w, rows in zip(*self._held()):
-            _, lm_r, rm_l, _ = self.extremes[w]
-            if rm_l > lm_r:
-                count += rows
-        return count
+        return sum(rows for w, rows in zip(*self._held())
+                   if holds_pair(self.extremes[w]))
 
 
 class SamelenAlphaEstimator:
@@ -203,8 +184,8 @@ class SamelenAlphaEstimator:
 
 
 def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
-    """Exact leftmost/rightmost codes (lm_l, lm_r, rm_l, rm_r) per occupied
-    window index of one grid."""
+    """Exact (leftmost, rightmost) intervals per occupied window index of
+    one grid."""
     grid = ShiftedGridSelector(lam)
     stats: Dict[int, Extremes] = {}
     for iv in intervals:
@@ -218,7 +199,7 @@ def shift_gamma_counts(intervals, shift: int, lam: int) -> Tuple[int, int]:
     """Exact (gamma1, gamma2): occupied windows and type-2 windows of one grid."""
     stats = shift_window_stats(intervals, shift, lam)
     gamma1 = len(stats)
-    gamma2 = sum(1 for (_, lm_r, rm_l, _) in stats.values() if rm_l > lm_r)
+    gamma2 = sum(1 for ext in stats.values() if holds_pair(ext))
     return gamma1, gamma2
 
 

@@ -5,7 +5,8 @@ pluggable distinct-element counters (exact set or bottom-k sketch).
 A permutation order over [n] is induced by comparing (h(x), x) pairs
 lexicographically, where h is a random degree-(t-1) polynomial modulo a
 prime p chosen so that [n] occupies at most an eps/c1 fraction of the
-field.  All randomness flows from explicit 64-bit seeds.
+field.  PolyBank draws and evaluates every such polynomial; SamplerRows is
+the one min-wise sampler.  All randomness flows from explicit 64-bit seeds.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappush, heappushpop
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from .rng import SplitMix64, mix64, _GOLDEN, _MASK
+from .rng import _GOLDEN, _MASK
 
 
 def next_prime(x: int) -> int:
@@ -93,44 +94,6 @@ class HashFamily:
         return cls(universe, eps, prime, degree)
 
 
-class KWiseHash:
-    """Degree-(degree-1) polynomial over GF(prime); t-wise independent for
-    t = degree when coefficients are uniform."""
-
-    def __init__(self, prime: int, degree: int, rng: SplitMix64):
-        self.prime = prime
-        self.coeffs = [rng.below(prime) for _ in range(degree)]
-
-    def __call__(self, x: int) -> int:
-        return horner(self.coeffs, x, self.prime)
-
-
-class MinWisePermutation:
-    """One member of the family: a total order over [universe]."""
-
-    def __init__(self, family: HashFamily, rng: SplitMix64):
-        self.family = family
-        self.hash = KWiseHash(family.prime, family.degree, rng)
-
-    def key(self, x: int):
-        return (self.hash(x), x)
-
-    def less(self, x: int, y: int) -> bool:
-        return self.key(x) < self.key(y)
-
-
-class MinSampler:
-    """Tracks the permutation-minimum of the elements observed so far."""
-
-    def __init__(self, perm: MinWisePermutation):
-        self.perm = perm
-        self.winner: Optional[int] = None
-
-    def observe(self, x: int) -> None:
-        if self.winner is None or self.perm.less(x, self.winner):
-            self.winner = x
-
-
 class ExactDistinct:
     """Distinct counter backed by a plain set; estimate is exact."""
 
@@ -159,12 +122,12 @@ class KMVDistinct:
     estimates (k-1) * prime / (k-th smallest hash value).
     """
 
-    def __init__(self, k: int, family: HashFamily, rng: SplitMix64):
+    def __init__(self, k: int, family: HashFamily, seed: int):
         if k < 2:
             raise ValueError(f"k must be >= 2, got {k}")
         self.k = k
         self.prime = family.prime
-        self.hash = KWiseHash(family.prime, family.degree, rng)
+        self.hash = PolyBank(1, family, seed).row_hash(0)
         self._members = set()
         self._heap: List = []  # (-value, -id): top of heap = largest (value, id)
         self.saturated = False
@@ -201,11 +164,11 @@ class KMVDistinct:
         return len(self._heap)
 
 
-def make_counter(kind: str, family: HashFamily, rng: SplitMix64, kmv_k: int):
+def make_counter(kind: str, family: HashFamily, seed: int, kmv_k: int):
     if kind == "exact":
         return ExactDistinct()
     if kind == "kmv":
-        return KMVDistinct(kmv_k, family, rng)
+        return KMVDistinct(kmv_k, family, seed)
     raise ValueError(f"unknown counter kind {kind!r}")
 
 
@@ -231,8 +194,8 @@ def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
     """Vectorized unbiased draws in [0, bound) via rejection: draw i is
     replaced by later draws of the stream, in order, while it is rejected.
     A bound dividing 2**64 rejects nothing."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    if not 0 < bound < 1 << 64:
+        raise ValueError(f"bound must be in (0, 2**64), got {bound}")
     draws = bulk_u64(seed, count)
     out = draws % np.uint64(bound)
     rem = (1 << 64) % bound
@@ -397,7 +360,8 @@ class PolyBank:
         return values, order[cols]
 
     def row_hash(self, r: int):
-        """Scalar evaluator for row r (for replay checks)."""
+        """Scalar evaluator for row r: the hash of a KMV counter, and the
+        reference of replay checks."""
         cs = [int(c) for c in self.coeffs[r]]
         return lambda x: horner(cs, x, self.prime)
 

@@ -32,8 +32,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in (0, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()

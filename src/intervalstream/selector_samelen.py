@@ -11,21 +11,46 @@ approximation overall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import Interval
+
+Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
+
+
+def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
+    """Leftmost (smallest right end) and rightmost (largest left end)
+    interval of a window after adding iv; ext None starts a window.  On a
+    tie the earlier interval stays."""
+    if ext is None:
+        return iv, iv
+    leftmost, rightmost = ext
+    if iv.rcode < leftmost.rcode:
+        leftmost = iv
+    if iv.lcode > rightmost.lcode:
+        rightmost = iv
+    return leftmost, rightmost
+
+
+def holds_pair(ext: Extremes) -> bool:
+    """True when the window holds two disjoint intervals (type 2): then its
+    leftmost and rightmost intervals are such a pair."""
+    leftmost, rightmost = ext
+    return rightmost.lcode > leftmost.rcode
 
 
 @dataclass
 class GridWindow:
-    first: Interval        # solution entry while only one fits
-    leftmost: Interval
-    rightmost: Interval
-    pair_done: bool = False  # two disjoint intervals found; pair is frozen
+    first: Interval  # solution entry while only one fits
+    ext: Extremes    # frozen once it holds a pair
+
+    @property
+    def pair_done(self) -> bool:
+        return holds_pair(self.ext)
 
     def solution(self) -> List[Interval]:
         if self.pair_done:
-            return [self.leftmost, self.rightmost]
+            return list(self.ext)
         return [self.first]
 
     def size(self) -> int:
@@ -66,19 +91,10 @@ class ShiftedGridSelector:
                 continue
             win = self.shifts[a].get(j)
             if win is None:
-                self.shifts[a][j] = GridWindow(iv, iv, iv)
+                self.shifts[a][j] = GridWindow(iv, merge_extremes(None, iv))
                 self.peak_windows = max(self.peak_windows, self.window_count)
-                continue
-            if win.pair_done:
-                continue
-            ell = win.rightmost.lcode
-            r = win.leftmost.rcode
-            if ell < iv.lcode:
-                win.rightmost = iv
-            if iv.rcode < r:
-                win.leftmost = iv
-            if win.rightmost.lcode > win.leftmost.rcode:
-                win.pair_done = True
+            elif not holds_pair(win.ext):
+                win.ext = merge_extremes(win.ext, iv)
 
     @property
     def window_count(self) -> int:

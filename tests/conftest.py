@@ -4,13 +4,14 @@ seeded instance makers."""
 
 from __future__ import annotations
 
+import collections
 import math
 
 import numpy as np
 
 from intervalstream import oracle
 from intervalstream.core import Instance, Interval, Window, intersects
-from intervalstream.hashing import ExactDistinct
+from intervalstream.hashing import ExactDistinct, HashFamily, PolyBank
 from intervalstream.rng import SplitMix64
 
 
@@ -93,6 +94,21 @@ def reference_minima(bank, xs):
     ids = np.asarray(xs, dtype=np.int64)
     tied = np.where(values == mins[:, None], ids[None, :], np.iinfo(np.int64).max)
     return mins, tied.argmin(axis=1)
+
+
+DRAWS = 20000
+
+
+def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
+    """Empirical winner frequencies of a fixed set under independent
+    permutations (the min-wise tests and criterion 4)."""
+    fam = HashFamily.create(n, eps)
+    xs = list(range(3, 3 + 4 * x_count, 4))
+    bank = PolyBank(draws, fam, seed=seed)
+    _, cols = reference_minima(bank, xs)
+    winners = np.asarray(xs)[cols]
+    freq = collections.Counter(winners.tolist())
+    return xs, winners.tolist(), freq
 
 
 def general_replay_violations(est, inst, gammas=None, active=None):

@@ -11,10 +11,11 @@ an instance that beats the threshold and so checks the sampled branch.
 import json
 import math
 import time
+from collections import Counter
 
 import pytest
 
-from intervalstream.core import Instance, Interval, pairwise_disjoint
+from intervalstream.core import Instance, Interval, format_stream, pairwise_disjoint
 from intervalstream import oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       estimate_oracle_mode)
@@ -29,9 +30,8 @@ from intervalstream.oracle import SegTree
 from intervalstream.selector import PartitionSelector
 from intervalstream.selector_samelen import ShiftedGridSelector, shift_subinstance
 
-from conftest import general_replay_violations
+from conftest import DRAWS, general_replay_violations, minwise_frequencies
 from test_cli import run_cli
-from test_hashing import minwise_frequencies, DRAWS
 
 
 def verdict(num, name, ok, detail=""):
@@ -148,7 +148,6 @@ def test_criterion_4_minwise_family():
     q0 = 0.25
     sig_c = math.sqrt(q0 * (1 - q0) / len(conditioned))
     lo_c, hi_c = (1 - 4 * eps) * q0 - 3 * sig_c, (1 + 4 * eps) * q0 + 3 * sig_c
-    from collections import Counter
     counts = Counter(conditioned)
     ok_cond = all(lo_c <= counts[y] / len(conditioned) <= hi_c for y in y_set)
     elapsed = time.perf_counter() - start
@@ -359,6 +358,5 @@ def _samelen_file(tmp_path):
     path = tmp_path / "samelen.txt"
     if not path.exists():
         inst = gen_uniform_samelen(512, 100, 4, seed=12)
-        from intervalstream.core import format_stream
         path.write_text(format_stream(inst))
     return path

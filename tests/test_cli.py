@@ -208,6 +208,22 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
         assert err.startswith("error: ") and str(missing) in err
 
 
+@pytest.mark.parametrize("args,stdin_text", [
+    (["gen", "uniform", "--n", str(10 ** 23)], ""),
+    (["estimate", "--algo", "samelen", "--lambda", "0", "--counter", "kmv"],
+     f"n {1 << 62}\n1 1\n"),
+    (["estimate", "--algo", "general", "--eps", "0.45", "--scale", "1e-9"],
+     f"n {1 << 54}\n1 3\n"),
+], ids=["gen-n-1e23", "lambda0-kmv-n2^62", "general-n2^54"])
+def test_bound_of_2_64_or_more_is_an_error_not_a_hang(args, stdin_text):
+    # a draw bound past 2**64 once looped forever (gen, the lambda 0 KMV
+    # counter) or raised OverflowError (the general estimator's banks)
+    proc = subprocess.run([sys.executable, "-m", "intervalstream.cli", *args],
+                          input=stdin_text, text=True, capture_output=True, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: bound must be in (0, 2**64")
+
+
 def test_console_entrypoint_subprocess():
     proc = subprocess.run([sys.executable, "-m", "intervalstream.cli", "exact"],
                           input="n 5\n1 2\n4 5\n", text=True, capture_output=True)

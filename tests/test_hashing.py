@@ -9,14 +9,11 @@ from intervalstream import hashing
 from intervalstream.estimator import EstimatorConfig
 from intervalstream.estimator_samelen import SamelenConfig
 from intervalstream.hashing import (ExactDistinct, HashFamily, KMVDistinct,
-                                    KWiseHash, MinSampler, MinWisePermutation,
                                     PolyBank, SamplerRows, bulk_below, bulk_u64,
                                     next_prime)
 from intervalstream.rng import SplitMix64
 
-from conftest import reference_minima
-
-DRAWS = 20000
+from conftest import DRAWS, minwise_frequencies, reference_minima
 
 
 def _is_prime_slow(x: int) -> bool:
@@ -47,39 +44,47 @@ def test_next_prime():
         assert _is_prime_slow(next_prime(x))
 
 
+def _order_key(bank, r):
+    """Row r's min-wise order on ids: x before y when (h(x), x) < (h(y), y)."""
+    h = bank.row_hash(r)
+    return lambda x: (h(x), x)
+
+
 def test_perm_less_total_order():
     fam = HashFamily.create(16, 0.25)
-    perm = MinWisePermutation(fam, SplitMix64(7))
+    key = _order_key(PolyBank(1, fam, seed=7), 0)
+
+    def less(x, y):
+        return key(x) < key(y)
+
     xs = list(range(1, 17))
     for x in xs:
-        assert not perm.less(x, x)
+        assert not less(x, x)
         for y in xs:
             if x != y:
-                assert perm.less(x, y) != perm.less(y, x)
-    ranked = sorted(xs, key=cmp_to_key(lambda a, b: -1 if perm.less(a, b) else 1))
+                assert less(x, y) != less(y, x)
+    ranked = sorted(xs, key=cmp_to_key(lambda a, b: -1 if less(a, b) else 1))
     assert sorted(ranked) == xs
     for a, b in zip(ranked, ranked[1:]):
-        assert perm.less(a, b)
+        assert less(a, b)
 
 
 def test_min_sampler_examples():
     fam = HashFamily.create(64, 0.25)
-    perm = MinWisePermutation(fam, SplitMix64(3))
-    s = MinSampler(perm)
-    s.observe(5)
-    assert s.winner == 5
+    s = SamplerRows(1, fam, seed=3)
+    s.move([5])
+    assert s.winner_id[0] == 5
     for _ in range(5):
-        s.observe(5)
-    assert s.winner == 5
+        s.move([5])
+    assert s.winner_id[0] == 5
 
     rng = SplitMix64(11)
     for trial in range(25):
         xs = sorted({rng.randrange(1, 64) for _ in range(rng.randrange(1, 20))})
-        perm = MinWisePermutation(fam, rng.spawn(trial))
-        samp = MinSampler(perm)
+        samp = SamplerRows(1, fam, seed=rng.spawn(trial).seed)
         for x in xs:
-            samp.observe(x)
-        assert samp.winner == min(xs, key=perm.key)
+            samp.move([x])
+        assert samp.winner_id[0] == min(xs, key=_order_key(samp.bank, 0))
 
 
 def test_exact_distinct():
@@ -93,7 +98,7 @@ def test_exact_distinct():
 
 def test_kmv_exact_below_saturation():
     fam = HashFamily.create(1024, 0.25)
-    c = KMVDistinct(16, fam, SplitMix64(2))
+    c = KMVDistinct(16, fam, seed=2)
     for x in list(range(1, 11)) * 3:
         c.add(x)
     assert c.estimate() == 10.0
@@ -104,7 +109,7 @@ def test_kmv_add_true_at_every_first_occurrence():
     # a sketch of 4 saturates and evicts; add() may return True again for a
     # rejected or evicted id, but never False at a first occurrence
     fam = HashFamily.create(1024, 0.25)
-    c = KMVDistinct(4, fam, SplitMix64(3))
+    c = KMVDistinct(4, fam, seed=3)
     rng = SplitMix64(8)
     seen, repeats_true = set(), 0
     for _ in range(400):
@@ -125,12 +130,23 @@ def test_kmv_monte_carlo_calibration():
     k = math.ceil(96.0 / 0.2 ** 2)
     good = 0
     for seed in range(100):
-        c = KMVDistinct(k, fam, SplitMix64(seed))
+        c = KMVDistinct(k, fam, seed)
         for x in range(1, 4097):
             c.add(x)
         if abs(c.estimate() - 4096) <= 0.2 * 4096:
             good += 1
     assert good >= 90
+
+
+def test_kmv_hash_is_row_0_of_a_one_row_bank():
+    # the counter draws and evaluates its polynomial as every bank does
+    for fam in (HashFamily.create(4096, 0.2),
+                HashFamily(universe=8, eps=0.3, prime=next_prime(1 << 63), degree=2)):
+        bank = PolyBank(1, fam, seed=6)
+        c = KMVDistinct(8, fam, seed=6)
+        xs = [1, 2, 3, 77, fam.universe]
+        assert [c.hash(x) for x in xs] == [int(v) for v in bank.eval(xs)[0]]
+        assert [c.hash(x) for x in xs] == [bank.row_hash(0)(x) for x in xs]
 
 
 def _assert_keys_are_row_minima(bank, xs):
@@ -156,10 +172,9 @@ def test_kwise_scalar_matches_bank_rows():
         h = bank.row_hash(r)
         for j, x in enumerate(xs):
             assert int(values[r, j]) == h(x)
-        # a scalar permutation on row r's coefficients orders xs as the bank does
-        perm = MinWisePermutation(fam, SplitMix64(0))
-        perm.hash.coeffs = [int(c) for c in bank.coeffs[r]]
-        assert (int(mins[r]), xs[int(cols[r])]) == perm.key(min(xs, key=perm.key))
+        # row r's scalar order on xs agrees with the bank's minimum
+        key = _order_key(bank, r)
+        assert (int(mins[r]), xs[int(cols[r])]) == key(min(xs, key=key))
     _assert_keys_are_row_minima(bank, xs)
 
 
@@ -175,6 +190,19 @@ def test_bulk_below_bounds_and_determinism():
     b = bulk_below(5, 97, 1000)
     assert (a == b).all()
     assert a.max() < 97
+
+
+def test_draw_bounds_past_2_64_rejected():
+    # the rejection limit of a bound past 2**64 is 0: no draw would pass
+    rng = SplitMix64(5)
+    assert 0 <= rng.below(1 << 64) < 1 << 64
+    assert 0 <= bulk_below(5, (1 << 64) - 1, 3).max() < (1 << 64) - 1
+    for bad in ((1 << 64) + 1, 10 ** 23, 0):
+        with pytest.raises(ValueError):
+            rng.below(bad)
+    for bad in (1 << 64, 10 ** 23, 0):
+        with pytest.raises(ValueError):
+            bulk_below(5, bad, 3)
 
 
 def _bulk_below_by_rounds(seed, bound, count):
@@ -213,18 +241,6 @@ def test_bulk_below_matches_rejection_rounds(bound, rejects):
         # with no rejection, draw i is the i-th scalar draw
         rng = SplitMix64(21)
         assert got.tolist() == [rng.below(bound) for _ in range(count)]
-
-
-def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
-    """Empirical winner frequencies of a fixed set under independent
-    permutations; shared with the acceptance suite."""
-    fam = HashFamily.create(n, eps)
-    xs = list(range(3, 3 + 4 * x_count, 4))
-    bank = PolyBank(draws, fam, seed=seed)
-    _, cols = reference_minima(bank, xs)
-    winners = np.asarray(xs)[cols]
-    freq = collections.Counter(winners.tolist())
-    return xs, winners.tolist(), freq
 
 
 def test_minwise_statistical_bound():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalstream.core import Instance, Interval, intersects
+from intervalstream.estimator_samelen import shift_window_stats
 from intervalstream.oracle import alpha
-from intervalstream.selector_samelen import ShiftedGridSelector, shift_subinstance
+from intervalstream.selector_samelen import ShiftedGridSelector, holds_pair, shift_subinstance
 
 from intervalstream.rng import SplitMix64
 
@@ -130,6 +131,31 @@ def test_ratio_space_disjointness(seed):
             assert not intersects(x, y)
     stream_set = set(stream)
     assert all(iv in stream_set for iv in solution)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_window_ext_matches_shift_window_stats(seed):
+    # the selector and shift_window_stats merge by one rule: a window's ext
+    # is the exact (leftmost, rightmost) of the stream so far until it holds
+    # a pair, and that pair stays; open ends make ties on rcode and lcode
+    rng = SplitMix64(seed + 4242)
+    lam = rng.randrange(1, 4)
+    stream = [Interval(left, left + lam, rng.below(2) == 1, rng.below(2) == 1)
+              for left in (rng.randrange(1, 60) for _ in range(50))]
+    sel = ShiftedGridSelector(lam)
+    frozen = {}
+    for t, iv in enumerate(stream, start=1):
+        sel.process(iv)
+        for a in (0, 1, 2):
+            stats = shift_window_stats(stream[:t], a, lam)
+            assert set(sel.shifts[a]) == set(stats)
+            for j, win in sel.shifts[a].items():
+                if holds_pair(win.ext):
+                    assert win.ext == frozen.setdefault((a, j), stats[j])
+                    assert holds_pair(stats[j])
+                else:
+                    assert win.ext == stats[j]
+    assert frozen and any(not holds_pair(w.ext) for s in sel.shifts for w in s.values())
 
 
 @settings(max_examples=80, deadline=None)
