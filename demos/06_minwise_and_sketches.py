@@ -9,26 +9,23 @@ yields a distinct-count sketch.
 import collections
 import math
 
-import numpy as np
-
-from intervalstream.hashing import HashFamily, KMVDistinct, PolyBank, SamplerRows
+from intervalstream.hashing import BottomK, HashFamily, KMVDistinct, PolyBank
 
 fam = HashFamily.create(64, eps=0.25)
 print(f"family over [64] at eps=0.25: prime = {fam.prime}, degree = {fam.degree}")
 
-sampler = SamplerRows(1, fam, seed=7)  # one row: one permutation of [64]
+sampler = BottomK(1, fam, seed=7)  # k = 1: the minimum under one permutation of [64]
 stream = [9, 33, 9, 57, 12, 9, 33]
 for x in stream:
-    sampler.move([x])
-print(f"stream {stream} -> sampled element {sampler.winner_id[0]} "
+    sampler.offer(x, sampler.bank.keys([x])[0])
+print(f"stream {stream} -> sampled element {sampler.pairs()[0][1]} "
       "(multiplicity never matters)")
 
 print("\nempirical min-wise uniformity over 20000 permutations, |X| = 16:")
 xs = list(range(3, 67, 4))
 bank = PolyBank(20000, fam, seed=42)
-_, cols = bank.keys(xs)  # each permutation's minimum over xs, as a column of xs
-winners = np.asarray(xs)[cols]
-freq = collections.Counter(winners.tolist())
+# each permutation's minimum over xs in the (h(x), x) order
+freq = collections.Counter(min(zip(row, xs))[1] for row in bank.eval(xs))
 worst = max(abs(freq[x] / 20000 - 1 / 16) for x in xs)
 print(f"  ideal frequency 1/16 = {1 / 16:.4f}; worst deviation = {worst:.4f} "
       f"(allowed bias at eps=0.25: {0.25 / 16:.4f})")

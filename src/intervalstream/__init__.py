@@ -9,8 +9,7 @@ from .estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,
 from .generators import (gen_index_general, gen_index_samelen, gen_uniform,
                          gen_uniform_samelen)
 from .harness import TrialReport, run_single, run_trials, trial_success
-from .hashing import (ExactDistinct, HashFamily, KMVDistinct, PolyBank,
-                      SamplerRows)
+from .hashing import BottomK, ExactDistinct, HashFamily, KMVDistinct, PolyBank
 from .oracle import SegTree, alpha, beta, brute_force_alpha, gamma
 from .selector import PartitionSelector
 from .selector_samelen import ShiftedGridSelector

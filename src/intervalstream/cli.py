@@ -101,19 +101,22 @@ def cmd_select(args) -> int:
 
 
 def _distinct_points_estimate(args, inst: Instance) -> int:
-    """Zero-length route: alpha equals the number of distinct points."""
+    """Zero-length route: alpha equals the number of distinct points.  The
+    counter is sized for eps' = eps/3 and its count divided by 1 + eps', so
+    a count within (1 +- eps') of alpha lands in [2/3(1-eps) alpha, alpha]."""
     if not 0 < args.eps < 0.5:
         raise DomainError(f"eps must be in (0, 1/2), got {args.eps}")
     for iv in inst:
         if iv.length != 0:
             raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
-    family = HashFamily.create(inst.n, args.eps)
+    eps_count = args.eps / 3.0
+    family = HashFamily.create(inst.n, eps_count)
     counter = make_counter(args.counter, family, args.seed,
-                           kmv_k=math.ceil(96.0 / args.eps ** 2))
+                           kmv_k=math.ceil(96.0 / eps_count ** 2))
     for iv in inst:
         counter.add(iv.left)
     alpha = len({iv.left for iv in inst})
-    output = counter.estimate()
+    output = counter.estimate() / (1.0 + eps_count)
     success = (2.0 / 3.0) * (1.0 - args.eps) * alpha <= output <= alpha
     report = TrialReport(
         instance_id=_instance_id(args), algorithm="estimate-samelen",

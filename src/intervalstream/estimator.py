@@ -2,10 +2,10 @@
 arbitrary intervals with endpoints in [1, n].
 
 Pipeline: every interval activates a short sequence of segment-tree
-segments; a distinct counter estimates the number of active segments;
-min-wise sampled active segments estimate the fraction that is *relevant*
-(small capped gamma count under a saturated parent); a second group of
-samplers carries a nested 2-approximation selector on its winner segment
+segments; a distinct counter estimates the number of active segments; a
+bottom-k sample of the active segments estimates the fraction that is
+*relevant* (small capped gamma count under a saturated parent); a second
+bottom-k sample carries a nested 2-approximation selector on each member
 to estimate the average solution size per relevant segment.  The product
 of the three estimates, corrected by the epsilon cascade, estimates alpha.
 
@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from .core import DomainError, Instance, Interval
-from .hashing import HashFamily, SamplerRows, make_counter
+from .hashing import BottomK, HashFamily, make_counter
 from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
 from .rng import SplitMix64
 from .selector import PartitionSelector
@@ -106,25 +105,25 @@ class GeneralEstimate:
     branch: str                 # "fallback" or "sampled"
     degraded: bool = False
     n_act_hat: float = 0.0
-    relevant_count: int = 0     # relevant winners among the ratio samplers
+    relevant_count: int = 0     # relevant members of the rel sample
     rho_hat: float = 0.0
-    rho_available: int = 0      # relevant winners among the k0 rho samplers
+    rho_available: int = 0      # relevant members of the rho sample
     peak_units: int = 0
     tracked_nodes: int = 0      # peak size of the node table
 
 
 class _Node:
-    """State of one tree node u, shared by every row of both groups that
-    holds u (own role) or a child of u (parent role).
+    """State of one tree node u, shared by both samples when either holds u
+    (own role) or a child of u (parent role).
 
-    Rows take a node only at its first emission, so u's entry starts at the
-    first emission of u or of a child of u, and no interval is contained in
-    u before either.  The tracker is therefore exactly min(gamma(u), cap)
-    whichever row created it: `seen` holds the nodes of u's subtree that
+    A sample takes a node only at its first emission, so u's entry starts at
+    the first emission of u or of a child of u, and no interval is contained
+    in u before either.  The tracker is therefore exactly min(gamma(u), cap)
+    whichever sample created it: `seen` holds the nodes of u's subtree that
     contain an interval until there are cap of them, then None.  `selector`
     is the nested 2-approximation over the intervals contained in u, kept
-    for a rho row's winner and for the root; it is dropped when the tracker
-    saturates, since u can then never be relevant.
+    for a member of the rho sample and for the root; it is dropped when the
+    tracker saturates, since u can then never be relevant.
     """
 
     __slots__ = ("refs", "seen", "selector")
@@ -162,8 +161,8 @@ class _Node:
 
 
 def _lineage(v: int) -> Tuple[int, ...]:
-    """The nodes a row holding v references: v, and its parent unless v is
-    the root."""
+    """The nodes a sample holding v references: v, and its parent unless v
+    is the root."""
     return (v, v >> 1) if v > 1 else (v,)
 
 
@@ -182,14 +181,13 @@ class GeneralAlphaEstimator:
         id_universe = 2 * self.tree.n_pow2
         fam_rel = HashFamily.create(id_universe, config.eps_rel, config.c1, config.c2)
         fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
-        self.rel = SamplerRows(config.k_rel, fam_rel, rng.spawn(1).seed)
-        self.rho = SamplerRows(config.k0, fam_rho, rng.spawn(2).seed)
+        self.rel = BottomK(config.k_rel, fam_rel, rng.spawn(1).seed)
+        self.rho = BottomK(config.k0, fam_rho, rng.spawn(2).seed)
         self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3).seed, config.kmv_k)
         # node table; the estimator holds the root entry, whose selector is
         # the fallback branch's estimate until the root saturates
         self.nodes: Dict[int, _Node] = {self.tree.root: _Node(1, with_selector=True)}
         self._node_units = self.nodes[self.tree.root].units
-        self._row_units = config.k_rel + config.k0  # one winner (value, node) per row
         self.items = 0
         self.peak_units = 0
         self.peak_nodes = 0
@@ -199,22 +197,16 @@ class GeneralAlphaEstimator:
         self._chunk_ids = 256
 
     @property
-    def hash_path(self) -> str:
-        """"object" when either sampler bank hashes on Python integers,
-        else "blas"."""
-        paths = {self.rel.bank.hash_path, self.rho.bank.hash_path}
-        return "object" if "object" in paths else "blas"
-
-    @property
     def columns_hashed(self) -> int:
-        """Ids hashed so far, summed over both sampler banks."""
+        """Ids hashed so far, summed over both samples' banks."""
         return self.rel.bank.columns_hashed + self.rho.bank.columns_hashed
 
     def process(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
         self.items += 1
-        # duplicates never move a running minimum, so known-seen nodes skip the banks
+        # an id offered before is a member or never enters, so known-seen
+        # nodes skip the samples
         path = self.tree.containing_path(iv)
         new_ids = [v for v in emitted_segments(self.tree, iv, path) if self.counter.add(v)]
         self._pending.append((iv, path, new_ids))
@@ -223,68 +215,51 @@ class GeneralAlphaEstimator:
             self.flush()
 
     def flush(self) -> None:
-        """Apply buffered intervals: one batched hash pass per sampler group
-        returns each row's minimum over the chunk, and rows whose minimum
-        comes before their running one move to it.  Entries of nodes the
-        rows took start at the interval that first emitted the node, so
-        nodes held only inside the chunk never get one; the intervals then
-        feed the node table in stream order (identical outcome to
-        unbuffered processing)."""
+        """Apply buffered intervals in stream order: one PolyBank.keys call
+        per sample hashes the chunk's fresh ids; each interval's fresh ids
+        are offered to both samples, then the interval feeds the node table
+        (identical outcome to unbuffered processing)."""
         if not self._pending:
             return
-        all_ids = [v for _, _, new_ids in self._pending for v in new_ids]
-        births = self._move_rows(all_ids) if all_ids else {}
+        ids = [v for _, _, new_ids in self._pending for v in new_ids]
+        keyed = zip(ids, self.rel.bank.keys(ids), self.rho.bank.keys(ids))
         cap = self.config.gamma_cap
-        for item, (iv, path, _) in enumerate(self._pending):
-            for v, node in births.get(item, ()):
-                self.nodes[v] = node
-                self._node_units += node.units
+        for iv, path, new_ids in self._pending:
+            for v, rel_value, rho_value in islice(keyed, len(new_ids)):
+                self._offer(v, rel_value, rho_value)
             for idx, v in enumerate(path):
                 node = self.nodes.get(v)
                 if node is not None and not node.saturated:
                     self._node_units += node.add(iv, path[idx:], cap)
-            self.peak_units = max(self.peak_units, self._node_units + self._row_units
-                                  + self.counter.units)
+            self.peak_units = max(self.peak_units, self._node_units + self.rel.units
+                                  + self.rho.units + self.counter.units)
             self.peak_nodes = max(self.peak_nodes, len(self.nodes))
         self._pending = []
         self._pending_ids = 0
 
-    def _move_rows(self, all_ids: List[int]) -> Dict[int, List[Tuple[int, _Node]]]:
-        """Move both groups' rows over the pending chunk and update the
-        table's references: entries no row references any more are
-        dropped, and entries of newly referenced nodes are returned keyed
-        by the pending item they start at."""
-        item_of = np.repeat(np.arange(len(self._pending)),
-                            [len(new_ids) for _, _, new_ids in self._pending])
-        refs: Dict[int, int] = {}
-        start: Dict[int, int] = {}      # node without an entry -> its first item
-        selected: Set[int] = set()      # nodes a rho row took
-        for group in (self.rel, self.rho):
-            released, taken, cols = group.move(all_ids)
-            nodes, first, counts = np.unique(taken, return_index=True, return_counts=True)
-            for v, item, count in zip(nodes.tolist(), item_of[cols[first]].tolist(),
-                                      counts.tolist()):
-                for u in _lineage(v):
-                    refs[u] = refs.get(u, 0) + count
-                    if u not in self.nodes:
-                        start[u] = min(item, start.get(u, item))
-                if group is self.rho:
-                    selected.add(v)
-            nodes, counts = np.unique(released[released > 0], return_counts=True)
-            for v, count in zip(nodes.tolist(), counts.tolist()):
-                for u in _lineage(v):
-                    refs[u] = refs.get(u, 0) - count
-        for u, delta in refs.items():
+    def _offer(self, v: int, rel_value: int, rho_value: int) -> None:
+        """Offer node v to both samples and update the table's references:
+        a sample taking v references v and its parent, creating missing
+        entries (v's with a selector when the rho sample took it), and an
+        evicted node's entries lose a reference and go at zero.  v's first
+        offer comes before any child of v is emitted, so v has no entry
+        yet unless v is the root."""
+        out = (self.rel.offer(v, rel_value), self.rho.offer(v, rho_value))
+        if out == (None, None):
+            return
+        for u in _lineage(v):
             node = self.nodes.get(u)
-            if node is not None:
-                node.refs += delta
+            if node is None:
+                node = self.nodes[u] = _Node(0, with_selector=u == v and out[1] is not None)
+                self._node_units += node.units
+            node.refs += (out[0] is not None) + (out[1] is not None)
+        for evicted in out:
+            for u in _lineage(evicted) if evicted else ():
+                node = self.nodes[u]
+                node.refs -= 1
                 if node.refs == 0:
                     del self.nodes[u]
                     self._node_units -= node.units
-        births: Dict[int, List[Tuple[int, _Node]]] = {}
-        for u, item in start.items():
-            births.setdefault(item, []).append((u, _Node(refs[u], u in selected)))
-        return births
 
     def is_relevant(self, v: int) -> bool:
         """Small capped gamma under a saturated parent (never the root)."""
@@ -302,19 +277,17 @@ class GeneralAlphaEstimator:
                                    tracked_nodes=self.peak_nodes)
         cfg = self.config
         n_act = self.counter.estimate()
-        held = np.union1d(self.rel.winner_id, self.rho.winner_id)
-        relevant = [v for v in held.tolist() if self.is_relevant(v)]
-        x = int(np.isin(self.rel.winner_id, relevant).sum())
-        n_rel = n_act * x / cfg.k_rel
-        rho_rows = np.nonzero(np.isin(self.rho.winner_id, relevant))[0]
-        take = self.rho.winner_id[rho_rows[:cfg.k_rho]].tolist()
-        sizes = [self.nodes[v].selector.window_count for v in take]
+        # the root is emitted first, so a saturated root leaves both samples nonempty
+        x = sum(self.is_relevant(v) for v in self.rel.members)
+        n_rel = n_act * x / len(self.rel.members)
+        relevant = [v for _, v in self.rho.pairs() if self.is_relevant(v)]
+        sizes = [self.nodes[v].selector.window_count for v in relevant[:cfg.k_rho]]
         rho_hat = (sum(sizes) / len(sizes)) if sizes else 0.0
         value = n_rel * rho_hat / (1.0 + cfg.eps1) ** 2
         return GeneralEstimate(value=value, branch="sampled",
-                               degraded=len(rho_rows) < cfg.k_rho,
+                               degraded=len(relevant) < cfg.k_rho,
                                n_act_hat=n_act, relevant_count=x, rho_hat=rho_hat,
-                               rho_available=len(rho_rows), peak_units=self.peak_units,
+                               rho_available=len(relevant), peak_units=self.peak_units,
                                tracked_nodes=self.peak_nodes)
 
 

@@ -2,10 +2,10 @@
 equal-length intervals.
 
 Per shifted grid: a distinct counter over occupied window indices estimates
-how many windows contain an interval, and min-wise sampled occupied windows
-estimate the fraction that holds two disjoint intervals (type 2).  The two
-combine to an estimate of the optimum restricted to that grid; the best of
-the three grids, corrected by the epsilon cascade, estimates alpha.
+how many windows contain an interval, and a bottom-k sample of the occupied
+windows estimates the fraction that holds two disjoint intervals (type 2).
+The two combine to an estimate of the optimum restricted to that grid; the
+best of the three grids, corrected by the epsilon cascade, estimates alpha.
 """
 
 from __future__ import annotations
@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-import numpy as np
-
 from .core import DomainError, Instance, Interval
-from .hashing import HashFamily, SamplerRows, make_counter
+from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (Extremes, ShiftedGridSelector, holds_pair,
                                merge_extremes)
@@ -73,20 +71,13 @@ class SamelenEstimate:
     units: int
 
 
-# First-seen windows hashed per PolyBank.keys call.
-_CHUNK = 32
-
-
 class _ShiftState:
-    """k min-wise samplers over the occupied windows of one grid.
+    """Bottom-k sample of the occupied windows of one grid.
 
-    Window j is hashed as the id j + 2, which also keys its extremes.  Ids
-    are distinct, so a window can take a row only the first time it is
-    hashed; later occurrences meet a running minimum no later than its own.
-    Only windows the counter reports as possibly new are hashed, in
-    batches of _CHUNK.  Every row a window holds shares that window's
-    extremes, so they are kept once per window, and only for windows that
-    are pending or hold a row.
+    Window j is hashed as the id j + 2, which also keys its extremes.  A
+    window enters the sample at its first offer or never, so only windows
+    the counter reports as possibly new are hashed and offered, when they
+    are seen.  The extremes are kept for the sample's members only.
     """
 
     def __init__(self, shift: int, cfg: SamelenConfig, rng: SplitMix64):
@@ -94,42 +85,24 @@ class _ShiftState:
         family = HashFamily.create(cfg.index_domain, cfg.eps2, cfg.c1, cfg.c2)
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift).seed, cfg.kmv_k)
-        self.rows = SamplerRows(cfg.k, family, rng.spawn(20 + shift).seed)
+        self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
         self.extremes: Dict[int, Extremes] = {}
-        self.pending: List[int] = []
 
     def observe(self, j: int, iv: Interval) -> None:
         w = j + 2
         fresh = self.counter.add(w)
         ext = self.extremes.get(w)
-        if ext is None and not fresh:
-            return  # seen before and holds no row: it can never take one
-        self.extremes[w] = merge_extremes(ext, iv)
-        if ext is None:
-            self.pending.append(w)
-            if len(self.pending) >= _CHUNK:
-                self.flush()
-
-    def flush(self) -> None:
-        """Hash the pending windows in one call, move each row to its
-        minimum, and forget the extremes of windows left holding no row."""
-        if not self.pending:
-            return
-        self.rows.move(self.pending)
-        self.pending = []
-        self.extremes = {w: self.extremes[w] for w in self._held()[0]}
-
-    def _held(self) -> Tuple[List[int], List[int]]:
-        """Ids of the windows holding at least one row, and how many rows
-        each holds."""
-        ids = self.rows.winner_id
-        held, rows = np.unique(ids[ids > 0], return_counts=True)
-        return held.tolist(), rows.tolist()
+        if ext is not None:
+            self.extremes[w] = merge_extremes(ext, iv)
+        elif fresh:
+            evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
+            if evicted is not None:
+                self.extremes.pop(evicted, None)
+                self.extremes[w] = merge_extremes(None, iv)
 
     def type2_count(self) -> int:
-        """Rows whose window holds two disjoint intervals (call after flush)."""
-        return sum(rows for w, rows in zip(*self._held())
-                   if holds_pair(self.extremes[w]))
+        """Members of the sample holding two disjoint intervals."""
+        return sum(holds_pair(ext) for ext in self.extremes.values())
 
 
 class SamelenAlphaEstimator:
@@ -143,16 +116,9 @@ class SamelenAlphaEstimator:
         self.items = 0
 
     @property
-    def hash_path(self) -> str:
-        """"object" when any shift's bank hashes on Python integers, else
-        "blas"."""
-        paths = {st.rows.bank.hash_path for st in self.states}
-        return "object" if "object" in paths else "blas"
-
-    @property
     def columns_hashed(self) -> int:
         """Window ids hashed so far, summed over the three grids' banks."""
-        return sum(st.rows.bank.columns_hashed for st in self.states)
+        return sum(st.sample.bank.columns_hashed for st in self.states)
 
     def process(self, iv: Interval) -> None:
         cfg = self.config
@@ -170,14 +136,15 @@ class SamelenAlphaEstimator:
         cfg = self.config
         gamma1_hats, type2_counts, shift_values = [], [], []
         for st in self.states:
-            st.flush()
             g1 = st.counter.estimate()
             m = st.type2_count()
             gamma1_hats.append(g1)
             type2_counts.append(m)
-            shift_values.append(g1 * (1.0 + m / cfg.k))
+            # a grid with fewer than k occupied windows samples them all
+            shift_values.append(g1 * (1.0 + m / max(st.sample.units, 1)))
         value = max(shift_values) / (1.0 + cfg.eps_shift)
-        units = sum(st.counter.units + 3 * cfg.k for st in self.states)
+        # per member: its (value, id) pair and its two extremes
+        units = sum(st.counter.units + 3 * st.sample.units for st in self.states)
         return SamelenEstimate(value=value, shift_values=shift_values,
                                gamma1_hats=gamma1_hats, type2_counts=type2_counts,
                                k=cfg.k, units=units)

@@ -100,7 +100,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         output = res.value
         units = res.peak_units
         details.update(branch=res.branch, degraded=res.degraded,
-                       rho_available=res.rho_available, hash_path=est.hash_path,
+                       rho_available=res.rho_available,
                        relevant_count=res.relevant_count, tracked_nodes=res.tracked_nodes,
                        columns_hashed=est.columns_hashed)
     elif algorithm == "estimate-general-oracle":
@@ -115,7 +115,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         output = res.value
         units = res.units
         details.update(type2_counts=res.type2_counts, k=res.k,
-                       hash_path=est.hash_path, columns_hashed=est.columns_hashed)
+                       columns_hashed=est.columns_hashed)
     elif algorithm == "estimate-samelen-oracle":
         output = samelen_estimate_oracle(inst, lam, eps)
         units = 0

@@ -7,11 +7,9 @@ from __future__ import annotations
 import collections
 import math
 
-import numpy as np
-
 from intervalstream import oracle
 from intervalstream.core import Instance, Interval, Window, intersects
-from intervalstream.hashing import ExactDistinct, HashFamily, PolyBank
+from intervalstream.hashing import ExactDistinct, HashFamily, PolyBank, horner
 from intervalstream.rng import SplitMix64
 
 
@@ -84,16 +82,13 @@ def validate_partition(selector, stream, n: int) -> None:
                 assert intersects(a, b)
 
 
-def reference_minima(bank, xs):
-    """Each row's smallest hash value over xs and the first column holding
-    the smallest id among those with that value, filtered from the full
-    eval matrix: the reference for PolyBank.keys, which never builds that
-    matrix."""
-    values = bank.eval(xs)
-    mins = values.min(axis=1)
-    ids = np.asarray(xs, dtype=np.int64)
-    tied = np.where(values == mins[:, None], ids[None, :], np.iinfo(np.int64).max)
-    return mins, tied.argmin(axis=1)
+def reference_bottom_k(sketch, ids):
+    """The min(k, len(ids)) smallest (h(x), x) pairs over the distinct ids,
+    h evaluated by horner on the sketch bank's row-0 coefficients: the
+    reference for a BottomK sketch offered ids."""
+    bank = sketch.bank
+    pairs = sorted((horner(bank.coeffs[0], x, bank.prime), x) for x in set(ids))
+    return pairs[:sketch.k]
 
 
 DRAWS = 20000
@@ -101,43 +96,41 @@ DRAWS = 20000
 
 def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
     """Empirical winner frequencies of a fixed set under independent
-    permutations (the min-wise tests and criterion 4)."""
+    permutations (the min-wise tests and criterion 4): each row of a bank
+    orders the ids by (h(x), x), and its first id wins."""
     fam = HashFamily.create(n, eps)
     xs = list(range(3, 3 + 4 * x_count, 4))
     bank = PolyBank(draws, fam, seed=seed)
-    _, cols = reference_minima(bank, xs)
-    winners = np.asarray(xs)[cols]
-    freq = collections.Counter(winners.tolist())
-    return xs, winners.tolist(), freq
+    winners = [min(zip(row, xs))[1] for row in bank.eval(xs)]
+    freq = collections.Counter(winners)
+    return xs, winners, freq
 
 
 def general_replay_violations(est, inst, gammas=None, active=None):
     """Replay the general estimator's deterministic sub-checks against the
-    oracle; returns one message per violation.  Every row's winner is the
-    true permutation minimum over the active set; the trackers of the
-    winner node and of its parent, read through the node table, hold the
-    exact gamma or are saturated with gamma >= cap; an exact counter counts
-    exactly the active segments.  gammas and active may be passed in when
-    many runs share one instance."""
+    oracle; returns one message per violation.  Each sample holds exactly
+    the min(k, active) smallest (h(id), id) pairs over the active ids; the
+    trackers of every member and of its parent, read through the node
+    table, hold the exact gamma or are saturated with gamma >= cap; an
+    exact counter counts exactly the active segments.  gammas and active
+    may be passed in when many runs share one instance."""
     tree = est.tree
     gammas = oracle.gamma_all(inst, tree) if gammas is None else gammas
     active = oracle.active_segments(inst, tree) if active is None else active
-    active_ids = sorted(active)
     cap = est.config.gamma_cap
     bad = []
-    if isinstance(est.counter, ExactDistinct) and est.counter.estimate() != len(active_ids):
-        bad.append(f"counter {est.counter.estimate()} != {len(active_ids)} active")
-    for name, group in (("rel", est.rel), ("rho", est.rho)):
-        mins, args = reference_minima(group.bank, active_ids)
-        for r, v in enumerate(group.winner_id.tolist()):
-            if group.winner_value[r] != mins[r] or v != active_ids[args[r]]:
-                bad.append(f"{name} row {r}: winner {v} is not the minimum "
-                           f"{active_ids[args[r]]}")
-                continue
+    if isinstance(est.counter, ExactDistinct) and est.counter.estimate() != len(active):
+        bad.append(f"counter {est.counter.estimate()} != {len(active)} active")
+    for name, sample in (("rel", est.rel), ("rho", est.rho)):
+        expected = reference_bottom_k(sample, active)
+        if sample.pairs() != expected:
+            bad.append(f"{name} sample is not the {len(expected)} smallest active pairs")
+            continue
+        for _, v in expected:
             for u in (v, v >> 1) if v != tree.root else (v,):
                 node = est.nodes.get(u)
                 if node is None:
-                    bad.append(f"{name} row {r}: node {u} has no entry")
+                    bad.append(f"{name} member {v}: node {u} has no entry")
                 elif node.saturated:
                     if gammas[u] < cap:
                         bad.append(f"node {u} saturated at gamma {gammas[u]} < {cap}")

@@ -8,6 +8,7 @@ from intervalstream.cli import main
 from intervalstream.core import parse_stream
 from intervalstream.estimator_samelen import shift_gamma_counts
 from intervalstream import oracle
+from intervalstream.rng import SplitMix64
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -92,29 +93,6 @@ def test_estimate_general_fallback():
     assert obj["output"] == 2.0 and obj["alpha"] == 2
 
 
-def test_estimate_reports_hash_path():
-    # the README n=4096 command hashes on the BLAS limb path
-    _, text = run_cli(["gen", "uniform", "--n", "4096", "--count", "1000",
-                       "--max-len", "64", "--seed", "7"])
-    code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
-                         "--seed", "3", "--scale", "1e-7"], stdin_text=text)
-    assert code == 0
-    assert json.loads(out)["details"]["hash_path"] == "blas"
-    # at n=2**26 nodes span 2**27, still on BLAS; at n=2**34 (nodes span
-    # 2**35) no limb width keeps the rel bank's float64 sums exact
-    for n, path in ((1 << 26, "blas"), (1 << 34, "object")):
-        code, out = run_cli(["estimate", "--algo", "general", "--eps", "0.45",
-                             "--seed", "3", "--scale", "1e-9"],
-                            stdin_text=f"n {n}\n1 3\n100 200\n9000 9001\n")
-        assert code == 0
-        assert json.loads(out)["details"]["hash_path"] == path
-    code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "1",
-                         "--eps", "0.3", "--seed", "2"],
-                        stdin_text="n 9\n1 2\n4 5\n7 8\n")
-    assert code == 0
-    assert json.loads(out)["details"]["hash_path"] == "blas"
-
-
 def test_estimate_reports_columns_hashed():
     # with an exact counter every active node (general: in both banks) and
     # every occupied window of each grid (samelen) is hashed exactly once
@@ -154,12 +132,38 @@ def test_estimate_samelen_and_lambda_zero():
                         stdin_text="n 9\n1 1\n1 1\n5 5\n")
     assert code == 0
     obj = json.loads(out)
-    assert obj["alpha"] == 2 and obj["output"] == 2.0
+    # the exact count over 1 + eps/3
+    assert obj["alpha"] == 2 and obj["output"] == 2.0 / (1.0 + 0.3 / 3.0)
     assert obj["details"]["route"] == "distinct-points"
     # zero-length route rejects a nonzero-length interval
     code, _ = run_cli(["estimate", "--algo", "samelen", "--lambda", "0"],
                       stdin_text="n 9\n1 2\n")
     assert code == 2
+
+
+def _random_points(n: int, count: int, seed: int) -> str:
+    rng = SplitMix64(seed)
+    return f"n {n}\n" + "".join(f"{x} {x}\n" for x in
+                                (rng.randrange(1, n + 1) for _ in range(count)))
+
+
+@pytest.mark.parametrize("n,count,eps,kmv_k", [(100_000, 3000, 0.3, 9600),
+                                               (1_000_000, 10_000, 0.45, 4267)],
+                         ids=["3000-points", "10000-points-saturated"])
+def test_lambda_zero_kmv_success_fraction(n, count, eps, kmv_k):
+    # the paper's probability 2/3 over seeds 0-19, fixed in advance; on the
+    # second input the sketch of ceil(96/(eps/3)**2) pairs fills
+    text = _random_points(n, count, seed=1)
+    outcomes = []
+    for seed in range(20):
+        code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "0",
+                             "--eps", str(eps), "--counter", "kmv", "--seed", str(seed)],
+                            stdin_text=text)
+        obj = json.loads(out)
+        assert code == (0 if obj["success"] else 1)
+        assert obj["peak_memory_units"] == min(kmv_k, obj["alpha"])
+        outcomes.append(obj["success"])
+    assert sum(outcomes) / len(outcomes) >= 2 / 3, outcomes
 
 
 def test_exact_command():

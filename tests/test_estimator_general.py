@@ -133,10 +133,10 @@ def test_sampled_branch_dense():
     assert res.branch == "sampled"
     assert res.n_act_hat == float(len(oracle.active_segments(inst, est.tree)))
     assert general_replay_violations(est, inst) == []
-    # relevance classification of every sampler row matches the oracle
+    # relevance classification of every sample member matches the oracle
     rel_set = relevant_segments(inst, est.config.eps1, est.tree)
-    for group in (est.rel, est.rho):
-        for v in group.winner_id.tolist():
+    for sample in (est.rel, est.rho):
+        for v in sample.members:
             assert est.is_relevant(v) == (v in rel_set)
 
 
@@ -152,8 +152,8 @@ def test_sampled_branch_random_instance():
 @pytest.mark.parametrize("n, branch", [(64, "fallback"), (2048, "sampled")])
 def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
     # an 8-entry sketch forgets ids, which then come back as possibly new and
-    # are hashed again; a repeat never beats a minimum no larger than its
-    # key, so every row keeps the winner and the trackers of the exact run
+    # are offered again; an id offered before is a member or never enters,
+    # so both samples keep the members and the trackers of the exact run
     if n == 64:
         inst, kw = random_instance(64, 100, 16, seed=3), dict(user_eps=0.3, scale=1e-9)
     else:
@@ -174,17 +174,17 @@ def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
     assert res_exact.branch == res_kmv.branch == branch
     assert general_replay_violations(est_exact, inst) == []
     assert general_replay_violations(est_kmv, inst) == []
-    for g_exact, g_kmv in ((est_exact.rel, est_kmv.rel), (est_exact.rho, est_kmv.rho)):
-        assert g_kmv.winner_id.tolist() == g_exact.winner_id.tolist()
-        assert [est_kmv.is_relevant(v) for v in g_kmv.winner_id.tolist()] == \
-            [est_exact.is_relevant(v) for v in g_exact.winner_id.tolist()]
+    for s_exact, s_kmv in ((est_exact.rel, est_kmv.rel), (est_exact.rho, est_kmv.rho)):
+        assert s_kmv.pairs() == s_exact.pairs()
+        assert [est_kmv.is_relevant(v) for _, v in s_kmv.pairs()] == \
+            [est_exact.is_relevant(v) for _, v in s_exact.pairs()]
 
 
 @pytest.mark.parametrize("m", [1664, 2048])
 def test_retained_state_is_per_held_node(monkeypatch, m):
     # sampled branch: the root saturates, so its selector goes, and no
     # selector is fed once its node's tracker saturates; the table never
-    # holds a node that no row holds in either role
+    # holds a node that no sample holds in either role
     n = 2048
     inst = Instance(n, tuple(Interval(i, i) for i in range(1, m + 1)))
     est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=0.45, seed=4, scale=1.4e-7))
@@ -208,7 +208,7 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
 
     def checked_flush():
         flush()
-        held = set(est.rel.winner_id.tolist()) | set(est.rho.winner_id.tolist())
+        held = est.rel.members | est.rho.members
         allowed = held | {v >> 1 for v in held if v > 1} | {est.tree.root}
         assert set(est.nodes) <= allowed
         root = est.nodes[est.tree.root]
@@ -225,39 +225,17 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
     assert general_replay_violations(est, inst) == []
 
 
-@pytest.mark.parametrize("n", [1 << 14, 1 << 20])
-@pytest.mark.parametrize("eps", [0.45, 0.1])
-def test_hash_path_blas_up_to_2_20(n, eps):
-    # nodes are hashed over the universe 2 * n_pow2, and a limb width keeps
-    # the float64 sums exact for every eps >= 0.1 here
-    est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=eps, seed=0, scale=1e-12))
-    assert est.rel.bank.family.universe == 2 * est.tree.n_pow2
-    assert est.hash_path == "blas"
-    est.process(Interval(1, 2))
-    est.process(Interval(n - 5, n, True, False))
-    assert est.estimate().value == 2.0
-
-
-@pytest.mark.parametrize("eps,top", [(0.45, 33), (0.1, 31), (0.01, 27)])
-def test_largest_blas_n_pow2(eps, top):
-    # the limb bound alone sets the boundary: BLAS up to n_pow2 = 2**top,
-    # the object path from the next doubling
-    for exp, path in ((top, "blas"), (top + 1, "object")):
-        est = GeneralAlphaEstimator(EstimatorConfig(n=1 << exp, user_eps=eps, seed=0,
-                                                    scale=1e-15))
-        assert est.tree.n_pow2 == 1 << exp
-        assert est.hash_path == path
-    assert est.rel.bank.hash_path == "object"
-
-
-def test_n_2_26_uniform_stays_on_blas():
-    # the object path takes about 10 s on this input and BLAS about 0.1 s,
-    # so the gate fails a fall back onto Python integers at n_pow2 = 2**26
-    inst = gen_uniform(1 << 26, 50, 64, seed=7)
+@pytest.mark.parametrize("n", [1 << 26, 1 << 50], ids=["n2^26", "n2^50"])
+def test_no_cliff_at_large_n(n):
+    # one hash evaluation per fresh id and sample, whatever the prime (about
+    # 2**60.6 for the rel sample at n=2**50): the gate fails hashing whose
+    # cost per id grows with k_rel + k0 (4,536 at this scale)
+    inst = gen_uniform(n, 50, 64, seed=7)
     start = time.perf_counter()
     est, res = run_estimator(inst, n=inst.n, user_eps=0.45, seed=3, scale=3e-8)
     elapsed = time.perf_counter() - start
-    assert est.hash_path == "blas" and res.branch == "fallback"
+    assert est.rel.bank.family.universe == 2 * est.tree.n_pow2
+    assert res.branch == "fallback"
     assert elapsed < 2.5, elapsed
     assert general_replay_violations(est, inst) == []
 
@@ -311,11 +289,28 @@ def test_degraded_flag_reported():
     inst = dense_instance(n)
     est, res = run_estimator(inst, n=n, user_eps=0.45, seed=9, scale=8e-8)
     assert res.branch == "sampled"
-    # only two segments are relevant at this eps, so the handful of ratio
-    # samplers essentially never lands enough relevant winners
+    # only two segments are relevant at this eps, so the rho sample of a
+    # handful of nodes essentially never holds enough relevant members
     assert res.rho_available <= est.config.k_rho
     if res.rho_available < est.config.k_rho:
         assert res.degraded
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_full_samples_give_the_oracle_mode_value(seed):
+    # the criterion-8b instance at a scale where both samples hold every
+    # active node (k0 = 4,060 >= 3,331): relevant count, relevant fraction
+    # and rho are then exact, so the estimate is the oracle-mode value
+    n = 2048
+    inst = Instance(n, tuple(Interval(i, i) for i in range(1, 1665)))
+    est, res = run_estimator(inst, n=n, user_eps=0.45, seed=seed, scale=4e-6)
+    active = oracle.active_segments(inst, est.tree)
+    assert (est.config.k_rel, est.config.k0, len(active)) == (28640, 4060, 3331)
+    assert res.branch == "sampled"
+    assert est.rel.members == est.rho.members == active
+    assert res.relevant_count == res.rho_available == 2
+    assert res.value == pytest.approx(estimate_oracle_mode(inst, 0.45), rel=1e-12)
+    assert res.value == pytest.approx(1439.91, abs=0.01)
 
 
 def test_kmv_counter_mode_matches_exact_below_saturation():

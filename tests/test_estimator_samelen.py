@@ -5,7 +5,7 @@ import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
-from intervalstream.estimator_samelen import (_CHUNK, SamelenAlphaEstimator,
+from intervalstream.estimator_samelen import (SamelenAlphaEstimator,
                                               SamelenConfig,
                                               samelen_estimate_oracle,
                                               shift_gamma_counts,
@@ -14,7 +14,7 @@ from intervalstream.generators import gen_uniform_samelen
 from intervalstream.selector_samelen import (ShiftedGridSelector, holds_pair,
                                              shift_subinstance)
 
-from conftest import reference_minima
+from conftest import reference_bottom_k
 
 
 def run(inst, lam, eps, seed, counter="exact"):
@@ -71,8 +71,8 @@ def test_empty_stream():
 
 
 def test_type2_window_counts_toward_m():
-    # one window with two disjoint intervals, exact counter: every sampler
-    # locks on the single occupied window per shift that holds them
+    # one window with two disjoint intervals, exact counter: each grid's
+    # sample holds its occupied windows, here the single one holding them
     inst = Instance(32, (Interval(7, 9), Interval(10, 12)))
     est, res = run(inst, lam=2, eps=0.3, seed=5)
     # shift 0 window [6,12) holds only [7,9]; [10,12] straddles
@@ -81,8 +81,9 @@ def test_type2_window_counts_toward_m():
         eg1, eg2 = shift_gamma_counts(inst.intervals, a, 2)
         assert res.gamma1_hats[a] == float(eg1)
         if eg1 == 1 and eg2 == 1:
-            # the unique occupied window is type 2: every sampler sees it
-            assert res.type2_counts[a] == est.config.k
+            # the unique occupied window is type 2, and the sample holds it
+            assert res.type2_counts[a] == 1
+            assert res.shift_values[a] == 2.0
 
 
 def test_oracle_mode_identity_and_bracket():
@@ -111,28 +112,31 @@ def test_exact_counter_estimate_matches_exact_counts():
         assert res.gamma1_hats[a] == float(g1)
 
 
-def test_sampler_winner_replay():
+def test_sampler_winner_replay(monkeypatch):
+    # each grid's sample is the min(k, occupied) smallest (h(id), id) pairs
+    # over its occupied window ids, and each member's extremes are its
+    # window's; with k = 5 the samples fill and evict
     lam = 4
     inst = gen_uniform_samelen(256, 60, lam, seed=9)
-    est, _ = run(inst, lam=lam, eps=0.3, seed=13)
-    for a, st in enumerate(est.states):
-        stats = shift_window_stats(inst.intervals, a, lam)
-        occupied_ids = [j + 2 for j in stats]
-        if not occupied_ids:
-            assert (st.rows.winner_id == 0).all()
-            continue
-        mins, arg = reference_minima(st.rows.bank, occupied_ids)
-        occ = list(stats)
-        for r in range(est.config.k):
-            assert st.rows.winner_value[r] == mins[r]
-            j = occ[int(arg[r])]
-            assert st.rows.winner_id[r] == j + 2
-            # a row's extremes are those of its winner window's entry
-            assert st.extremes[j + 2] == stats[j]
-            # type classification matches the exact sub-instance optimum
-            sub = [iv for iv in inst if est._grid.containing_window(a, iv) == j]
-            window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
-            assert holds_pair(stats[j]) == (window_alpha >= 2)
+    for k in (None, 5):
+        if k is not None:
+            monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
+        est, res = run(inst, lam=lam, eps=0.3, seed=13)
+        for a, st in enumerate(est.states):
+            stats = shift_window_stats(inst.intervals, a, lam)
+            expected = reference_bottom_k(st.sample, [j + 2 for j in stats])
+            assert st.sample.pairs() == expected
+            assert len(expected) == min(est.config.k, len(stats))
+            assert set(st.extremes) == {w for _, w in expected}
+            for _, w in expected:
+                j = w - 2
+                assert st.extremes[w] == stats[j]
+                # type classification matches the exact sub-instance optimum
+                sub = [iv for iv in inst if est._grid.containing_window(a, iv) == j]
+                window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
+                assert holds_pair(stats[j]) == (window_alpha >= 2)
+            assert res.type2_counts[a] == sum(holds_pair(stats[w - 2]) for _, w in expected)
+    assert all(len(shift_window_stats(inst.intervals, a, lam)) > 5 for a in (0, 1, 2))
 
 
 def test_space_units_bound():
@@ -141,6 +145,9 @@ def test_space_units_bound():
     cfg = est.config
     expected_cap = sum(st.counter.units + 3 * cfg.k for st in est.states)
     assert res.units <= expected_cap
+    # below k occupied windows, each grid keeps every window once
+    assert res.units == sum(4 * len(shift_window_stats(inst.intervals, a, 8))
+                            for a in (0, 1, 2))
 
 
 def _entries(obj) -> int:
@@ -157,10 +164,10 @@ def _entries(obj) -> int:
 
 
 def test_retained_state_does_not_grow_with_m():
-    # The samplers keep O(k) whatever the number of occupied windows: every
-    # container of a shift state holds at most k + chunk entries, before and
-    # after the final flush, and only windows holding a row keep extremes.
-    # (The distinct counter is accounted for separately, in units.)
+    # The samples keep O(k) whatever the number of occupied windows: every
+    # container of a shift state holds at most k entries, before and after
+    # estimate, and only the sample's members keep extremes.  (The distinct
+    # counter is accounted for separately, in units.)
     lam, eps, seed = 4, 0.45, 21
     occupied = []
     for m in (300, 3000):
@@ -168,20 +175,19 @@ def test_retained_state_does_not_grow_with_m():
         est = SamelenAlphaEstimator(SamelenConfig(n=inst.n, lam=lam, user_eps=eps, seed=seed))
         for iv in inst:
             est.process(iv)
-        bound = est.config.k + _CHUNK
+        bound = est.config.k
         for phase in ("streamed", "estimated"):
             if phase == "estimated":
                 est.estimate()
             for a, st in enumerate(est.states):
-                containers = {name: v for obj in (st, st.rows)
+                containers = {name: v for obj in (st, st.sample)
                               for name, v in vars(obj).items()
                               if isinstance(v, (np.ndarray, dict, list, set))}
-                assert {"winner_value", "winner_id"} <= set(containers)
+                assert {"members", "_heap", "extremes"} <= set(containers)
                 for name, v in containers.items():
                     assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
         for a, st in enumerate(est.states):
-            assert not st.pending
-            assert set(st.extremes) == set(st.rows.winner_id[st.rows.winner_id != 0].tolist())
+            assert set(st.extremes) == st.sample.members
         occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
     assert occupied[1] > 5 * occupied[0]
 
