@@ -225,8 +225,18 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
     assert general_replay_violations(est, inst) == []
 
 
-@pytest.mark.parametrize("n", [1 << 26, 1 << 50], ids=["n2^26", "n2^50"])
-def test_no_cliff_at_large_n(n):
+@pytest.mark.parametrize("n", [1 << 14, 1 << 20])
+@pytest.mark.parametrize("eps", [0.45, 0.1])
+def test_hash_path_blas_up_to_2_20(n, eps):
+    # nodes are hashed over the universe 2 * n_pow2
+    est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=eps, seed=0, scale=1e-12))
+    assert est.rel.bank.family.universe == 2 * est.tree.n_pow2
+    est.process(Interval(1, 2))
+    est.process(Interval(n - 5, n, True, False))
+    assert est.estimate().value == 2.0
+
+
+def _assert_no_cliff(n):
     # one hash evaluation per fresh id and sample, whatever the prime (about
     # 2**60.6 for the rel sample at n=2**50): the gate fails hashing whose
     # cost per id grows with k_rel + k0 (4,536 at this scale)
@@ -238,6 +248,14 @@ def test_no_cliff_at_large_n(n):
     assert res.branch == "fallback"
     assert elapsed < 2.5, elapsed
     assert general_replay_violations(est, inst) == []
+
+
+def test_n_2_26_uniform_stays_on_blas():
+    _assert_no_cliff(1 << 26)
+
+
+def test_no_cliff_at_large_n():
+    _assert_no_cliff(1 << 50)
 
 
 def test_fallback_regime_matches_oracle_rule():

@@ -190,26 +190,82 @@ def _families_up_to_2_64():
                          ids=["samelen-n2^20", "general-n4096-rel", "general-n2^50-rel",
                               "p-2^40", "p-2^50", "p-2^63", "p-below-2^64"])
 def test_polybank_exact_for_every_prime_below_2_64(fam):
-    bank = PolyBank(3, fam, seed=11)
+    _assert_eval_matches_power_sum(PolyBank(3, fam, seed=11))
+
+
+def _assert_eval_matches_power_sum(bank):
+    fam = bank.family
     assert all(0 <= c < fam.prime for cs in bank.coeffs for c in cs)
     rng = SplitMix64(fam.prime % 1000)
     xs = [1, 2, fam.universe, fam.prime - 1] + [rng.randrange(1, fam.universe) for _ in range(20)]
     values = bank.eval(xs)
-    for r in range(3):
-        assert values[r] == [_power_sum(bank.coeffs[r], x, fam.prime) for x in xs]
+    for r, cs in enumerate(bank.coeffs):
+        assert values[r] == [_power_sum(cs, x, fam.prime) for x in xs]
     assert bank.keys(xs) == values[0]
 
 
-def test_bottom_k_ties_to_smaller_id_and_never_readmits():
+def _largest_prime_for_limb(degree: int, bits: int) -> int:
+    """Largest prime p with (degree + 1) * 2**bits * (p - 1) < 2**53: past it
+    a float64 sum of degree + 1 products of a bits-wide limb with a residue
+    is no longer exact.  Horner on Python integers has no such edge."""
+    p = ((1 << 53) - 1) // ((degree + 1) << bits) + 1
+    while next_prime(p) != p:
+        p -= 1
+    return p
+
+
+def _families_above_2_32():
+    """(family, at a float64 edge): the general estimator's rel and rho
+    families over the universe 4096**2, and at degrees 27 and 3 the largest
+    prime an 8- and a 4-bit limb keeps exact in float64."""
+    cfg = EstimatorConfig(n=4096, user_eps=0.45, seed=0)
+    fams = [(HashFamily.create(4096 ** 2, cfg.eps_rel), False),
+            (HashFamily.create(4096 ** 2, cfg.eps_rho), False)]
+    for degree, bits in ((27, 8), (3, 4)):
+        prime = _largest_prime_for_limb(degree, bits)
+        fams.append((HashFamily(universe=1000, eps=0.4, prime=prime, degree=degree), True))
+    return fams
+
+
+@pytest.mark.parametrize("fam,edge", _families_above_2_32(),
+                         ids=["u4096sq-rel", "u4096sq-rho", "edge-b8", "edge-b4"])
+def test_polybank_blas_exact_above_2_32(fam, edge):
+    # exact on both sides of each float64 edge
+    assert fam.prime > 1 << 32
+    _assert_eval_matches_power_sum(PolyBank(6, fam, seed=11))
+    if edge:
+        above = HashFamily(universe=fam.universe, eps=fam.eps,
+                           prime=next_prime(fam.prime + 1), degree=fam.degree)
+        _assert_eval_matches_power_sum(PolyBank(6, above, seed=11))
+
+
+# primes below 2**32, above 2**32 and near 2**63: the same-length
+# estimator's family at n=2**20, the general estimator's rel family over the
+# universe 4096**2, and a degree-3 family
+_SAMELEN = SamelenConfig(n=1 << 20, lam=16, user_eps=0.2, seed=0)
+_TIE_FAMILIES = [HashFamily.create(_SAMELEN.index_domain, _SAMELEN.eps2),
+                 _families_above_2_32()[0][0],
+                 HashFamily(universe=64, eps=0.3, prime=next_prime(1 << 63), degree=3)]
+
+
+@pytest.mark.parametrize("fam", _TIE_FAMILIES, ids=["one-limb", "multi-limb", "object"])
+def test_keys_ties_to_smaller_id_and_earlier_column(fam):
     # degree 1: a constant polynomial, so every id has the same value and
-    # the sketch keeps the k smallest ids
-    fam = HashFamily(universe=64, eps=0.3, prime=next_prime(1 << 63), degree=1)
-    s = BottomK(3, fam, seed=8)
-    assert len(set(s.bank.keys([1, 2, 40]))) == 1
-    assert _offer_all(s, [9, 5, 9, 7]) == [0, 0, None, 0]
-    assert _offer_all(s, [6, 9, 8, 2, 7, 9]) == [9, None, None, 7, None, None]
-    assert [x for _, x in s.pairs()] == [2, 5, 6]
-    assert s.members == {2, 5, 6} and s.units == 3
+    # the sketch keeps the k smallest ids; a repeat later in the same chunk
+    # is a no-op, and an evicted id never enters again
+    const = BottomK(3, HashFamily(fam.universe, fam.eps, fam.prime, degree=1), seed=8)
+    assert len(set(const.bank.keys([1, 2, 40]))) == 1
+    assert _offer_all(const, [9, 5, 9, 7]) == [0, 0, None, 0]
+    assert _offer_all(const, [6, 9, 8, 2, 7, 9]) == [9, None, None, 7, None, None]
+    assert [x for _, x in const.pairs()] == [2, 5, 6]
+    assert const.members == {2, 5, 6} and const.units == 3
+    # offering the chunks in turn ends at the k smallest pairs over them all
+    s = BottomK(4, fam, seed=9)
+    chunks = ([40, 3, 17, 3, 8, 40], [7, 7, 7], [12, 1, 30, 6, 6, 2])
+    for xs in chunks:
+        assert s.bank.keys(xs) == [horner(s.bank.coeffs[0], x, fam.prime) for x in xs]
+        _offer_all(s, xs)
+    assert s.pairs() == reference_bottom_k(s, [x for xs in chunks for x in xs])
 
 
 @pytest.mark.parametrize("k", [1, 7, 500])
