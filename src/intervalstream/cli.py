@@ -37,7 +37,8 @@ def _write(args, text: str) -> None:
 
 
 def _read_instance(args, require_header: bool = False) -> Instance:
-    # line by line: the text of the whole stream is never held at once
+    # parse_stream reads the file a block of lines at a time: the text of
+    # the whole stream is never held at once
     if args.infile:
         try:
             fh = open(args.infile)

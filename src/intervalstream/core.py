@@ -5,14 +5,24 @@ point ``x`` becomes code ``2*x`` and the open gap just past ``x`` becomes
 ``2*x + 1``.  Every interval or window is then a closed range of integer
 codes, so intersection and containment are plain integer comparisons with
 no epsilon handling, even for mixed open/closed inputs.
+
+An Instance holds its stream as two code columns, not as Interval objects,
+and ``parse_stream`` fills them a block of lines at a time with
+``np.loadtxt``; the line-by-line check reads only the blocks that this
+refuses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
+from functools import partial
+from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -29,7 +39,8 @@ class DomainError(ValueError):
 
 _OPENNESS = {"cc": (False, False), "co": (False, True),
              "oc": (True, False), "oo": (True, True)}
-_SUFFIX = {v: k for k, v in _OPENNESS.items()}
+# by the parities of (lcode, rcode), which are the openness flags
+_SUFFIX = {(int(lo), int(ro)): k for k, (lo, ro) in _OPENNESS.items()}
 
 
 class Interval(tuple):
@@ -213,40 +224,200 @@ def contained_in(a: Interval, w: Window) -> bool:
     return w.lo_code <= a.lcode and a.rcode <= w.hi_code
 
 
-@dataclass(frozen=True)
+# Lines per np.loadtxt call in parse_stream, and pairs per slice of
+# Instance.codes().
+_BLOCK = 8192
+
+# Endpoints below this have int64 position codes: 2 * x + 1 < 2**63.
+_CODE_LIMIT = 2 ** 62
+
+_make_interval = partial(tuple.__new__, Interval)  # from (lcode, rcode), unchecked
+
+
+def _column(codes) -> np.ndarray:
+    """A code column: int64, or object dtype when a code does not fit."""
+    try:
+        return np.array(codes, dtype=np.int64)
+    except OverflowError:
+        return np.array(codes, dtype=object)
+
+
+def _codes_fit(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int]) -> bool:
+    """The vectorised check of code columns: every pair is a nonempty
+    interval (lcode <= rcode) inside [1, n]; n None sets no upper bound."""
+    if not len(lcodes):
+        return True
+    return bool((lcodes <= rcodes).all() and lcodes.min() >= 2
+                and (n is None or rcodes.max() <= 2 * n))
+
+
 class Instance:
     """A coordinate universe bound plus intervals in stream order.
 
+    The intervals are stored as two position-code columns, ``lcodes`` and
+    ``rcodes``: int64 arrays, or object arrays when a code does not fit in
+    int64 (endpoints of 2**62 and above).  ``Instance(n, intervals)``,
+    ``inst.intervals``, iteration, ``len``, ``==`` and pickling behave as
+    for a record of n and a tuple of Intervals, but the Interval objects are
+    built only on demand.  ``codes()`` yields the plain ``(lcode, rcode)``
+    pairs; the package's own loops read those.
+
     Constructing one checks n and that every interval lies in [1, n];
-    ``parse_stream`` checks each line itself and builds its Instance with
+    ``parse_stream`` checks its input itself and builds its Instance with
     ``_trusted``.
     """
 
-    n: int
-    intervals: tuple = field(default_factory=tuple)
+    __slots__ = ("n", "lcodes", "rcodes")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        top = 2 * self.n
-        for iv in self.intervals:
-            if iv.lcode < 2 or iv.rcode > top:
-                raise DomainError(f"interval {iv} outside [1, {self.n}]")
+    def __init__(self, n: int, intervals: Iterable[Interval] = ()):
+        if n < 1:
+            raise DomainError(f"n must be positive, got {n}")
+        intervals = tuple(intervals)
+        for iv in intervals:
+            if not isinstance(iv, Interval):
+                raise TypeError(f"an Instance holds Interval objects, got {iv!r}")
+        lcodes = _column([iv[0] for iv in intervals])
+        rcodes = _column([iv[1] for iv in intervals])
+        if not _codes_fit(lcodes, rcodes, n):
+            bad = next(iv for iv in intervals if iv[0] < 2 or iv[1] > 2 * n)
+            raise DomainError(f"interval {bad} outside [1, {n}]")
+        self._fill(n, lcodes, rcodes)
 
     @classmethod
-    def _trusted(cls, n: int, intervals: tuple) -> "Instance":
-        """An Instance over intervals already checked against [1, n]."""
+    def _trusted(cls, n: int, lcodes: np.ndarray, rcodes: np.ndarray) -> "Instance":
+        """An Instance over code columns already checked against [1, n]."""
         inst = object.__new__(cls)
-        object.__setattr__(inst, "n", n)
-        object.__setattr__(inst, "intervals", intervals)
+        inst._fill(n, lcodes, rcodes)
         return inst
 
+    def _fill(self, n: int, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        lcodes.flags.writeable = rcodes.flags.writeable = False
+        for name, value in (("n", n), ("lcodes", lcodes), ("rcodes", rcodes)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Instance")
+
+    def __reduce__(self):
+        return (Instance._trusted, (self.n, self.lcodes, self.rcodes))
+
+    def codes(self, order: Optional[np.ndarray] = None) -> Iterator[Tuple[int, int]]:
+        """The ``(lcode, rcode)`` pairs as Python ints, in stream order or in
+        the index order ``order``.  The columns are read in slices of
+        _BLOCK pairs, so no full-length list is built."""
+        lcodes, rcodes = self.lcodes, self.rcodes
+        starts = range(0, len(lcodes), _BLOCK)
+        if order is None:
+            parts = (slice(s, s + _BLOCK) for s in starts)
+        else:
+            parts = (order[s:s + _BLOCK] for s in starts)
+        return chain.from_iterable(zip(lcodes[p].tolist(), rcodes[p].tolist()) for p in parts)
+
+    @property
+    def intervals(self) -> Tuple[Interval, ...]:
+        return tuple(self)
+
     def __len__(self) -> int:
-        return len(self.intervals)
+        return len(self.lcodes)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.intervals)
+        return map(_make_interval, self.codes())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and bool(np.array_equal(self.lcodes, other.lcodes))
+                and bool(np.array_equal(self.rcodes, other.rcodes)))
+
+    def __hash__(self) -> int:
+        return hash((self.n, tuple(self.codes())))
+
+    def __repr__(self) -> str:
+        return f"Instance(n={self.n!r}, intervals={self.intervals!r})"
+
+
+class _LineCheck:
+    """The line-by-line parse of stream text, and the only place that writes
+    a parse error message.  ``started`` turns true at the first line with
+    tokens: a header there sets ``declared_n``, a header after it is an
+    error."""
+
+    def __init__(self):
+        self.declared_n: Optional[int] = None
+        self.started = False
+
+    def codes(self, lines: Iterable[str], lineno: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The code columns of the interval lines among ``lines``, whose
+        first line is line ``lineno`` of the stream."""
+        limit = math.inf if self.declared_n is None else self.declared_n
+        lcodes, rcodes = [], []
+        for lineno, line in enumerate(lines, start=lineno):
+            if "#" in line:
+                line = line.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            if tokens[0] == "n":
+                if self.started:
+                    raise ParseError(lineno, "header must come first and appear once")
+                if len(tokens) != 2:
+                    raise ParseError(lineno, f"bad header {line.strip()!r}")
+                try:
+                    declared_n = int(tokens[1])
+                except ValueError:
+                    raise ParseError(lineno, f"bad header value {tokens[1]!r}") from None
+                if declared_n < 1:
+                    raise DomainError(f"line {lineno}: n must be positive, got {declared_n}")
+                self.declared_n = limit = declared_n
+                self.started = True
+                continue
+            self.started = True
+            if len(tokens) not in (2, 3):
+                raise ParseError(lineno, f"expected 'left right [flags]', got {line.strip()!r}")
+            try:
+                left, right = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                raise ParseError(lineno, f"non-integer endpoint in {line.strip()!r}") from None
+            flags = tokens[2] if len(tokens) == 3 else "cc"
+            if flags not in _OPENNESS:
+                raise ParseError(lineno, f"unknown openness flags {flags!r}")
+            left_open, right_open = _OPENNESS[flags]
+            # the codes as the Interval constructor computes them: an Interval
+            # per line takes this loop about 1.5x as long, so the constructor
+            # runs only to word the error when lcode > rcode
+            lcode, rcode = 2 * left + left_open, 2 * right - right_open
+            if lcode > rcode:
+                try:
+                    Interval(left, right, left_open, right_open)
+                except DomainError as exc:
+                    raise ParseError(lineno, str(exc)) from None
+            if left < 1:
+                raise DomainError(f"line {lineno}: endpoint {left} < 1")
+            if right > limit:
+                raise DomainError(f"line {lineno}: endpoint {right} > declared n {self.declared_n}")
+            lcodes.append(lcode)
+            rcodes.append(rcode)
+        return _column(lcodes), _column(rcodes)
+
+
+def _block_codes(lines: List[str], n: Optional[int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The code columns of a block of lines by one np.loadtxt call, when
+    every line with tokens is a closed interval ``left right`` inside [1, n]
+    with endpoints below 2**62; otherwise None, and the line check reads the
+    block.  np.loadtxt refuses openness flags, ragged rows, tokens that are
+    no int64 and a block without data, and splits a line as str.split
+    does."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" too
+            ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    # the bounds first, so that doubling cannot wrap around
+    if ends.shape[1] != 2 or ends.min() < 1 or ends.max() >= _CODE_LIMIT:
+        return None
+    lcodes, rcodes = 2 * ends[:, 0], 2 * ends[:, 1]
+    return (lcodes, rcodes) if _codes_fit(lcodes, rcodes, n) else None
 
 
 def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) -> Instance:
@@ -257,66 +428,43 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
     {cc, co, oc, oo} (default cc).  ``#`` starts a comment line.
     Without a header, n defaults to the maximum observed endpoint.
 
-    This is the check for text input: each line is checked once, for
-    shape, structure (by the Interval constructor) and range, and the
-    Instance is built without checking again.
+    This is the check for text input, and the Instance is built without
+    checking again.  The line check reads the lines up to the first with
+    tokens, so it reads the header.  The lines after it go in blocks of
+    _BLOCK lines to one np.loadtxt call each plus the vectorised check of
+    their codes; a block that either refuses goes to the line check, so the
+    first bad line and its message are those of a line-by-line parse.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
-    declared_n = None
-    limit = math.inf          # the declared n, once the header is read
-    intervals = []
-    for lineno, line in enumerate(lines, start=1):
-        if "#" in line:
-            line = line.split("#", 1)[0]
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "n":
-            if intervals or declared_n is not None:
-                raise ParseError(lineno, "header must come first and appear once")
-            if len(tokens) != 2:
-                raise ParseError(lineno, f"bad header {line.strip()!r}")
-            try:
-                declared_n = int(tokens[1])
-            except ValueError:
-                raise ParseError(lineno, f"bad header value {tokens[1]!r}") from None
-            if declared_n < 1:
-                raise DomainError(f"line {lineno}: n must be positive, got {declared_n}")
-            limit = declared_n
-            continue
-        if len(tokens) not in (2, 3):
-            raise ParseError(lineno, f"expected 'left right [flags]', got {line.strip()!r}")
-        try:
-            left, right = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise ParseError(lineno, f"non-integer endpoint in {line.strip()!r}") from None
-        flags = tokens[2] if len(tokens) == 3 else "cc"
-        if flags not in _OPENNESS:
-            raise ParseError(lineno, f"unknown openness flags {flags!r}")
-        left_open, right_open = _OPENNESS[flags]
-        try:
-            iv = Interval(left, right, left_open, right_open)
-        except DomainError as exc:
-            raise ParseError(lineno, str(exc)) from None
-        if left < 1:
-            raise DomainError(f"line {lineno}: endpoint {left} < 1")
-        if right > limit:
-            raise DomainError(f"line {lineno}: endpoint {right} > declared n {declared_n}")
-        intervals.append(iv)
+    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    check = _LineCheck()
+    chunks = [(_column(()), _column(()))]
+    lineno = 1
+    for line in lines:
+        chunks.append(check.codes((line,), lineno))
+        lineno += 1
+        if check.started:
+            break
+    while block := list(islice(lines, _BLOCK)):
+        chunks.append(_block_codes(block, check.declared_n) or check.codes(block, lineno))
+        lineno += len(block)
+    lcodes, rcodes = (np.concatenate(column) for column in zip(*chunks))
+    declared_n = check.declared_n
     if declared_n is None:
         if require_header:
             raise ParseError(0, "header 'n <int>' is required here")
-        declared_n = max((iv.right for iv in intervals), default=1)
-    return Instance._trusted(declared_n, tuple(intervals))
+        declared_n = (int(rcodes.max()) + 1) >> 1 if len(rcodes) else 1
+    return Instance._trusted(declared_n, lcodes, rcodes)
 
 
 def format_stream(inst: Instance) -> str:
     """Canonical text form; parse_stream(format_stream(x)) == x."""
     out = [f"n {inst.n}"]
-    for iv in inst.intervals:
-        suffix = _SUFFIX[(iv.left_open, iv.right_open)]
+    for lcode, rcode in inst.codes():
+        # decoded as Interval's properties do, without an Interval per line
+        left, right = lcode >> 1, (rcode + 1) >> 1
+        suffix = _SUFFIX[lcode & 1, rcode & 1]
         if suffix == "cc":
-            out.append(f"{iv.left} {iv.right}")
+            out.append(f"{left} {right}")
         else:
-            out.append(f"{iv.left} {iv.right} {suffix}")
+            out.append(f"{left} {right} {suffix}")
     return "\n".join(out) + "\n"

@@ -177,6 +177,6 @@ def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
         raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
     best = 0
     for a in (0, 1, 2):
-        g1, g2 = shift_gamma_counts(inst.intervals, a, lam)
+        g1, g2 = shift_gamma_counts(inst, a, lam)
         best = max(best, g1 + g2)
     return best / (1.0 + user_eps / 2.0)

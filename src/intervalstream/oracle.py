@@ -10,6 +10,8 @@ from collections import Counter
 from operator import itemgetter
 from typing import List, Set, Tuple
 
+import numpy as np
+
 from .core import Instance, Interval, intersects
 from .selector import PartitionSelector
 
@@ -65,16 +67,22 @@ class SegTree:
         return [v >> s for s in range(v.bit_length() - 1, -1, -1)]
 
 
-def alpha(inst: Instance) -> int:
-    """Exact maximum independent-subset size, by earliest-finish greedy."""
+def _earliest_finish(pairs) -> int:
+    """Size of the greedy independent subset of (lcode, rcode) pairs given
+    in ascending rcode order; ties in rcode need no order, as any one of
+    them that fits ends the same."""
     count = 0
     last_rcode = -1
-    # ties in rcode need no order: any one of them that fits ends the same
-    for lcode, rcode in sorted(inst.intervals, key=itemgetter(1)):
+    for lcode, rcode in pairs:
         if lcode > last_rcode:
             count += 1
             last_rcode = rcode
     return count
+
+
+def alpha(inst: Instance) -> int:
+    """Exact maximum independent-subset size, by earliest-finish greedy."""
+    return _earliest_finish(inst.codes(np.argsort(inst.rcodes, kind="stable")))
 
 
 def brute_force_alpha(inst: Instance) -> int:
@@ -106,8 +114,8 @@ def brute_force_alpha(inst: Instance) -> int:
 def beta(inst: Instance, v: int) -> int:
     """Exact alpha restricted to the intervals contained in node v."""
     tree = SegTree(inst.n)
-    contained = [iv for iv in inst.intervals if tree.contains(v, iv)]
-    return alpha(Instance._trusted(inst.n, tuple(contained))) if contained else 0
+    contained = [iv for iv in inst.codes() if tree.contains(v, iv)]
+    return _earliest_finish(sorted(contained, key=itemgetter(1)))
 
 
 def beta_hat(inst: Instance, v: int) -> int:
@@ -115,7 +123,7 @@ def beta_hat(inst: Instance, v: int) -> int:
     in node v, in stream order."""
     tree = SegTree(inst.n)
     sel = PartitionSelector()
-    for iv in inst.intervals:
+    for iv in inst.codes():
         if tree.contains(v, iv):
             sel.process(iv)
     return sel.window_count
@@ -129,7 +137,7 @@ def gamma(inst: Instance, v: int, tree: SegTree = None) -> int:
     stack = [v]
     while stack:
         node = stack.pop()
-        if any(tree.contains(node, iv) for iv in inst.intervals):
+        if any(tree.contains(node, iv) for iv in inst.codes()):
             count += 1
         if node < tree.n_pow2:
             stack.extend((2 * node, 2 * node + 1))
@@ -140,7 +148,7 @@ def _holding_nodes(inst: Instance, tree: SegTree) -> Set[int]:
     """Nodes that contain an input interval: the ancestors of the minimal
     containers, at most m * (L + 1) of them."""
     closure: Set[int] = set()
-    for iv in inst.intervals:
+    for iv in inst.codes():
         v = tree.minimal_container(iv)
         while v and v not in closure:
             closure.add(v)

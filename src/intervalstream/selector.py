@@ -36,7 +36,9 @@ class WindowState:
 
 class PartitionSelector:
     """Streaming state machine; feed intervals with process(), read the
-    solution at any point with solution().
+    solution at any point with solution().  ``process`` reads only the pair
+    ``(lcode, rcode)``, so a plain pair from ``Instance.codes()`` serves as
+    well as an Interval, and the solution holds what was fed.
 
     The windows, in ascending ``lo_code`` order, are kept as a list of
     blocks, as in ``sortedcontainers.SortedList``.  A block holds its

@@ -233,3 +233,29 @@ def test_console_entrypoint_subprocess():
                           input="n 5\n1 2\n4 5\n", text=True, capture_output=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["alpha"] == 2
+
+
+B62 = 2 ** 62
+HUGE_STREAMS = {
+    # endpoints up to 2**62 - 1 keep int64 codes; 2**62 and above do not
+    "below-2^62": (f"{B62 - 1} {B62 - 1}\n{B62 - 3} {B62 - 1} oc\n2 {B62 - 2}\n", B62 - 1),
+    "at-2^62": (f"1 {B62}\n{B62} {B62}\n{B62 - 1} {B62} co\n", B62),
+    "2^70": (f"3 5\n{B62} {2 ** 70}\n{2 ** 70} {2 ** 70}\n", 2 ** 70),
+}
+HUGE_SELECT_OUT = (
+    '{"algorithm":"select-general","alpha":2,"details":{"disjoint":true},'
+    '"instance_id":"<stdin>","kind":"trial","output":2.0,"params":{"counter":"exact",'
+    '"eps":0.25,"lambda":1,"scale":1.0,"seed":0},"peak_memory_units":2,"space_ok":true,'
+    '"success":true,"wall_time_s":null}\n')
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header-2^70"])
+@pytest.mark.parametrize("name", list(HUGE_STREAMS))
+def test_huge_endpoints_exact_and_select(name, header, capsys):
+    body, max_right = HUGE_STREAMS[name]
+    n = 2 ** 70 if header else max_right
+    text = (f"n {n}\n" if header else "") + body
+    code, out = run_cli(["exact"], stdin_text=text)
+    assert (code, out) == (0, f'{{"alpha":2,"intervals":3,"kind":"exact","n":{n}}}\n')
+    assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)
+    assert capsys.readouterr().err == ""

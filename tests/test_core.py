@@ -1,10 +1,13 @@
 import copy
 import math
 import pickle
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from intervalstream import core
 from intervalstream.core import (DomainError, Instance, Interval, ParseError,
                                  Window, contained_in, format_stream,
                                  intersects, pairwise_disjoint, parse_stream)
@@ -266,3 +269,212 @@ def test_parse_builds_the_checked_instance():
     assert parse_stream(text) == expect
     assert parse_stream(text.splitlines(keepends=True)) == expect
     assert parse_stream("2 5\n1 7 co\n").n == 7
+
+
+# ---- the block parse against a line-by-line reference -------------------
+
+def reference_parse(lines, require_header=False):
+    """A line-by-line reader that builds each interval with Interval(...),
+    with the error messages parse_stream writes."""
+    declared_n, intervals = None, []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] == "n":
+            if intervals or declared_n is not None:
+                raise ParseError(lineno, "header must come first and appear once")
+            if len(tokens) != 2:
+                raise ParseError(lineno, f"bad header {line.split('#', 1)[0].strip()!r}")
+            try:
+                declared_n = int(tokens[1])
+            except ValueError:
+                raise ParseError(lineno, f"bad header value {tokens[1]!r}") from None
+            if declared_n < 1:
+                raise DomainError(f"line {lineno}: n must be positive, got {declared_n}")
+            continue
+        shown = line.split("#", 1)[0].strip()
+        if len(tokens) not in (2, 3):
+            raise ParseError(lineno, f"expected 'left right [flags]', got {shown!r}")
+        try:
+            left, right = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise ParseError(lineno, f"non-integer endpoint in {shown!r}") from None
+        flags = tokens[2] if len(tokens) == 3 else "cc"
+        if flags not in ("cc", "co", "oc", "oo"):
+            raise ParseError(lineno, f"unknown openness flags {flags!r}")
+        try:
+            iv = Interval(left, right, flags[0] == "o", flags[1] == "o")
+        except DomainError as exc:
+            raise ParseError(lineno, str(exc)) from None
+        if left < 1:
+            raise DomainError(f"line {lineno}: endpoint {left} < 1")
+        if declared_n is not None and right > declared_n:
+            raise DomainError(f"line {lineno}: endpoint {right} > declared n {declared_n}")
+        intervals.append(iv)
+    if declared_n is None:
+        if require_header:
+            raise ParseError(0, "header 'n <int>' is required here")
+        declared_n = max((iv.right for iv in intervals), default=1)
+    return Instance(declared_n, intervals)
+
+
+# separators that str.split and int() accept; np.loadtxt refuses the digits
+SPACES = (" ", "  ", "\t", "\xa0", "\u3000")
+DIGITS = {"0": "\u0660", "1": "\u0661", "2": "\uff12", "5": "\u0665", "7": "\uff17"}
+
+
+def random_stream(rng, lines):
+    """Stream text whose lines mix closed and flagged intervals, comments,
+    blank lines, ``+5`` and ``01`` tokens, Unicode digits and whitespace."""
+    n = 40
+    out = [f"n {n}"] if rng.below(2) else []
+    for _ in range(lines):
+        kind = rng.below(10)
+        if kind == 0:
+            out.append("# a comment 1 2 oc")
+            continue
+        if kind == 1:
+            out.append(rng.below(2) * "  ")
+            continue
+        left = 1 + rng.below(n)
+        right = left + rng.below(n - left + 1)
+        tokens = [str(left), str(right)]
+        if kind == 2 and left < right:
+            tokens.append(("co", "oc", "oo", "cc")[rng.below(4)])
+        if kind == 3:
+            tokens = ["+" + tokens[0], "0" + tokens[1]]
+        if kind == 4:
+            tokens[0] = "".join(DIGITS.get(c, c) for c in tokens[0])
+        line = SPACES[rng.below(len(SPACES))].join(tokens)
+        if kind == 5:
+            line = "  " + line + " # trailing"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def parse_both_ways(text, **kw):
+    """parse_stream over the str and over its lines with their ends, as a
+    file gives them; both must agree."""
+    inst = parse_stream(text, **kw)
+    assert parse_stream(iter(text.splitlines(keepends=True)), **kw) == inst
+    return inst
+
+
+def test_block_parse_equals_line_reference(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK", 3)
+    block_codes, taken = core._block_codes, []
+    monkeypatch.setattr(core, "_block_codes",
+                        lambda *a: taken.append(block_codes(*a) is not None) or block_codes(*a))
+    rng = SplitMix64(2024)
+    for _ in range(300):
+        text = random_stream(rng, rng.below(25))
+        expect = reference_parse(text.splitlines())
+        got = parse_both_ways(text)
+        assert got == expect and got.intervals == expect.intervals, text
+        assert got.n == expect.n and type(got.n) is int
+    # both paths ran: np.loadtxt blocks and line-checked blocks
+    assert True in taken and False in taken
+
+
+BAD_LINES = ("n 12", "1 2 3 4", "7", "1 x", "1 2.0", "1 2 xx", "1 2 3", "5 3",
+             "4 4 oo", "3 3 co", "0 3", "-2 3", "1 99", "1\u200b 2",
+             f"1 {2 ** 64}", f"{2 ** 64} 3")
+BAD_FIRST = ("n 5 6", "n x", "n 0", "n -4", "n")
+
+
+def error_of(fn, *args, **kw):
+    try:
+        fn(*args, **kw)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_block_parse_errors_equal_line_reference(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK", 3)
+    rng = SplitMix64(77)
+    for _ in range(40):
+        body = random_stream(rng, 12).splitlines()
+        if not body or not body[0].startswith("n "):
+            body.insert(0, "n 40")
+        for bad in BAD_LINES:
+            lines = list(body)
+            lines.insert(1 + rng.below(len(lines)), bad)
+            text = "\n".join(lines) + "\n"
+            expect = error_of(reference_parse, text.splitlines())
+            assert expect is not None
+            assert error_of(parse_both_ways, text) == expect, text
+        for bad in BAD_FIRST:
+            text = "# lead\n\n" + bad + "\n" + "\n".join(body[1:]) + "\n"
+            expect = error_of(reference_parse, text.splitlines())
+            assert expect is not None
+            assert error_of(parse_both_ways, text) == expect, text
+    # a header after an interval, and codes that would wrap around int64
+    for text in ("1 2\nn 12\n", "# c\n1 2\n3 4\n5 6\nn 9\n",
+                 f"1 1\n{-2 ** 62 - 1} {2 ** 62 - 1}\n", f"1 1\n{-2 ** 63} 3\n"):
+        expect = error_of(reference_parse, text.splitlines())
+        assert expect is not None and error_of(parse_both_ways, text) == expect
+    headless = "1 2\n# c\n3 4\n5 6 oc\n"
+    assert (error_of(parse_stream, headless, require_header=True)
+            == error_of(reference_parse, headless.splitlines(), require_header=True)
+            == (ParseError, "line 0: header 'n <int>' is required here"))
+
+
+def test_comment_only_block_warns_nothing(monkeypatch):
+    monkeypatch.setattr(core, "_BLOCK", 3)
+    text = "n 9\n# one\n# two\n\n1 2\n3 4\n"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_stream(text) == Instance(9, (Interval(1, 2), Interval(3, 4)))
+        assert parse_stream("1 2\n" + "# only\n" * 7) == Instance(2, (Interval(1, 2),))
+    assert caught == []
+
+
+def test_codes_are_int64_below_2_62_and_objects_above():
+    below = parse_stream(f"n {2 ** 70}\n1 2\n{2 ** 62 - 1} {2 ** 62 - 1}\n")
+    assert below.lcodes.dtype == below.rcodes.dtype == np.int64
+    for text in (f"1 {2 ** 62}\n", f"n {2 ** 70}\n1 2\n3 {2 ** 70}\n"):
+        huge = parse_stream(text)
+        assert huge.rcodes.dtype == object
+        assert list(huge.codes()) == [tuple(iv) for iv in huge.intervals]
+        assert huge == reference_parse(text.splitlines())
+
+
+# ---- the Instance surface ------------------------------------------------
+
+def test_instance_surface():
+    ivs = (Interval(3, 9, True, False), Interval(1, 2), Interval(4, 4), Interval(2, 7, False, True))
+    inst = Instance(10, ivs)
+    assert Instance(n=10, intervals=ivs) == inst == Instance(10, list(ivs))
+    assert inst.n == 10 and len(inst) == 4
+    assert inst.intervals == ivs and all(type(iv) is Interval for iv in inst.intervals)
+    assert list(inst) == list(ivs)
+    assert list(inst.codes()) == [tuple(iv) for iv in ivs]
+    assert inst == parse_stream(format_stream(inst))
+    assert inst != Instance(11, ivs) and inst != Instance(10, ivs[:3])
+    assert hash(inst) == hash(Instance(10, ivs))
+    assert repr(inst) == f"Instance(n=10, intervals={ivs!r})"
+    empty = Instance(5)
+    assert len(empty) == 0 and empty.intervals == () and list(empty.codes()) == []
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(inst, protocol))
+        assert type(back) is Instance and back == inst and back.intervals == ivs
+    with pytest.raises(AttributeError):
+        inst.n = 3
+    with pytest.raises(ValueError):
+        inst.lcodes[0] = 4
+
+
+def test_instance_rejects_plain_tuples():
+    # a pair is never read silently as codes
+    for bad in ((2, 4), (1, 2, False, False), [2, 4]):
+        with pytest.raises(TypeError):
+            Instance(5, (Interval(1, 2), bad))
+
+
+def test_codes_in_given_order():
+    ivs = [Interval(5, 6), Interval(1, 9, True, True), Interval(2, 3)]
+    inst = Instance(9, ivs)
+    order = np.argsort(inst.rcodes, kind="stable")
+    assert list(inst.codes(order)) == [tuple(ivs[i]) for i in (2, 0, 1)]
