@@ -8,12 +8,13 @@ no epsilon handling, even for mixed open/closed inputs.
 
 An Instance holds its stream as two code columns, not as Interval objects,
 and ``parse_stream`` fills them a block of lines at a time with
-``np.loadtxt``; the line-by-line check reads only the blocks that this
-refuses.
+``np.loadtxt``; the line-by-line check reads only the pieces of a block
+that this refuses.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -228,6 +229,9 @@ def contained_in(a: Interval, w: Window) -> bool:
 # Instance.codes().
 _BLOCK = 8192
 
+# Lines below which a refused piece of a block is not halved.
+_MIN_PIECE = 32
+
 # Endpoints below this have int64 position codes: 2 * x + 1 < 2**63.
 _CODE_LIMIT = 2 ** 62
 
@@ -249,6 +253,19 @@ def _codes_fit(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int]) -> bool
         return True
     return bool((lcodes <= rcodes).all() and lcodes.min() >= 2
                 and (n is None or rcodes.max() <= 2 * n))
+
+
+def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray,
+               order: Optional[np.ndarray] = None) -> Iterator[Tuple[int, int]]:
+    """The ``(lcode, rcode)`` pairs of two code columns as Python ints, in
+    column order or in the index order ``order``.  The columns are read in
+    slices of _BLOCK pairs, so no full-length list is built."""
+    starts = range(0, len(lcodes), _BLOCK)
+    if order is None:
+        parts = (slice(s, s + _BLOCK) for s in starts)
+    else:
+        parts = (order[s:s + _BLOCK] for s in starts)
+    return chain.from_iterable(zip(lcodes[p].tolist(), rcodes[p].tolist()) for p in parts)
 
 
 class Instance:
@@ -303,15 +320,8 @@ class Instance:
 
     def codes(self, order: Optional[np.ndarray] = None) -> Iterator[Tuple[int, int]]:
         """The ``(lcode, rcode)`` pairs as Python ints, in stream order or in
-        the index order ``order``.  The columns are read in slices of
-        _BLOCK pairs, so no full-length list is built."""
-        lcodes, rcodes = self.lcodes, self.rcodes
-        starts = range(0, len(lcodes), _BLOCK)
-        if order is None:
-            parts = (slice(s, s + _BLOCK) for s in starts)
-        else:
-            parts = (order[s:s + _BLOCK] for s in starts)
-        return chain.from_iterable(zip(lcodes[p].tolist(), rcodes[p].tolist()) for p in parts)
+        the index order ``order``."""
+        return code_pairs(self.lcodes, self.rcodes, order)
 
     @property
     def intervals(self) -> Tuple[Interval, ...]:
@@ -403,21 +413,58 @@ class _LineCheck:
 def _block_codes(lines: List[str], n: Optional[int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The code columns of a block of lines by one np.loadtxt call, when
     every line with tokens is a closed interval ``left right`` inside [1, n]
-    with endpoints below 2**62; otherwise None, and the line check reads the
-    block.  np.loadtxt refuses openness flags, ragged rows, tokens that are
-    no int64 and a block without data, and splits a line as str.split
-    does."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data" too
+    with endpoints below 2**62; otherwise None.  np.loadtxt refuses openness
+    flags, ragged rows and tokens that are no int64, and splits a line as
+    str.split does, so a block without data (comment and blank lines only)
+    is one the line check reads no interval from either."""
+    with warnings.catch_warnings(record=True):  # "input contained no data"
+        try:
             ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
-    except (ValueError, Warning):
-        return None
+        except ValueError:
+            return None
+    if not len(ends):
+        return _column(()), _column(())
     # the bounds first, so that doubling cannot wrap around
     if ends.shape[1] != 2 or ends.min() < 1 or ends.max() >= _CODE_LIMIT:
         return None
     lcodes, rcodes = 2 * ends[:, 0], 2 * ends[:, 1]
     return (lcodes, rcodes) if _codes_fit(lcodes, rcodes, n) else None
+
+
+def _parse_block(lines: List[str], lineno: int,
+                 check: _LineCheck) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The code columns of a block of lines whose first line is line
+    ``lineno``, in pieces, by _block_codes when it takes the block."""
+    codes = _block_codes(lines, check.declared_n)
+    if codes is not None:
+        yield codes
+    else:
+        yield from _parse_refused(lines, lineno, check)
+
+
+def _parse_refused(lines: List[str], lineno: int,
+                   check: _LineCheck) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """The code columns of lines that _block_codes refuses.  While one half
+    of them is taken, the other is halved in turn, down to _MIN_PIECE lines;
+    a piece of which both halves are refused goes whole, in order, to the
+    line check.  So one flagged line in a block costs a few short
+    np.loadtxt calls, not a line-by-line parse of the whole block.  Every
+    test is per line, so when the first half is taken the second is refused
+    and is not tried again."""
+    if len(lines) > _MIN_PIECE:
+        half = len(lines) // 2
+        first, second = lines[:half], lines[half:]
+        codes = _block_codes(first, check.declared_n)
+        if codes is not None:
+            yield codes
+            yield from _parse_refused(second, lineno + half, check)
+            return
+        codes = _block_codes(second, check.declared_n)
+        if codes is not None:
+            yield from _parse_refused(first, lineno, check)
+            yield codes
+            return
+    yield check.codes(lines, lineno)
 
 
 def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) -> Instance:
@@ -432,10 +479,12 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
     checking again.  The line check reads the lines up to the first with
     tokens, so it reads the header.  The lines after it go in blocks of
     _BLOCK lines to one np.loadtxt call each plus the vectorised check of
-    their codes; a block that either refuses goes to the line check, so the
-    first bad line and its message are those of a line-by-line parse.
+    their codes; the pieces of a block that either refuses go to the line
+    check, so the first bad line and its message are those of a
+    line-by-line parse.  A str is split into lines as a text file is read:
+    only at ``\n``, ``\r`` and ``\r\n``.
     """
-    lines = iter(text.splitlines() if isinstance(text, str) else text)
+    lines = iter(io.StringIO(text, newline=None) if isinstance(text, str) else text)
     check = _LineCheck()
     chunks = [(_column(()), _column(()))]
     lineno = 1
@@ -445,7 +494,7 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
         if check.started:
             break
     while block := list(islice(lines, _BLOCK)):
-        chunks.append(_block_codes(block, check.declared_n) or check.codes(block, lineno))
+        chunks.extend(_parse_block(block, lineno, check))
         lineno += len(block)
     lcodes, rcodes = (np.concatenate(column) for column in zip(*chunks))
     declared_n = check.declared_n

@@ -78,8 +78,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
 
     if algorithm == "select-general":
         sel = PartitionSelector()
-        for pair in inst.codes():
-            sel.process(pair)
+        sel.feed(inst.lcodes, inst.rcodes)
         output = float(sel.window_count)
         units = sel.peak_windows
         details["disjoint"] = pairwise_disjoint(sel.solution())

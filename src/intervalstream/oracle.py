@@ -7,7 +7,6 @@ memory; the streaming modules are validated against these values.
 from __future__ import annotations
 
 from collections import Counter
-from operator import itemgetter
 from typing import List, Set, Tuple
 
 import numpy as np
@@ -40,11 +39,13 @@ class SegTree:
         lo = 1 + (v - (1 << depth)) * size
         return lo, lo + size
 
-    def contains(self, v: int, iv: Interval) -> bool:
-        """True iff every point of the interval lies in node v's segment."""
+    def contains(self, v: int, iv: Interval):
+        """True iff every point of the interval lies in node v's segment.
+        ``iv`` may also be a pair of code columns, ``(inst.lcodes,
+        inst.rcodes)``, and the answer then a boolean column."""
         lo, hi = self.span(v)
         lcode, rcode = iv
-        return 2 * lo <= lcode and rcode <= 2 * hi - 1
+        return (2 * lo <= lcode) & (rcode <= 2 * hi - 1)
 
     def segments(self) -> range:
         """All 2*n_pow2 - 1 nodes, parents before children."""
@@ -82,7 +83,7 @@ def _earliest_finish(pairs) -> int:
 
 def alpha(inst: Instance) -> int:
     """Exact maximum independent-subset size, by earliest-finish greedy."""
-    return _earliest_finish(inst.codes(np.argsort(inst.rcodes, kind="stable")))
+    return _earliest_finish(inst.codes(np.argsort(inst.rcodes)))
 
 
 def brute_force_alpha(inst: Instance) -> int:
@@ -111,21 +112,23 @@ def brute_force_alpha(inst: Instance) -> int:
     return best
 
 
+def _contained(inst: Instance, v: int) -> Instance:
+    """The intervals of the instance contained in node v, in stream order."""
+    inside = SegTree(inst.n).contains(v, (inst.lcodes, inst.rcodes))
+    return Instance._trusted(inst.n, inst.lcodes[inside], inst.rcodes[inside])
+
+
 def beta(inst: Instance, v: int) -> int:
     """Exact alpha restricted to the intervals contained in node v."""
-    tree = SegTree(inst.n)
-    contained = [iv for iv in inst.codes() if tree.contains(v, iv)]
-    return _earliest_finish(sorted(contained, key=itemgetter(1)))
+    return alpha(_contained(inst, v))
 
 
 def beta_hat(inst: Instance, v: int) -> int:
     """Size of the one-pass 2-approximation run on the intervals contained
     in node v, in stream order."""
-    tree = SegTree(inst.n)
+    sub = _contained(inst, v)
     sel = PartitionSelector()
-    for iv in inst.codes():
-        if tree.contains(v, iv):
-            sel.process(iv)
+    sel.feed(sub.lcodes, sub.rcodes)
     return sel.window_count
 
 

@@ -12,13 +12,23 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import List
 
-from .core import Code, Interval, Window
+import numpy as np
+
+from .core import Code, Interval, Window, code_pairs
 
 # Windows per block after a block is halved; a block is halved when it
 # reaches twice this size.
 _LOAD = 250
+
+# Pairs per chunk of feed() at least; a chunk is as long as the window count
+# when that is larger, so the window-start column it builds costs O(1)
+# amortised per pair.
+_MIN_CHUNK = 256
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(slots=True)
@@ -67,6 +77,45 @@ class PartitionSelector:
 
     def solution(self) -> List[Interval]:
         return [iv for *_, chosen in self._blocks for iv in chosen]
+
+    def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        """Feed two code columns (int64 or object dtype) through ``process``
+        in order, skipping in bulk the pairs that straddle a window boundary.
+
+        Windows only split, never merge, so a pair whose right code reaches
+        the next window start after the one holding its left code, in the
+        partition at the start of its chunk, still straddles a boundary when
+        the stream reaches it, and ``process`` would drop it unchanged.  One
+        ``searchsorted`` over the chunk finds the other pairs, and only they
+        go to ``process``; each skipped pair still counts as an item and a
+        search, so the counters, windows and solution are those of per-pair
+        ``process`` after every chunk.  Window starts are compared as int64
+        when both columns are int64, so int64 columns cannot follow object
+        columns that left a window start past int64 (OverflowError).
+        """
+        wide = object in (lcodes.dtype, rcodes.dtype)
+        start, total = 0, len(lcodes)
+        while start < total:
+            end = min(total, start + max(_MIN_CHUNK, self._count))
+            ls, rs = lcodes[start:end], rcodes[start:end]
+            start = end
+            next_starts = self._next_starts(wide)
+            keep = rs < next_starts[np.searchsorted(next_starts, ls, side="right")]
+            ls, rs = ls[keep], rs[keep]
+            skipped = len(keep) - len(ls)
+            self.items += skipped
+            self.searches += skipped
+            for pair in code_pairs(ls, rs):
+                self.process(pair)
+
+    def _next_starts(self, wide: bool) -> np.ndarray:
+        """Entry i is the lo_code of window i + 1, and the last entry a
+        sentinel above every code: an int64 column with sentinel int64 max,
+        or, when ``wide``, an object column with sentinel math.inf."""
+        starts = list(chain.from_iterable(block[0] for block in self._blocks))[1:]
+        if wide:
+            return np.array(starts + [math.inf], dtype=object)
+        return np.array(starts + [_INT64_MAX], dtype=np.int64)
 
     def process(self, iv: Interval) -> None:
         self.items += 1

@@ -259,3 +259,12 @@ def test_huge_endpoints_exact_and_select(name, header, capsys):
     assert (code, out) == (0, f'{{"alpha":2,"intervals":3,"kind":"exact","n":{n}}}\n')
     assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)
     assert capsys.readouterr().err == ""
+
+
+def test_select_int64_lefts_with_rights_past_2_62_after_a_long_prefix():
+    # past the first feed chunk, a right end of 2**62 or more in the last
+    # window is contained there: the two columns differ in dtype
+    text = f"n {2 ** 70}\n" + "5 6\n" * 300 + f"20 {B62}\n30 {2 ** 70}\n"
+    assert run_cli(["exact"], stdin_text=text) == (
+        0, f'{{"alpha":2,"intervals":302,"kind":"exact","n":{2 ** 70}}}\n')
+    assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)

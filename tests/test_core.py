@@ -431,6 +431,135 @@ def test_comment_only_block_warns_nothing(monkeypatch):
     assert caught == []
 
 
+def sparse_flag_stream(rng, lines, every):
+    """A header and closed intervals, with about one line in ``every`` that
+    np.loadtxt refuses: an openness flag or a Unicode digit."""
+    n = 40
+    out = [f"n {n}"]
+    for _ in range(lines):
+        left = 1 + rng.below(n - 1)
+        right = left + 1 + rng.below(n - left)
+        tokens = [str(left), str(right)]
+        if rng.below(every) == 0:
+            if rng.below(2):
+                tokens.append(("co", "oc", "oo")[rng.below(3)])
+            else:
+                tokens[0] = "".join(DIGITS.get(c, c) for c in tokens[0])
+        out.append(" ".join(tokens))
+    return "\n".join(out) + "\n"
+
+
+def record_line_checked(monkeypatch):
+    """Record the first line number and the line count of each call of the
+    line check."""
+    line_codes, pieces = core._LineCheck.codes, []
+
+    def codes(self, lines, lineno):
+        lines = list(lines)
+        pieces.append((lineno, len(lines)))
+        return line_codes(self, lines, lineno)
+
+    monkeypatch.setattr(core._LineCheck, "codes", codes)
+    return pieces
+
+
+def is_flagged(line):
+    return not line.isascii() or line[-1] in "co"
+
+
+@pytest.mark.parametrize("min_piece", [1, 4])
+def test_sparse_flag_block_parse_equals_line_reference(monkeypatch, min_piece):
+    monkeypatch.setattr(core, "_BLOCK", 64)
+    monkeypatch.setattr(core, "_MIN_PIECE", min_piece)
+    pieces = record_line_checked(monkeypatch)
+    rng = SplitMix64(min_piece)
+    for _ in range(40):
+        text = sparse_flag_stream(rng, 1 + rng.below(400), 50)
+        expect = reference_parse(text.splitlines())
+        pieces.clear()
+        got = parse_stream(text)
+        assert got == expect and got.intervals == expect.intervals, text
+        # the header line, then, in order, pieces that hold every flagged
+        # line; a piece longer than min_piece has one in each half
+        flagged = [i for i, line in enumerate(text.splitlines(), 1) if i > 1 and is_flagged(line)]
+        assert pieces[0] == (1, 1)
+        starts = [lineno for lineno, _ in pieces]
+        assert starts == sorted(starts)
+        covered = [f for f in flagged if any(a <= f < a + size for a, size in pieces)]
+        assert covered == flagged
+        for a, size in pieces[1:]:
+            halves = [(a, a + size // 2), (a + size // 2, a + size)] if size > min_piece else [(a, a + size)]
+            assert all(any(lo <= f < hi for f in flagged) for lo, hi in halves)
+        assert parse_both_ways(text) == expect
+
+
+def test_flagged_block_goes_whole_to_the_line_check(monkeypatch):
+    """A block of which both halves are refused is not halved further."""
+    monkeypatch.setattr(core, "_BLOCK", 64)
+    monkeypatch.setattr(core, "_MIN_PIECE", 4)
+    pieces = record_line_checked(monkeypatch)
+    for body in (["1 2 oc"] * 150, ["1 2 oc", "3 4"] * 75, ["# note", "1 2 oc"] * 75):
+        pieces.clear()
+        parse_stream("\n".join(["n 9"] + body) + "\n")
+        assert pieces == [(1, 1), (2, 64), (66, 64), (130, 22)]
+
+
+def test_comment_run_skips_the_line_check(monkeypatch):
+    """Blocks of comment and blank lines give no interval without the line
+    check, as the line check would."""
+    monkeypatch.setattr(core, "_BLOCK", 64)
+    pieces = record_line_checked(monkeypatch)
+    body = ["# note", "", "  \x0c ", "\t# 1 2 oc"] * 40 + ["3 4"] + ["# note"] * 100
+    text = "\n".join(["n 9"] + body) + "\n"
+    assert parse_stream(text) == reference_parse(text.splitlines()) == Instance(9, [Interval(3, 4)])
+    assert pieces == [(1, 1)]
+
+
+@pytest.mark.parametrize("min_piece", [1, 4])
+def test_sparse_flag_block_parse_errors_equal_line_reference(monkeypatch, min_piece):
+    monkeypatch.setattr(core, "_BLOCK", 64)
+    monkeypatch.setattr(core, "_MIN_PIECE", min_piece)
+    rng = SplitMix64(100 + min_piece)
+    for _ in range(6):
+        body = sparse_flag_stream(rng, 300, 40).splitlines()
+        for bad in BAD_LINES:
+            lines = list(body)
+            lines.insert(1 + rng.below(len(lines)), bad)
+            text = "\n".join(lines) + "\n"
+            expect = error_of(reference_parse, text.splitlines())
+            assert expect is not None
+            assert error_of(parse_both_ways, text) == expect, text
+
+
+def outcome(source):
+    """The Instance parse_stream returns, or its error as error_of gives it;
+    ``source`` is read once."""
+    try:
+        return parse_stream(source)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                 "\u2028", "\u2029", "\r", "\r\n"])
+def test_str_splits_lines_as_a_file_does(tmp_path, sep):
+    """A str and the same text read from a file give the same Instance or
+    the same error: only \\n, \\r and \\r\\n end a line."""
+    text = f"n 9\n1 2{sep}3 4\n5 6\n"
+    path = tmp_path / "stream.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with open(path, encoding="utf-8") as fh:
+        from_file = outcome(fh)
+    assert outcome(text) == from_file
+    ends_line = sep in ("\r", "\r\n")
+    assert isinstance(from_file, Instance) == ends_line
+    if ends_line:
+        assert len(from_file) == 3
+    else:
+        assert from_file == (ParseError, f"line 2: expected 'left right [flags]', got {f'1 2{sep}3 4'!r}")
+
+
 def test_codes_are_int64_below_2_62_and_objects_above():
     below = parse_stream(f"n {2 ** 70}\n1 2\n{2 ** 62 - 1} {2 ** 62 - 1}\n")
     assert below.lcodes.dtype == below.rcodes.dtype == np.int64

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,8 @@ from intervalstream.oracle import (SegTree, active_segments, alpha,
                                    beta, beta_hat, brute_force_alpha, gamma,
                                    gamma_all, relevance_threshold,
                                    relevant_segments, relevant_sum)
+
+from intervalstream.selector import PartitionSelector
 
 from conftest import all_intervals, random_instance
 
@@ -214,6 +217,44 @@ def test_beta_hat_is_two_approx():
         exact = beta(inst, seg)
         approx = beta_hat(inst, seg)
         assert approx <= exact <= 2 * approx or exact == approx == 0
+
+
+def contained_by_pair(inst, tree, v):
+    return [iv for iv in inst if tree.contains(v, iv)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_contains_on_columns_matches_pairs(seed):
+    inst = random_instance(16, 30, 8, seed, open_fraction=0.3)
+    tree = SegTree(16)
+    for v in tree.segments():
+        mask = tree.contains(v, (inst.lcodes, inst.rcodes))
+        assert mask.dtype == bool
+        assert mask.tolist() == [tree.contains(v, iv) for iv in inst]
+    # node bounds past int64, against int64 and object columns
+    shift = 2 ** 62
+    wide = Instance(2 ** 63, inst)
+    huge = Instance(2 ** 63, [Interval(shift + iv.left, shift + iv.right, iv.left_open, iv.right_open)
+                              for iv in inst])
+    assert wide.lcodes.dtype == np.int64 and huge.lcodes.dtype == object
+    tree = SegTree(2 ** 63)
+    for big in (wide, huge):
+        for v in (tree.root, 2, 3, *tree.containing_path(next(iter(big)))):
+            mask = tree.contains(v, (big.lcodes, big.rcodes))
+            assert mask.tolist() == [tree.contains(v, iv) for iv in big]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_beta_and_beta_hat_match_per_pair_references(seed):
+    inst = random_instance(16, 14, 6, seed, open_fraction=0.3)
+    tree = SegTree(16)
+    for v in tree.segments():
+        contained = contained_by_pair(inst, tree, v)
+        assert beta(inst, v) == brute_force_alpha(Instance(inst.n, contained))
+        sel = PartitionSelector()
+        for iv in contained:
+            sel.process(iv)
+        assert beta_hat(inst, v) == sel.window_count
 
 
 small_interval = st.builds(

@@ -1,6 +1,7 @@
 import math
 from bisect import bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +9,7 @@ from intervalstream import selector
 from intervalstream.core import Instance, Interval, intersects
 from intervalstream.generators import gen_uniform
 from intervalstream.oracle import alpha, brute_force_alpha
+from intervalstream.rng import SplitMix64
 from intervalstream.selector import PartitionSelector, WindowState
 
 from conftest import random_instance, validate_partition
@@ -155,6 +157,10 @@ class FlatListSelector:
         self.keys, self.wins = [], []
         self.items = self.searches = self.peak_windows = 0
 
+    @property
+    def window_count(self):
+        return len(self.wins)
+
     def windows(self):
         return list(self.wins)
 
@@ -194,7 +200,7 @@ def assert_same_state(sel, ref):
     assert sel.windows() == ref.windows()
     assert sel.solution() == ref.solution()
     assert (sel.items, sel.searches, sel.peak_windows) == (ref.items, ref.searches, ref.peak_windows)
-    assert sel.window_count == len(ref.wins)
+    assert sel.window_count == ref.window_count
 
 
 def assert_blocks_bounded(sel):
@@ -241,3 +247,97 @@ def test_blocked_list_matches_flat_list_default_load(kind, seed):
     assert_blocks_bounded(sel)
     if kind == "dense":
         assert len(sel._blocks) >= 2
+
+
+# ---- feed: code columns in chunks against per-pair process ---------------
+
+def feed_instance(kind, seed, count):
+    if kind == "dense":
+        return gen_uniform(4 * count, count, 1, seed)
+    if kind == "open":  # most ends open, so codes of both parities
+        return random_instance(512, count, 40, seed, open_fraction=0.9)
+    inst = random_instance(512, count, 40, seed, open_fraction=0.25)
+    if kind == "random":
+        return inst
+    if kind == "mixed":  # every fifth right end past 2**62: int64 lefts, object rights
+        mixed = Instance(2 ** 63, [Interval(iv.left, iv.right + 2 ** 62 * (i % 5 == 0),
+                                            iv.left_open, iv.right_open)
+                                   for i, iv in enumerate(inst)])
+        assert (mixed.lcodes.dtype, mixed.rcodes.dtype) == (np.int64, object)
+        return mixed
+    # "huge": the same stream shifted past 2**62, so the columns are objects
+    shift = 2 ** 62
+    huge = Instance(2 ** 63, [Interval(shift + iv.left, shift + iv.right, iv.left_open, iv.right_open)
+                              for iv in inst])
+    assert huge.lcodes.dtype == huge.rcodes.dtype == object
+    return huge
+
+
+FEED_STREAMS = [(kind, seed) for kind in ("random", "dense", "open", "huge", "mixed")
+                for seed in range(3)]
+
+
+@pytest.mark.parametrize("min_chunk", [1, 3, 256])
+@pytest.mark.parametrize("kind,seed", FEED_STREAMS)
+def test_feed_matches_process(kind, seed, min_chunk, monkeypatch):
+    monkeypatch.setattr(selector, "_MIN_CHUNK", min_chunk)
+    inst = feed_instance(kind, seed, 800)
+    ref = PartitionSelector()
+    for pair in inst.codes():
+        ref.process(pair)
+    sel = PartitionSelector()
+    sel.feed(inst.lcodes, inst.rcodes)
+    assert_same_state(sel, ref)
+
+
+@pytest.mark.parametrize("min_chunk", [1, 3, 256])
+@pytest.mark.parametrize("kind,seed", FEED_STREAMS)
+def test_several_feeds_match_process(kind, seed, min_chunk, monkeypatch):
+    monkeypatch.setattr(selector, "_MIN_CHUNK", min_chunk)
+    inst = feed_instance(kind, seed, 800)
+    rng = SplitMix64(seed)
+    cuts = sorted({0, len(inst), *(rng.below(len(inst) + 1) for _ in range(6))})
+    ref, sel = PartitionSelector(), PartitionSelector()
+    pairs = list(inst.codes())
+    for a, b in zip(cuts, cuts[1:]):
+        for pair in pairs[a:b]:
+            ref.process(pair)
+        sel.feed(inst.lcodes[a:b], inst.rcodes[a:b])
+        assert_same_state(sel, ref)
+
+
+def test_feed_empty_columns():
+    sel = PartitionSelector()
+    for dtype in (np.int64, object):
+        sel.feed(np.array([], dtype=dtype), np.array([], dtype=dtype))
+    assert (sel.windows(), sel.items, sel.searches, sel.peak_windows) == ([], 0, 0, 0)
+    sel.feed(np.array([2, 8]), np.array([4, 10]))
+    before = (sel.windows(), sel.items, sel.searches, sel.peak_windows)
+    sel.feed(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+    assert (sel.windows(), sel.items, sel.searches, sel.peak_windows) == before
+
+
+class CountingSelector(PartitionSelector):
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+
+    def process(self, iv):
+        self.sent.append(iv)
+        super().process(iv)
+
+
+def test_feed_skips_exactly_the_straddling_pairs():
+    """A pair whose right code is the next window's start straddles and is
+    never sent to process; one ending a code before it is sent."""
+    sel = CountingSelector()
+    sel.feed(np.array([4, 12]), np.array([4, 12]))  # windows (-inf, 4] and [5, +inf)
+    assert [w.lo_code for w in sel.windows()] == [-math.inf, 5]
+    sel.sent.clear()
+    straddling = [(2, 5), (4, 5), (3, 7)] * 400
+    sel.feed(np.array([l for l, _ in straddling]), np.array([r for _, r in straddling]))
+    assert sel.sent == []
+    assert (sel.items, sel.searches) == (2 + len(straddling), 1 + len(straddling))
+    sel.feed(np.array([2, 6]), np.array([4, 6]))
+    assert sel.sent == [(2, 4), (6, 6)]
+
