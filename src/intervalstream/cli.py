@@ -20,7 +20,8 @@ from .core import DomainError, Instance, ParseError, format_stream, parse_stream
 from .generators import (expected_alpha_index_general, expected_alpha_index_samelen,
                          gen_index_general, gen_index_samelen, gen_uniform,
                          gen_uniform_samelen, random_index_input)
-from .harness import ALGORITHMS, TrialReport, run_single, run_trials, summary_to_json
+from .harness import (ALGORITHMS, TrialReport, run_single, run_trials, summary_to_json,
+                      trial_success)
 from .hashing import HashFamily, make_counter
 
 
@@ -116,9 +117,9 @@ def _distinct_points_estimate(args, inst: Instance) -> int:
                            kmv_k=math.ceil(96.0 / eps_count ** 2))
     for iv in inst:
         counter.add(iv.left)
-    alpha = len({iv.left for iv in inst})
+    alpha = oracle.alpha(inst)
     output = counter.estimate() / (1.0 + eps_count)
-    success = (2.0 / 3.0) * (1.0 - args.eps) * alpha <= output <= alpha
+    success = trial_success("estimate-samelen", output, alpha, args.eps)
     report = TrialReport(
         instance_id=_instance_id(args), algorithm="estimate-samelen",
         params={"seed": args.seed, "eps": args.eps, "lambda": 0,

@@ -46,8 +46,6 @@ class EstimatorConfig:
     seed: int
     counter_kind: str = "exact"
     scale: float = 1.0
-    c1: float = 8.0
-    c2: float = 4.0
     sampler_limit: int = 500_000
 
     def __post_init__(self):
@@ -179,8 +177,8 @@ class GeneralAlphaEstimator:
                 f"limit {config.sampler_limit}; lower the scale parameter")
         rng = SplitMix64(config.seed)
         id_universe = 2 * self.tree.n_pow2
-        fam_rel = HashFamily.create(id_universe, config.eps_rel, config.c1, config.c2)
-        fam_rho = HashFamily.create(id_universe, config.eps_rho, config.c1, config.c2)
+        fam_rel = HashFamily.create(id_universe, config.eps_rel)
+        fam_rho = HashFamily.create(id_universe, config.eps_rho)
         self.rel = BottomK(config.k_rel, fam_rel, rng.spawn(1).seed)
         self.rho = BottomK(config.k0, fam_rho, rng.spawn(2).seed)
         self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3).seed, config.kmv_k)

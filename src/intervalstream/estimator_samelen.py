@@ -17,8 +17,7 @@ from typing import Dict, List, Tuple
 from .core import DomainError, Instance, Interval
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
-from .selector_samelen import (Extremes, ShiftedGridSelector, holds_pair,
-                               merge_extremes)
+from .selector_samelen import Extremes, grid_window, holds_pair, merge_extremes
 
 
 @dataclass
@@ -28,8 +27,6 @@ class SamelenConfig:
     user_eps: float
     seed: int
     counter_kind: str = "exact"
-    c1: float = 8.0
-    c2: float = 4.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -82,7 +79,7 @@ class _ShiftState:
 
     def __init__(self, shift: int, cfg: SamelenConfig, rng: SplitMix64):
         self.shift = shift
-        family = HashFamily.create(cfg.index_domain, cfg.eps2, cfg.c1, cfg.c2)
+        family = HashFamily.create(cfg.index_domain, cfg.eps2)
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift).seed, cfg.kmv_k)
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
@@ -110,7 +107,6 @@ class SamelenAlphaEstimator:
 
     def __init__(self, config: SamelenConfig):
         self.config = config
-        self._grid = ShiftedGridSelector(config.lam)  # window geometry only
         rng = SplitMix64(config.seed)
         self.states = [_ShiftState(a, config, rng) for a in (0, 1, 2)]
         self.items = 0
@@ -128,7 +124,7 @@ class SamelenAlphaEstimator:
             raise DomainError(f"interval {iv} outside [1, {cfg.n}]")
         self.items += 1
         for a in (0, 1, 2):
-            j = self._grid.containing_window(a, iv)
+            j = grid_window(cfg.lam, a, iv)
             if j is not None:
                 self.states[a].observe(j, iv)
 
@@ -153,10 +149,9 @@ class SamelenAlphaEstimator:
 def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
     """Exact (leftmost, rightmost) intervals per occupied window index of
     one grid."""
-    grid = ShiftedGridSelector(lam)
     stats: Dict[int, Extremes] = {}
     for iv in intervals:
-        j = grid.containing_window(shift, iv)
+        j = grid_window(lam, shift, iv)
         if j is not None:
             stats[j] = merge_extremes(stats.get(j), iv)
     return stats

@@ -5,9 +5,11 @@ sketch).
 
 A permutation order over [n] is induced by comparing (h(x), x) pairs
 lexicographically, where h is a random degree-(t-1) polynomial modulo a
-prime p chosen so that [n] occupies at most an eps/c1 fraction of the
-field.  PolyBank draws and evaluates every such polynomial; BottomK is the
-one sampler.  All randomness flows from explicit 64-bit seeds.
+prime p.  The fixed constants C1 = 8 and C2 = 4 set p >= C1 * n / eps, so
+that [n] occupies at most an eps/C1 fraction of the field, and t =
+max(2, ceil(C2 * log2(1/eps))).  PolyBank draws and evaluates every such
+polynomial; BottomK is the one sampler.  All randomness flows from explicit
+64-bit seeds.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .rng import _GOLDEN, _MASK
+
+C1 = 8
+C2 = 4
 
 
 def next_prime(x: int) -> int:
@@ -73,9 +78,9 @@ def horner(coeffs: Sequence[int], x: int, prime: int) -> int:
 class HashFamily:
     """Parameters of the permutation family over [universe].
 
-    Deterministic given (universe, eps, c1, c2): the field prime is the
-    smallest prime >= c1 * universe / eps and the polynomial degree gives
-    max(2, ceil(c2 * log2(1/eps)))-wise independence.
+    Deterministic given (universe, eps): the field prime is the smallest
+    prime >= C1 * universe / eps and the polynomial degree gives
+    max(2, ceil(C2 * log2(1/eps)))-wise independence.
     """
 
     universe: int
@@ -84,14 +89,14 @@ class HashFamily:
     degree: int
 
     @classmethod
-    def create(cls, universe: int, eps: float, c1: float = 8.0, c2: float = 4.0) -> "HashFamily":
+    def create(cls, universe: int, eps: float) -> "HashFamily":
         if universe < 1:
             raise ValueError(f"universe must be >= 1, got {universe}")
         if not 0 < eps < 0.5:
             raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-        m = math.ceil(c1 * universe / eps)
+        m = math.ceil(C1 * universe / eps)
         prime = next_prime(m)
-        degree = max(2, math.ceil(c2 * math.log2(1.0 / eps)))
+        degree = max(2, math.ceil(C2 * math.log2(1.0 / eps)))
         return cls(universe, eps, prime, degree)
 
 

@@ -66,10 +66,14 @@ class PartitionSelector:
         self._count = 0
         self.items = 0
         self.searches = 0
-        self.peak_windows = 0
 
     @property
     def window_count(self) -> int:
+        return self._count
+
+    @property
+    def peak_windows(self) -> int:
+        # windows only split, never merge, so the peak is the current count
         return self._count
 
     def windows(self) -> List[WindowState]:
@@ -122,7 +126,7 @@ class PartitionSelector:
         if not self._blocks:
             self._blocks.append([[-math.inf], [math.inf], [iv], [iv], [iv]])
             self._firsts.append(-math.inf)
-            self._count = self.peak_windows = 1
+            self._count = 1
             return
 
         # locate the window W holding the interval's left endpoint
@@ -169,5 +173,3 @@ class PartitionSelector:
             for column in block:
                 del column[_LOAD:]
         self._count += 1
-        if self._count > self.peak_windows:
-            self.peak_windows = self._count

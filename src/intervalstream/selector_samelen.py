@@ -10,12 +10,24 @@ approximation overall.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .core import Interval
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
+
+
+def grid_window(lam: int, shift: int, iv) -> Optional[int]:
+    """Index j of the window of grid ``shift`` that contains iv, or None when
+    iv straddles a window boundary of that grid.  Window j covers the codes
+    [2*(shift+3j)*lam, 2*(shift+3j+3)*lam - 1]; the left code picks j, and
+    one compare of the right code against the window end serves every
+    openness."""
+    lcode, rcode = iv
+    j = (lcode - 2 * shift * lam) // (6 * lam)
+    if rcode < 2 * (shift + 3 * j + 3) * lam:
+        return j
+    return None
 
 
 def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
@@ -25,9 +37,9 @@ def merge_extremes(ext: Optional[Extremes], iv: Interval) -> Extremes:
     if ext is None:
         return iv, iv
     leftmost, rightmost = ext
-    if iv.rcode < leftmost.rcode:
+    if iv[1] < leftmost[1]:
         leftmost = iv
-    if iv.lcode > rightmost.lcode:
+    if iv[0] > rightmost[0]:
         rightmost = iv
     return leftmost, rightmost
 
@@ -36,77 +48,49 @@ def holds_pair(ext: Extremes) -> bool:
     """True when the window holds two disjoint intervals (type 2): then its
     leftmost and rightmost intervals are such a pair."""
     leftmost, rightmost = ext
-    return rightmost.lcode > leftmost.rcode
-
-
-@dataclass
-class GridWindow:
-    first: Interval  # solution entry while only one fits
-    ext: Extremes    # frozen once it holds a pair
-
-    @property
-    def pair_done(self) -> bool:
-        return holds_pair(self.ext)
-
-    def solution(self) -> List[Interval]:
-        if self.pair_done:
-            return list(self.ext)
-        return [self.first]
-
-    def size(self) -> int:
-        return 2 if self.pair_done else 1
+    return rightmost[0] > leftmost[1]
 
 
 class ShiftedGridSelector:
-    """Streaming state machine for length-lam intervals."""
+    """Streaming state machine for length-lam intervals.  Each grid keeps
+    the extremes of its occupied windows, frozen once they hold a pair."""
 
     def __init__(self, lam: int):
         if lam < 1:
             raise ValueError(f"interval length must be >= 1, got {lam}")
         self.lam = lam
-        self.shifts: List[Dict[int, GridWindow]] = [{}, {}, {}]
+        self.shifts: List[Dict[int, Extremes]] = [{}, {}, {}]
         self.items = 0
-        self.peak_windows = 0
+        self.window_count = 0
 
-    def window_index(self, shift: int, lcode: int) -> int:
-        """Grid window j whose code range [2*(shift+3j)*lam, ...+6*lam-1]
-        holds the given left-endpoint code."""
-        return (lcode - 2 * shift * self.lam) // (6 * self.lam)
-
-    def containing_window(self, shift: int, iv: Interval) -> Optional[int]:
-        """Index of the grid window that contains iv, or None when iv
-        straddles a window boundary of this grid."""
-        j = self.window_index(shift, iv.lcode)
-        if iv.rcode > 2 * (shift + 3 * j + 3) * self.lam - 1:
-            return None
-        return j
+    @property
+    def peak_windows(self) -> int:
+        # windows are never dropped, so the peak is the current count
+        return self.window_count
 
     def process(self, iv: Interval) -> None:
         if iv.length != self.lam:
             raise ValueError(f"interval {iv} has length {iv.length}, expected {self.lam}")
         self.items += 1
-        for a in (0, 1, 2):
-            j = self.containing_window(a, iv)
+        for a, windows in enumerate(self.shifts):
+            j = grid_window(self.lam, a, iv)
             if j is None:
                 continue
-            win = self.shifts[a].get(j)
-            if win is None:
-                self.shifts[a][j] = GridWindow(iv, merge_extremes(None, iv))
-                self.peak_windows = max(self.peak_windows, self.window_count)
-            elif not holds_pair(win.ext):
-                win.ext = merge_extremes(win.ext, iv)
-
-    @property
-    def window_count(self) -> int:
-        return sum(len(s) for s in self.shifts)
+            ext = windows.get(j)
+            if ext is None:
+                self.window_count += 1
+            elif holds_pair(ext):
+                continue
+            windows[j] = merge_extremes(ext, iv)
 
     def shift_size(self, shift: int) -> int:
-        return sum(w.size() for w in self.shifts[shift].values())
+        return sum(1 + holds_pair(ext) for ext in self.shifts[shift].values())
 
     def shift_solution(self, shift: int) -> List[Interval]:
         out: List[Interval] = []
-        for j in sorted(self.shifts[shift]):
-            out.extend(self.shifts[shift][j].solution())
+        for _, ext in sorted(self.shifts[shift].items()):
+            # the pair, or the leftmost interval while only one fits
+            out.extend(ext if holds_pair(ext) else ext[:1])
         return out
 
     def best_shift(self) -> int:
@@ -119,5 +103,4 @@ class ShiftedGridSelector:
 
 def shift_subinstance(intervals, shift: int, lam: int) -> List[Interval]:
     """The intervals contained in some window of the given grid."""
-    sel = ShiftedGridSelector(lam)
-    return [iv for iv in intervals if sel.containing_window(shift, iv) is not None]
+    return [iv for iv in intervals if grid_window(lam, shift, iv) is not None]

@@ -12,7 +12,7 @@ from intervalstream import oracle
 from intervalstream.estimator_samelen import samelen_estimate_oracle
 from intervalstream.generators import gen_index_samelen, random_index_input
 from intervalstream.selector import PartitionSelector
-from intervalstream.selector_samelen import ShiftedGridSelector
+from intervalstream.selector_samelen import ShiftedGridSelector, grid_window
 
 from conftest import validate_partition
 from test_cli import run_cli
@@ -22,7 +22,7 @@ def test_samelen_selector_negative_window_index():
     # lam=5, shift 2: window [-5, 10) has index -1 and contains [1,6]
     sel = ShiftedGridSelector(5)
     iv = Interval(1, 6)
-    assert sel.window_index(2, iv.lcode) == -1
+    assert grid_window(5, 2, iv) == -1
     sel.process(iv)
     assert -1 in sel.shifts[2]
     assert sel.shift_size(2) == 1

@@ -11,8 +11,7 @@ from intervalstream.estimator_samelen import (SamelenAlphaEstimator,
                                               shift_gamma_counts,
                                               shift_window_stats)
 from intervalstream.generators import gen_uniform_samelen
-from intervalstream.selector_samelen import (ShiftedGridSelector, holds_pair,
-                                             shift_subinstance)
+from intervalstream.selector_samelen import grid_window, holds_pair, shift_subinstance
 
 from conftest import reference_bottom_k
 
@@ -46,13 +45,12 @@ def test_process_validation():
 
 
 def test_containment_examples():
-    grid = ShiftedGridSelector(1)
     iv = Interval(1, 2)
     # shift 0: window [0,3) has index 0 and contains [1,2]
-    assert grid.containing_window(0, iv) == 0
+    assert grid_window(1, 0, iv) == 0
     # [4,5] is contained for shifts 0 and 1, straddles a shift-2 boundary
     iv2 = Interval(4, 5)
-    assert [grid.containing_window(a, iv2) for a in (0, 1, 2)] == [1, 1, None]
+    assert [grid_window(1, a, iv2) for a in (0, 1, 2)] == [1, 1, None]
 
 
 def test_hand_example_three_intervals():
@@ -132,7 +130,7 @@ def test_sampler_winner_replay(monkeypatch):
                 j = w - 2
                 assert st.extremes[w] == stats[j]
                 # type classification matches the exact sub-instance optimum
-                sub = [iv for iv in inst if est._grid.containing_window(a, iv) == j]
+                sub = [iv for iv in inst if grid_window(lam, a, iv) == j]
                 window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
                 assert holds_pair(stats[j]) == (window_alpha >= 2)
             assert res.type2_counts[a] == sum(holds_pair(stats[w - 2]) for _, w in expected)

@@ -3,10 +3,11 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalstream.core import Instance, Interval, intersects
+from intervalstream.core import Instance, Interval, Window, contained_in, intersects
 from intervalstream.estimator_samelen import shift_window_stats
 from intervalstream.oracle import alpha
-from intervalstream.selector_samelen import ShiftedGridSelector, holds_pair, shift_subinstance
+from intervalstream.selector_samelen import (ShiftedGridSelector, grid_window, holds_pair,
+                                             shift_subinstance)
 
 from intervalstream.rng import SplitMix64
 
@@ -32,12 +33,39 @@ def test_validation():
     assert ShiftedGridSelector(1).solution() == []
 
 
+def point(x):
+    """The code pair of the closed point [x, x]."""
+    lcode = Interval(x, x).lcode
+    return lcode, lcode
+
+
 def test_grid_geometry():
-    sel = ShiftedGridSelector(1)
     # shift 0 windows [3j, 3j+3); shift 2 windows [2+3j, 5+3j)
-    assert sel.window_index(0, Interval(1, 2).lcode) == 0
-    assert sel.window_index(2, Interval(4, 5).lcode) == 0
-    assert sel.window_index(2, Interval(5, 6).lcode) == 1
+    assert grid_window(1, 0, point(1)) == 0
+    assert grid_window(1, 2, point(4)) == 0
+    assert grid_window(1, 2, point(5)) == 1
+
+
+@pytest.mark.parametrize("lam", range(1, 7))
+def test_grid_window_matches_window_containment(lam):
+    # grid a's window j is the code range [2(a+3j)lam, 2(a+3j+3)lam - 1];
+    # lefts from 1 reach the window j = -1 of grids 1 and 2
+    for left in range(1, 8 * lam):
+        for left_open in (False, True):
+            for right_open in (False, True):
+                iv = Interval(left, left + lam, left_open, right_open)
+                grids = 0
+                for a in (0, 1, 2):
+                    holding = [j for j in range(-1, 3)
+                               if contained_in(iv, Window(2 * (a + 3 * j) * lam,
+                                                          2 * (a + 3 * j + 3) * lam - 1))]
+                    assert len(holding) <= 1
+                    assert grid_window(lam, a, iv) == (holding[0] if holding else None)
+                    grids += bool(holding)
+                if left_open or right_open:
+                    assert grids in (2, 3), iv
+                else:
+                    assert grids == 2, iv
 
 
 def test_every_closed_interval_in_exactly_two_grids():
@@ -46,8 +74,7 @@ def test_every_closed_interval_in_exactly_two_grids():
         lam = rng.randrange(1, 9)
         x = rng.randrange(1, 200)
         iv = Interval(x, x + lam)
-        sel = ShiftedGridSelector(lam)
-        contained = [a for a in (0, 1, 2) if sel.containing_window(a, iv) is not None]
+        contained = [a for a in (0, 1, 2) if grid_window(lam, a, iv) is not None]
         assert len(contained) == 2, (lam, x)
 
 
@@ -77,13 +104,20 @@ def test_duplicates_do_not_grow_solutions():
 
 def test_pair_found_and_frozen():
     # window [6,12) of grid 0 eventually holds two disjoint intervals
-    stream = [Interval(7, 9), Interval(6, 8), Interval(9, 11), Interval(8, 10)]
-    sel = run(2, stream)
-    win = sel.shifts[0][1]
-    assert win.pair_done
-    assert set(win.solution()) == {Interval(6, 8), Interval(9, 11)}
+    sel = run(2, [Interval(7, 9), Interval(6, 8)])
+    # while only one fits, the solution entry is the leftmost, not the first arrival
+    assert sel.shifts[0][1] == (Interval(6, 8), Interval(7, 9))
+    assert sel.shift_solution(0) == [Interval(6, 8)]
+    for iv in (Interval(9, 11), Interval(8, 10)):
+        sel.process(iv)
+    pair = (Interval(6, 8), Interval(9, 11))
+    assert holds_pair(sel.shifts[0][1]) and sel.shifts[0][1] == pair
+    # each would replace an extreme of a window still taking intervals
+    for iv in (Interval(6, 8, right_open=True), Interval(9, 11, left_open=True)):
+        sel.process(iv)
+    assert sel.shifts[0][1] == pair
+    assert sel.shift_solution(0) == list(pair)
     assert sel.shift_size(0) == 2
-    assert win.first == Interval(7, 9)  # pre-pair solution entry was the first arrival
 
 
 def test_three_disjoint_far_apart():
@@ -135,7 +169,7 @@ def test_ratio_space_disjointness(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_window_ext_matches_shift_window_stats(seed):
-    # the selector and shift_window_stats merge by one rule: a window's ext
+    # the selector and shift_window_stats merge by one rule: a window's record
     # is the exact (leftmost, rightmost) of the stream so far until it holds
     # a pair, and that pair stays; open ends make ties on rcode and lcode
     rng = SplitMix64(seed + 4242)
@@ -149,13 +183,13 @@ def test_window_ext_matches_shift_window_stats(seed):
         for a in (0, 1, 2):
             stats = shift_window_stats(stream[:t], a, lam)
             assert set(sel.shifts[a]) == set(stats)
-            for j, win in sel.shifts[a].items():
-                if holds_pair(win.ext):
-                    assert win.ext == frozen.setdefault((a, j), stats[j])
+            for j, ext in sel.shifts[a].items():
+                if holds_pair(ext):
+                    assert ext == frozen.setdefault((a, j), stats[j])
                     assert holds_pair(stats[j])
                 else:
-                    assert win.ext == stats[j]
-    assert frozen and any(not holds_pair(w.ext) for s in sel.shifts for w in s.values())
+                    assert ext == stats[j]
+    assert frozen and any(not holds_pair(ext) for s in sel.shifts for ext in s.values())
 
 
 @settings(max_examples=80, deadline=None)

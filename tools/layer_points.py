@@ -6,9 +6,11 @@ Run from the root of a checkout:
 
 It prints one JSON object.  Each rate is the best of three in-process runs:
 ``parse_stream`` on the text of a uniform stream, ``PartitionSelector.feed``
-on the same stream and on dense streams of 100k and 400k items, and
-``oracle.alpha``.  ``dense_ratio`` is the 400k time over the 100k time; a
-selector linear in m reads 4.
+on the same stream and on dense streams of 100k and 400k items,
+``oracle.alpha``, and ``ShiftedGridSelector.process`` and
+``SamelenAlphaEstimator.process`` on a stream of equal-length intervals
+(the estimator on its first 20k items).  ``dense_ratio`` is the 400k time
+over the 100k time; a selector linear in m reads 4.
 """
 
 from __future__ import annotations
@@ -23,13 +25,16 @@ import numpy as np
 
 from intervalstream import oracle
 from intervalstream.core import format_stream, parse_stream
-from intervalstream.generators import gen_uniform
+from intervalstream.estimator_samelen import SamelenAlphaEstimator, SamelenConfig
+from intervalstream.generators import gen_uniform, gen_uniform_samelen
 from intervalstream.selector import PartitionSelector
+from intervalstream.selector_samelen import ShiftedGridSelector
 
 ROUNDS = 3
 SEED = 1
 UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline point
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
+SAMELEN = dict(n=1 << 20, count=200_000, lam=16, estimator_count=20_000, eps=0.2)
 
 
 def best_seconds(fn, *args) -> float:
@@ -45,6 +50,19 @@ def feed(inst) -> None:
     PartitionSelector().feed(inst.lcodes, inst.rcodes)
 
 
+def run_samelen(inst) -> None:
+    sel = ShiftedGridSelector(SAMELEN["lam"])
+    for iv in inst:
+        sel.process(iv)
+
+
+def run_samelen_estimator(intervals) -> None:
+    est = SamelenAlphaEstimator(SamelenConfig(n=SAMELEN["n"], lam=SAMELEN["lam"],
+                                              user_eps=SAMELEN["eps"], seed=SEED))
+    for iv in intervals:
+        est.process(iv)
+
+
 def main() -> int:
     uniform = gen_uniform(UNIFORM["n"], UNIFORM["count"], UNIFORM["max_len"], SEED)
     text = format_stream(uniform)
@@ -56,6 +74,7 @@ def main() -> int:
     result = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__},
               "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "dense": DENSE,
+              "samelen": SAMELEN,
               "items_per_s": {name: round(UNIFORM["count"] / s) for name, s in seconds.items()}}
     dense_s = {}
     for count in (100_000, 400_000):
@@ -63,6 +82,12 @@ def main() -> int:
         dense_s[count] = best_seconds(feed, dense)
         result["items_per_s"][f"PartitionSelector.feed.dense_{count // 1000}k"] = round(count / dense_s[count])
     result["dense_ratio"] = round(dense_s[400_000] / dense_s[100_000], 2)
+    samelen = gen_uniform_samelen(SAMELEN["n"], SAMELEN["count"], SAMELEN["lam"], SEED)
+    head = samelen.intervals[:SAMELEN["estimator_count"]]
+    result["items_per_s"]["ShiftedGridSelector.process"] = round(
+        SAMELEN["count"] / best_seconds(run_samelen, samelen))
+    result["items_per_s"]["SamelenAlphaEstimator.process"] = round(
+        len(head) / best_seconds(run_samelen_estimator, head))
     json.dump(result, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
