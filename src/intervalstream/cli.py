@@ -10,8 +10,6 @@ held.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from typing import List, Optional
 
@@ -20,13 +18,7 @@ from .core import DomainError, Instance, ParseError, format_stream, parse_stream
 from .generators import (expected_alpha_index_general, expected_alpha_index_samelen,
                          gen_index_general, gen_index_samelen, gen_uniform,
                          gen_uniform_samelen, random_index_input)
-from .harness import (ALGORITHMS, TrialReport, run_single, run_trials, summary_to_json,
-                      trial_success)
-from .hashing import HashFamily, make_counter
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+from .harness import ALGORITHMS, json_line, run_single, run_trials
 
 
 def _write(args, text: str) -> None:
@@ -91,62 +83,25 @@ def cmd_select(args) -> int:
     algorithm = f"select-{args.algo}"
     report = run_single(algorithm, inst, seed=args.seed, eps=args.eps,
                         lam=args.lam, instance_id=_instance_id(args))
-    alpha = report.alpha
-    if args.algo == "general":
-        space_ok = report.peak_memory_units <= max(alpha, 1)
-    else:
-        space_ok = report.peak_memory_units <= 3 * alpha + 3
-    sel_report = json.loads(report.to_json())
-    sel_report["space_ok"] = space_ok
-    _write(args, _dump(sel_report) + "\n")
-    return 0 if (report.success and space_ok and report.details.get("disjoint", True)) else 1
-
-
-def _distinct_points_estimate(args, inst: Instance) -> int:
-    """Zero-length route: alpha equals the number of distinct points.  The
-    counter is sized for eps' = eps/3 and its count divided by 1 + eps', so
-    a count within (1 +- eps') of alpha lands in [2/3(1-eps) alpha, alpha]."""
-    if not 0 < args.eps < 0.5:
-        raise DomainError(f"eps must be in (0, 1/2), got {args.eps}")
-    for iv in inst:
-        if iv.length != 0:
-            raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
-    eps_count = args.eps / 3.0
-    family = HashFamily.create(inst.n, eps_count)
-    counter = make_counter(args.counter, family, args.seed,
-                           kmv_k=math.ceil(96.0 / eps_count ** 2))
-    for iv in inst:
-        counter.add(iv.left)
-    alpha = oracle.alpha(inst)
-    output = counter.estimate() / (1.0 + eps_count)
-    success = trial_success("estimate-samelen", output, alpha, args.eps)
-    report = TrialReport(
-        instance_id=_instance_id(args), algorithm="estimate-samelen",
-        params={"seed": args.seed, "eps": args.eps, "lambda": 0,
-                "scale": args.scale, "counter": args.counter},
-        output=output, alpha=alpha, success=success,
-        peak_memory_units=counter.units, details={"route": "distinct-points"})
     _write(args, report.to_json() + "\n")
-    return 0 if success else 1
+    return 0 if report.passed else 1
 
 
 def cmd_estimate(args) -> int:
     inst = _read_instance(args, require_header=True)
-    if args.algo == "samelen" and args.lam == 0:
-        return _distinct_points_estimate(args, inst)
     algorithm = f"estimate-{args.algo}" + ("-oracle" if args.oracle_mode else "")
     report = run_single(algorithm, inst, seed=args.seed, eps=args.eps,
                         lam=args.lam, scale=args.scale, counter=args.counter,
                         instance_id=_instance_id(args), timing=args.timing)
     _write(args, report.to_json() + "\n")
-    return 0 if report.success else 1
+    return 0 if report.passed else 1
 
 
 def cmd_exact(args) -> int:
     inst = _read_instance(args)
     obj = {"kind": "exact", "n": inst.n, "intervals": len(inst),
            "alpha": oracle.alpha(inst)}
-    _write(args, _dump(obj) + "\n")
+    _write(args, json_line(obj) + "\n")
     return 0
 
 
@@ -159,9 +114,9 @@ def cmd_trials(args) -> int:
                                   instance_id=_instance_id(args),
                                   workers=args.workers, groups=args.groups,
                                   timing=args.timing)
-    lines = [r.to_json() for r in reports] + [summary_to_json(summary)]
+    lines = [r.to_json() for r in reports] + [json_line(summary)]
     _write(args, "\n".join(lines) + "\n")
-    return 0 if all(r.success for r in reports) else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

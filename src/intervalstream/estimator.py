@@ -26,6 +26,9 @@ from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
 from .rng import SplitMix64
 from .selector import PartitionSelector
 
+# most sample members (k_rel + k0) an estimator may be built with
+SAMPLER_LIMIT = 500_000
+
 
 def emitted_segments(tree: SegTree, iv: Interval,
                      path: Optional[List[int]] = None) -> List[int]:
@@ -46,7 +49,6 @@ class EstimatorConfig:
     seed: int
     counter_kind: str = "exact"
     scale: float = 1.0
-    sampler_limit: int = 500_000
 
     def __post_init__(self):
         if self.n < 2:
@@ -171,10 +173,10 @@ class GeneralAlphaEstimator:
     def __init__(self, config: EstimatorConfig):
         self.config = config
         self.tree = SegTree(config.n)
-        if config.k_rel + config.k0 > config.sampler_limit:
+        if config.k_rel + config.k0 > SAMPLER_LIMIT:
             raise ValueError(
                 f"sampler counts k_rel={config.k_rel}, k0={config.k0} exceed "
-                f"limit {config.sampler_limit}; lower the scale parameter")
+                f"limit {SAMPLER_LIMIT}; lower the scale parameter")
         rng = SplitMix64(config.seed)
         id_universe = 2 * self.tree.n_pow2
         fam_rel = HashFamily.create(id_universe, config.eps_rel)

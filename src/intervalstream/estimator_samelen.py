@@ -17,7 +17,8 @@ from typing import Dict, List, Tuple
 from .core import DomainError, Instance, Interval
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
-from .selector_samelen import Extremes, grid_window, holds_pair, merge_extremes
+from .selector_samelen import (Extremes, check_lam, check_length, grid_window, holds_pair,
+                               merge_extremes)
 
 
 @dataclass
@@ -31,8 +32,7 @@ class SamelenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        if self.lam < 1:
-            raise ValueError(f"interval length must be >= 1, got {self.lam}")
+        check_lam(self.lam)
         if not 0 < self.user_eps < 0.5:
             raise ValueError(f"eps must be in (0, 1/2), got {self.user_eps}")
 
@@ -118,8 +118,7 @@ class SamelenAlphaEstimator:
 
     def process(self, iv: Interval) -> None:
         cfg = self.config
-        if iv.length != cfg.lam:
-            raise ValueError(f"interval {iv} has length {iv.length}, expected {cfg.lam}")
+        check_length(cfg.lam, iv)
         if iv.left < 1 or iv.right > cfg.n:
             raise DomainError(f"interval {iv} outside [1, {cfg.n}]")
         self.items += 1
@@ -170,8 +169,31 @@ def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     combination formula."""
     if not 0 < user_eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
+    check_lam(lam)
+    for iv in inst:
+        check_length(lam, iv)
     best = 0
     for a in (0, 1, 2):
         g1, g2 = shift_gamma_counts(inst, a, lam)
         best = max(best, g1 + g2)
     return best / (1.0 + user_eps / 2.0)
+
+
+def distinct_points_estimate(inst: Instance, user_eps: float, seed: int,
+                             counter_kind: str = "exact") -> Tuple[float, int]:
+    """Zero-length route (lambda 0): alpha equals the number of distinct
+    points.  The counter is sized for eps' = eps/3 and its count divided by
+    1 + eps', so a count within (1 +- eps') of alpha lands in
+    [2/3(1-eps) alpha, alpha].  Returns (estimate, units)."""
+    if not 0 < user_eps < 0.5:
+        raise DomainError(f"eps must be in (0, 1/2), got {user_eps}")
+    for iv in inst:
+        if iv.length != 0:
+            raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
+    eps_count = user_eps / 3.0
+    family = HashFamily.create(inst.n, eps_count)
+    counter = make_counter(counter_kind, family, seed,
+                           kmv_k=math.ceil(96.0 / eps_count ** 2))
+    for iv in inst:
+        counter.add(iv.left)
+    return counter.estimate() / (1.0 + eps_count), counter.units

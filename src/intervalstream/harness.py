@@ -18,13 +18,20 @@ from typing import Dict, List, Optional, Tuple
 from . import oracle
 from .core import Instance, pairwise_disjoint
 from .estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
-from .estimator_samelen import SamelenAlphaEstimator, SamelenConfig, samelen_estimate_oracle
+from .estimator_samelen import (SamelenAlphaEstimator, SamelenConfig, distinct_points_estimate,
+                                samelen_estimate_oracle)
 from .selector import PartitionSelector
 from .selector_samelen import ShiftedGridSelector
 
 ALGORITHMS = ("select-general", "select-samelen",
               "estimate-general", "estimate-general-oracle",
               "estimate-samelen", "estimate-samelen-oracle")
+
+
+def json_line(obj) -> str:
+    """The one JSON writer for reports: sorted keys and no spaces, so that
+    identical runs give identical bytes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -38,6 +45,14 @@ class TrialReport:
     peak_memory_units: int
     wall_time_s: Optional[float] = None
     details: Dict = field(default_factory=dict)
+    space_ok: Optional[bool] = None  # the selectors' space bound; None for estimators
+
+    @property
+    def passed(self) -> bool:
+        """The run's verdict, on which every command exits: the guarantee
+        held, and no space bound or disjointness check failed."""
+        return (self.success and self.space_ok is not False
+                and self.details.get("disjoint") is not False)
 
     def to_json(self) -> str:
         obj = {"kind": "trial", "instance_id": self.instance_id,
@@ -46,7 +61,9 @@ class TrialReport:
                "success": self.success,
                "peak_memory_units": self.peak_memory_units,
                "wall_time_s": self.wall_time_s, "details": self.details}
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        if self.space_ok is not None:
+            obj["space_ok"] = self.space_ok
+        return json_line(obj)
 
 
 def trial_success(algorithm: str, output: float, alpha: int, eps: float = 0.0) -> bool:
@@ -74,6 +91,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
     params = {"seed": seed, "eps": eps, "lambda": lam, "scale": scale,
               "counter": counter}
     details: Dict = {}
+    space_ok = None
     start = time.perf_counter()
 
     if algorithm == "select-general":
@@ -81,15 +99,18 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         sel.feed(inst.lcodes, inst.rcodes)
         output = float(sel.window_count)
         units = sel.peak_windows
+        space_ok = units <= max(alpha, 1)
         details["disjoint"] = pairwise_disjoint(sel.solution())
     elif algorithm == "select-samelen":
         sel = ShiftedGridSelector(lam)
         for iv in inst:
             sel.process(iv)
-        output = float(len(sel.solution()))
+        solution = sel.solution()
+        output = float(len(solution))
         units = sel.peak_windows
+        space_ok = units <= 3 * alpha + 3
         details["best_shift"] = sel.best_shift()
-        details["disjoint"] = pairwise_disjoint(sel.solution())
+        details["disjoint"] = pairwise_disjoint(solution)
     elif algorithm == "estimate-general":
         est = GeneralAlphaEstimator(EstimatorConfig(
             n=inst.n, user_eps=eps, seed=seed, counter_kind=counter, scale=scale))
@@ -105,6 +126,9 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
     elif algorithm == "estimate-general-oracle":
         output = estimate_oracle_mode(inst, eps)
         units = 0
+    elif algorithm == "estimate-samelen" and lam == 0:
+        output, units = distinct_points_estimate(inst, eps, seed, counter)
+        details["route"] = "distinct-points"
     elif algorithm == "estimate-samelen":
         est = SamelenAlphaEstimator(SamelenConfig(
             n=inst.n, lam=lam, user_eps=eps, seed=seed, counter_kind=counter))
@@ -127,7 +151,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
                        success=trial_success(algorithm, output, alpha, eps),
                        peak_memory_units=units,
                        wall_time_s=wall if timing else None,
-                       details=details)
+                       details=details, space_ok=space_ok)
 
 
 def _trial_task(args) -> TrialReport:
@@ -194,7 +218,3 @@ def median_of_groups(values: List[float], groups: int) -> List[float]:
         out.append(median(values[start:end]))
         start = end
     return out
-
-
-def summary_to_json(summary: Dict) -> str:
-    return json.dumps(summary, sort_keys=True, separators=(",", ":"))

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from typing import List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from .rng import _GOLDEN, _MASK
+from .rng import SplitMix64
 
 C1 = 8
 C2 = 4
@@ -100,60 +98,19 @@ class HashFamily:
         return cls(universe, eps, prime, degree)
 
 
-def _np_mix64(z: np.ndarray) -> np.ndarray:
-    z = z.copy()
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
-    return z
-
-
-def bulk_u64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """Vectorized SplitMix64: element i equals the (offset+i+1)-th draw of
-    SplitMix64(seed)."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    counters = (np.uint64(seed & _MASK) + idx * np.uint64(_GOLDEN))
-    return _np_mix64(counters)
-
-
-def bulk_below(seed: int, bound: int, count: int) -> np.ndarray:
-    """Vectorized unbiased draws in [0, bound) via rejection: draw i is
-    replaced by later draws of the stream, in order, while it is rejected.
-    A bound dividing 2**64 rejects nothing."""
-    if not 0 < bound < 1 << 64:
-        raise ValueError(f"bound must be in (0, 2**64), got {bound}")
-    draws = bulk_u64(seed, count)
-    out = draws % np.uint64(bound)
-    rem = (1 << 64) % bound
-    if not rem:
-        return out
-    limit = np.uint64((1 << 64) - rem)
-    pending = np.nonzero(draws >= limit)[0]
-    offset = count
-    while pending.size:
-        draws = bulk_u64(seed, pending.size, offset)
-        offset += pending.size
-        good = draws < limit
-        out[pending[good]] = draws[good] % np.uint64(bound)
-        pending = pending[~good]
-    return out
-
-
 class PolyBank:
     """A bank of independent family members: row j holds the coefficients of
-    one random polynomial, drawn with every other row's in one bulk_below
-    draw.  Every value is exact Horner on Python integers, valid for every
-    prime below 2**64."""
+    one random polynomial, drawn row after row from SplitMix64(seed).below.
+    Every value is exact Horner on Python integers, valid for every prime
+    below 2**64."""
 
     def __init__(self, rows: int, family: HashFamily, seed: int):
         self.family = family
         self.prime = family.prime
         self.columns_hashed = 0
-        d = family.degree
-        flat = bulk_below(seed, self.prime, rows * d).tolist()
-        self.coeffs = [flat[r * d:(r + 1) * d] for r in range(rows)]
+        rng = SplitMix64(seed)
+        self.coeffs = [[rng.below(self.prime) for _ in range(family.degree)]
+                       for _ in range(rows)]
 
     def eval(self, xs: Sequence[int]) -> List[List[int]]:
         """Hash values of xs, one list per row."""

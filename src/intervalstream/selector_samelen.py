@@ -17,6 +17,19 @@ from .core import Interval
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
 
+def check_lam(lam: int) -> None:
+    """Refuse an interval length below 1: the grids need windows of 6*lam
+    codes."""
+    if lam < 1:
+        raise ValueError(f"interval length must be >= 1, got {lam}")
+
+
+def check_length(lam: int, iv: Interval) -> None:
+    """Refuse an interval whose length is not lam."""
+    if iv.length != lam:
+        raise ValueError(f"interval {iv} has length {iv.length}, expected {lam}")
+
+
 def grid_window(lam: int, shift: int, iv) -> Optional[int]:
     """Index j of the window of grid ``shift`` that contains iv, or None when
     iv straddles a window boundary of that grid.  Window j covers the codes
@@ -56,8 +69,7 @@ class ShiftedGridSelector:
     the extremes of its occupied windows, frozen once they hold a pair."""
 
     def __init__(self, lam: int):
-        if lam < 1:
-            raise ValueError(f"interval length must be >= 1, got {lam}")
+        check_lam(lam)
         self.lam = lam
         self.shifts: List[Dict[int, Extremes]] = [{}, {}, {}]
         self.items = 0
@@ -69,8 +81,7 @@ class ShiftedGridSelector:
         return self.window_count
 
     def process(self, iv: Interval) -> None:
-        if iv.length != self.lam:
-            raise ValueError(f"interval {iv} has length {iv.length}, expected {self.lam}")
+        check_length(self.lam, iv)
         self.items += 1
         for a, windows in enumerate(self.shifts):
             j = grid_window(self.lam, a, iv)

@@ -5,10 +5,12 @@ import sys
 import pytest
 
 from intervalstream.cli import main
-from intervalstream.core import parse_stream
+from intervalstream.core import Interval, parse_stream
 from intervalstream.estimator_samelen import shift_gamma_counts
+from intervalstream.harness import run_trials
 from intervalstream import oracle
 from intervalstream.rng import SplitMix64
+from intervalstream.selector import PartitionSelector
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -184,6 +186,61 @@ def test_trials_output_shape(tmp_path):
     objs = [json.loads(line) for line in lines]
     assert [o["kind"] for o in objs] == ["trial"] * 4 + ["summary"]
     assert objs[-1]["success_fraction"] == 1.0
+    assert all(o["space_ok"] for o in objs[:-1])
+
+
+@pytest.mark.parametrize("fault", ["overlap", "space"])
+def test_trials_select_exit_reads_disjointness_and_space(tmp_path, monkeypatch, fault):
+    # each trial meets its bracket, but its selection overlaps or its peak
+    # passes max(alpha, 1): the command fails as select would
+    path = tmp_path / "t.txt"
+    path.write_text("n 64\n" + "\n".join(f"{i} {i+3}" for i in range(1, 60, 7)) + "\n")
+    if fault == "overlap":
+        monkeypatch.setattr(PartitionSelector, "solution",
+                            lambda self: [Interval(1, 3), Interval(2, 4)])
+    else:
+        monkeypatch.setattr(PartitionSelector, "peak_windows", property(lambda self: 10 ** 6))
+    code, out = run_cli(["trials", "--algo", "select-general", "--trials", "2",
+                         "--in", str(path)])
+    trials = [json.loads(line) for line in out.strip().split("\n")[:-1]]
+    assert code == 1
+    assert [t["success"] for t in trials] == [True, True]
+    assert [t["details"]["disjoint"] for t in trials] == [fault != "overlap"] * 2
+    assert [t["space_ok"] for t in trials] == [fault != "space"] * 2
+
+
+def test_trials_lambda_zero_lines_match_estimate(tmp_path):
+    path = tmp_path / "p.txt"
+    path.write_text(_random_points(10_000, 500, seed=1))
+    opts = ["--lambda", "0", "--eps", "0.3", "--counter", "kmv", "--in", str(path)]
+    code, out = run_cli(["trials", "--algo", "estimate-samelen", *opts,
+                         "--trials", "3", "--seed", "4"])
+    lines = out.strip().split("\n")[:-1]
+    singles = [run_cli(["estimate", "--algo", "samelen", *opts, "--seed", str(seed)])
+               for seed in (4, 5, 6)]
+    assert lines == [single.strip() for _, single in singles]
+    assert code == max(c for c, _ in singles) == 0
+    reports, _ = run_trials("estimate-samelen", parse_stream(path.read_text()), trials=3,
+                            base_seed=4, eps=0.3, lam=0, counter="kmv",
+                            instance_id=str(path))
+    assert [r.to_json() for r in reports] == lines
+    assert all('"space_ok"' not in line for line in lines)
+
+
+@pytest.mark.parametrize("args,stdin_text,message", [
+    (["estimate", "--algo", "samelen", "--lambda", "0", "--oracle-mode"], "n 9\n1 1\n",
+     "interval length must be >= 1, got 0"),
+    (["trials", "--algo", "estimate-samelen-oracle", "--lambda", "0"], "n 9\n1 1\n",
+     "interval length must be >= 1, got 0"),
+    (["estimate", "--algo", "samelen", "--lambda", "-4", "--oracle-mode"], "n 9\n1 1\n",
+     "interval length must be >= 1, got -4"),
+    (["estimate", "--algo", "samelen", "--lambda", "4", "--oracle-mode"],
+     "n 40\n1 5\n3 9\n10 14\n", "interval [3,9] has length 6, expected 4"),
+], ids=["lambda-0", "trials-lambda-0", "lambda-negative", "mixed-lengths"])
+def test_samelen_oracle_mode_refuses_what_the_selector_refuses(args, stdin_text, message,
+                                                              capsys):
+    assert run_cli(args, stdin_text=stdin_text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_trials_byte_identical_repetition(tmp_path):

@@ -55,8 +55,7 @@ def test_emitted_segments_exhaustive_properties():
 
 
 def test_config_derived_constants():
-    cfg = EstimatorConfig(n=1024, user_eps=0.45, seed=0, scale=1.0,
-                          sampler_limit=10 ** 20)
+    cfg = EstimatorConfig(n=1024, user_eps=0.45, seed=0, scale=1.0)
     assert cfg.eps1 == pytest.approx(0.075)
     assert cfg.eps_rel == pytest.approx(0.075 / 7)
     assert cfg.eps_rho == pytest.approx(0.015)

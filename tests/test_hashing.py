@@ -8,8 +8,7 @@ import pytest
 from intervalstream.estimator import EstimatorConfig
 from intervalstream.estimator_samelen import SamelenConfig
 from intervalstream.hashing import (BottomK, ExactDistinct, HashFamily,
-                                    KMVDistinct, PolyBank, bulk_below, bulk_u64,
-                                    horner, next_prime)
+                                    KMVDistinct, PolyBank, horner, next_prime)
 from intervalstream.rng import SplitMix64
 
 from conftest import DRAWS, minwise_frequencies, reference_bottom_k
@@ -288,47 +287,26 @@ def test_bottom_k_holds_the_k_smallest_pairs(fam, k):
     assert s.units == len(s.members) == min(k, len(offered))
 
 
-def test_bulk_u64_matches_scalar():
-    rng = SplitMix64(1234)
-    scalar = [rng.next_u64() for _ in range(20)]
-    assert bulk_u64(1234, 20).tolist() == scalar
-    assert bulk_u64(1234, 10, offset=10).tolist() == scalar[10:]
-
-
-def test_bulk_below_bounds_and_determinism():
-    a = bulk_below(5, 97, 1000)
-    b = bulk_below(5, 97, 1000)
-    assert (a == b).all()
-    assert a.max() < 97
-
-
 def test_draw_bounds_past_2_64_rejected():
     # the rejection limit of a bound past 2**64 is 0: no draw would pass
     rng = SplitMix64(5)
     assert 0 <= rng.below(1 << 64) < 1 << 64
-    assert 0 <= bulk_below(5, (1 << 64) - 1, 3).max() < (1 << 64) - 1
     for bad in ((1 << 64) + 1, 10 ** 23, 0):
         with pytest.raises(ValueError):
             rng.below(bad)
-    for bad in (1 << 64, 10 ** 23, 0):
-        with pytest.raises(ValueError):
-            bulk_below(5, bad, 3)
 
 
-def _bulk_below_by_rounds(seed, bound, count):
-    """Rejection in rounds: every pending draw is redrawn from the stream's
-    next values, in order, until it falls below the largest multiple of
-    bound up to 2**64."""
+def _below_by_skipping(seed, bound, count):
+    """Rejection by skipping: the stream's draws in order, each one at or
+    above the largest multiple of bound up to 2**64 dropped, the rest
+    reduced modulo bound."""
     limit = (1 << 64) - ((1 << 64) % bound)
-    out = np.empty(count, dtype=np.uint64)
-    pending = np.arange(count)
-    offset = 0
-    while pending.size:
-        draws = bulk_u64(seed, pending.size, offset)
-        offset += pending.size
-        good = np.array([int(d) < limit for d in draws], dtype=bool)
-        out[pending[good]] = draws[good] % np.uint64(bound)
-        pending = pending[~good]
+    rng = SplitMix64(seed)
+    out = []
+    while len(out) < count:
+        u = rng.next_u64()
+        if u < limit:
+            out.append(u % bound)
     return out
 
 
@@ -337,20 +315,21 @@ def _bulk_below_by_rounds(seed, bound, count):
                                            (1 << 63, False)],
                          ids=["small", "p-2^23", "2^63+1", "2", "2^63"])
 def test_bulk_below_matches_rejection_rounds(bound, rejects):
-    # at bound 2**63 + 1 every draw from 2**63 + 1 up is rejected: about half;
+    # SplitMix64.below, which draws every PolyBank's coefficients, row after
+    # row, against a reference that skips rejected draws; at bound 2**63 + 1 every draw from 2**63 + 1 up is rejected: about half;
     # a bound dividing 2**64 (2, 2**63) rejects none
     count = 2000
-    draws = bulk_u64(21, count)
+    rng = SplitMix64(21)
+    draws = [rng.next_u64() for _ in range(count)]
     limit = (1 << 64) - ((1 << 64) % bound)
-    assert any(int(d) >= limit for d in draws) == rejects
-    got = bulk_below(21, bound, count)
-    assert (got == _bulk_below_by_rounds(21, bound, count)).all()
-    assert all(int(v) < bound for v in got)
+    assert any(d >= limit for d in draws) == rejects
+    rng = SplitMix64(21)
+    got = [rng.below(bound) for _ in range(count)]
+    assert got == _below_by_skipping(21, bound, count)
+    assert all(v < bound for v in got)
     if not rejects:
-        assert (got == draws % np.uint64(bound)).all()
-        # with no rejection, draw i is the i-th scalar draw
-        rng = SplitMix64(21)
-        assert got.tolist() == [rng.below(bound) for _ in range(count)]
+        # with no rejection, draw i is the i-th raw draw modulo bound
+        assert got == [d % bound for d in draws]
 
 
 def test_minwise_statistical_bound():
@@ -383,8 +362,9 @@ def test_conditional_sampling_bound():
 def test_pairwise_collision_rate():
     # degree-2 rows: Pr[h(x) = h(y)] = 1/p for fixed x != y
     p = 149
-    c0 = bulk_below(17, p, DRAWS).astype(np.int64)
-    c1 = bulk_below(18, p, DRAWS).astype(np.int64)
+    rng0, rng1 = SplitMix64(17), SplitMix64(18)
+    c0 = np.array([rng0.below(p) for _ in range(DRAWS)], dtype=np.int64)
+    c1 = np.array([rng1.below(p) for _ in range(DRAWS)], dtype=np.int64)
     x, y = 5, 131
     hx = (c0 + c1 * x) % p
     hy = (c0 + c1 * y) % p
