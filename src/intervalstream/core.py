@@ -268,6 +268,15 @@ def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray,
     return chain.from_iterable(zip(lcodes[p].tolist(), rcodes[p].tolist()) for p in parts)
 
 
+def code_columns(intervals) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(lcodes, rcodes)`` columns of an Instance, or of an iterable of
+    Intervals (built here, as an Instance builds its own)."""
+    if isinstance(intervals, Instance):
+        return intervals.lcodes, intervals.rcodes
+    intervals = tuple(intervals)
+    return _column([iv[0] for iv in intervals]), _column([iv[1] for iv in intervals])
+
+
 class Instance:
     """A coordinate universe bound plus intervals in stream order.
 
@@ -293,8 +302,7 @@ class Instance:
         for iv in intervals:
             if not isinstance(iv, Interval):
                 raise TypeError(f"an Instance holds Interval objects, got {iv!r}")
-        lcodes = _column([iv[0] for iv in intervals])
-        rcodes = _column([iv[1] for iv in intervals])
+        lcodes, rcodes = code_columns(intervals)
         if not _codes_fit(lcodes, rcodes, n):
             bad = next(iv for iv in intervals if iv[0] < 2 or iv[1] > 2 * n)
             raise DomainError(f"interval {bad} outside [1, {n}]")

@@ -14,11 +14,14 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .core import DomainError, Instance, Interval
+import numpy as np
+
+from .core import DomainError, Instance, Interval, code_columns
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
-from .selector_samelen import (Extremes, check_lam, check_length, grid_window, holds_pair,
-                               merge_extremes)
+from .selector_samelen import (Extremes, _runs, check_lam, check_length, chunks,
+                               feed_columns, grid_window, holds_pair, lengths, merge_extremes,
+                               refuse_first, window_records)
 
 
 @dataclass
@@ -77,9 +80,8 @@ class _ShiftState:
     are seen.  The extremes are kept for the sample's members only.
     """
 
-    def __init__(self, shift: int, cfg: SamelenConfig, rng: SplitMix64):
+    def __init__(self, shift: int, cfg: SamelenConfig, family: HashFamily, rng: SplitMix64):
         self.shift = shift
-        family = HashFamily.create(cfg.index_domain, cfg.eps2)
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift).seed, cfg.kmv_k)
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
@@ -90,12 +92,31 @@ class _ShiftState:
         fresh = self.counter.add(w)
         ext = self.extremes.get(w)
         if ext is not None:
-            self.extremes[w] = merge_extremes(ext, iv)
+            self.extremes[w] = merge_extremes(ext, (iv, iv))
         elif fresh:
             evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
             if evicted is not None:
                 self.extremes.pop(evicted, None)
-                self.extremes[w] = merge_extremes(None, iv)
+                self.extremes[w] = (iv, iv)
+
+    def observe_chunk(self, wins: List[int], records: List[tuple]) -> None:
+        """Take a chunk's windows, distinct, with their records over the
+        chunk.  The counter takes them at once, the members' records merge,
+        and the possibly new ids that are no member go to one keys call and
+        one bulk offer: the state ``observe`` leaves over the chunk's pairs,
+        since neither the counter nor the sample depends on the order of
+        offers or on a repeat."""
+        record_of = dict(zip([j + 2 for j in wins], records))
+        fresh = self.counter.add_many(list(record_of))
+        extremes = self.extremes
+        for w in record_of.keys() & extremes.keys():
+            extremes[w] = merge_extremes(extremes[w], record_of[w])
+        offered = [w for w in fresh if w not in extremes]
+        entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
+        for w in evicted:
+            del extremes[w]
+        for w in entered:
+            extremes[w] = merge_extremes(None, record_of[w])
 
     def type2_count(self) -> int:
         """Members of the sample holding two disjoint intervals."""
@@ -103,12 +124,17 @@ class _ShiftState:
 
 
 class SamelenAlphaEstimator:
-    """Streaming estimator for length-lam intervals with endpoints in [1, n]."""
+    """Streaming estimator for length-lam intervals with endpoints in [1, n].
+
+    ``process(iv)`` takes one Interval and checks it; ``feed`` takes code
+    columns a chunk at a time, with one length and one range check per
+    chunk, and leaves the state ``process`` leaves after every chunk."""
 
     def __init__(self, config: SamelenConfig):
         self.config = config
         rng = SplitMix64(config.seed)
-        self.states = [_ShiftState(a, config, rng) for a in (0, 1, 2)]
+        family = HashFamily.create(config.index_domain, config.eps2)
+        self.states = [_ShiftState(a, config, family, rng) for a in (0, 1, 2)]
         self.items = 0
 
     @property
@@ -116,16 +142,33 @@ class SamelenAlphaEstimator:
         """Window ids hashed so far, summed over the three grids' banks."""
         return sum(st.sample.bank.columns_hashed for st in self.states)
 
+    def _check(self, iv: Interval) -> None:
+        check_length(self.config.lam, iv)
+        if iv.left < 1 or iv.right > self.config.n:
+            raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
+
     def process(self, iv: Interval) -> None:
-        cfg = self.config
-        check_length(cfg.lam, iv)
-        if iv.left < 1 or iv.right > cfg.n:
-            raise DomainError(f"interval {iv} outside [1, {cfg.n}]")
+        self._check(iv)
         self.items += 1
         for a in (0, 1, 2):
-            j = grid_window(cfg.lam, a, iv)
+            j = grid_window(self.config.lam, a, iv)
             if j is not None:
                 self.states[a].observe(j, iv)
+
+    def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        """Feed two code columns (int64 or object dtype) in chunks
+        (``selector_samelen.feed_columns``).  A chunk is refused, before any
+        of it is taken, at its first interval ``process`` would refuse, with
+        the same message."""
+        feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
+
+    def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        cfg = self.config
+        refuse_first((lengths(lcodes, rcodes) != cfg.lam) | (lcodes < 2) | (rcodes > 2 * cfg.n),
+                     lcodes, rcodes, self._check)
+        self.items += len(lcodes)
+        for a, st in enumerate(self.states):
+            st.observe_chunk(*window_records(cfg.lam, a, lcodes, rcodes))
 
     def estimate(self) -> SamelenEstimate:
         cfg = self.config
@@ -147,12 +190,11 @@ class SamelenAlphaEstimator:
 
 def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
     """Exact (leftmost, rightmost) intervals per occupied window index of
-    one grid."""
+    one grid; ``intervals`` is an Instance or an iterable of Intervals."""
     stats: Dict[int, Extremes] = {}
-    for iv in intervals:
-        j = grid_window(lam, shift, iv)
-        if j is not None:
-            stats[j] = merge_extremes(stats.get(j), iv)
+    for ls, rs in chunks(*code_columns(intervals)):
+        for j, record in zip(*window_records(lam, shift, ls, rs)):
+            stats[j] = merge_extremes(stats.get(j), record)
     return stats
 
 
@@ -170,8 +212,8 @@ def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     if not 0 < user_eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
     check_lam(lam)
-    for iv in inst:
-        check_length(lam, iv)
+    refuse_first(lengths(inst.lcodes, inst.rcodes) != lam, inst.lcodes, inst.rcodes,
+                 lambda iv: check_length(lam, iv))
     best = 0
     for a in (0, 1, 2):
         g1, g2 = shift_gamma_counts(inst, a, lam)
@@ -179,21 +221,52 @@ def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     return best / (1.0 + user_eps / 2.0)
 
 
-def distinct_points_estimate(inst: Instance, user_eps: float, seed: int,
-                             counter_kind: str = "exact") -> Tuple[float, int]:
+class DistinctPoints:
     """Zero-length route (lambda 0): alpha equals the number of distinct
     points.  The counter is sized for eps' = eps/3 and its count divided by
     1 + eps', so a count within (1 +- eps') of alpha lands in
-    [2/3(1-eps) alpha, alpha].  Returns (estimate, units)."""
-    if not 0 < user_eps < 0.5:
-        raise DomainError(f"eps must be in (0, 1/2), got {user_eps}")
-    for iv in inst:
+    [2/3(1-eps) alpha, alpha].
+
+    ``process(iv)`` takes one Interval and checks its length; ``feed`` takes
+    code columns a chunk at a time, with one length check per chunk, and
+    adds each chunk's distinct points to the counter at once."""
+
+    def __init__(self, n: int, user_eps: float, seed: int, counter_kind: str = "exact"):
+        if not 0 < user_eps < 0.5:
+            raise DomainError(f"eps must be in (0, 1/2), got {user_eps}")
+        self.eps_count = user_eps / 3.0
+        family = HashFamily.create(n, self.eps_count)
+        self.counter = make_counter(counter_kind, family, seed,
+                                    kmv_k=math.ceil(96.0 / self.eps_count ** 2))
+
+    @staticmethod
+    def _check(iv: Interval) -> None:
         if iv.length != 0:
             raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
-    eps_count = user_eps / 3.0
-    family = HashFamily.create(inst.n, eps_count)
-    counter = make_counter(counter_kind, family, seed,
-                           kmv_k=math.ceil(96.0 / eps_count ** 2))
-    for iv in inst:
-        counter.add(iv.left)
-    return counter.estimate() / (1.0 + eps_count), counter.units
+
+    def process(self, iv: Interval) -> None:
+        self._check(iv)
+        self.counter.add(iv.left)
+
+    def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        """Feed two code columns in chunks (``selector_samelen.feed_columns``);
+        a chunk is refused, before any of it is taken, at its first interval
+        of nonzero length, with the message of ``process``."""
+        feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
+
+    def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        refuse_first(lengths(lcodes, rcodes) != 0, lcodes, rcodes, self._check)
+        points = np.sort(lcodes >> 1)
+        self.counter.add_many(points[_runs(points)].tolist())
+
+    def estimate(self) -> Tuple[float, int]:
+        """The estimate and the counter's units."""
+        return self.counter.estimate() / (1.0 + self.eps_count), self.counter.units
+
+
+def distinct_points_estimate(inst: Instance, user_eps: float, seed: int,
+                             counter_kind: str = "exact") -> Tuple[float, int]:
+    """The lambda 0 route over an Instance: returns (estimate, units)."""
+    route = DistinctPoints(inst.n, user_eps, seed, counter_kind)
+    route.feed(inst.lcodes, inst.rcodes)
+    return route.estimate()

@@ -103,8 +103,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         details["disjoint"] = pairwise_disjoint(sel.solution())
     elif algorithm == "select-samelen":
         sel = ShiftedGridSelector(lam)
-        for iv in inst:
-            sel.process(iv)
+        sel.feed(inst.lcodes, inst.rcodes)
         solution = sel.solution()
         output = float(len(solution))
         units = sel.peak_windows
@@ -132,8 +131,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
     elif algorithm == "estimate-samelen":
         est = SamelenAlphaEstimator(SamelenConfig(
             n=inst.n, lam=lam, user_eps=eps, seed=seed, counter_kind=counter))
-        for iv in inst:
-            est.process(iv)
+        est.feed(inst.lcodes, inst.rcodes)
         res = est.estimate()
         output = res.value
         units = res.units

@@ -16,13 +16,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappush, heapreplace
+from heapq import heapify, heappush, heapreplace, nsmallest
+from operator import neg
 from typing import List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from .rng import SplitMix64
 
 C1 = 8
 C2 = 4
+
+# Primes up to this keep Horner's rule exact on an int64 column: each step's
+# acc * x + c is at most (p - 1)**2 + (p - 1) < 2**63.
+_INT64_PRIME = 3_037_000_499
+
+# Ids per PolyBank.keys call from which one int64 column pass is faster than
+# Horner on each Python int (at degree 20-27 it breaks even near 32 ids).
+_MIN_COLUMN = 32
 
 
 def next_prime(x: int) -> int:
@@ -64,8 +75,9 @@ def _is_prime(x: int) -> bool:
     return True
 
 
-def horner(coeffs: Sequence[int], x: int, prime: int) -> int:
-    """sum(coeffs[i] * x**i) mod prime, on Python integers."""
+def horner(coeffs: Sequence[int], x, prime: int):
+    """sum(coeffs[i] * x**i) mod prime, on a Python integer, or elementwise
+    on an int64 column of values below a prime of at most _INT64_PRIME."""
     acc = 0
     for c in reversed(coeffs):
         acc = (acc * x + c) % prime
@@ -101,8 +113,9 @@ class HashFamily:
 class PolyBank:
     """A bank of independent family members: row j holds the coefficients of
     one random polynomial, drawn row after row from SplitMix64(seed).below.
-    Every value is exact Horner on Python integers, valid for every prime
-    below 2**64."""
+    Every value is exact Horner, valid for every prime below 2**64: on
+    Python integers, or on one int64 column for a long ``keys`` call under
+    a prime of at most _INT64_PRIME."""
 
     def __init__(self, rows: int, family: HashFamily, seed: int):
         self.family = family
@@ -121,7 +134,9 @@ class PolyBank:
         by which a BottomK sketch ranks the ids."""
         self.columns_hashed += len(xs)
         cs, prime = self.coeffs[0], self.prime
-        return [horner(cs, x, prime) for x in xs]
+        if len(xs) < _MIN_COLUMN or prime > _INT64_PRIME:
+            return [horner(cs, x, prime) for x in xs]
+        return horner(cs, np.asarray(xs, dtype=np.int64) % prime, prime).tolist()
 
 
 class BottomK:
@@ -159,6 +174,42 @@ class BottomK:
         self.members.add(x)
         return evicted
 
+    def offer_many(self, xs: Sequence[int], values: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """Offer distinct ids xs, none of them a member, with their hash
+        values.  The sample afterwards holds what offering them one at a time,
+        in any order, leaves.  Returns the ids that entered and the members
+        they evicted.  In increasing pair order the smallest fill the free
+        places, and each later one enters by evicting the largest held pair
+        until one does not, and then no later one does; so no id of xs is
+        evicted by another, and after the fill only the pairs below the
+        largest held one are sorted.  When all of them fit, they join the
+        heap at once."""
+        heap, members = self._heap, self.members
+        room = max(self.k - len(heap), 0)
+        if len(xs) <= room:
+            heap.extend(zip(map(neg, values), map(neg, xs)))
+            heapify(heap)
+            members.update(xs)
+            return list(xs), []
+        fill = nsmallest(room, zip(values, xs))
+        if fill:
+            heap.extend((-v, -x) for v, x in fill)
+            heapify(heap)
+        entered = [x for _, x in fill]
+        members.update(entered)
+        top_v, top_x = -heap[0][0], -heap[0][1]
+        below = sorted((v, x) for v, x in zip(values, xs)
+                       if (v < top_v or (v == top_v and x < top_x)) and x not in members)
+        evicted = []
+        for v, x in below:
+            if (-v, -x) < heap[0]:
+                break
+            evicted.append(-heapreplace(heap, (-v, -x))[1])
+            entered.append(x)
+            members.add(x)
+        members.difference_update(evicted)
+        return entered, evicted
+
     def pairs(self) -> List[Tuple[int, int]]:
         """The held (value, id) pairs in increasing order."""
         return sorted((-v, -x) for v, x in self._heap)
@@ -180,6 +231,13 @@ class ExactDistinct:
             return False
         self.seen.add(x)
         return True
+
+    def add_many(self, xs: Sequence[int]) -> List[int]:
+        """Add distinct ids; returns those not seen before, in order."""
+        seen = self.seen
+        fresh = [x for x in xs if x not in seen]
+        seen.update(fresh)
+        return fresh
 
     def estimate(self) -> float:
         return float(len(self.seen))
@@ -207,6 +265,13 @@ class KMVDistinct(BottomK):
             return False
         self.offer(x, self.bank.keys([x])[0])
         return True
+
+    def add_many(self, xs: Sequence[int]) -> List[int]:
+        """Add distinct ids, as add does each: returns the ids that were not
+        members, which one keys call hashes and one bulk offer takes."""
+        fresh = [x for x in xs if x not in self.members]
+        self.offer_many(fresh, self.bank.keys(fresh))
+        return fresh
 
     def estimate(self) -> float:
         if len(self._heap) < self.k:

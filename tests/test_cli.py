@@ -325,3 +325,91 @@ def test_select_int64_lefts_with_rights_past_2_62_after_a_long_prefix():
     assert run_cli(["exact"], stdin_text=text) == (
         0, f'{{"alpha":2,"intervals":302,"kind":"exact","n":{2 ** 70}}}\n')
     assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)
+
+
+def _open_ends(count, lam, n, seed):
+    """A same-length stream with every openness."""
+    rng = SplitMix64(seed)
+    lines = [f"n {n}"]
+    for _ in range(count):
+        x = rng.randrange(1, n - lam)
+        lines.append(f"{x} {x + lam} {('cc', 'co', 'oc', 'oo')[rng.below(4)]}")
+    return "\n".join(lines) + "\n"
+
+
+OPEN_ENDS = _open_ends(150, 4, 400, 3)
+POINTS = _random_points(2000, 300, seed=5)
+WRONG_FIRST = "n 100\n3 9\n" + "".join(f"{x} {x + 4}\n" for x in range(1, 90, 3))
+WRONG_MIDDLE = "n 100\n" + "".join(f"{x} {x + 4}\n" for x in range(1, 90, 3)) + \
+    "20 22\n" + "".join(f"{x} {x + 4}\n" for x in range(2, 90, 3))
+
+# (arguments, stdin) of the same-length and lambda 0 runs whose output must
+# not depend on how the layer reads its stream
+PARITY = [
+    (["select", "--algo", "samelen", "--lambda", "4"], OPEN_ENDS),
+    (["estimate", "--algo", "samelen", "--lambda", "4", "--eps", "0.3", "--seed", "1"], OPEN_ENDS),
+    (["estimate", "--algo", "samelen", "--lambda", "4", "--eps", "0.3", "--seed", "1",
+      "--counter", "kmv"], OPEN_ENDS),
+    (["estimate", "--algo", "samelen", "--lambda", "4", "--oracle-mode"], OPEN_ENDS),
+    (["trials", "--algo", "estimate-samelen", "--lambda", "4", "--eps", "0.3", "--trials", "3"],
+     OPEN_ENDS),
+    (["trials", "--algo", "select-samelen", "--lambda", "4", "--trials", "2"], OPEN_ENDS),
+    *[([*cmd, "--lambda", "4"], text)
+      for text in (WRONG_FIRST, WRONG_MIDDLE)
+      for cmd in (["select", "--algo", "samelen"], ["estimate", "--algo", "samelen"],
+                  ["estimate", "--algo", "samelen", "--oracle-mode"],
+                  ["trials", "--algo", "estimate-samelen"])],
+    (["estimate", "--algo", "samelen", "--lambda", "4"], "n 50\n1 5\n48 52\n"),
+    (["estimate", "--algo", "samelen", "--lambda", "0"], "n 50\n1 1\n4 5 oo\n7 7\n"),
+    *[(["estimate", "--algo", "samelen", "--lambda", "0", "--eps", "0.3", "--counter", counter,
+        "--seed", str(seed)], POINTS) for counter in ("exact", "kmv") for seed in range(20)],
+    *[(["trials", "--algo", "estimate-samelen", "--lambda", "0", "--counter", counter,
+        "--trials", "3"], POINTS) for counter in ("exact", "kmv")],
+]
+
+# index in PARITY: stdout (exit 0) or stderr (exit 2), as recorded when the
+# layer still read the stream one Interval at a time
+RECORDED = {
+    0: '{"algorithm":"select-samelen","alpha":67,"details":{"best_shift":2,"disjoint":true},'
+       '"instance_id":"<stdin>","kind":"trial","output":55.0,"params":{"counter":"exact",'
+       '"eps":0.25,"lambda":4,"scale":1.0,"seed":0},"peak_memory_units":99,"space_ok":true,'
+       '"success":true,"wall_time_s":null}\n',
+    1: '{"algorithm":"estimate-samelen","alpha":67,"details":{"columns_hashed":99,"k":7201,'
+       '"type2_counts":[17,20,22]},"instance_id":"<stdin>","kind":"trial",'
+       '"output":47.826086956521735,"params":{"counter":"exact","eps":0.3,"lambda":4,'
+       '"scale":1.0,"seed":1},"peak_memory_units":396,"success":true,"wall_time_s":null}\n',
+    2: '{"algorithm":"estimate-samelen","alpha":67,"details":{"columns_hashed":99,"k":7201,'
+       '"type2_counts":[17,20,22]},"instance_id":"<stdin>","kind":"trial",'
+       '"output":47.826086956521735,"params":{"counter":"kmv","eps":0.3,"lambda":4,'
+       '"scale":1.0,"seed":1},"peak_memory_units":396,"success":true,"wall_time_s":null}\n',
+    6: "error: interval [3,9] has length 6, expected 4\n",
+    10: "error: interval [20,22] has length 2, expected 4\n",
+    14: "error: line 3: endpoint 52 > declared n 50\n",
+    15: "error: lambda 0 requires zero-length intervals, got (4,5)\n",
+}
+
+
+def _run_full(args, stdin_text, capsys):
+    code, out = run_cli(args, stdin_text=stdin_text)
+    return code, out, capsys.readouterr().err
+
+
+def test_column_feed_output_is_byte_identical_to_per_item(monkeypatch, capsys):
+    # every same-length and lambda 0 run: stdout, stderr and exit code with
+    # the vectorised pass on chunks of 37 pairs equal those of per-item
+    # process (every chunk below _MIN_BULK) and of the default constants,
+    # and the recorded runs keep their recorded bytes
+    from intervalstream import selector_samelen
+    runs = {}
+    for name, chunk, min_bulk in (("default", selector_samelen._CHUNK, selector_samelen._MIN_BULK),
+                                  ("bulk", 37, 0), ("per-item", 37, 38)):
+        monkeypatch.setattr(selector_samelen, "_CHUNK", chunk)
+        monkeypatch.setattr(selector_samelen, "_MIN_BULK", min_bulk)
+        runs[name] = [_run_full(args, text, capsys) for args, text in PARITY]
+    assert runs["bulk"] == runs["per-item"] == runs["default"]
+    for i, expected in RECORDED.items():
+        code, out, err = runs["default"][i]
+        assert (out if code == 0 else err) == expected, PARITY[i][0]
+        assert code == (0 if expected.startswith("{") else 2)
+    codes = [code for code, _, _ in runs["default"]]
+    assert codes.count(2) == 10 and codes.count(1) + codes.count(0) == len(PARITY) - 10

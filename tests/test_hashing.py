@@ -5,6 +5,7 @@ from functools import cmp_to_key
 import numpy as np
 import pytest
 
+from intervalstream import hashing
 from intervalstream.estimator import EstimatorConfig
 from intervalstream.estimator_samelen import SamelenConfig
 from intervalstream.hashing import (BottomK, ExactDistinct, HashFamily,
@@ -372,3 +373,65 @@ def test_pairwise_collision_rate():
     expected = DRAWS / p
     sigma = math.sqrt(DRAWS * (1 / p) * (1 - 1 / p))
     assert abs(collisions - expected) <= 3 * sigma
+
+
+def _int64_limit_families():
+    samelen = SamelenConfig(n=1 << 20, lam=16, user_eps=0.2, seed=0)
+    general = EstimatorConfig(n=4096, user_eps=0.45, seed=0)
+    return [HashFamily.create(samelen.index_domain, samelen.eps2),
+            HashFamily.create(2 * 4096, general.eps_rel),
+            HashFamily(universe=10 ** 8, eps=0.3, prime=3_037_000_493, degree=20),
+            HashFamily(universe=10 ** 8, eps=0.3, prime=next_prime(3_037_000_500), degree=20)]
+
+
+@pytest.mark.parametrize("fam", _int64_limit_families(),
+                         ids=["samelen-n2^20", "general-n4096-rel", "p-below-int64-limit",
+                              "p-above-int64-limit"])
+def test_column_keys_equal_horner(fam, monkeypatch):
+    # a keys call of at least 32 ids under a prime up to 3,037,000,499 is one
+    # int64 Horner pass over the column; shorter calls and larger primes
+    # evaluate each id on Python ints.  Every value equals horner's.
+    assert _is_prime_slow(3_037_000_493)
+    assert 3_037_000_498 ** 2 + 3_037_000_498 < 2 ** 63 <= 3_037_000_501 * 3_037_000_500
+    bank = PolyBank(1, fam, seed=fam.prime % 1009)
+    rng = SplitMix64(fam.prime)
+    xs = [0, 1, fam.prime - 1, fam.universe] + [rng.below(fam.prime) for _ in range(10 ** 4)]
+    expected = [horner(bank.coeffs[0], x, fam.prime) for x in xs]
+    calls = []
+    counting = lambda cs, x, p: calls.append(x) or horner(cs, x, p)
+    monkeypatch.setattr(hashing, "horner", counting)
+    assert bank.keys(xs) == expected
+    assert len(calls) == (1 if fam.prime <= 3_037_000_499 else len(xs))
+    assert bank.keys(xs[:31]) == expected[:31]
+    assert len(calls) == (1 if fam.prime <= 3_037_000_499 else len(xs)) + 31
+    assert bank.columns_hashed == len(xs) + 31
+
+
+@pytest.mark.parametrize("k", [1, 3, 40])
+def test_offer_many_equals_offers_one_at_a_time(k):
+    # chunks of distinct non-members, offered at once or one by one in
+    # stream order, leave the same sample; the bulk offer reports the ids
+    # that entered and the members they evicted
+    fam = HashFamily.create(512, 0.25)
+    one, bulk = BottomK(k, fam, seed=9), BottomK(k, fam, seed=9)
+    rng = SplitMix64(k)
+    for _ in range(30):
+        chunk = sorted({rng.randrange(1, 500) for _ in range(rng.randrange(0, 12))} - bulk.members)
+        before = set(bulk.members)
+        for x in chunk:
+            one.offer(x, one.bank.keys([x])[0])
+        entered, evicted = bulk.offer_many(chunk, bulk.bank.keys(chunk))
+        assert one.pairs() == bulk.pairs() and one.members == bulk.members
+        assert set(entered) == bulk.members - before and set(evicted) == before - bulk.members
+
+
+def test_counters_add_many_equal_add():
+    fam = HashFamily.create(512, 0.25)
+    for make in (ExactDistinct, lambda: KMVDistinct(6, fam, seed=4)):
+        one, bulk = make(), make()
+        rng = SplitMix64(17)
+        for _ in range(30):
+            chunk = sorted({rng.randrange(1, 300) for _ in range(rng.randrange(0, 15))})
+            fresh = [x for x in chunk if one.add(x)]
+            assert bulk.add_many(chunk) == fresh
+            assert bulk.estimate() == one.estimate() and bulk.units == one.units

@@ -6,11 +6,13 @@ Run from the root of a checkout:
 
 It prints one JSON object.  Each rate is the best of three in-process runs:
 ``parse_stream`` on the text of a uniform stream, ``PartitionSelector.feed``
-on the same stream and on dense streams of 100k and 400k items,
-``oracle.alpha``, and ``ShiftedGridSelector.process`` and
-``SamelenAlphaEstimator.process`` on a stream of equal-length intervals
-(the estimator on its first 20k items).  ``dense_ratio`` is the 400k time
-over the 100k time; a selector linear in m reads 4.
+on the same stream and on dense streams of 100k and 400k items, and
+``oracle.alpha``; then the same-length layer over code columns:
+``ShiftedGridSelector.feed`` and ``SamelenAlphaEstimator.feed`` on a stream
+of equal-length intervals, and the lambda 0 route
+(``distinct_points_estimate``) on a stream of points, with
+``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
+time over the 100k time; a selector linear in m reads 4.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ import time
 import numpy as np
 
 from intervalstream import oracle
-from intervalstream.core import format_stream, parse_stream
-from intervalstream.estimator_samelen import SamelenAlphaEstimator, SamelenConfig
+from intervalstream.core import Instance, format_stream, parse_stream
+from intervalstream.estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,
+                                              distinct_points_estimate)
 from intervalstream.generators import gen_uniform, gen_uniform_samelen
 from intervalstream.selector import PartitionSelector
 from intervalstream.selector_samelen import ShiftedGridSelector
@@ -34,7 +37,8 @@ ROUNDS = 3
 SEED = 1
 UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline point
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
-SAMELEN = dict(n=1 << 20, count=200_000, lam=16, estimator_count=20_000, eps=0.2)
+SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
+POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
 
 
 def best_seconds(fn, *args) -> float:
@@ -51,16 +55,16 @@ def feed(inst) -> None:
 
 
 def run_samelen(inst) -> None:
-    sel = ShiftedGridSelector(SAMELEN["lam"])
-    for iv in inst:
-        sel.process(iv)
+    ShiftedGridSelector(SAMELEN["lam"]).feed(inst.lcodes, inst.rcodes)
 
 
-def run_samelen_estimator(intervals) -> None:
-    est = SamelenAlphaEstimator(SamelenConfig(n=SAMELEN["n"], lam=SAMELEN["lam"],
-                                              user_eps=SAMELEN["eps"], seed=SEED))
-    for iv in intervals:
-        est.process(iv)
+def run_samelen_estimator(inst) -> None:
+    SamelenAlphaEstimator(SamelenConfig(n=SAMELEN["n"], lam=SAMELEN["lam"], user_eps=SAMELEN["eps"],
+                                        seed=SEED)).feed(inst.lcodes, inst.rcodes)
+
+
+def run_points(inst) -> None:
+    distinct_points_estimate(inst, POINTS["eps"], SEED)
 
 
 def main() -> int:
@@ -83,11 +87,16 @@ def main() -> int:
         result["items_per_s"][f"PartitionSelector.feed.dense_{count // 1000}k"] = round(count / dense_s[count])
     result["dense_ratio"] = round(dense_s[400_000] / dense_s[100_000], 2)
     samelen = gen_uniform_samelen(SAMELEN["n"], SAMELEN["count"], SAMELEN["lam"], SEED)
-    head = samelen.intervals[:SAMELEN["estimator_count"]]
-    result["items_per_s"]["ShiftedGridSelector.process"] = round(
-        SAMELEN["count"] / best_seconds(run_samelen, samelen))
-    result["items_per_s"]["SamelenAlphaEstimator.process"] = round(
-        len(head) / best_seconds(run_samelen_estimator, head))
+    xs = np.random.default_rng(SEED).integers(1, POINTS["n"] + 1, POINTS["count"])
+    points = Instance._trusted(POINTS["n"], 2 * xs, 2 * xs)
+    result["points"] = POINTS
+    for name, fn, inst in (("ShiftedGridSelector.feed", run_samelen, samelen),
+                           ("SamelenAlphaEstimator.feed", run_samelen_estimator, samelen),
+                           ("distinct_points_estimate", run_points, points)):
+        result["items_per_s"][name] = round(len(inst) / best_seconds(fn, inst))
+    for stream, inst in (("samelen", samelen), ("points", points)):
+        result["items_per_s"][f"oracle.alpha.{stream}"] = round(
+            len(inst) / best_seconds(oracle.alpha, inst))
     json.dump(result, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
