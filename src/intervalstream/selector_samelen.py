@@ -10,6 +10,7 @@ approximation overall.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -24,9 +25,11 @@ Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 _CHUNK = 1 << 17
 
 # Pairs below which feed runs a chunk through process one Interval at a
-# time: a chunk's vectorised pass has a fixed cost of some hundred numpy
-# calls, and in-library the per-item loop is the faster one up to about 64
-# pairs for the estimator and about 200 for the selector.
+# time.  This is not for speed (at 64 pairs the two passes cost the same
+# in-library): it keeps short streams on process, which perfbench's trace
+# times, so that its smoke inputs (20 items) still reach the per-layer
+# estimator_samelen.process metrics.  Every benchmark workload is larger
+# and runs the vectorised pass; once the trace times feed, drop this.
 _MIN_BULK = 64
 
 _INT64_MAX = 2 ** 63 - 1
@@ -200,10 +203,6 @@ class ShiftedGridSelector:
         self.shifts: List[Dict[int, Extremes]] = [{}, {}, {}]
         self.items = 0
         self.window_count = 0
-        # per grid, the frozen window indices as a sorted column, which feed
-        # reads, and those frozen (by process or feed) since it was built
-        self._frozen = [np.zeros(0, dtype=np.int64) for _ in range(3)]
-        self._just_frozen: List[List[int]] = [[], [], []]
 
     @property
     def peak_windows(self) -> int:
@@ -222,9 +221,7 @@ class ShiftedGridSelector:
                 self.window_count += 1
             elif holds_pair(ext):
                 continue
-            windows[j] = ext = merge_extremes(ext, (iv, iv))
-            if holds_pair(ext):
-                self._just_frozen[a].append(j)
+            windows[j] = merge_extremes(ext, (iv, iv))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks of
@@ -240,17 +237,10 @@ class ShiftedGridSelector:
         for a in (0, 1, 2):
             self._feed_grid(a, lcodes, rcodes)
 
-    def _frozen_column(self, shift: int) -> np.ndarray:
-        """The sorted column of the grid's frozen window indices; the
-        windows frozen since the last call join it here."""
-        if self._just_frozen[shift]:
-            self._frozen[shift] = np.union1d(self._frozen[shift], self._just_frozen[shift])
-            self._just_frozen[shift] = []
-        return self._frozen[shift]
-
     def _feed_grid(self, shift: int, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Apply one chunk to one grid.  The pairs of frozen windows are
-        dropped with one ``np.isin`` against the frozen column.  Every other
+        """Apply one chunk to one grid.  The record of each distinct window
+        of the chunk is looked up once, and the pairs of frozen windows are
+        dropped; one stable sort groups the rest by window.  Every other
         window takes its pairs up to the first at which its record holds a
         pair: the first place where the running maximum of left codes passes
         the running minimum of right codes, both starting from the window's
@@ -258,17 +248,22 @@ class ShiftedGridSelector:
         involved, offset by window, so that one accumulate serves every
         window."""
         j, fits = grid_window(self.lam, shift, (lcodes, rcodes))
-        fits &= ~np.isin(j, self._frozen_column(shift))
         order = np.flatnonzero(fits)
         if not len(order):
             return
+        wins, inverse = np.unique(j[order], return_inverse=True)
+        windows = self.shifts[shift]
+        olds = list(map(windows.get, wins.tolist()))
+        live = [ext is None or not holds_pair(ext) for ext in olds]
+        order = order[np.array(live)[inverse]]
+        if not len(order):
+            return
+        olds = list(compress(olds, live))
         order = order[np.argsort(j[order], kind="stable")]
         j, ls, rs = j[order], lcodes[order], rcodes[order]
         starts = _runs(j)
         wins = j[starts]
         group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(j)))
-        windows = self.shifts[shift]
-        olds = [windows.get(w) for w in wins.tolist()]
         # a new window starts from its first pair, which changes nothing
         old_l = _column([ext[1][0] if ext else s for ext, s in zip(olds, ls[starts].tolist())])
         old_r = _column([ext[0][1] if ext else s for ext, s in zip(olds, rs[starts].tolist())])
@@ -289,7 +284,6 @@ class ShiftedGridSelector:
         for w, ext, record in zip(wins.tolist(), olds, _records(ls, rs, left, right)):
             windows[w] = merge_extremes(ext, record)
         self.window_count += olds.count(None)
-        self._just_frozen[shift].extend(wins[first_pair < count].tolist())
 
     def shift_size(self, shift: int) -> int:
         return sum(1 + holds_pair(ext) for ext in self.shifts[shift].values())

@@ -413,3 +413,21 @@ def test_column_feed_output_is_byte_identical_to_per_item(monkeypatch, capsys):
         assert code == (0 if expected.startswith("{") else 2)
     codes = [code for code, _, _ in runs["default"]]
     assert codes.count(2) == 10 and codes.count(1) + codes.count(0) == len(PARITY) - 10
+
+
+def test_repeated_calls_carry_no_flag_over(tmp_path):
+    """main parses every call with one parser: a flag of one call leaves
+    the next call's defaults as they were."""
+    path = tmp_path / "inst.txt"
+    run_cli(["gen", "uniform", "--n", "64", "--count", "10", "--length", "4",
+             "--seed", "1", "--out", str(path)])
+    args = ["estimate", "--algo", "samelen", "--lambda", "4", "--eps", "0.3", "--seed", "2",
+            "--in", str(path)]
+    _, first = run_cli(args)
+    _, flagged = run_cli(args + ["--timing", "--counter", "kmv"])
+    _, again = run_cli(args)
+    assert json.loads(first)["params"]["counter"] == "exact"
+    assert json.loads(first)["wall_time_s"] is None
+    assert json.loads(flagged)["params"]["counter"] == "kmv"
+    assert json.loads(flagged)["wall_time_s"] is not None
+    assert again == first
