@@ -16,10 +16,10 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, code_columns
+from .core import DomainError, Instance, Interval, _make_interval, code_columns
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
-from .selector_samelen import (Extremes, _runs, check_lam, check_length, chunks,
+from .selector_samelen import (_INT64_MAX, Extremes, _runs, check_lam, check_length, chunks,
                                feed_columns, grid_window, holds_pair, lengths, merge_extremes,
                                refuse_first, window_records)
 
@@ -74,10 +74,16 @@ class SamelenEstimate:
 class _ShiftState:
     """Bottom-k sample of the occupied windows of one grid.
 
-    Window j is hashed as the id j + 2, which also keys its extremes.  A
+    Window j is hashed as the id j + 2, which also keys its record.  A
     window enters the sample at its first offer or never, so only windows
     the counter reports as possibly new are hashed and offered, when they
-    are seen.  The extremes are kept for the sample's members only.
+    are seen.  The records are kept for the sample's members only, in a
+    table: ``rows`` maps each member to its row of four code columns, the
+    (lcode, rcode) of its window's leftmost and of its rightmost interval.
+    The rows in use are the first len(rows), since an entering member takes
+    the row of the member it evicts.  The columns are int64, or object dtype
+    once codes arrive that int64 does not hold; their capacity doubles up to
+    k.
     """
 
     def __init__(self, shift: int, cfg: SamelenConfig, family: HashFamily, rng: SplitMix64):
@@ -85,42 +91,112 @@ class _ShiftState:
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift).seed, cfg.kmv_k)
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
-        self.extremes: Dict[int, Extremes] = {}
+        self.rows: Dict[int, int] = {}
+        self.leftmost_l = self.leftmost_r = self.rightmost_l = self.rightmost_r = \
+            np.zeros(0, dtype=np.int64)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r
+
+    def _reserve(self, size: int, wide: bool = False) -> None:
+        """Room for ``size`` rows; ``wide`` turns the columns to object
+        dtype."""
+        cap, dtype = len(self.leftmost_l), self.leftmost_l.dtype
+        if size <= cap and (dtype == object or not wide):
+            return
+        if size > cap:
+            cap = min(max(size, 2 * cap), self.sample.k)
+        grown = [np.zeros(cap, dtype=object if wide else dtype) for _ in range(4)]
+        for new, old in zip(grown, self._columns()):
+            new[:len(old)] = old
+        self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r = grown
 
     def observe(self, j: int, iv: Interval) -> None:
         w = j + 2
         fresh = self.counter.add(w)
-        ext = self.extremes.get(w)
-        if ext is not None:
-            self.extremes[w] = merge_extremes(ext, (iv, iv))
-        elif fresh:
+        lcode, rcode = iv
+        row = self.rows.get(w)
+        if row is not None:
+            moves_left = rcode < self.leftmost_r.item(row)
+            moves_right = lcode > self.rightmost_l.item(row)
+            if not (moves_left or moves_right):
+                return
+        else:
+            if not fresh:
+                return
             evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
-            if evicted is not None:
-                self.extremes.pop(evicted, None)
-                self.extremes[w] = (iv, iv)
+            if evicted is None:
+                return
+            row = self.rows.pop(evicted) if evicted else len(self.rows)
+            self.rows[w] = row
+            moves_left = moves_right = True
+            if row == len(self.leftmost_l):
+                self._reserve(row + 1)
+        if rcode > _INT64_MAX:
+            self._reserve(0, wide=True)
+        if moves_left:
+            self.leftmost_l[row], self.leftmost_r[row] = lcode, rcode
+        if moves_right:
+            self.rightmost_l[row], self.rightmost_r[row] = lcode, rcode
 
-    def observe_chunk(self, wins: List[int], records: List[tuple]) -> None:
-        """Take a chunk's windows, distinct, with their records over the
-        chunk.  The counter takes them at once, the members' records merge,
-        and the possibly new ids that are no member go to one keys call and
-        one bulk offer: the state ``observe`` leaves over the chunk's pairs,
-        since neither the counter nor the sample depends on the order of
-        offers or on a repeat."""
-        record_of = dict(zip([j + 2 for j in wins], records))
-        fresh = self.counter.add_many(list(record_of))
-        extremes = self.extremes
-        for w in record_of.keys() & extremes.keys():
-            extremes[w] = merge_extremes(extremes[w], record_of[w])
-        offered = [w for w in fresh if w not in extremes]
+    def observe_chunk(self, wins: np.ndarray, *records: np.ndarray) -> None:
+        """Take a chunk's windows, distinct and ascending, with their
+        records over the chunk as ``window_records`` gives them.  The
+        counter takes them at once; the members' rows merge with the
+        records, a side replaced only by a strictly smaller rcode or larger
+        lcode, as ``merge_extremes`` does; and the possibly new ids that are
+        no member go to one keys call and one bulk offer, whose entered ids
+        take their rows in one assignment.  This is the state ``observe``
+        leaves over the chunk's pairs, since neither the counter nor the
+        sample depends on the order of offers or on a repeat."""
+        ids = wins + 2
+        ids_list = ids.tolist()
+        fresh = self.counter.add_many(ids_list)
+        rows = self.rows
+        if records[0].dtype == object:
+            self._reserve(0, wide=True)
+        offered = fresh
+        if rows:
+            self._merge(ids_list, records)
+            offered = [w for w in fresh if w not in rows]
         entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
-        for w in evicted:
-            del extremes[w]
-        for w in entered:
-            extremes[w] = merge_extremes(None, record_of[w])
+        if not entered:
+            return
+        used = len(rows)
+        size = used + len(entered) - len(evicted)
+        slots = [rows.pop(w) for w in evicted] + list(range(used, size))
+        self._reserve(size)
+        rows.update(zip(entered, slots))
+        slots, spots = np.array(slots), ids.searchsorted(entered)
+        for col, record in zip(self._columns(), records):
+            col[slots] = record[spots]
+
+    def _merge(self, ids: List[int], records: Tuple[np.ndarray, ...]) -> None:
+        """Merge the records of the members among ``ids`` into their rows."""
+        at = np.array([self.rows.get(w, -1) for w in ids], dtype=np.int64)
+        held = at >= 0
+        if not held.any():
+            return
+        at = at[held]
+        new_ll, new_lr, new_rl, new_rr = (col[held] for col in records)
+        moves = new_lr < self.leftmost_r[at]
+        self.leftmost_l[at[moves]], self.leftmost_r[at[moves]] = new_ll[moves], new_lr[moves]
+        moves = new_rl > self.rightmost_l[at]
+        self.rightmost_l[at[moves]], self.rightmost_r[at[moves]] = new_rl[moves], new_rr[moves]
+
+    @property
+    def extremes(self) -> Dict[int, Extremes]:
+        """Each member's (leftmost, rightmost) Intervals, built from the
+        table when read."""
+        ll, lr, rl, rr = (col[:len(self.rows)].tolist() for col in self._columns())
+        return {w: (_make_interval((ll[row], lr[row])), _make_interval((rl[row], rr[row])))
+                for w, row in self.rows.items()}
 
     def type2_count(self) -> int:
-        """Members of the sample holding two disjoint intervals."""
-        return sum(holds_pair(ext) for ext in self.extremes.values())
+        """Members of the sample holding two disjoint intervals: a rightmost
+        interval that starts after the leftmost ends."""
+        size = len(self.rows)
+        return int(np.count_nonzero(self.rightmost_l[:size] > self.leftmost_r[:size]))
 
 
 class SamelenAlphaEstimator:
@@ -167,8 +243,8 @@ class SamelenAlphaEstimator:
         refuse_first((lengths(lcodes, rcodes) != cfg.lam) | (lcodes < 2) | (rcodes > 2 * cfg.n),
                      lcodes, rcodes, self._check)
         self.items += len(lcodes)
-        for a, st in enumerate(self.states):
-            st.observe_chunk(*window_records(cfg.lam, a, lcodes, rcodes))
+        for st, records in zip(self.states, window_records(cfg.lam, (0, 1, 2), lcodes, rcodes)):
+            st.observe_chunk(*records)
 
     def estimate(self) -> SamelenEstimate:
         cfg = self.config
@@ -193,8 +269,9 @@ def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
     one grid; ``intervals`` is an Instance or an iterable of Intervals."""
     stats: Dict[int, Extremes] = {}
     for ls, rs in chunks(*code_columns(intervals)):
-        for j, record in zip(*window_records(lam, shift, ls, rs)):
-            stats[j] = merge_extremes(stats.get(j), record)
+        wins, ll, lr, rl, rr = (col.tolist() for col in window_records(lam, (shift,), ls, rs)[0])
+        for j, leftmost, rightmost in zip(wins, zip(ll, lr), zip(rl, rr)):
+            stats[j] = merge_extremes(stats.get(j), (leftmost, rightmost))
     return stats
 
 

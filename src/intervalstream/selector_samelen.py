@@ -11,7 +11,7 @@ approximation overall.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,12 +91,18 @@ def grid_window(lam: int, shift: int, iv):
     openness.  ``iv`` may also be a pair of code columns, ``(lcodes,
     rcodes)``; a column has no None, so the answer is then the column of
     indices j and the boolean column of the pairs their window contains.
-    The window ends reach |lcode| + 6*lam, so int64 columns for which that
-    passes int64 are read as Python ints, where int64 would wrap."""
+    With columns, ``shift`` may be a column of G shifts, shape (G, 1), and
+    the answers then have one row per grid.  The window ends reach
+    |lcode| + 6*lam, so int64 columns for which that passes int64 are read
+    as Python ints, where int64 would wrap, and so is a shift column beside
+    them."""
     lcode, rcode = iv
-    if isinstance(lcode, np.ndarray) and lcode.dtype != object and len(lcode) and \
-            max(-int(lcode.min()), int(lcode.max())) + 6 * lam > _INT64_MAX:
-        lcode, rcode = lcode.astype(object), rcode.astype(object)
+    if isinstance(lcode, np.ndarray):
+        if lcode.dtype != object and len(lcode) and \
+                max(-int(lcode.min()), int(lcode.max())) + 6 * lam > _INT64_MAX:
+            lcode, rcode = lcode.astype(object), rcode.astype(object)
+        if lcode.dtype == object and isinstance(shift, np.ndarray):
+            shift = shift.astype(object)
     j = (lcode - 2 * shift * lam) // (6 * lam)
     fits = rcode < 2 * (shift + 3 * j + 3) * lam
     if isinstance(fits, np.ndarray):
@@ -144,7 +150,7 @@ def _first_extremes(lcodes: np.ndarray, rcodes: np.ndarray,
     """For pairs grouped in runs from ``starts``, each run in stream order:
     the position of each run's leftmost pair (smallest rcode) and rightmost
     pair (largest lcode), the earliest on a tie."""
-    sizes = np.diff(starts, append=len(lcodes))
+    sizes = np.concatenate((starts[1:], [len(lcodes)])) - starts
     spots = np.arange(len(lcodes))
     out = []
     for codes, reduce in ((rcodes, np.minimum), (lcodes, np.maximum)):
@@ -153,22 +159,33 @@ def _first_extremes(lcodes: np.ndarray, rcodes: np.ndarray,
     return tuple(out)
 
 
-def window_records(lam: int, shift: int, lcodes: np.ndarray,
-                   rcodes: np.ndarray) -> Tuple[List[int], List[tuple]]:
-    """One grid's window records over a chunk of pairs: the distinct indices
-    of the windows holding a pair, ascending, and each window's record over
-    its pairs in order, as ``merge_extremes`` leaves it, in code pairs (see
-    ``_records``).  One stable sort by window groups the pairs; each record
-    is two first-extreme reductions."""
-    j, fits = grid_window(lam, shift, (lcodes, rcodes))
-    order = np.flatnonzero(fits)
-    if not len(order):
-        return [], []
-    order = order[np.argsort(j[order], kind="stable")]
-    j, ls, rs = j[order], lcodes[order], rcodes[order]
-    starts = _runs(j)
+def window_records(lam: int, shifts: Sequence[int], lcodes: np.ndarray,
+                   rcodes: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
+    """The window records of the grids ``shifts`` (distinct, each in 0..2)
+    over a chunk of pairs, as columns, one tuple per grid: the distinct
+    indices of the windows holding a pair, ascending, and the codes of each
+    window's leftmost and rightmost pair over its pairs in order, as
+    ``merge_extremes`` picks them: ``(wins, leftmost lcodes, leftmost
+    rcodes, rightmost lcodes, rightmost rcodes)``, the codes in the dtype of
+    the input.  Window j of grid a starts at code 2*(a+3j)*lam, so the key
+    a + 3j tells it from the windows of every grid: one stable sort by key
+    groups the pairs of all the grids by window, and each record is two
+    first-extreme reductions."""
+    column = np.array(shifts)[:, None]
+    key, fits = grid_window(lam, column, (lcodes, rcodes))
+    key = (key * 3 + column)[fits]
+    spot = np.flatnonzero(fits) % len(lcodes)
+    sort = np.argsort(key, kind="stable")
+    key, spot = key[sort], spot[sort]
+    ls, rs = lcodes[spot], rcodes[spot]
+    starts = _runs(key) if len(key) else spot  # no pair: spot is empty
+    key = key[starts]
+    wins, grid = key // 3, key % 3
+    # the columns of up to 3 * _CHUNK entries go before the reductions
+    del fits, sort, spot
     left, right = _first_extremes(ls, rs, starts)
-    return j[starts].tolist(), _records(ls, rs, left, right)
+    columns = wins, ls[left], rs[left], ls[right], rs[right]
+    return [tuple(col[mask] for col in columns) for mask in (grid == a for a in shifts)]
 
 
 def _records(ls: np.ndarray, rs: np.ndarray, left: np.ndarray,

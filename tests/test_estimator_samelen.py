@@ -164,8 +164,9 @@ def _entries(obj) -> int:
 def test_retained_state_does_not_grow_with_m():
     # The samples keep O(k) whatever the number of occupied windows: every
     # container of a shift state holds at most k entries, before and after
-    # estimate, and only the sample's members keep extremes.  (The distinct
-    # counter is accounted for separately, in units.)
+    # estimate, and only the sample's members keep a row of the record
+    # table: four code columns of capacity at most k.  (The distinct counter
+    # is accounted for separately, in units.)
     lam, eps, seed = 4, 0.45, 21
     occupied = []
     for m in (300, 3000):
@@ -181,11 +182,13 @@ def test_retained_state_does_not_grow_with_m():
                 containers = {name: v for obj in (st, st.sample)
                               for name, v in vars(obj).items()
                               if isinstance(v, (np.ndarray, dict, list, set))}
-                assert {"members", "_heap", "extremes"} <= set(containers)
+                assert {"members", "_heap", "rows", "leftmost_l", "leftmost_r",
+                        "rightmost_l", "rightmost_r"} <= set(containers)
                 for name, v in containers.items():
                     assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
         for a, st in enumerate(est.states):
-            assert set(st.extremes) == st.sample.members
+            assert set(st.rows) == st.sample.members
+            assert sorted(st.rows.values()) == list(range(len(st.rows)))
         occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
     assert occupied[1] > 5 * occupied[0]
 

@@ -9,7 +9,8 @@ import pytest
 
 from intervalstream import selector_samelen
 from intervalstream.core import DomainError, Interval, code_columns
-from intervalstream.estimator_samelen import DistinctPoints, SamelenAlphaEstimator, SamelenConfig
+from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator, SamelenConfig,
+                                              shift_window_stats)
 from intervalstream.rng import SplitMix64
 from intervalstream.selector_samelen import ShiftedGridSelector
 
@@ -120,6 +121,45 @@ def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, lo):
             assert by_feed.columns_hashed <= by_item.columns_hashed
 
 
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+@pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
+def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
+    # process, then feed int64 columns, then object columns, then process
+    # again leaves the state of processing it all: the member table starts
+    # in int64 and turns to object dtype at the first object chunk; at k = 3
+    # every sample and sketch evicts.  The first part's codes fit int64, the
+    # second part's straddle 2**63 over the same windows.
+    if k is not None:
+        monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
+        monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: k))
+    lam = 1 << 40
+    narrow = samelen_stream(43, lam, WIDE - 30 * lam, WIDE - 1, 24)
+    wide = samelen_stream(47, lam, WIDE - 30 * lam, WIDE + 30 * lam, 30)
+    stream = narrow + wide
+    cfg = SamelenConfig(n=WIDE + 30 * lam, lam=lam, user_eps=0.3, seed=9, counter_kind=counter)
+    by_item, mixed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
+    for iv in stream:
+        by_item.process(iv)
+    for iv in narrow[:8]:
+        mixed.process(iv)
+    lcodes, rcodes = code_columns(narrow[8:])
+    assert lcodes.dtype != object and rcodes.dtype != object
+    mixed.feed(lcodes, rcodes)
+    assert all(col.dtype != object for st in mixed.states for col in st._columns())
+    lcodes, rcodes = code_columns(wide[:20])
+    assert rcodes.dtype == object
+    mixed.feed(lcodes, rcodes)
+    assert all(col.dtype == object for st in mixed.states for col in st._columns())
+    for iv in wide[20:]:
+        mixed.process(iv)
+    assert estimator_state(mixed) == estimator_state(by_item)
+    for st in mixed.states:
+        assert set(st.rows) == st.sample.members
+        assert len(st._columns()[0]) <= mixed.config.k
+    # more occupied windows than k in every grid: the k = 3 samples evict
+    assert all(len(shift_window_stats(stream, a, lam)) > 3 for a in (0, 1, 2))
+
+
 @pytest.mark.parametrize("counter,lo,wide", [("exact", 1, False), ("kmv", 1, False),
                                              ("exact", WIDE, True), ("kmv", 1, True)],
                          ids=["exact-int64", "kmv-int64", "exact-object", "kmv-object"])
@@ -191,6 +231,18 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
         j, fits = selector_samelen.grid_window(lam, a, (lcodes, rcodes))
         assert [int(w) if f else None for w, f in zip(j, fits)] == \
             [selector_samelen.grid_window(lam, a, iv) for iv in stream]
+    # the three grids at once, the shift column read as Python ints too
+    for a, (wins, *codes) in enumerate(selector_samelen.window_records(lam, (0, 1, 2),
+                                                                       lcodes, rcodes)):
+        expected = {}
+        for iv in stream:
+            j = selector_samelen.grid_window(lam, a, iv)
+            if j is not None:
+                expected[j] = selector_samelen.merge_extremes(expected.get(j), (iv, iv))
+        assert wins.tolist() == sorted(expected)
+        ll, lr, rl, rr = (col.tolist() for col in codes)
+        assert list(zip(zip(ll, lr), zip(rl, rr))) == \
+            [tuple(map(tuple, expected[j])) for j in sorted(expected)]
     by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
     for iv in stream:
         by_item.process(iv)

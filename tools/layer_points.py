@@ -9,7 +9,8 @@ It prints one JSON object.  Each rate is the best of three in-process runs:
 on the same stream and on dense streams of 100k and 400k items, and
 ``oracle.alpha``; then the same-length layer over code columns:
 ``ShiftedGridSelector.feed`` and ``SamelenAlphaEstimator.feed`` on a stream
-of equal-length intervals, and the lambda 0 route
+of equal-length intervals, ``SamelenAlphaEstimator.process`` one Interval
+at a time on a small such stream, and the lambda 0 route
 (``distinct_points_estimate``) on a stream of points, with
 ``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
@@ -38,6 +39,7 @@ SEED = 1
 UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline point
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
 SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
+SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process
 POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
 
 
@@ -63,6 +65,13 @@ def run_samelen_estimator(inst) -> None:
                                         seed=SEED)).feed(inst.lcodes, inst.rcodes)
 
 
+def run_samelen_items(inst) -> None:
+    est = SamelenAlphaEstimator(SamelenConfig(n=SAMELEN_ITEMS["n"], lam=SAMELEN_ITEMS["lam"],
+                                              user_eps=SAMELEN_ITEMS["eps"], seed=SEED))
+    for iv in inst:
+        est.process(iv)
+
+
 def run_points(inst) -> None:
     distinct_points_estimate(inst, POINTS["eps"], SEED)
 
@@ -78,7 +87,7 @@ def main() -> int:
     result = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__},
               "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "dense": DENSE,
-              "samelen": SAMELEN,
+              "samelen": SAMELEN, "samelen_items": SAMELEN_ITEMS,
               "items_per_s": {name: round(UNIFORM["count"] / s) for name, s in seconds.items()}}
     dense_s = {}
     for count in (100_000, 400_000):
@@ -87,11 +96,14 @@ def main() -> int:
         result["items_per_s"][f"PartitionSelector.feed.dense_{count // 1000}k"] = round(count / dense_s[count])
     result["dense_ratio"] = round(dense_s[400_000] / dense_s[100_000], 2)
     samelen = gen_uniform_samelen(SAMELEN["n"], SAMELEN["count"], SAMELEN["lam"], SEED)
+    samelen_items = gen_uniform_samelen(SAMELEN_ITEMS["n"], SAMELEN_ITEMS["count"],
+                                        SAMELEN_ITEMS["lam"], SEED)
     xs = np.random.default_rng(SEED).integers(1, POINTS["n"] + 1, POINTS["count"])
     points = Instance._trusted(POINTS["n"], 2 * xs, 2 * xs)
     result["points"] = POINTS
     for name, fn, inst in (("ShiftedGridSelector.feed", run_samelen, samelen),
                            ("SamelenAlphaEstimator.feed", run_samelen_estimator, samelen),
+                           ("SamelenAlphaEstimator.process", run_samelen_items, samelen_items),
                            ("distinct_points_estimate", run_points, points)):
         result["items_per_s"][name] = round(len(inst) / best_seconds(fn, inst))
     for stream, inst in (("samelen", samelen), ("points", points)):
