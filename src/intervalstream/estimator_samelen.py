@@ -21,7 +21,7 @@ from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (_INT64_MAX, Extremes, _runs, check_lam, check_length, chunks,
                                feed_columns, grid_window, holds_pair, lengths, merge_extremes,
-                               refuse_first, window_records)
+                               record_moves, refuse_first, window_records)
 
 
 @dataclass
@@ -117,8 +117,8 @@ class _ShiftState:
         lcode, rcode = iv
         row = self.rows.get(w)
         if row is not None:
-            moves_left = rcode < self.leftmost_r.item(row)
-            moves_right = lcode > self.rightmost_l.item(row)
+            moves_left, moves_right = record_moves(self.leftmost_r.item(row),
+                                                   self.rightmost_l.item(row), rcode, lcode)
             if not (moves_left or moves_right):
                 return
         else:
@@ -143,17 +143,18 @@ class _ShiftState:
         """Take a chunk's windows, distinct and ascending, with their
         records over the chunk as ``window_records`` gives them.  The
         counter takes them at once; the members' rows merge with the
-        records, a side replaced only by a strictly smaller rcode or larger
-        lcode, as ``merge_extremes`` does; and the possibly new ids that are
-        no member go to one keys call and one bulk offer, whose entered ids
-        take their rows in one assignment.  This is the state ``observe``
+        records by the masks of ``record_moves``; and the possibly new ids
+        that are no member go to one keys call and one bulk offer, whose
+        entered ids take their rows in one assignment.  This is the state ``observe``
         leaves over the chunk's pairs, since neither the counter nor the
         sample depends on the order of offers or on a repeat."""
         ids = wins + 2
         ids_list = ids.tolist()
         fresh = self.counter.add_many(ids_list)
         rows = self.rows
-        if records[0].dtype == object:
+        # core._column picks each column's dtype on its own, so any record
+        # column may be the wide one
+        if any(record.dtype == object for record in records):
             self._reserve(0, wide=True)
         offered = fresh
         if rows:
@@ -179,10 +180,9 @@ class _ShiftState:
             return
         at = at[held]
         new_ll, new_lr, new_rl, new_rr = (col[held] for col in records)
-        moves = new_lr < self.leftmost_r[at]
-        self.leftmost_l[at[moves]], self.leftmost_r[at[moves]] = new_ll[moves], new_lr[moves]
-        moves = new_rl > self.rightmost_l[at]
-        self.rightmost_l[at[moves]], self.rightmost_r[at[moves]] = new_rl[moves], new_rr[moves]
+        left, right = record_moves(self.leftmost_r[at], self.rightmost_l[at], new_lr, new_rl)
+        self.leftmost_l[at[left]], self.leftmost_r[at[left]] = new_ll[left], new_lr[left]
+        self.rightmost_l[at[right]], self.rightmost_r[at[right]] = new_rl[right], new_rr[right]
 
     @property
     def extremes(self) -> Dict[int, Extremes]:
@@ -194,9 +194,9 @@ class _ShiftState:
 
     def type2_count(self) -> int:
         """Members of the sample holding two disjoint intervals: a rightmost
-        interval that starts after the leftmost ends."""
-        size = len(self.rows)
-        return int(np.count_nonzero(self.rightmost_l[:size] > self.leftmost_r[:size]))
+        interval that starts after the leftmost ends (``holds_pair``)."""
+        ll, lr, rl, rr = (col[:len(self.rows)] for col in self._columns())
+        return int(np.count_nonzero(holds_pair(((ll, lr), (rl, rr)))))
 
 
 class SamelenAlphaEstimator:

@@ -114,19 +114,28 @@ def merge_extremes(ext: Optional[Extremes], new) -> Extremes:
     """The record of a window after the intervals whose record is ``new``;
     ext None starts a window, and ``(iv, iv)`` is the record of one interval
     iv.  The leftmost (smallest right end) and rightmost (largest left end)
-    intervals are replaced only by strictly smaller or larger ones, so on a
-    tie the earlier interval stays.  ``new`` may hold plain code pairs in
+    intervals are replaced as ``record_moves`` says.  ``new`` may hold plain code pairs in
     place of Intervals; a pair becomes an Interval only when it is kept, and
     a merge that changes nothing returns ext itself."""
     if ext is None:
         leftmost = _as_interval(new[0])
         return leftmost, leftmost if new[1] is new[0] else _as_interval(new[1])
     leftmost, rightmost = ext
-    moves_left, moves_right = new[0][1] < leftmost[1], new[1][0] > rightmost[0]
+    moves_left, moves_right = record_moves(leftmost[1], rightmost[0], new[0][1], new[1][0])
     if not (moves_left or moves_right):
         return ext
     return (_as_interval(new[0]) if moves_left else leftmost,
             _as_interval(new[1]) if moves_right else rightmost)
+
+
+def record_moves(leftmost_r, rightmost_l, new_lr, new_rl):
+    """Whether a window's record takes the new leftmost and the new
+    rightmost: (new_lr < leftmost_r, new_rl > rightmost_l), from the rcode
+    of the kept and the new leftmost and the lcode of the kept and the new
+    rightmost.  Only a strictly smaller right end or larger left end moves a
+    side, so on a tie the earlier interval stays.  The codes may be scalars
+    or columns alike; columns give the two boolean masks."""
+    return new_lr < leftmost_r, new_rl > rightmost_l
 
 
 def _as_interval(pair) -> Interval:
@@ -135,7 +144,9 @@ def _as_interval(pair) -> Interval:
 
 def holds_pair(ext: Extremes) -> bool:
     """True when the window holds two disjoint intervals (type 2): then its
-    leftmost and rightmost intervals are such a pair."""
+    leftmost and rightmost intervals are such a pair.  With code columns in
+    place of the two intervals, ``((lcodes, rcodes), (lcodes, rcodes))``,
+    the answer is the boolean column of the windows."""
     leftmost, rightmost = ext
     return rightmost[0] > leftmost[1]
 

@@ -96,17 +96,26 @@ def test_selector_feed_after_process_and_process_after_feed(chunking):
 
 @pytest.mark.parametrize("counter", ["exact", "kmv"])
 @pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
-@pytest.mark.parametrize("lo", [1, WIDE], ids=["int64", "object"])
-def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, lo):
-    # k = 3 makes every sample and sketch evict; at lo = 2**62 the length
-    # 2**40 keeps the window universe, and so the field prime, small
+@pytest.mark.parametrize("dtypes", ["int64", "object", "mixed"])
+def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes):
+    # k = 3 makes every sample and sketch evict.  Past 2**62 the length 2**40
+    # keeps the window universe, and so the field prime, small.  "mixed" has
+    # its lefts below 2**62 and every fourth within lam of it, so its lcodes
+    # fit int64 and its rcodes do not: each column takes its own dtype
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
         monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: k))
-    lam = 3 if lo == 1 else 1 << 40
-    span = 60 * lam
-    stream = samelen_stream(29, lam, lo, lo + span, 40)
-    cfg = SamelenConfig(n=lo + span, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
+    lam = 3 if dtypes == "int64" else 1 << 40
+    lo = {"int64": 1, "object": WIDE, "mixed": WIDE - 60 * lam}[dtypes]
+    hi = WIDE - 1 + lam if dtypes == "mixed" else lo + 60 * lam
+    stream = samelen_stream(29, lam, lo, hi, 40)
+    if dtypes == "mixed":
+        stream[::4] = samelen_stream(31, lam, WIDE - lam, hi, 10)
+    lcodes, rcodes = code_columns(stream)
+    assert [lcodes.dtype == object, rcodes.dtype == object] == \
+        {"int64": [False, False], "object": [True, True], "mixed": [False, True]}[dtypes]
+    assert dtypes != "mixed" or max(rcodes) > selector_samelen._INT64_MAX
+    cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
     for head, lcodes, rcodes in prefixes(stream):
         by_item, by_feed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
         for iv in head:
