@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice
 from operator import itemgetter
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -253,6 +253,16 @@ def _codes_fit(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int]) -> bool
         return True
     return bool((lcodes <= rcodes).all() and lcodes.min() >= 2
                 and (n is None or rcodes.max() <= 2 * n))
+
+
+def refuse_first(bad: np.ndarray, lcodes: np.ndarray, rcodes: np.ndarray,
+                 check: Callable[[Interval], None]) -> None:
+    """Run the per-item ``check`` on the first pair that ``bad`` flags, which
+    it must refuse: so a column is refused with the interval, and the
+    message, that per-item ``process`` would refuse first."""
+    if bad.any():
+        i = int(bad.argmax())
+        check(_make_interval((int(lcodes[i]), int(rcodes[i]))))
 
 
 def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray,

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .core import DomainError, Instance, Interval
+import numpy as np
+
+from .core import DomainError, Instance, Interval, code_pairs, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
 from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
 from .rng import SplitMix64
@@ -167,8 +169,8 @@ def _lineage(v: int) -> Tuple[int, ...]:
 
 
 class GeneralAlphaEstimator:
-    """Streaming estimator; feed intervals with process(), finish with
-    estimate()."""
+    """Streaming estimator; feed intervals with process() or code columns
+    with feed(), finish with estimate()."""
 
     def __init__(self, config: EstimatorConfig):
         self.config = config
@@ -204,6 +206,18 @@ class GeneralAlphaEstimator:
     def process(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
+        self._add(iv)
+
+    def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
+        """Feed two code columns (int64 or object dtype), as ``process``
+        would pair by pair; they are refused whole, with the message of the
+        first interval ``process`` would refuse."""
+        refuse_first((lcodes < 2) | (rcodes > 2 * self.config.n), lcodes, rcodes, self.process)
+        for pair in code_pairs(lcodes, rcodes):
+            self._add(pair)
+
+    def _add(self, iv) -> None:
+        """Take one checked interval, or its (lcode, rcode) pair."""
         self.items += 1
         # an id offered before is a member or never enters, so known-seen
         # nodes skip the samples

@@ -16,12 +16,12 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, _make_interval, code_columns
+from .core import DomainError, Instance, Interval, _make_interval, code_columns, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (_INT64_MAX, Extremes, _runs, check_lam, check_length, chunks,
                                feed_columns, grid_window, holds_pair, lengths, merge_extremes,
-                               record_moves, refuse_first, window_records)
+                               record_moves, window_records)
 
 
 @dataclass

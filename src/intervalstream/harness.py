@@ -113,8 +113,7 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
     elif algorithm == "estimate-general":
         est = GeneralAlphaEstimator(EstimatorConfig(
             n=inst.n, user_eps=eps, seed=seed, counter_kind=counter, scale=scale))
-        for iv in inst:
-            est.process(iv)
+        est.feed(inst.lcodes, inst.rcodes)
         res = est.estimate()
         output = res.value
         units = res.peak_units

@@ -51,16 +51,28 @@ class SegTree:
         """All 2*n_pow2 - 1 nodes, parents before children."""
         return range(1, 2 * self.n_pow2)
 
-    def minimal_container(self, iv: Interval) -> int:
+    def minimal_container(self, iv: Interval):
         """The smallest node containing the interval: the lowest common
         ancestor of the leaves holding its two end codes (code c lies in
-        leaf [c >> 1, (c >> 1) + 1))."""
+        leaf [c >> 1, (c >> 1) + 1)).  ``iv`` may also be a pair of code
+        columns of an Instance over the tree's universe, and the answer then
+        a column of nodes: int64, or object dtype past n_pow2 = 2**62."""
         lcode, rcode = iv
-        if lcode < 2 or rcode > 2 * self.n_pow2 + 1:
+        if isinstance(lcode, np.ndarray):
+            if self.n_pow2 > 2 ** 62:  # node ids past int64
+                lcode, rcode = lcode.astype(object), rcode.astype(object)
+        elif lcode < 2 or rcode > 2 * self.n_pow2 + 1:
             raise ValueError(f"{iv} is outside the root segment")
-        a = self.n_pow2 + (lcode >> 1) - 1
-        b = self.n_pow2 + (rcode >> 1) - 1
-        return a >> (a ^ b).bit_length()
+        a = (lcode >> 1) + (self.n_pow2 - 1)
+        b = (rcode >> 1) + (self.n_pow2 - 1)
+        x = a ^ b  # below n_pow2
+        if not isinstance(x, np.ndarray):
+            return a >> x.bit_length()
+        # bit lengths by counting the powers of two at or below x: exact in
+        # int64 and object columns alike, where the float of x (np.frexp)
+        # rounds up past 2**53
+        powers = np.array([1 << d for d in range(self.depth_levels)], dtype=x.dtype)
+        return a >> np.searchsorted(powers, x, side="right")
 
     def containing_path(self, iv: Interval) -> List[int]:
         """Nodes containing the interval, root first (a root-to-node path)."""
@@ -147,39 +159,49 @@ def gamma(inst: Instance, v: int, tree: SegTree = None) -> int:
     return count
 
 
-def _holding_nodes(inst: Instance, tree: SegTree) -> Set[int]:
-    """Nodes that contain an input interval: the ancestors of the minimal
-    containers, at most m * (L + 1) of them."""
-    closure: Set[int] = set()
-    for iv in inst.codes():
-        v = tree.minimal_container(iv)
-        while v and v not in closure:
-            closure.add(v)
-            v >>= 1
-    return closure
+def _distinct(column: np.ndarray) -> np.ndarray:
+    """The distinct values of a column, ascending.  It sorts with argsort,
+    as alpha does: a first np.sort or np.unique in a process loads more
+    code and raises the peak RSS."""
+    column = column[np.argsort(column)]
+    keep = np.ones(len(column), dtype=bool)
+    keep[1:] = column[1:] != column[:-1]
+    return column[keep]
+
+
+def _holding_closure(inst: Instance, tree: SegTree) -> Tuple[np.ndarray, np.ndarray]:
+    """The nodes that contain an input interval, ascending, and the gamma of
+    each.  They are the ancestors of the distinct minimal containers, built
+    one depth at a time from the leaves up: a level's nodes are its own
+    containers plus the parents of the level below, and the gamma of a node
+    is 1 plus the sum of its children's."""
+    own = _distinct(tree.minimal_container((inst.lcodes, inst.rcodes)))
+    levels, end = [], len(own)
+    below, below_gammas = own[:0], np.zeros(0, dtype=np.int64)
+    for depth in range(tree.depth_levels, -1, -1):
+        start = int(np.searchsorted(own, 1 << depth))  # nodes of this depth are >= 2**depth
+        parents = below >> 1
+        level = _distinct(np.concatenate((own[start:end], parents)))
+        sums = np.bincount(np.searchsorted(level, parents), weights=below_gammas,
+                           minlength=len(level))
+        below, below_gammas, end = level, 1 + sums.astype(np.int64), start
+        levels.append((below, below_gammas))
+    nodes, gammas = zip(*levels[::-1])
+    return np.concatenate(nodes), np.concatenate(gammas)
 
 
 def gamma_all(inst: Instance, tree: SegTree = None) -> Counter:
-    """gamma for every tree node, bottom-up over the nodes that contain an
-    interval; every other node reads 0."""
-    tree = tree or SegTree(inst.n)
-    gammas: Counter = Counter()
-    # children have larger indices, so each node is complete when reached
-    for v in sorted(_holding_nodes(inst, tree), reverse=True):
-        gammas[v] += 1
-        if v > 1:
-            gammas[v >> 1] += gammas[v]
-    return gammas
+    """gamma for every node that contains an interval; any other reads 0."""
+    nodes, gammas = _holding_closure(inst, tree or SegTree(inst.n))
+    return Counter(dict(zip(nodes.tolist(), gammas.tolist())))
 
 
 def active_segments(inst: Instance, tree: SegTree = None) -> Set[int]:
     """The root plus every node whose parent contains an input interval."""
     tree = tree or SegTree(inst.n)
-    active = {tree.root}
-    for u in _holding_nodes(inst, tree):
-        if u < tree.n_pow2:
-            active.update((2 * u, 2 * u + 1))
-    return active
+    nodes, _ = _holding_closure(inst, tree)
+    inner = nodes[nodes < tree.n_pow2]
+    return {tree.root, *(2 * inner).tolist(), *(2 * inner + 1).tolist()}
 
 
 def relevance_threshold(n: int, eps: float) -> float:

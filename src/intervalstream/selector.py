@@ -143,7 +143,8 @@ class PartitionSelector:
         ell, rm_r = rightmost[i]
         lm_l, r = leftmost[i]
 
-        if max(ell, lcode) <= min(r, rcode):
+        # the core is never empty and lcode <= rcode: one compare a side
+        if ell <= rcode and lcode <= r:
             # intersects every interval contained in W: witness updates only;
             # on a tie the interval replaces a witness it lies inside
             if ell < lcode or (ell == lcode and rcode <= rm_r):
@@ -155,18 +156,19 @@ class PartitionSelector:
         if lcode > r:
             # new interval to the right of the core: W keeps [lo, r] with
             # its leftmost witness, the new window (r, hi] starts from iv
-            keep = leftmost[i]
-            new = (r + 1, hi[i], iv, iv, iv)
-            hi[i] = r
+            keep, start, first = leftmost[i], r + 1, iv
         else:
             # new interval to the left of the core: W keeps [lo, ell) with
             # iv, the new window [ell, hi] starts from W's rightmost witness
-            keep, carried = iv, rightmost[i]
-            new = (ell, hi[i], carried, carried, carried)
-            hi[i] = ell - 1
+            keep, start, first = iv, ell, rightmost[i]
+        j = i + 1
+        lo.insert(j, start)
+        hi.insert(j, hi[i])
+        leftmost.insert(j, first)
+        rightmost.insert(j, first)
+        chosen.insert(j, first)
+        hi[i] = start - 1
         leftmost[i] = rightmost[i] = chosen[i] = keep
-        for column, value in zip(block, new):
-            column.insert(i + 1, value)
         if len(lo) >= 2 * _LOAD:
             self._blocks.insert(b + 1, [column[_LOAD:] for column in block])
             self._firsts.insert(b + 1, lo[_LOAD])

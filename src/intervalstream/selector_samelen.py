@@ -15,7 +15,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Interval, _column, _make_interval, code_columns
+from .core import Interval, _column, _make_interval, code_columns, refuse_first
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
@@ -51,16 +51,6 @@ def check_length(lam: int, iv: Interval) -> None:
 def lengths(lcodes: np.ndarray, rcodes: np.ndarray) -> np.ndarray:
     """The column of ``Interval.length`` (right - left) of two code columns."""
     return ((rcodes + 1) >> 1) - (lcodes >> 1)
-
-
-def refuse_first(bad: np.ndarray, lcodes: np.ndarray, rcodes: np.ndarray,
-                 check: Callable[[Interval], None]) -> None:
-    """Run the per-item ``check`` on the first pair that ``bad`` flags, which
-    it must refuse: so a column is refused with the interval, and the
-    message, that per-item ``process`` would refuse first."""
-    if bad.any():
-        i = int(bad.argmax())
-        check(_make_interval((int(lcodes[i]), int(rcodes[i]))))
 
 
 def chunks(lcodes: np.ndarray, rcodes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:

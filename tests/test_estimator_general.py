@@ -1,5 +1,6 @@
 import math
 import time
+from itertools import islice
 
 import pytest
 
@@ -81,6 +82,44 @@ def test_process_rejects_out_of_range():
     est = GeneralAlphaEstimator(EstimatorConfig(n=16, user_eps=0.3, seed=0, scale=1e-9))
     with pytest.raises(DomainError):
         est.process(Interval(3, 17))
+
+
+def test_feed_refuses_the_first_interval_process_refuses():
+    inst = Instance(32, (Interval(2, 5), Interval(1, 3, True, False), Interval(9, 17),
+                         Interval(20, 30)))
+    est = GeneralAlphaEstimator(EstimatorConfig(n=16, user_eps=0.3, seed=0, scale=1e-9))
+    with pytest.raises(DomainError) as refused:
+        est.process(Interval(9, 17))
+    with pytest.raises(DomainError) as fed:
+        est.feed(inst.lcodes, inst.rcodes)
+    assert str(fed.value) == str(refused.value)
+    assert est.items == 0  # nothing of the columns was taken
+
+
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+@pytest.mark.parametrize("n, kw", [(64, dict(user_eps=0.3, scale=1e-9)),
+                                   (2048, dict(user_eps=0.45, scale=8e-8))])
+def test_feed_matches_process_on_every_prefix(monkeypatch, counter, n, kw):
+    # an 8-entry KMV sketch forgets ids, so fresh ids repeat; at n=2048 the
+    # root saturates, so the prefixes cross into the sampled branch
+    monkeypatch.setattr(EstimatorConfig, "kmv_k", property(lambda self: 8))
+    if n == 64:
+        inst = random_instance(n, 60, 16, seed=5, open_fraction=0.3)
+    else:
+        inst = dense_instance(n)
+    cfg = EstimatorConfig(n=n, seed=3, counter_kind=counter, **kw)
+    # the peak counts the buffer, whose flushes estimate() moves, so each
+    # prefix goes to a fresh reference too
+    for stop in range(0, len(inst) + 1, 1 if n == 64 else 512):
+        ref = GeneralAlphaEstimator(cfg)
+        for iv in islice(inst, stop):
+            ref.process(iv)
+        est = GeneralAlphaEstimator(cfg)
+        est.feed(inst.lcodes[:stop], inst.rcodes[:stop])
+        assert est.estimate() == ref.estimate()
+        assert (est.items, est.columns_hashed) == (ref.items, ref.columns_hashed)
+        assert (est.rel.pairs(), est.rho.pairs()) == (ref.rel.pairs(), ref.rho.pairs())
+    assert ref.estimate().branch == ("fallback" if n == 64 else "sampled")
 
 
 def test_fallback_branch_small_universe():

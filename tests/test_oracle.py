@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -96,6 +98,84 @@ def test_gamma_all_matches_direct(seed):
     gammas = gamma_all(inst, tree)
     for seg in tree.segments():
         assert gammas[seg] == gamma(inst, seg, tree)
+
+
+def walk_gammas(inst, tree):
+    """Reference for gamma_all: the per-pair walk up from each minimal
+    container to the first node already held, then one bottom-up sum."""
+    closure = set()
+    for pair in inst.codes():
+        v = tree.minimal_container(pair)
+        while v and v not in closure:
+            closure.add(v)
+            v >>= 1
+    gammas = Counter()
+    for v in sorted(closure, reverse=True):
+        gammas[v] += 1
+        if v > 1:
+            gammas[v >> 1] += gammas[v]
+    return gammas
+
+
+def spread_instance(n, count, seed, offset=0):
+    """Intervals of every scale inside [offset + 1, n], a quarter of the
+    ends open, plus the whole range; so some pairs of leaves differ in
+    every bit."""
+    rng = random.Random(seed)
+    span = n - offset
+    ivs = [Interval(offset + 1, n)]
+    for _ in range(count):
+        length = rng.randrange(span) >> rng.randrange(span.bit_length())
+        left = offset + 1 + rng.randrange(span - length)
+        lo, ro = (length > 0 and rng.random() < 0.25 for _ in range(2))
+        ivs.append(Interval(left, left + length, lo, ro))
+    return Instance(n, ivs)
+
+
+# (label, instance): small universes against brute force too; int64 columns
+# whose leaf xors pass 2**53, so a float bit length rounds up; int64 columns
+# under a tree past int64; object columns, and int64 lefts with object rights
+GAMMA_EDGES = [
+    *((f"n{n}-s{seed}", spread_instance(n, 12, seed)) for n in (2, 3, 16, 100) for seed in range(3)),
+    ("n1", Instance(1, [Interval(1, 1)] * 3)),
+    ("empty", Instance(16, ())),
+    ("all-intervals-8", Instance(8, all_intervals(8))),
+    *((f"int64-2^{e}", spread_instance(2 ** e, 60, e)) for e in (54, 58, 61)),
+    ("int64-midpoint", Instance(2 ** 54, [Interval(2 ** 53 - 3, 2 ** 53 + 2),
+                                         Interval(2 ** 53 - 1, 2 ** 53, True, True)])),
+    ("int64-under-2^70", Instance(2 ** 70, [Interval(1, 5), Interval(3, 3), Interval(2, 9)])),
+    ("object-top-of-2^70", spread_instance(2 ** 70, 40, 1, offset=2 ** 70 - 2 ** 40)),
+    ("object-2^63", spread_instance(2 ** 63, 60, 2, offset=2 ** 62)),
+    ("object-2^80", spread_instance(2 ** 80, 60, 3)),
+    ("mixed", Instance(2 ** 63, [Interval(2 ** 62 - 5, 2 ** 62 + 7), Interval(1, 4),
+                                 Interval(2 ** 62 - 9, 2 ** 62 - 8, False, True)])),
+]
+
+
+@pytest.mark.parametrize("inst", [inst for _, inst in GAMMA_EDGES],
+                         ids=[label for label, _ in GAMMA_EDGES])
+def test_gamma_all_matches_the_walk_at_dtype_edges(inst):
+    tree = SegTree(inst.n)
+    nodes = tree.minimal_container((inst.lcodes, inst.rcodes))
+    assert nodes.tolist() == [tree.minimal_container(pair) for pair in inst.codes()]
+    ref = walk_gammas(inst, tree)
+    gammas = gamma_all(inst, tree)
+    assert gammas == ref and list(gammas) == sorted(ref)
+    assert active_segments(inst, tree) == {tree.root} | {
+        c for u in ref if u < tree.n_pow2 for c in (2 * u, 2 * u + 1)}
+    if tree.n_pow2 <= 128:
+        assert all(gammas[v] == gamma(inst, v, tree) for v in tree.segments())
+
+
+def test_gamma_edges_cover_the_dtypes():
+    dtypes = {label: (inst.lcodes.dtype, inst.rcodes.dtype) for label, inst in GAMMA_EDGES}
+    assert dtypes["int64-2^54"] == dtypes["int64-under-2^70"] == (np.int64, np.int64)
+    assert dtypes["object-2^63"] == dtypes["object-2^80"] == (object, object)
+    assert dtypes["object-top-of-2^70"] == (object, object)
+    assert dtypes["mixed"] == (np.int64, object)
+    # the whole range [1, n] at n = 2**54: the leaves' xor is 2**54 - 1,
+    # whose float is 2**54
+    assert float(2 ** 54 - 1) == 2 ** 54
 
 
 def test_gamma_all_is_sparse():

@@ -277,6 +277,17 @@ FEED_STREAMS = [(kind, seed) for kind in ("random", "dense", "open", "huge", "mi
                 for seed in range(3)]
 
 
+@pytest.mark.parametrize("kind,seed", [(kind, seed) for kind in ("random", "dense", "open")
+                                       for seed in range(3)])
+def test_window_cores_are_never_empty(kind, seed):
+    # process tests a pair against the core [ell, r] = rightmost ∩ leftmost
+    # with one compare per side, which is exact only while the core is nonempty
+    sel = PartitionSelector()
+    for iv in feed_instance(kind, seed, 300):
+        sel.process(iv)
+        assert all(intersects(w.leftmost, w.rightmost) for w in sel.windows())
+
+
 @pytest.mark.parametrize("min_chunk", [1, 3, 256])
 @pytest.mark.parametrize("kind,seed", FEED_STREAMS)
 def test_feed_matches_process(kind, seed, min_chunk, monkeypatch):

@@ -6,8 +6,9 @@ Run from the root of a checkout:
 
 It prints one JSON object.  Each rate is the best of three in-process runs:
 ``parse_stream`` on the text of a uniform stream, ``PartitionSelector.feed``
-on the same stream and on dense streams of 100k and 400k items, and
-``oracle.alpha``; then the same-length layer over code columns:
+on the same stream and on dense streams of 100k and 400k items,
+``oracle.alpha``, ``oracle.gamma_all`` and ``estimate_oracle_mode`` (at
+eps 0.3); then the same-length layer over code columns:
 ``ShiftedGridSelector.feed`` and ``SamelenAlphaEstimator.feed`` on a stream
 of equal-length intervals, ``SamelenAlphaEstimator.process`` one Interval
 at a time on a small such stream, and the lambda 0 route
@@ -28,6 +29,7 @@ import numpy as np
 
 from intervalstream import oracle
 from intervalstream.core import Instance, format_stream, parse_stream
+from intervalstream.estimator import estimate_oracle_mode
 from intervalstream.estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,
                                               distinct_points_estimate)
 from intervalstream.generators import gen_uniform, gen_uniform_samelen
@@ -37,6 +39,7 @@ from intervalstream.selector_samelen import ShiftedGridSelector
 ROUNDS = 3
 SEED = 1
 UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline point
+ORACLE_EPS = 0.3  # as the oracle-general benchmark workload
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
 SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
 SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process
@@ -83,10 +86,12 @@ def main() -> int:
         "parse_stream": best_seconds(parse_stream, text),
         "PartitionSelector.feed": best_seconds(feed, uniform),
         "oracle.alpha": best_seconds(oracle.alpha, uniform),
+        "oracle.gamma_all": best_seconds(oracle.gamma_all, uniform),
+        "estimate_oracle_mode": best_seconds(estimate_oracle_mode, uniform, ORACLE_EPS),
     }
     result = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__},
-              "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "dense": DENSE,
+              "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "oracle_eps": ORACLE_EPS, "dense": DENSE,
               "samelen": SAMELEN, "samelen_items": SAMELEN_ITEMS,
               "items_per_s": {name: round(UNIFORM["count"] / s) for name, s in seconds.items()}}
     dense_s = {}
