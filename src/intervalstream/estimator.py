@@ -223,7 +223,8 @@ class GeneralAlphaEstimator:
         # nodes skip the samples
         path = self.tree.containing_path(iv)
         new_ids = [v for v in emitted_segments(self.tree, iv, path) if self.counter.add(v)]
-        self._pending.append((iv, path, new_ids))
+        # the counter's units as of this interval, for the peak
+        self._pending.append((iv, path, new_ids, self.counter.units))
         self._pending_ids += len(new_ids)
         if self._pending_ids >= self._chunk_ids or len(self._pending) >= 1024:
             self.flush()
@@ -232,13 +233,14 @@ class GeneralAlphaEstimator:
         """Apply buffered intervals in stream order: one PolyBank.keys call
         per sample hashes the chunk's fresh ids; each interval's fresh ids
         are offered to both samples, then the interval feeds the node table
-        (identical outcome to unbuffered processing)."""
+        (identical outcome to unbuffered processing, the peak units
+        included, wherever flushes fall)."""
         if not self._pending:
             return
-        ids = [v for _, _, new_ids in self._pending for v in new_ids]
+        ids = [v for _, _, new_ids, _ in self._pending for v in new_ids]
         keyed = zip(ids, self.rel.bank.keys(ids), self.rho.bank.keys(ids))
         cap = self.config.gamma_cap
-        for iv, path, new_ids in self._pending:
+        for iv, path, new_ids, counter_units in self._pending:
             for v, rel_value, rho_value in islice(keyed, len(new_ids)):
                 self._offer(v, rel_value, rho_value)
             for idx, v in enumerate(path):
@@ -246,7 +248,7 @@ class GeneralAlphaEstimator:
                 if node is not None and not node.saturated:
                     self._node_units += node.add(iv, path[idx:], cap)
             self.peak_units = max(self.peak_units, self._node_units + self.rel.units
-                                  + self.rho.units + self.counter.units)
+                                  + self.rho.units + counter_units)
             self.peak_nodes = max(self.peak_nodes, len(self.nodes))
         self._pending = []
         self._pending_ids = 0

@@ -16,12 +16,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, _make_interval, code_columns, refuse_first
+from .core import DomainError, Instance, Interval, code_columns, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
-from .selector_samelen import (_INT64_MAX, Extremes, _runs, check_lam, check_length, chunks,
-                               feed_columns, grid_window, holds_pair, lengths, merge_extremes,
-                               record_moves, window_records)
+from .selector_samelen import (Extremes, RecordTable, ShiftedGridSelector, _runs, check_lam,
+                               check_length, feed_columns, grid_window, lengths, window_records)
 
 
 @dataclass
@@ -78,72 +77,32 @@ class _ShiftState:
     window enters the sample at its first offer or never, so only windows
     the counter reports as possibly new are hashed and offered, when they
     are seen.  The records are kept for the sample's members only, in a
-    table: ``rows`` maps each member to its row of four code columns, the
-    (lcode, rcode) of its window's leftmost and of its rightmost interval.
-    The rows in use are the first len(rows), since an entering member takes
-    the row of the member it evicts.  The columns are int64, or object dtype
-    once codes arrive that int64 does not hold; their capacity doubles up to
-    k.
+    ``RecordTable`` of at most k rows: an entering member takes the row of
+    the member it evicts.
     """
 
     def __init__(self, shift: int, cfg: SamelenConfig, family: HashFamily, rng: SplitMix64):
-        self.shift = shift
         self.counter = make_counter(cfg.counter_kind, family,
                                     rng.spawn(10 + shift).seed, cfg.kmv_k)
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
-        self.rows: Dict[int, int] = {}
-        self.leftmost_l = self.leftmost_r = self.rightmost_l = self.rightmost_r = \
-            np.zeros(0, dtype=np.int64)
-
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        return self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r
-
-    def _reserve(self, size: int, wide: bool = False) -> None:
-        """Room for ``size`` rows; ``wide`` turns the columns to object
-        dtype."""
-        cap, dtype = len(self.leftmost_l), self.leftmost_l.dtype
-        if size <= cap and (dtype == object or not wide):
-            return
-        if size > cap:
-            cap = min(max(size, 2 * cap), self.sample.k)
-        grown = [np.zeros(cap, dtype=object if wide else dtype) for _ in range(4)]
-        for new, old in zip(grown, self._columns()):
-            new[:len(old)] = old
-        self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r = grown
+        self.table = RecordTable(cfg.k)
 
     def observe(self, j: int, iv: Interval) -> None:
         w = j + 2
         fresh = self.counter.add(w)
         lcode, rcode = iv
-        row = self.rows.get(w)
-        if row is not None:
-            moves_left, moves_right = record_moves(self.leftmost_r.item(row),
-                                                   self.rightmost_l.item(row), rcode, lcode)
-            if not (moves_left or moves_right):
-                return
-        else:
-            if not fresh:
-                return
-            evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
-            if evicted is None:
-                return
-            row = self.rows.pop(evicted) if evicted else len(self.rows)
-            self.rows[w] = row
-            moves_left = moves_right = True
-            if row == len(self.leftmost_l):
-                self._reserve(row + 1)
-        if rcode > _INT64_MAX:
-            self._reserve(0, wide=True)
-        if moves_left:
-            self.leftmost_l[row], self.leftmost_r[row] = lcode, rcode
-        if moves_right:
-            self.rightmost_l[row], self.rightmost_r[row] = lcode, rcode
+        if self.table.merge(w, lcode, rcode) or not fresh:
+            return
+        evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
+        if evicted is not None:
+            # 0 evicts no member: ids are at least 1
+            self.table.enter(w, lcode, rcode, evicted or None)
 
     def observe_chunk(self, wins: np.ndarray, *records: np.ndarray) -> None:
         """Take a chunk's windows, distinct and ascending, with their
         records over the chunk as ``window_records`` gives them.  The
-        counter takes them at once; the members' rows merge with the
-        records by the masks of ``record_moves``; and the possibly new ids
+        counter takes them at once; the members' records merge with the
+        chunk's (``RecordTable.merge_chunk``); and the possibly new ids
         that are no member go to one keys call and one bulk offer, whose
         entered ids take their rows in one assignment.  This is the state ``observe``
         leaves over the chunk's pairs, since neither the counter nor the
@@ -151,52 +110,12 @@ class _ShiftState:
         ids = wins + 2
         ids_list = ids.tolist()
         fresh = self.counter.add_many(ids_list)
-        rows = self.rows
-        # core._column picks each column's dtype on its own, so any record
-        # column may be the wide one
-        if any(record.dtype == object for record in records):
-            self._reserve(0, wide=True)
-        offered = fresh
-        if rows:
-            self._merge(ids_list, records)
-            offered = [w for w in fresh if w not in rows]
+        table = self.table
+        table.merge_chunk(ids_list, records)
+        offered = [w for w in fresh if w not in table.rows]
         entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
-        if not entered:
-            return
-        used = len(rows)
-        size = used + len(entered) - len(evicted)
-        slots = [rows.pop(w) for w in evicted] + list(range(used, size))
-        self._reserve(size)
-        rows.update(zip(entered, slots))
-        slots, spots = np.array(slots), ids.searchsorted(entered)
-        for col, record in zip(self._columns(), records):
-            col[slots] = record[spots]
-
-    def _merge(self, ids: List[int], records: Tuple[np.ndarray, ...]) -> None:
-        """Merge the records of the members among ``ids`` into their rows."""
-        at = np.array([self.rows.get(w, -1) for w in ids], dtype=np.int64)
-        held = at >= 0
-        if not held.any():
-            return
-        at = at[held]
-        new_ll, new_lr, new_rl, new_rr = (col[held] for col in records)
-        left, right = record_moves(self.leftmost_r[at], self.rightmost_l[at], new_lr, new_rl)
-        self.leftmost_l[at[left]], self.leftmost_r[at[left]] = new_ll[left], new_lr[left]
-        self.rightmost_l[at[right]], self.rightmost_r[at[right]] = new_rl[right], new_rr[right]
-
-    @property
-    def extremes(self) -> Dict[int, Extremes]:
-        """Each member's (leftmost, rightmost) Intervals, built from the
-        table when read."""
-        ll, lr, rl, rr = (col[:len(self.rows)].tolist() for col in self._columns())
-        return {w: (_make_interval((ll[row], lr[row])), _make_interval((rl[row], rr[row])))
-                for w, row in self.rows.items()}
-
-    def type2_count(self) -> int:
-        """Members of the sample holding two disjoint intervals: a rightmost
-        interval that starts after the leftmost ends (``holds_pair``)."""
-        ll, lr, rl, rr = (col[:len(self.rows)] for col in self._columns())
-        return int(np.count_nonzero(holds_pair(((ll, lr), (rl, rr)))))
+        if entered:
+            table.enter_chunk(entered, records, ids.searchsorted(entered), evicted)
 
 
 class SamelenAlphaEstimator:
@@ -251,7 +170,7 @@ class SamelenAlphaEstimator:
         gamma1_hats, type2_counts, shift_values = [], [], []
         for st in self.states:
             g1 = st.counter.estimate()
-            m = st.type2_count()
+            m = st.table.type2_count()
             gamma1_hats.append(g1)
             type2_counts.append(m)
             # a grid with fewer than k occupied windows samples them all
@@ -264,38 +183,32 @@ class SamelenAlphaEstimator:
                                k=cfg.k, units=units)
 
 
+def _fed_selector(intervals, lam: int) -> ShiftedGridSelector:
+    sel = ShiftedGridSelector(lam)
+    sel.feed(*code_columns(intervals))
+    return sel
+
+
 def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
     """Exact (leftmost, rightmost) intervals per occupied window index of
-    one grid; ``intervals`` is an Instance or an iterable of Intervals."""
-    stats: Dict[int, Extremes] = {}
-    for ls, rs in chunks(*code_columns(intervals)):
-        wins, ll, lr, rl, rr = (col.tolist() for col in window_records(lam, (shift,), ls, rs)[0])
-        for j, leftmost, rightmost in zip(wins, zip(ll, lr), zip(rl, rr)):
-            stats[j] = merge_extremes(stats.get(j), (leftmost, rightmost))
-    return stats
+    one grid: the records of a ``ShiftedGridSelector`` fed ``intervals``, an
+    Instance or an iterable of Intervals of length lam."""
+    return _fed_selector(intervals, lam).tables[shift].extremes
 
 
 def shift_gamma_counts(intervals, shift: int, lam: int) -> Tuple[int, int]:
     """Exact (gamma1, gamma2): occupied windows and type-2 windows of one grid."""
-    stats = shift_window_stats(intervals, shift, lam)
-    gamma1 = len(stats)
-    gamma2 = sum(1 for ext in stats.values() if holds_pair(ext))
-    return gamma1, gamma2
+    table = _fed_selector(intervals, lam).tables[shift]
+    return len(table.rows), table.type2_count()
 
 
 def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     """Deterministic pipeline: exact per-grid counts through the streaming
-    combination formula."""
+    combination formula; a grid's gamma1 + gamma2 is its selector size."""
     if not 0 < user_eps < 0.5:
         raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
-    check_lam(lam)
-    refuse_first(lengths(inst.lcodes, inst.rcodes) != lam, inst.lcodes, inst.rcodes,
-                 lambda iv: check_length(lam, iv))
-    best = 0
-    for a in (0, 1, 2):
-        g1, g2 = shift_gamma_counts(inst, a, lam)
-        best = max(best, g1 + g2)
-    return best / (1.0 + user_eps / 2.0)
+    sel = _fed_selector(inst, lam)
+    return sel.shift_size(sel.best_shift()) / (1.0 + user_eps / 2.0)
 
 
 class DistinctPoints:

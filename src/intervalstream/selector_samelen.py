@@ -10,12 +10,11 @@ approximation overall.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Interval, _column, _make_interval, code_columns, refuse_first
+from .core import Interval, _make_interval, code_columns, refuse_first
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
@@ -53,19 +52,14 @@ def lengths(lcodes: np.ndarray, rcodes: np.ndarray) -> np.ndarray:
     return ((rcodes + 1) >> 1) - (lcodes >> 1)
 
 
-def chunks(lcodes: np.ndarray, rcodes: np.ndarray) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """The two columns in slices of _CHUNK pairs."""
-    for start in range(0, len(lcodes), _CHUNK):
-        yield lcodes[start:start + _CHUNK], rcodes[start:start + _CHUNK]
-
-
 def feed_columns(process: Callable[[Interval], None],
                  bulk: Callable[[np.ndarray, np.ndarray], None],
                  lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-    """The one loop of every ``feed``: each chunk of two code columns goes
-    to ``bulk``, or, below _MIN_BULK pairs, to ``process`` one Interval at
-    a time."""
-    for ls, rs in chunks(lcodes, rcodes):
+    """The one loop of every ``feed``: each chunk of _CHUNK pairs of two
+    code columns goes to ``bulk``, or, below _MIN_BULK pairs, to
+    ``process`` one Interval at a time."""
+    for start in range(0, len(lcodes), _CHUNK):
+        ls, rs = lcodes[start:start + _CHUNK], rcodes[start:start + _CHUNK]
         if len(ls) < _MIN_BULK:
             for pair in zip(ls.tolist(), rs.tolist()):
                 process(_make_interval(pair))
@@ -100,24 +94,6 @@ def grid_window(lam: int, shift: int, iv):
     return j if fits else None
 
 
-def merge_extremes(ext: Optional[Extremes], new) -> Extremes:
-    """The record of a window after the intervals whose record is ``new``;
-    ext None starts a window, and ``(iv, iv)`` is the record of one interval
-    iv.  The leftmost (smallest right end) and rightmost (largest left end)
-    intervals are replaced as ``record_moves`` says.  ``new`` may hold plain code pairs in
-    place of Intervals; a pair becomes an Interval only when it is kept, and
-    a merge that changes nothing returns ext itself."""
-    if ext is None:
-        leftmost = _as_interval(new[0])
-        return leftmost, leftmost if new[1] is new[0] else _as_interval(new[1])
-    leftmost, rightmost = ext
-    moves_left, moves_right = record_moves(leftmost[1], rightmost[0], new[0][1], new[1][0])
-    if not (moves_left or moves_right):
-        return ext
-    return (_as_interval(new[0]) if moves_left else leftmost,
-            _as_interval(new[1]) if moves_right else rightmost)
-
-
 def record_moves(leftmost_r, rightmost_l, new_lr, new_rl):
     """Whether a window's record takes the new leftmost and the new
     rightmost: (new_lr < leftmost_r, new_rl > rightmost_l), from the rcode
@@ -126,10 +102,6 @@ def record_moves(leftmost_r, rightmost_l, new_lr, new_rl):
     side, so on a tie the earlier interval stays.  The codes may be scalars
     or columns alike; columns give the two boolean masks."""
     return new_lr < leftmost_r, new_rl > rightmost_l
-
-
-def _as_interval(pair) -> Interval:
-    return pair if type(pair) is Interval else _make_interval(pair)
 
 
 def holds_pair(ext: Extremes) -> bool:
@@ -166,7 +138,7 @@ def window_records(lam: int, shifts: Sequence[int], lcodes: np.ndarray,
     over a chunk of pairs, as columns, one tuple per grid: the distinct
     indices of the windows holding a pair, ascending, and the codes of each
     window's leftmost and rightmost pair over its pairs in order, as
-    ``merge_extremes`` picks them: ``(wins, leftmost lcodes, leftmost
+    ``record_moves`` leaves them pair by pair: ``(wins, leftmost lcodes, leftmost
     rcodes, rightmost lcodes, rightmost rcodes)``, the codes in the dtype of
     the input.  Window j of grid a starts at code 2*(a+3j)*lam, so the key
     a + 3j tells it from the windows of every grid: one stable sort by key
@@ -189,38 +161,139 @@ def window_records(lam: int, shifts: Sequence[int], lcodes: np.ndarray,
     return [tuple(col[mask] for col in columns) for mask in (grid == a for a in shifts)]
 
 
-def _records(ls: np.ndarray, rs: np.ndarray, left: np.ndarray,
-             right: np.ndarray) -> List[tuple]:
-    """The (leftmost, rightmost) code pairs at positions ``left`` and
-    ``right`` of two code columns, as records for ``merge_extremes``; a
-    window whose two are one pair gets one pair object twice, which becomes
-    one Interval, as ``process`` keeps a window of one interval."""
-    def pairs(spots):
-        return zip(ls[spots].tolist(), rs[spots].tolist())
-    lefts = list(pairs(left))
-    rights = lefts.copy()
-    apart = np.flatnonzero(left != right)
-    for i, pair in zip(apart.tolist(), pairs(right[apart])):
-        rights[i] = pair
-    return list(zip(lefts, rights))
+class RecordTable:
+    """The records of a set of windows in code columns.  ``rows`` maps a
+    window's key to its row of four columns: the (lcode, rcode) of the
+    window's leftmost and of its rightmost interval.  The rows in use are
+    the first len(rows), since a window entering in place of one that
+    leaves takes its row.  The columns are int64, or object dtype once
+    codes arrive that int64 does not hold; their capacity doubles, up to
+    ``cap`` when one is given."""
+
+    def __init__(self, cap: Optional[int] = None):
+        self.cap = cap
+        self.rows: Dict[int, int] = {}
+        self.leftmost_l = self.leftmost_r = self.rightmost_l = self.rightmost_r = \
+            np.zeros(0, dtype=np.int64)
+
+    def _columns(self) -> Tuple[np.ndarray, ...]:
+        return self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r
+
+    def _reserve(self, size: int, wide: bool = False) -> None:
+        """Room for ``size`` rows; ``wide`` turns the columns to object
+        dtype."""
+        cap, dtype = len(self.leftmost_l), self.leftmost_l.dtype
+        if size <= cap and (dtype == object or not wide):
+            return
+        if size > cap:
+            cap = max(size, 2 * cap) if self.cap is None else min(max(size, 2 * cap), self.cap)
+        grown = [np.zeros(cap, dtype=object if wide else dtype) for _ in range(4)]
+        for new, old in zip(grown, self._columns()):
+            new[:len(old)] = old
+        self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r = grown
+
+    def _put(self, row: int, lcode: int, rcode: int, left: bool, right: bool) -> None:
+        if rcode > _INT64_MAX or lcode < -_INT64_MAX - 1:
+            self._reserve(0, wide=True)
+        if left:
+            self.leftmost_l[row], self.leftmost_r[row] = lcode, rcode
+        if right:
+            self.rightmost_l[row], self.rightmost_r[row] = lcode, rcode
+
+    def merge(self, key: int, lcode: int, rcode: int) -> bool:
+        """Merge one interval into the record of window ``key`` as
+        ``record_moves`` says; False, with nothing done, when the window has
+        no row."""
+        row = self.rows.get(key)
+        if row is None:
+            return False
+        moves_left, moves_right = record_moves(self.leftmost_r.item(row),
+                                               self.rightmost_l.item(row), rcode, lcode)
+        if moves_left or moves_right:
+            self._put(row, lcode, rcode, moves_left, moves_right)
+        return True
+
+    def enter(self, key: int, lcode: int, rcode: int, evicted: Optional[int] = None) -> None:
+        """Give window ``key`` a row, the row of window ``evicted`` when one
+        is named, holding the record of one interval."""
+        row = self.rows.pop(evicted) if evicted is not None else len(self.rows)
+        self.rows[key] = row
+        if row == len(self.leftmost_l):
+            self._reserve(row + 1)
+        self._put(row, lcode, rcode, True, True)
+
+    def merge_chunk(self, keys: List[int], records: Sequence[np.ndarray]) -> np.ndarray:
+        """Merge the records of a chunk's windows ``keys``, four columns as
+        ``window_records`` gives them, into the rows of the windows that
+        have one, by the masks of ``record_moves``.  Returns the boolean
+        column of the keys that have a row.  Object records turn the table
+        to object dtype, so ``enter_chunk`` comes after this."""
+        # core._column picks each column's dtype on its own, so any record
+        # column may be the wide one
+        if any(record.dtype == object for record in records):
+            self._reserve(0, wide=True)
+        if not self.rows:
+            return np.zeros(len(keys), dtype=bool)
+        at = np.array([self.rows.get(w, -1) for w in keys], dtype=np.int64)
+        held = at >= 0
+        if held.any():
+            at = at[held]
+            new_ll, new_lr, new_rl, new_rr = (col[held] for col in records)
+            left, right = record_moves(self.leftmost_r[at], self.rightmost_l[at], new_lr, new_rl)
+            self.leftmost_l[at[left]], self.leftmost_r[at[left]] = new_ll[left], new_lr[left]
+            self.rightmost_l[at[right]], self.rightmost_r[at[right]] = new_rl[right], new_rr[right]
+        return held
+
+    def enter_chunk(self, keys: List[int], records: Sequence[np.ndarray], spots: np.ndarray,
+                    evicted: Sequence[int] = ()) -> None:
+        """Give each window of ``keys`` a row, the rows of the windows
+        ``evicted`` first, holding its record at ``spots`` of a chunk's
+        records, in one assignment per column."""
+        used = len(self.rows)
+        size = used + len(keys) - len(evicted)
+        slots = [self.rows.pop(w) for w in evicted] + list(range(used, size))
+        self._reserve(size)
+        self.rows.update(zip(keys, slots))
+        slots = np.array(slots, dtype=np.int64)
+        for col, record in zip(self._columns(), records):
+            col[slots] = record[spots]
+
+    def type2_count(self) -> int:
+        """The windows holding two disjoint intervals: a rightmost interval
+        that starts after the leftmost ends (``holds_pair``), one compare
+        over the rows in use."""
+        ll, lr, rl, rr = (col[:len(self.rows)] for col in self._columns())
+        return int(np.count_nonzero(holds_pair(((ll, lr), (rl, rr)))))
+
+    @property
+    def extremes(self) -> Dict[int, Extremes]:
+        """Each window's (leftmost, rightmost) Intervals, built from the
+        columns when read."""
+        ll, lr, rl, rr = (col[:len(self.rows)].tolist() for col in self._columns())
+        return {w: (_make_interval((ll[row], lr[row])), _make_interval((rl[row], rr[row])))
+                for w, row in self.rows.items()}
 
 
 class ShiftedGridSelector:
     """Streaming state machine for length-lam intervals.  Each grid keeps
-    the extremes of its occupied windows, frozen once they hold a pair.
+    the record of every occupied window in a ``RecordTable``, keyed by
+    window index.
 
     ``process(iv)`` takes one Interval and checks its length; ``feed`` takes
     code columns a chunk at a time, with one length check per chunk, and
-    leaves the state ``process`` leaves after every chunk.  Its records hold
-    Intervals rebuilt from the codes: equal to what was fed, not the same
-    objects."""
+    leaves the state ``process`` leaves after every chunk.  Intervals are
+    built from the codes only when a solution or the ``extremes`` of a
+    table are read: equal to what was fed, not the same objects."""
 
     def __init__(self, lam: int):
         check_lam(lam)
         self.lam = lam
-        self.shifts: List[Dict[int, Extremes]] = [{}, {}, {}]
+        self.tables = [RecordTable() for _ in (0, 1, 2)]
         self.items = 0
-        self.window_count = 0
+
+    @property
+    def window_count(self) -> int:
+        return sum(len(table.rows) for table in self.tables)
 
     @property
     def peak_windows(self) -> int:
@@ -230,16 +303,11 @@ class ShiftedGridSelector:
     def process(self, iv: Interval) -> None:
         check_length(self.lam, iv)
         self.items += 1
-        for a, windows in enumerate(self.shifts):
+        lcode, rcode = iv
+        for a, table in enumerate(self.tables):
             j = grid_window(self.lam, a, iv)
-            if j is None:
-                continue
-            ext = windows.get(j)
-            if ext is None:
-                self.window_count += 1
-            elif holds_pair(ext):
-                continue
-            windows[j] = merge_extremes(ext, (iv, iv))
+            if j is not None and not table.merge(j, lcode, rcode):
+                table.enter(j, lcode, rcode)
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks of
@@ -252,63 +320,19 @@ class ShiftedGridSelector:
         refuse_first(lengths(lcodes, rcodes) != self.lam, lcodes, rcodes,
                      lambda iv: check_length(self.lam, iv))
         self.items += len(lcodes)
-        for a in (0, 1, 2):
-            self._feed_grid(a, lcodes, rcodes)
-
-    def _feed_grid(self, shift: int, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Apply one chunk to one grid.  The record of each distinct window
-        of the chunk is looked up once, and the pairs of frozen windows are
-        dropped; one stable sort groups the rest by window.  Every other
-        window takes its pairs up to the first at which its record holds a
-        pair: the first place where the running maximum of left codes passes
-        the running minimum of right codes, both starting from the window's
-        record.  Those are taken over the joint ranks of all the codes
-        involved, offset by window, so that one accumulate serves every
-        window."""
-        j, fits = grid_window(self.lam, shift, (lcodes, rcodes))
-        order = np.flatnonzero(fits)
-        if not len(order):
-            return
-        wins, inverse = np.unique(j[order], return_inverse=True)
-        windows = self.shifts[shift]
-        olds = list(map(windows.get, wins.tolist()))
-        live = [ext is None or not holds_pair(ext) for ext in olds]
-        order = order[np.array(live)[inverse]]
-        if not len(order):
-            return
-        olds = list(compress(olds, live))
-        order = order[np.argsort(j[order], kind="stable")]
-        j, ls, rs = j[order], lcodes[order], rcodes[order]
-        starts = _runs(j)
-        wins = j[starts]
-        group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(j)))
-        # a new window starts from its first pair, which changes nothing
-        old_l = _column([ext[1][0] if ext else s for ext, s in zip(olds, ls[starts].tolist())])
-        old_r = _column([ext[0][1] if ext else s for ext, s in zip(olds, rs[starts].tolist())])
-        count = len(j)
-        _, rank = np.unique(np.concatenate([ls, rs, old_l, old_r]), return_inverse=True)
-        span = len(rank)
-        offset = group * span
-        rank_l, rank_r = rank[:count], span - 1 - rank[count:2 * count]
-        old_rank_l, old_rank_r = rank[2 * count:2 * count + len(olds)], rank[2 * count + len(olds):]
-        run_l = np.maximum(np.maximum.accumulate(rank_l + offset) - offset, old_rank_l[group])
-        run_r = np.minimum(span - 1 - (np.maximum.accumulate(rank_r + offset) - offset),
-                           old_rank_r[group])
-        spots = np.arange(count)
-        first_pair = np.minimum.reduceat(np.where(run_l > run_r, spots, count), starts)
-        taken = spots <= first_pair[group]
-        ls, rs = ls[taken], rs[taken]
-        left, right = _first_extremes(ls, rs, _runs(group[taken]))
-        for w, ext, record in zip(wins.tolist(), olds, _records(ls, rs, left, right)):
-            windows[w] = merge_extremes(ext, record)
-        self.window_count += olds.count(None)
+        for table, (wins, *records) in zip(self.tables,
+                                           window_records(self.lam, (0, 1, 2), lcodes, rcodes)):
+            wins = wins.tolist()
+            new = np.flatnonzero(~table.merge_chunk(wins, records))
+            table.enter_chunk([wins[i] for i in new.tolist()], records, new)
 
     def shift_size(self, shift: int) -> int:
-        return sum(1 + holds_pair(ext) for ext in self.shifts[shift].values())
+        table = self.tables[shift]
+        return len(table.rows) + table.type2_count()
 
     def shift_solution(self, shift: int) -> List[Interval]:
         out: List[Interval] = []
-        for _, ext in sorted(self.shifts[shift].items()):
+        for _, ext in sorted(self.tables[shift].extremes.items()):
             # the pair, or the leftmost interval while only one fits
             out.extend(ext if holds_pair(ext) else ext[:1])
         return out

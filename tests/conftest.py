@@ -8,7 +8,7 @@ import collections
 import math
 
 from intervalstream import oracle
-from intervalstream.core import Instance, Interval, Window, intersects
+from intervalstream.core import Instance, Interval, Window, contained_in, intersects
 from intervalstream.hashing import ExactDistinct, HashFamily, PolyBank, horner
 from intervalstream.rng import SplitMix64
 
@@ -39,6 +39,26 @@ def all_intervals(n: int):
                         continue
                     out.append(Interval(left, right, lo, ro))
     return out
+
+
+def reference_records(stream, lam: int):
+    """The window records of the same-length layer by brute force, one dict
+    per grid a in 0..2: each occupied window j, whose codes are
+    [2(a+3j)lam, 2(a+3j+3)lam - 1], maps to its (leftmost, rightmost), the
+    interval of the stream contained in it with the smallest rcode and the
+    one with the largest lcode, the earliest on a tie."""
+    grids = []
+    for a in (0, 1, 2):
+        contained = collections.defaultdict(list)
+        for iv in stream:
+            # the window of grid a where iv starts is the only one that can hold it
+            j = (iv.lcode - 2 * a * lam) // (6 * lam)
+            if contained_in(iv, Window(2 * (a + 3 * j) * lam, 2 * (a + 3 * j + 3) * lam - 1)):
+                contained[j].append(iv)
+        # min and max return the first of equal keys
+        grids.append({j: (min(ivs, key=lambda iv: iv.rcode), max(ivs, key=lambda iv: iv.lcode))
+                      for j, ivs in contained.items()})
+    return grids
 
 
 def recompute_leftmost(contained):

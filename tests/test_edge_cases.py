@@ -24,7 +24,7 @@ def test_samelen_selector_negative_window_index():
     iv = Interval(1, 6)
     assert grid_window(5, 2, iv) == -1
     sel.process(iv)
-    assert -1 in sel.shifts[2]
+    assert -1 in sel.tables[2].extremes
     assert sel.shift_size(2) == 1
 
 

@@ -108,8 +108,7 @@ def test_feed_matches_process_on_every_prefix(monkeypatch, counter, n, kw):
     else:
         inst = dense_instance(n)
     cfg = EstimatorConfig(n=n, seed=3, counter_kind=counter, **kw)
-    # the peak counts the buffer, whose flushes estimate() moves, so each
-    # prefix goes to a fresh reference too
+    # each prefix goes to a fresh reference
     for stop in range(0, len(inst) + 1, 1 if n == 64 else 512):
         ref = GeneralAlphaEstimator(cfg)
         for iv in islice(inst, stop):
@@ -120,6 +119,22 @@ def test_feed_matches_process_on_every_prefix(monkeypatch, counter, n, kw):
         assert (est.items, est.columns_hashed) == (ref.items, ref.columns_hashed)
         assert (est.rel.pairs(), est.rho.pairs()) == (ref.rel.pairs(), ref.rho.pairs())
     assert ref.estimate().branch == ("fallback" if n == 64 else "sampled")
+
+
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+def test_peak_units_do_not_depend_on_flushes(counter):
+    # estimate() flushes the buffer, so reading it after every item applies
+    # each item alone, while one feed buffers up to 1024 items; the peak is
+    # the unbuffered algorithm's either way
+    inst = random_instance(64, 60, 16, seed=5, open_fraction=0.3)
+    cfg = EstimatorConfig(n=64, user_eps=0.3, seed=3, counter_kind=counter, scale=1e-9)
+    fed, stepped = GeneralAlphaEstimator(cfg), GeneralAlphaEstimator(cfg)
+    fed.feed(inst.lcodes, inst.rcodes)
+    for iv in inst:
+        stepped.process(iv)
+        stepped.estimate()
+    assert fed.estimate() == stepped.estimate()
+    assert fed.estimate().peak_units == 152
 
 
 def test_fallback_branch_small_universe():

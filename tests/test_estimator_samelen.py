@@ -125,10 +125,10 @@ def test_sampler_winner_replay(monkeypatch):
             expected = reference_bottom_k(st.sample, [j + 2 for j in stats])
             assert st.sample.pairs() == expected
             assert len(expected) == min(est.config.k, len(stats))
-            assert set(st.extremes) == {w for _, w in expected}
+            assert set(st.table.extremes) == {w for _, w in expected}
             for _, w in expected:
                 j = w - 2
-                assert st.extremes[w] == stats[j]
+                assert st.table.extremes[w] == stats[j]
                 # type classification matches the exact sub-instance optimum
                 sub = [iv for iv in inst if grid_window(lam, a, iv) == j]
                 window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
@@ -179,7 +179,7 @@ def test_retained_state_does_not_grow_with_m():
             if phase == "estimated":
                 est.estimate()
             for a, st in enumerate(est.states):
-                containers = {name: v for obj in (st, st.sample)
+                containers = {name: v for obj in (st, st.sample, st.table)
                               for name, v in vars(obj).items()
                               if isinstance(v, (np.ndarray, dict, list, set))}
                 assert {"members", "_heap", "rows", "leftmost_l", "leftmost_r",
@@ -187,8 +187,8 @@ def test_retained_state_does_not_grow_with_m():
                 for name, v in containers.items():
                     assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
         for a, st in enumerate(est.states):
-            assert set(st.rows) == st.sample.members
-            assert sorted(st.rows.values()) == list(range(len(st.rows)))
+            assert set(st.table.rows) == st.sample.members
+            assert sorted(st.table.rows.values()) == list(range(len(st.table.rows)))
         occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
     assert occupied[1] > 5 * occupied[0]
 

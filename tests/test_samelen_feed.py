@@ -12,7 +12,9 @@ from intervalstream.core import DomainError, Interval, code_columns
 from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator, SamelenConfig,
                                               shift_window_stats)
 from intervalstream.rng import SplitMix64
-from intervalstream.selector_samelen import ShiftedGridSelector
+from intervalstream.selector_samelen import ShiftedGridSelector, holds_pair
+
+from conftest import reference_records
 
 WIDE = 1 << 62  # endpoints from here have codes past int64: object columns
 
@@ -23,6 +25,25 @@ def samelen_stream(seed, lam, lo, hi, count, openness=True):
     return [Interval(left, left + lam, openness and rng.below(2) == 1,
                      openness and rng.below(2) == 1)
             for left in (rng.randrange(lo, hi - lam) for _ in range(count))]
+
+
+def dtype_stream(dtypes):
+    """(lam, stream, hi): 40 intervals whose code columns are int64,
+    object, or "mixed".  Past 2**62 the length 2**40 keeps the window
+    universe, and so the field prime, small.  "mixed" has its lefts below
+    2**62 and every fourth within lam of it, so its lcodes fit int64 and its
+    rcodes do not: each column takes its own dtype."""
+    lam = 3 if dtypes == "int64" else 1 << 40
+    lo = {"int64": 1, "object": WIDE, "mixed": WIDE - 60 * lam}[dtypes]
+    hi = WIDE - 1 + lam if dtypes == "mixed" else lo + 60 * lam
+    stream = samelen_stream(29, lam, lo, hi, 40)
+    if dtypes == "mixed":
+        stream[::4] = samelen_stream(31, lam, WIDE - lam, hi, 10)
+    lcodes, rcodes = code_columns(stream)
+    assert [lcodes.dtype == object, rcodes.dtype == object] == \
+        {"int64": [False, False], "object": [True, True], "mixed": [False, True]}[dtypes]
+    assert dtypes != "mixed" or max(rcodes) > selector_samelen._INT64_MAX
+    return lam, stream, hi
 
 
 def point_stream(seed, lo, hi, count):
@@ -40,7 +61,8 @@ def chunking(request, monkeypatch):
 
 
 def selector_state(sel):
-    return sel.shifts, sel.items, sel.window_count, sel.peak_windows, sel.solution()
+    return ([table.extremes for table in sel.tables], sel.items, sel.window_count,
+            sel.peak_windows, sel.solution())
 
 
 def counter_state(counter):
@@ -51,7 +73,7 @@ def counter_state(counter):
 
 def estimator_state(est):
     grids = [(counter_state(st.counter), st.sample.pairs(), sorted(st.sample.members),
-              st.extremes) for st in est.states]
+              st.table.extremes) for st in est.states]
     return grids, est.items, est.estimate()
 
 
@@ -66,20 +88,22 @@ def test_selector_feed_equals_process(chunking, lo):
     lam = 3
     stream = samelen_stream(17, lam, lo, lo + 60, 40)
     assert (code_columns(stream)[0].dtype == object) == (lo == WIDE)
-    frozen = False
+    pairs = False
     for head, lcodes, rcodes in prefixes(stream):
         by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
         for iv in head:
             by_item.process(iv)
         by_feed.feed(lcodes, rcodes)
         assert selector_state(by_feed) == selector_state(by_item), len(head)
-        frozen |= any(ext[1][0] > ext[0][1] for grid in by_feed.shifts for ext in grid.values())
-    assert frozen
+        records = reference_records(head, lam)
+        assert selector_state(by_feed)[0] == records, len(head)
+        pairs |= any(holds_pair(ext) for grid in records for ext in grid.values())
+    assert pairs
 
 
 def test_selector_feed_after_process_and_process_after_feed(chunking):
-    # the frozen windows that process leaves are skipped by a later feed,
-    # and process after feed reads the records feed left
+    # feed merges into the records that process leaves, and process after
+    # feed reads the records feed left
     lam = 2
     stream = samelen_stream(23, lam, 1, 50, 60)
     lcodes, rcodes = code_columns(stream)
@@ -98,23 +122,11 @@ def test_selector_feed_after_process_and_process_after_feed(chunking):
 @pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
 @pytest.mark.parametrize("dtypes", ["int64", "object", "mixed"])
 def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes):
-    # k = 3 makes every sample and sketch evict.  Past 2**62 the length 2**40
-    # keeps the window universe, and so the field prime, small.  "mixed" has
-    # its lefts below 2**62 and every fourth within lam of it, so its lcodes
-    # fit int64 and its rcodes do not: each column takes its own dtype
+    # k = 3 makes every sample and sketch evict
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
         monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: k))
-    lam = 3 if dtypes == "int64" else 1 << 40
-    lo = {"int64": 1, "object": WIDE, "mixed": WIDE - 60 * lam}[dtypes]
-    hi = WIDE - 1 + lam if dtypes == "mixed" else lo + 60 * lam
-    stream = samelen_stream(29, lam, lo, hi, 40)
-    if dtypes == "mixed":
-        stream[::4] = samelen_stream(31, lam, WIDE - lam, hi, 10)
-    lcodes, rcodes = code_columns(stream)
-    assert [lcodes.dtype == object, rcodes.dtype == object] == \
-        {"int64": [False, False], "object": [True, True], "mixed": [False, True]}[dtypes]
-    assert dtypes != "mixed" or max(rcodes) > selector_samelen._INT64_MAX
+    lam, stream, hi = dtype_stream(dtypes)
     cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
     for head, lcodes, rcodes in prefixes(stream):
         by_item, by_feed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
@@ -128,6 +140,53 @@ def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes
             assert by_feed.columns_hashed == by_item.columns_hashed
         else:
             assert by_feed.columns_hashed <= by_item.columns_hashed
+
+
+@pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
+@pytest.mark.parametrize("dtypes", ["int64", "object", "mixed"])
+def test_records_match_brute_force_reference(chunking, monkeypatch, k, dtypes):
+    # every prefix: the selector's records under feed and under process, its
+    # solutions, and the estimator's member rows under feed and process are
+    # the brute-force records (reference_records); at k = 3 members evict
+    if k is not None:
+        monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
+    lam, stream, hi = dtype_stream(dtypes)
+    cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5)
+    for head, lcodes, rcodes in prefixes(stream):
+        expected = reference_records(head, lam)
+        by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
+        est_item, est_feed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
+        for iv in head:
+            by_item.process(iv)
+            est_item.process(iv)
+        by_feed.feed(lcodes, rcodes)
+        est_feed.feed(lcodes, rcodes)
+        for a, records in enumerate(expected):
+            solution = [iv for j in sorted(records) for iv in
+                        (records[j] if holds_pair(records[j]) else records[j][:1])]
+            for sel in (by_item, by_feed):
+                assert sel.tables[a].extremes == records, (len(head), a)
+                assert sel.shift_solution(a) == solution
+            for est in (est_item, est_feed):
+                st = est.states[a]
+                assert set(st.table.rows) == st.sample.members
+                assert st.table.extremes == {w: records[w - 2] for w in st.sample.members}
+    assert k is None or all(len(grid) > k for grid in expected)
+
+
+def test_selector_codes_below_int64(chunking):
+    # lefts around -2**62: some lcodes pass below int64, which turns the
+    # tables to object dtype under process as under feed
+    lam = 3
+    stream = samelen_stream(53, lam, -WIDE - 30, -WIDE + 30, 40)
+    lcodes, rcodes = code_columns(stream)
+    assert lcodes.dtype == object and min(lcodes) < -selector_samelen._INT64_MAX - 1
+    by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
+    for iv in stream:
+        by_item.process(iv)
+    by_feed.feed(lcodes, rcodes)
+    assert selector_state(by_feed) == selector_state(by_item)
+    assert selector_state(by_item)[0] == reference_records(stream, lam)
 
 
 @pytest.mark.parametrize("counter", ["exact", "kmv"])
@@ -154,17 +213,17 @@ def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
     lcodes, rcodes = code_columns(narrow[8:])
     assert lcodes.dtype != object and rcodes.dtype != object
     mixed.feed(lcodes, rcodes)
-    assert all(col.dtype != object for st in mixed.states for col in st._columns())
+    assert all(col.dtype != object for st in mixed.states for col in st.table._columns())
     lcodes, rcodes = code_columns(wide[:20])
     assert rcodes.dtype == object
     mixed.feed(lcodes, rcodes)
-    assert all(col.dtype == object for st in mixed.states for col in st._columns())
+    assert all(col.dtype == object for st in mixed.states for col in st.table._columns())
     for iv in wide[20:]:
         mixed.process(iv)
     assert estimator_state(mixed) == estimator_state(by_item)
     for st in mixed.states:
-        assert set(st.rows) == st.sample.members
-        assert len(st._columns()[0]) <= mixed.config.k
+        assert set(st.table.rows) == st.sample.members
+        assert len(st.table.leftmost_l) <= mixed.config.k
     # more occupied windows than k in every grid: the k = 3 samples evict
     assert all(len(shift_window_stats(stream, a, lam)) > 3 for a in (0, 1, 2))
 
@@ -241,13 +300,10 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
         assert [int(w) if f else None for w, f in zip(j, fits)] == \
             [selector_samelen.grid_window(lam, a, iv) for iv in stream]
     # the three grids at once, the shift column read as Python ints too
+    records = reference_records(stream, lam)
     for a, (wins, *codes) in enumerate(selector_samelen.window_records(lam, (0, 1, 2),
                                                                        lcodes, rcodes)):
-        expected = {}
-        for iv in stream:
-            j = selector_samelen.grid_window(lam, a, iv)
-            if j is not None:
-                expected[j] = selector_samelen.merge_extremes(expected.get(j), (iv, iv))
+        expected = records[a]
         assert wins.tolist() == sorted(expected)
         ll, lr, rl, rr = (col.tolist() for col in codes)
         assert list(zip(zip(ll, lr), zip(rl, rr))) == \
@@ -257,3 +313,4 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
         by_item.process(iv)
     by_feed.feed(lcodes, rcodes)
     assert selector_state(by_feed) == selector_state(by_item)
+    assert selector_state(by_feed)[0] == records

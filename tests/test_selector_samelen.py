@@ -11,6 +11,8 @@ from intervalstream.selector_samelen import (ShiftedGridSelector, grid_window, h
 
 from intervalstream.rng import SplitMix64
 
+from conftest import reference_records
+
 
 def run(lam, stream):
     sel = ShiftedGridSelector(lam)
@@ -102,22 +104,29 @@ def test_duplicates_do_not_grow_solutions():
     assert all(sel.shift_size(a) <= 1 for a in (0, 1, 2))
 
 
-def test_pair_found_and_frozen():
+def test_pair_found_and_extremes_kept():
     # window [6,12) of grid 0 eventually holds two disjoint intervals
     sel = run(2, [Interval(7, 9), Interval(6, 8)])
     # while only one fits, the solution entry is the leftmost, not the first arrival
-    assert sel.shifts[0][1] == (Interval(6, 8), Interval(7, 9))
+    assert sel.tables[0].extremes == {1: (Interval(6, 8), Interval(7, 9))}
     assert sel.shift_solution(0) == [Interval(6, 8)]
     for iv in (Interval(9, 11), Interval(8, 10)):
         sel.process(iv)
     pair = (Interval(6, 8), Interval(9, 11))
-    assert holds_pair(sel.shifts[0][1]) and sel.shifts[0][1] == pair
-    # each would replace an extreme of a window still taking intervals
+    assert sel.tables[0].extremes == {1: pair} and holds_pair(pair)
+    assert sel.shift_solution(0) == list(pair)
+    # a smaller right end and a larger left end replace the two extremes of
+    # a window that already holds a pair; its size stays 2
     for iv in (Interval(6, 8, right_open=True), Interval(9, 11, left_open=True)):
         sel.process(iv)
-    assert sel.shifts[0][1] == pair
+    pair = (Interval(6, 8, right_open=True), Interval(9, 11, left_open=True))
+    assert sel.tables[0].extremes == {1: pair}
     assert sel.shift_solution(0) == list(pair)
     assert sel.shift_size(0) == 2
+    # ties on rcode and lcode keep the earlier extremes
+    for iv in (Interval(6, 8, True, True), Interval(9, 11, True, True)):
+        sel.process(iv)
+    assert sel.tables[0].extremes == {1: pair}
 
 
 def test_three_disjoint_far_apart():
@@ -169,27 +178,28 @@ def test_ratio_space_disjointness(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_window_ext_matches_shift_window_stats(seed):
-    # the selector and shift_window_stats merge by one rule: a window's record
-    # is the exact (leftmost, rightmost) of the stream so far until it holds
-    # a pair, and that pair stays; open ends make ties on rcode and lcode
+    # the selector's records, under process and as shift_window_stats reads
+    # them after a feed, are the exact (leftmost, rightmost) of the stream so
+    # far, pair-holding windows included; open ends make ties on rcode and lcode
     rng = SplitMix64(seed + 4242)
     lam = rng.randrange(1, 4)
     stream = [Interval(left, left + lam, rng.below(2) == 1, rng.below(2) == 1)
               for left in (rng.randrange(1, 60) for _ in range(50))]
     sel = ShiftedGridSelector(lam)
-    frozen = {}
+    first_pairs = {}
     for t, iv in enumerate(stream, start=1):
         sel.process(iv)
+        expected = reference_records(stream[:t], lam)
         for a in (0, 1, 2):
-            stats = shift_window_stats(stream[:t], a, lam)
-            assert set(sel.shifts[a]) == set(stats)
-            for j, ext in sel.shifts[a].items():
+            assert sel.tables[a].extremes == shift_window_stats(stream[:t], a, lam) == expected[a]
+            for j, ext in expected[a].items():
                 if holds_pair(ext):
-                    assert ext == frozen.setdefault((a, j), stats[j])
-                    assert holds_pair(stats[j])
-                else:
-                    assert ext == stats[j]
-    assert frozen and any(not holds_pair(ext) for s in sel.shifts for ext in s.values())
+                    first_pairs.setdefault((a, j), ext)
+    records = reference_records(stream, lam)
+    # some window's pair moved after it first held one, and some window
+    # never held a pair
+    assert any(records[a][j] != ext for (a, j), ext in first_pairs.items())
+    assert any(not holds_pair(ext) for grid in records for ext in grid.values())
 
 
 @settings(max_examples=80, deadline=None)

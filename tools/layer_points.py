@@ -9,9 +9,10 @@ It prints one JSON object.  Each rate is the best of three in-process runs:
 on the same stream and on dense streams of 100k and 400k items,
 ``oracle.alpha``, ``oracle.gamma_all`` and ``estimate_oracle_mode`` (at
 eps 0.3); then the same-length layer over code columns:
-``ShiftedGridSelector.feed`` and ``SamelenAlphaEstimator.feed`` on a stream
-of equal-length intervals, ``SamelenAlphaEstimator.process`` one Interval
-at a time on a small such stream, and the lambda 0 route
+``ShiftedGridSelector.feed``, ``SamelenAlphaEstimator.feed`` and
+``samelen_estimate_oracle`` on a stream of equal-length intervals,
+``ShiftedGridSelector.process`` and ``SamelenAlphaEstimator.process`` one
+Interval at a time on a small such stream, and the lambda 0 route
 (``distinct_points_estimate``) on a stream of points, with
 ``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
@@ -31,7 +32,7 @@ from intervalstream import oracle
 from intervalstream.core import Instance, format_stream, parse_stream
 from intervalstream.estimator import estimate_oracle_mode
 from intervalstream.estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,
-                                              distinct_points_estimate)
+                                              distinct_points_estimate, samelen_estimate_oracle)
 from intervalstream.generators import gen_uniform, gen_uniform_samelen
 from intervalstream.selector import PartitionSelector
 from intervalstream.selector_samelen import ShiftedGridSelector
@@ -66,6 +67,16 @@ def run_samelen(inst) -> None:
 def run_samelen_estimator(inst) -> None:
     SamelenAlphaEstimator(SamelenConfig(n=SAMELEN["n"], lam=SAMELEN["lam"], user_eps=SAMELEN["eps"],
                                         seed=SEED)).feed(inst.lcodes, inst.rcodes)
+
+
+def run_samelen_oracle(inst) -> None:
+    samelen_estimate_oracle(inst, SAMELEN["lam"], SAMELEN["eps"])
+
+
+def run_selector_items(inst) -> None:
+    sel = ShiftedGridSelector(SAMELEN_ITEMS["lam"])
+    for iv in inst:
+        sel.process(iv)
 
 
 def run_samelen_items(inst) -> None:
@@ -108,6 +119,8 @@ def main() -> int:
     result["points"] = POINTS
     for name, fn, inst in (("ShiftedGridSelector.feed", run_samelen, samelen),
                            ("SamelenAlphaEstimator.feed", run_samelen_estimator, samelen),
+                           ("samelen_estimate_oracle", run_samelen_oracle, samelen),
+                           ("ShiftedGridSelector.process", run_selector_items, samelen_items),
                            ("SamelenAlphaEstimator.process", run_samelen_items, samelen_items),
                            ("distinct_points_estimate", run_points, points)):
         result["items_per_s"][name] = round(len(inst) / best_seconds(fn, inst))
