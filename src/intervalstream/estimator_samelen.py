@@ -20,7 +20,7 @@ from .core import DomainError, Instance, Interval, code_columns, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (Extremes, RecordTable, ShiftedGridSelector, _runs, check_lam,
-                               check_length, feed_columns, grid_window, lengths, window_records)
+                               check_length, feed_columns, lengths, window_records)
 
 
 @dataclass
@@ -87,26 +87,15 @@ class _ShiftState:
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
         self.table = RecordTable(cfg.k)
 
-    def observe(self, j: int, iv: Interval) -> None:
-        w = j + 2
-        fresh = self.counter.add(w)
-        lcode, rcode = iv
-        if self.table.merge(w, lcode, rcode) or not fresh:
-            return
-        evicted = self.sample.offer(w, self.sample.bank.keys([w])[0])
-        if evicted is not None:
-            # 0 evicts no member: ids are at least 1
-            self.table.enter(w, lcode, rcode, evicted or None)
-
     def observe_chunk(self, wins: np.ndarray, *records: np.ndarray) -> None:
         """Take a chunk's windows, distinct and ascending, with their
         records over the chunk as ``window_records`` gives them.  The
         counter takes them at once; the members' records merge with the
         chunk's (``RecordTable.merge_chunk``); and the possibly new ids
         that are no member go to one keys call and one bulk offer, whose
-        entered ids take their rows in one assignment.  This is the state ``observe``
-        leaves over the chunk's pairs, since neither the counter nor the
-        sample depends on the order of offers or on a repeat."""
+        entered ids take their rows in one assignment.  Neither the counter
+        nor the sample depends on the order of offers or on a repeat, so the
+        state does not depend on how the stream is cut into chunks."""
         ids = wins + 2
         ids_list = ids.tolist()
         fresh = self.counter.add_many(ids_list)
@@ -121,9 +110,10 @@ class _ShiftState:
 class SamelenAlphaEstimator:
     """Streaming estimator for length-lam intervals with endpoints in [1, n].
 
-    ``process(iv)`` takes one Interval and checks it; ``feed`` takes code
-    columns a chunk at a time, with one length and one range check per
-    chunk, and leaves the state ``process`` leaves after every chunk."""
+    ``feed`` takes code columns a chunk at a time, with one length and one
+    range check per chunk, and is the fast entry; ``process(iv)`` feeds the
+    one pair of an Interval's codes, so the state does not depend on how
+    the stream is cut into chunks."""
 
     def __init__(self, config: SamelenConfig):
         self.config = config
@@ -143,18 +133,13 @@ class SamelenAlphaEstimator:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
 
     def process(self, iv: Interval) -> None:
-        self._check(iv)
-        self.items += 1
-        for a in (0, 1, 2):
-            j = grid_window(self.config.lam, a, iv)
-            if j is not None:
-                self.states[a].observe(j, iv)
+        self._feed_chunk(*code_columns((iv,)))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks
         (``selector_samelen.feed_columns``).  A chunk is refused, before any
-        of it is taken, at its first interval ``process`` would refuse, with
-        the same message."""
+        of it is taken, at its first interval ``_check`` refuses, with that
+        message."""
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
@@ -217,9 +202,9 @@ class DistinctPoints:
     1 + eps', so a count within (1 +- eps') of alpha lands in
     [2/3(1-eps) alpha, alpha].
 
-    ``process(iv)`` takes one Interval and checks its length; ``feed`` takes
-    code columns a chunk at a time, with one length check per chunk, and
-    adds each chunk's distinct points to the counter at once."""
+    ``feed`` takes code columns a chunk at a time, with one length check
+    per chunk, and adds each chunk's distinct points to the counter at
+    once; ``process(iv)`` feeds the one pair of an Interval's codes."""
 
     def __init__(self, n: int, user_eps: float, seed: int, counter_kind: str = "exact"):
         if not 0 < user_eps < 0.5:
@@ -235,13 +220,12 @@ class DistinctPoints:
             raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
 
     def process(self, iv: Interval) -> None:
-        self._check(iv)
-        self.counter.add(iv.left)
+        self._feed_chunk(*code_columns((iv,)))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns in chunks (``selector_samelen.feed_columns``);
         a chunk is refused, before any of it is taken, at its first interval
-        of nonzero length, with the message of ``process``."""
+        of nonzero length, with the message of ``_check``."""
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:

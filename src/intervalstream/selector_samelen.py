@@ -24,11 +24,12 @@ Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 _CHUNK = 1 << 17
 
 # Pairs below which feed runs a chunk through process one Interval at a
-# time.  This is not for speed (at 64 pairs the two passes cost the same
-# in-library): it keeps short streams on process, which perfbench's trace
-# times, so that its smoke inputs (20 items) still reach the per-layer
-# estimator_samelen.process metrics.  Every benchmark workload is larger
-# and runs the vectorised pass; once the trace times feed, drop this.
+# time, each a one-pair chunk of the vectorised pass.  This is not for
+# speed (a one-pair chunk costs a quarter to a half of one of 64): it keeps
+# short streams under process, whose span perfbench's trace times, so that
+# its smoke inputs (20 items) still reach the per-layer
+# estimator_samelen.process metrics, which time the vectorised pass.
+# Every benchmark workload is larger; once the trace times feed, drop this.
 _MIN_BULK = 64
 
 _INT64_MAX = 2 ** 63 - 1
@@ -57,7 +58,8 @@ def feed_columns(process: Callable[[Interval], None],
                  lcodes: np.ndarray, rcodes: np.ndarray) -> None:
     """The one loop of every ``feed``: each chunk of _CHUNK pairs of two
     code columns goes to ``bulk``, or, below _MIN_BULK pairs, to
-    ``process`` one Interval at a time."""
+    ``process`` one Interval at a time, which gives ``bulk`` a chunk of one
+    pair."""
     for start in range(0, len(lcodes), _CHUNK):
         ls, rs = lcodes[start:start + _CHUNK], rcodes[start:start + _CHUNK]
         if len(ls) < _MIN_BULK:
@@ -192,36 +194,6 @@ class RecordTable:
             new[:len(old)] = old
         self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r = grown
 
-    def _put(self, row: int, lcode: int, rcode: int, left: bool, right: bool) -> None:
-        if rcode > _INT64_MAX or lcode < -_INT64_MAX - 1:
-            self._reserve(0, wide=True)
-        if left:
-            self.leftmost_l[row], self.leftmost_r[row] = lcode, rcode
-        if right:
-            self.rightmost_l[row], self.rightmost_r[row] = lcode, rcode
-
-    def merge(self, key: int, lcode: int, rcode: int) -> bool:
-        """Merge one interval into the record of window ``key`` as
-        ``record_moves`` says; False, with nothing done, when the window has
-        no row."""
-        row = self.rows.get(key)
-        if row is None:
-            return False
-        moves_left, moves_right = record_moves(self.leftmost_r.item(row),
-                                               self.rightmost_l.item(row), rcode, lcode)
-        if moves_left or moves_right:
-            self._put(row, lcode, rcode, moves_left, moves_right)
-        return True
-
-    def enter(self, key: int, lcode: int, rcode: int, evicted: Optional[int] = None) -> None:
-        """Give window ``key`` a row, the row of window ``evicted`` when one
-        is named, holding the record of one interval."""
-        row = self.rows.pop(evicted) if evicted is not None else len(self.rows)
-        self.rows[key] = row
-        if row == len(self.leftmost_l):
-            self._reserve(row + 1)
-        self._put(row, lcode, rcode, True, True)
-
     def merge_chunk(self, keys: List[int], records: Sequence[np.ndarray]) -> np.ndarray:
         """Merge the records of a chunk's windows ``keys``, four columns as
         ``window_records`` gives them, into the rows of the windows that
@@ -279,9 +251,10 @@ class ShiftedGridSelector:
     the record of every occupied window in a ``RecordTable``, keyed by
     window index.
 
-    ``process(iv)`` takes one Interval and checks its length; ``feed`` takes
-    code columns a chunk at a time, with one length check per chunk, and
-    leaves the state ``process`` leaves after every chunk.  Intervals are
+    ``feed`` takes code columns a chunk at a time, with one length check per
+    chunk, and is the fast entry; ``process(iv)`` feeds the one pair of an
+    Interval's codes, so both run the one vectorised pass and the state
+    does not depend on how the stream is cut into chunks.  Intervals are
     built from the codes only when a solution or the ``extremes`` of a
     table are read: equal to what was fed, not the same objects."""
 
@@ -301,19 +274,13 @@ class ShiftedGridSelector:
         return self.window_count
 
     def process(self, iv: Interval) -> None:
-        check_length(self.lam, iv)
-        self.items += 1
-        lcode, rcode = iv
-        for a, table in enumerate(self.tables):
-            j = grid_window(self.lam, a, iv)
-            if j is not None and not table.merge(j, lcode, rcode):
-                table.enter(j, lcode, rcode)
+        self._feed_chunk(*code_columns((iv,)))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks of
         _CHUNK pairs (``feed_columns``).  A chunk is refused, before any of it
         is taken, at its first interval of another length, with the message
-        of ``process``."""
+        of ``check_length``."""
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:

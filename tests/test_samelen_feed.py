@@ -1,9 +1,12 @@
 """``feed`` over code columns against per-item ``process``: for the grid
 selector, the same-length estimator (exact and KMV counters) and the
 lambda 0 route, feeding any prefix of a stream leaves the state that
-processing it one Interval at a time leaves.  The chunk constants are
-patched so that short streams cross chunk boundaries and take both the
-vectorised and the per-item pass of a chunk."""
+processing it one Interval at a time leaves.  ``process`` feeds a chunk of
+one pair, so these comparisons run the one vectorised pass under two
+chunkings; the brute-force ``reference_records`` checks the records
+against the rule itself.  The chunk constants are patched so that short
+streams cross chunk boundaries and take both the bulk and the per-item
+pass of ``feed_columns``."""
 
 import pytest
 
@@ -314,3 +317,72 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
     by_feed.feed(lcodes, rcodes)
     assert selector_state(by_feed) == selector_state(by_item)
     assert selector_state(by_feed)[0] == records
+
+
+def table_state(table):
+    used = len(table.rows)
+    return dict(table.rows), [(col.dtype, col[:used].tolist()) for col in table._columns()]
+
+
+def hashed(counter):
+    return counter.bank.columns_hashed if hasattr(counter, "bank") else 0
+
+
+def trace_state(component):
+    """All that a call may move: items, the rows in use of every record
+    table, the counters' and the samples' members, and the ids hashed."""
+    if isinstance(component, DistinctPoints):
+        return counter_state(component.counter), hashed(component.counter)
+    if isinstance(component, ShiftedGridSelector):
+        return component.items, [table_state(table) for table in component.tables]
+    return component.items, component.columns_hashed, \
+        [(counter_state(st.counter), hashed(st.counter), st.sample.pairs(),
+          sorted(st.sample.members), table_state(st.table)) for st in component.states]
+
+
+@pytest.mark.parametrize("run", ["process", "feed"])
+@pytest.mark.parametrize("kind,bad", [
+    ("selector", Interval(5, 7)),
+    ("estimator-exact", Interval(5, 7)), ("estimator-exact", Interval(59, 62)),
+    ("estimator-kmv", Interval(5, 7)), ("estimator-kmv", Interval(59, 62)),
+    ("points-exact", Interval(4, 5, True, True)), ("points-kmv", Interval(4, 5, True, True))])
+def test_a_refused_call_leaves_no_trace(monkeypatch, kind, bad, run):
+    # a refused interval under process, or a refused chunk under feed (70
+    # pairs, past _MIN_BULK, with the bad one in the middle), moves nothing;
+    # then the component goes on as one that never saw the call.  At k = 3
+    # the samples and sketches are full before the call.
+    monkeypatch.setattr(SamelenConfig, "k", property(lambda self: 3))
+    monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: 3))
+    name, _, counter = kind.partition("-")
+    lam, n = (0, 30) if name == "points" else (3, 60)
+
+    def make():
+        if name == "selector":
+            return ShiftedGridSelector(lam)
+        if name == "estimator":
+            return SamelenAlphaEstimator(SamelenConfig(n=n, lam=lam, user_eps=0.3, seed=3,
+                                                       counter_kind=counter))
+        points = DistinctPoints(n, 0.3, 3, counter)
+        if counter == "kmv":
+            points.counter.k = 4
+        return points
+
+    stream = point_stream(61, 1, n, 110) if name == "points" else samelen_stream(59, lam, 1, n, 110)
+    head, call = stream[:40], stream[40:]
+    call[30] = bad
+    assert len(call) >= selector_samelen._MIN_BULK
+    component, reference = make(), make()
+    component.feed(*code_columns(head))
+    reference.feed(*code_columns(head))
+    before = trace_state(component)
+    assert before != trace_state(make())
+    with pytest.raises(ValueError):
+        if run == "process":
+            component.process(bad)
+        else:
+            component.feed(*code_columns(call))
+    assert trace_state(component) == before
+    rest = code_columns(call[:30] + call[31:])
+    component.feed(*rest)
+    reference.feed(*rest)
+    assert trace_state(component) == trace_state(reference)

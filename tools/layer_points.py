@@ -12,8 +12,9 @@ eps 0.3); then the same-length layer over code columns:
 ``ShiftedGridSelector.feed``, ``SamelenAlphaEstimator.feed`` and
 ``samelen_estimate_oracle`` on a stream of equal-length intervals,
 ``ShiftedGridSelector.process`` and ``SamelenAlphaEstimator.process`` one
-Interval at a time on a small such stream, and the lambda 0 route
-(``distinct_points_estimate``) on a stream of points, with
+Interval at a time on a small such stream (each call feeds a chunk of
+one pair, so these time the vectorised pass at its smallest), and the
+lambda 0 route (``distinct_points_estimate``) on a stream of points, with
 ``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
 """
@@ -43,7 +44,7 @@ UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline poi
 ORACLE_EPS = 0.3  # as the oracle-general benchmark workload
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
 SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
-SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process
+SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process: one-pair chunks
 POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
 
 
