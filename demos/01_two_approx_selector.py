@@ -1,9 +1,9 @@
 """Walkthrough of the one-pass 2-approximation selector.
 
 The selector keeps a partition of the real line into windows.  Each window
-remembers the leftmost/rightmost witnesses of the intervals it has seen and
-one chosen solution interval; when a new interval avoids the witnesses'
-common core, the window splits and the solution grows by one.
+remembers the leftmost/rightmost witnesses of the intervals it has seen; its
+leftmost witness is its solution interval.  When a new interval avoids the
+witnesses' common core, the window splits and the solution grows by one.
 """
 
 from intervalstream import PartitionSelector, Interval
@@ -16,7 +16,7 @@ sel = PartitionSelector()
 print("processing a small stream:")
 for iv in stream:
     sel.process(iv)
-    windows = "  ".join(f"{w.window}->{w.chosen}" for w in sel.windows())
+    windows = "  ".join(f"{w.window}->{w.leftmost}" for w in sel.windows())
     print(f"  after {iv}: {windows}")
 
 print(f"\nsolution: {[str(i) for i in sel.solution()]}")

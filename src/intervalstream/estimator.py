@@ -31,6 +31,9 @@ from .selector import PartitionSelector
 # most sample members (k_rel + k0) an estimator may be built with
 SAMPLER_LIMIT = 500_000
 
+# pending intervals at which process and feed flush
+_CHUNK = 1024
+
 
 def emitted_segments(tree: SegTree, iv: Interval,
                      path: Optional[List[int]] = None) -> List[int]:
@@ -128,10 +131,9 @@ class _Node:
     tracker saturates, since u can then never be relevant.
     """
 
-    __slots__ = ("refs", "seen", "selector")
+    __slots__ = ("seen", "selector")
 
-    def __init__(self, refs: int, with_selector: bool):
-        self.refs = refs
+    def __init__(self, with_selector: bool):
         self.seen: Optional[Set[int]] = set()
         self.selector = PartitionSelector() if with_selector else None
 
@@ -163,8 +165,8 @@ class _Node:
 
 
 def _lineage(v: int) -> Tuple[int, ...]:
-    """The nodes a sample holding v references: v, and its parent unless v
-    is the root."""
+    """The nodes whose entries a sample holding v needs: v, and its parent
+    unless v is the root."""
     return (v, v >> 1) if v > 1 else (v,)
 
 
@@ -188,15 +190,13 @@ class GeneralAlphaEstimator:
         self.counter = make_counter(config.counter_kind, fam_rel, rng.spawn(3).seed, config.kmv_k)
         # node table; the estimator holds the root entry, whose selector is
         # the fallback branch's estimate until the root saturates
-        self.nodes: Dict[int, _Node] = {self.tree.root: _Node(1, with_selector=True)}
+        self.nodes: Dict[int, _Node] = {self.tree.root: _Node(with_selector=True)}
         self._node_units = self.nodes[self.tree.root].units
         self.items = 0
         self.peak_units = 0
         self.peak_nodes = 0
-        # intervals buffer until enough fresh ids justify one batched hash pass
+        # intervals, or their (lcode, rcode) pairs, taken but not yet flushed
         self._pending: List = []
-        self._pending_ids = 0
-        self._chunk_ids = 256
 
     @property
     def columns_hashed(self) -> int:
@@ -206,42 +206,44 @@ class GeneralAlphaEstimator:
     def process(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
-        self._add(iv)
+        self.items += 1
+        self._pending.append(iv)
+        if len(self._pending) >= _CHUNK:
+            self.flush()
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype), as ``process``
         would pair by pair; they are refused whole, with the message of the
         first interval ``process`` would refuse."""
         refuse_first((lcodes < 2) | (rcodes > 2 * self.config.n), lcodes, rcodes, self.process)
+        self.items += len(lcodes)
         for pair in code_pairs(lcodes, rcodes):
-            self._add(pair)
-
-    def _add(self, iv) -> None:
-        """Take one checked interval, or its (lcode, rcode) pair."""
-        self.items += 1
-        # an id offered before is a member or never enters, so known-seen
-        # nodes skip the samples
-        path = self.tree.containing_path(iv)
-        new_ids = [v for v in emitted_segments(self.tree, iv, path) if self.counter.add(v)]
-        # the counter's units as of this interval, for the peak
-        self._pending.append((iv, path, new_ids, self.counter.units))
-        self._pending_ids += len(new_ids)
-        if self._pending_ids >= self._chunk_ids or len(self._pending) >= 1024:
-            self.flush()
+            self._pending.append(pair)
+            if len(self._pending) >= _CHUNK:
+                self.flush()
 
     def flush(self) -> None:
-        """Apply buffered intervals in stream order: one PolyBank.keys call
-        per sample hashes the chunk's fresh ids; each interval's fresh ids
-        are offered to both samples, then the interval feeds the node table
-        (identical outcome to unbuffered processing, the peak units
-        included, wherever flushes fall)."""
+        """Apply the pending intervals in stream order.  The counter takes
+        each interval's emitted ids, and its units as of that interval are
+        noted; one PolyBank.keys call per sample hashes the ids it reported
+        fresh (an id offered before is a member or never enters, so known
+        ids skip the samples); then each interval's fresh ids are offered to
+        both samples and the interval feeds the node table.  The peak units
+        are taken per interval, so the outcome does not depend on where
+        flushes fall."""
         if not self._pending:
             return
-        ids = [v for _, _, new_ids, _ in self._pending for v in new_ids]
+        tree, counter = self.tree, self.counter
+        taken = []
+        for iv in self._pending:
+            path = tree.containing_path(iv)
+            fresh = [v for v in emitted_segments(tree, iv, path) if counter.add(v)]
+            taken.append((iv, path, fresh, counter.units))
+        ids = [v for _, _, fresh, _ in taken for v in fresh]
         keyed = zip(ids, self.rel.bank.keys(ids), self.rho.bank.keys(ids))
         cap = self.config.gamma_cap
-        for iv, path, new_ids, counter_units in self._pending:
-            for v, rel_value, rho_value in islice(keyed, len(new_ids)):
+        for iv, path, fresh, counter_units in taken:
+            for v, rel_value, rho_value in islice(keyed, len(fresh)):
                 self._offer(v, rel_value, rho_value)
             for idx, v in enumerate(path):
                 node = self.nodes.get(v)
@@ -250,32 +252,29 @@ class GeneralAlphaEstimator:
             self.peak_units = max(self.peak_units, self._node_units + self.rel.units
                                   + self.rho.units + counter_units)
             self.peak_nodes = max(self.peak_nodes, len(self.nodes))
-        self._pending = []
-        self._pending_ids = 0
+        self._pending.clear()
 
     def _offer(self, v: int, rel_value: int, rho_value: int) -> None:
-        """Offer node v to both samples and update the table's references:
-        a sample taking v references v and its parent, creating missing
-        entries (v's with a selector when the rho sample took it), and an
-        evicted node's entries lose a reference and go at zero.  v's first
-        offer comes before any child of v is emitted, so v has no entry
-        yet unless v is the root."""
+        """Offer node v to both samples and keep the table to the root and
+        the nodes that a sample holds, or whose child a sample holds: a
+        sample taking v needs the entries of v and its parent, which are
+        made when missing (v's with a selector when the rho sample took it),
+        and the entries of an evicted node and its parent go once no sample
+        needs them.  v's first offer comes before any child of v is emitted,
+        so v has no entry yet unless v is the root."""
         out = (self.rel.offer(v, rel_value), self.rho.offer(v, rho_value))
         if out == (None, None):
             return
         for u in _lineage(v):
-            node = self.nodes.get(u)
-            if node is None:
-                node = self.nodes[u] = _Node(0, with_selector=u == v and out[1] is not None)
+            if u not in self.nodes:
+                node = self.nodes[u] = _Node(with_selector=u == v and out[1] is not None)
                 self._node_units += node.units
-            node.refs += (out[0] is not None) + (out[1] is not None)
+        held = (self.rel.members, self.rho.members)
         for evicted in out:
             for u in _lineage(evicted) if evicted else ():
-                node = self.nodes[u]
-                node.refs -= 1
-                if node.refs == 0:
-                    del self.nodes[u]
-                    self._node_units -= node.units
+                if u in self.nodes and u != self.tree.root and not any(
+                        w in members for members in held for w in (u, 2 * u, 2 * u + 1)):
+                    self._node_units -= self.nodes.pop(u).units
 
     def is_relevant(self, v: int) -> bool:
         """Small capped gamma under a saturated parent (never the root)."""

@@ -92,19 +92,20 @@ class _ShiftState:
         records over the chunk as ``window_records`` gives them.  The
         counter takes them at once; the members' records merge with the
         chunk's (``RecordTable.merge_chunk``); and the possibly new ids
-        that are no member go to one keys call and one bulk offer, whose
-        entered ids take their rows in one assignment.  Neither the counter
-        nor the sample depends on the order of offers or on a repeat, so the
-        state does not depend on how the stream is cut into chunks."""
+        that are no member, if any, go to one keys call and one bulk offer,
+        whose entered ids take their rows in one assignment.  Neither the
+        counter nor the sample depends on the order of offers or on a
+        repeat, so the state does not depend on how the stream is cut."""
         ids = wins + 2
         ids_list = ids.tolist()
         fresh = self.counter.add_many(ids_list)
         table = self.table
         table.merge_chunk(ids_list, records)
         offered = [w for w in fresh if w not in table.rows]
-        entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
-        if entered:
-            table.enter_chunk(entered, records, ids.searchsorted(entered), evicted)
+        if offered:
+            entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
+            if entered:
+                table.enter_chunk(entered, records, ids.searchsorted(entered), evicted)
 
 
 class SamelenAlphaEstimator:
@@ -208,7 +209,7 @@ class DistinctPoints:
 
     def __init__(self, n: int, user_eps: float, seed: int, counter_kind: str = "exact"):
         if not 0 < user_eps < 0.5:
-            raise DomainError(f"eps must be in (0, 1/2), got {user_eps}")
+            raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
         self.eps_count = user_eps / 3.0
         family = HashFamily.create(n, self.eps_count)
         self.counter = make_counter(counter_kind, family, seed,

@@ -104,11 +104,12 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
     elif algorithm == "select-samelen":
         sel = ShiftedGridSelector(lam)
         sel.feed(inst.lcodes, inst.rcodes)
-        solution = sel.solution()
+        shift = sel.best_shift()
+        solution = sel.shift_solution(shift)
         output = float(len(solution))
         units = sel.peak_windows
         space_ok = units <= 3 * alpha + 3
-        details["best_shift"] = sel.best_shift()
+        details["best_shift"] = shift
         details["disjoint"] = pairwise_disjoint(solution)
     elif algorithm == "estimate-general":
         est = GeneralAlphaEstimator(EstimatorConfig(

@@ -270,7 +270,8 @@ class KMVDistinct(BottomK):
         """Add distinct ids, as add does each: returns the ids that were not
         members, which one keys call hashes and one bulk offer takes."""
         fresh = [x for x in xs if x not in self.members]
-        self.offer_many(fresh, self.bank.keys(fresh))
+        if fresh:
+            self.offer_many(fresh, self.bank.keys(fresh))
         return fresh
 
     def estimate(self) -> float:

@@ -2,9 +2,10 @@
 
 The selector maintains a partition of the real line into windows.  Every
 window has seen at least one contained interval, all intervals contained in
-a window pairwise intersect, and each window carries one chosen solution
-interval.  The chosen intervals of the final partition form an independent
-set strictly larger than half the optimum.
+a window pairwise intersect, and each window keeps its leftmost and
+rightmost witness among them.  A witness lies inside its window and the
+windows do not overlap, so the leftmost witnesses of the final partition
+form an independent set strictly larger than half the optimum.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class WindowState:
     hi_code: Code
     leftmost: Interval
     rightmost: Interval
-    chosen: Interval
 
     @property
     def window(self) -> Window:
@@ -52,7 +52,7 @@ class PartitionSelector:
 
     The windows, in ascending ``lo_code`` order, are kept as a list of
     blocks, as in ``sortedcontainers.SortedList``.  A block holds its
-    windows as five parallel columns in ``WindowState`` field order, so a
+    windows as four parallel columns in ``WindowState`` field order, so a
     window is no object of its own until ``windows()`` builds one.  A new
     window goes into one block of fewer than ``2 * _LOAD`` windows, and a
     block that reaches that size is halved.  So a split moves O(_LOAD +
@@ -65,7 +65,6 @@ class PartitionSelector:
         self._firsts: List[Code] = []  # lo_code of each block's first window
         self._count = 0
         self.items = 0
-        self.searches = 0
 
     @property
     def window_count(self) -> int:
@@ -80,7 +79,9 @@ class PartitionSelector:
         return [WindowState(*row) for block in self._blocks for row in zip(*block)]
 
     def solution(self) -> List[Interval]:
-        return [iv for *_, chosen in self._blocks for iv in chosen]
+        """Each window's leftmost witness, in window order: one interval
+        inside each window, so they are pairwise disjoint."""
+        return [iv for _, _, leftmost, _ in self._blocks for iv in leftmost]
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) through ``process``
@@ -91,11 +92,11 @@ class PartitionSelector:
         partition at the start of its chunk, still straddles a boundary when
         the stream reaches it, and ``process`` would drop it unchanged.  One
         ``searchsorted`` over the chunk finds the other pairs, and only they
-        go to ``process``; each skipped pair still counts as an item and a
-        search, so the counters, windows and solution are those of per-pair
-        ``process`` after every chunk.  Window starts are compared as int64
-        when both columns are int64, so int64 columns cannot follow object
-        columns that left a window start past int64 (OverflowError).
+        go to ``process``; each skipped pair still counts as an item, so the
+        counters, windows and solution are those of per-pair ``process``
+        after every chunk.  Window starts are compared as int64 when both
+        columns are int64, so int64 columns cannot follow object columns
+        that left a window start past int64 (OverflowError).
         """
         wide = object in (lcodes.dtype, rcodes.dtype)
         start, total = 0, len(lcodes)
@@ -106,9 +107,7 @@ class PartitionSelector:
             next_starts = self._next_starts(wide)
             keep = rs < next_starts[np.searchsorted(next_starts, ls, side="right")]
             ls, rs = ls[keep], rs[keep]
-            skipped = len(keep) - len(ls)
-            self.items += skipped
-            self.searches += skipped
+            self.items += len(keep) - len(ls)
             for pair in code_pairs(ls, rs):
                 self.process(pair)
 
@@ -124,17 +123,16 @@ class PartitionSelector:
     def process(self, iv: Interval) -> None:
         self.items += 1
         if not self._blocks:
-            self._blocks.append([[-math.inf], [math.inf], [iv], [iv], [iv]])
+            self._blocks.append([[-math.inf], [math.inf], [iv], [iv]])
             self._firsts.append(-math.inf)
             self._count = 1
             return
 
         # locate the window W holding the interval's left endpoint
-        self.searches += 1
         lcode, rcode = iv
         b = bisect_right(self._firsts, lcode) - 1
         block = self._blocks[b]
-        lo, hi, leftmost, rightmost, chosen = block
+        lo, hi, leftmost, rightmost = block
         i = bisect_right(lo, lcode) - 1
         if rcode > hi[i]:
             return  # spans a window boundary: contained in no window
@@ -166,9 +164,8 @@ class PartitionSelector:
         hi.insert(j, hi[i])
         leftmost.insert(j, first)
         rightmost.insert(j, first)
-        chosen.insert(j, first)
         hi[i] = start - 1
-        leftmost[i] = rightmost[i] = chosen[i] = keep
+        leftmost[i] = rightmost[i] = keep
         if len(lo) >= 2 * _LOAD:
             self._blocks.insert(b + 1, [column[_LOAD:] for column in block])
             self._firsts.insert(b + 1, lo[_LOAD])

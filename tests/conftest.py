@@ -86,8 +86,9 @@ def validate_partition(selector, stream, n: int) -> None:
     for i, a in enumerate(solution):
         for b in solution[i + 1:]:
             assert not intersects(a, b), f"solution overlap: {a} vs {b}"
+    assert solution == [w.leftmost for w in windows]
     for w in windows:
-        for witness in (w.leftmost, w.rightmost, w.chosen):
+        for witness in (w.leftmost, w.rightmost):
             assert witness in stream_set
             assert w.lo_code <= witness.lcode and witness.rcode <= w.hi_code
         contained = [iv for iv in stream

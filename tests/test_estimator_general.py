@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
-from intervalstream import oracle
+from intervalstream import estimator, oracle
 from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
                                       emitted_segments, estimate_oracle_mode)
 from intervalstream.generators import gen_uniform
@@ -236,46 +236,51 @@ def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
 @pytest.mark.parametrize("m", [1664, 2048])
 def test_retained_state_is_per_held_node(monkeypatch, m):
     # sampled branch: the root saturates, so its selector goes, and no
-    # selector is fed once its node's tracker saturates; the table never
-    # holds a node that no sample holds in either role
+    # selector is fed once its node's tracker saturates; after every flush
+    # the table holds exactly the root and each node that a sample holds, or
+    # whose child a sample holds, whichever counter runs; flushes come every
+    # 128 intervals, so the table is checked a dozen times a run
+    monkeypatch.setattr(estimator, "_CHUNK", 128)
     n = 2048
     inst = Instance(n, tuple(Interval(i, i) for i in range(1, m + 1)))
-    est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=0.45, seed=4, scale=1.4e-7))
-    owner = {}
-
-    def process(sel, iv):
-        v = owner.get(id(sel))
-        if v is None or v not in est.nodes or est.nodes[v].selector is not sel:
-            owner.clear()
-            owner.update((id(node.selector), u) for u, node in est.nodes.items()
-                         if node.selector is not None)
-            v = owner.get(id(sel))
-        assert v is not None, "a selector outside the node table was fed"
-        assert not est.nodes[v].saturated, f"selector of saturated node {v} was fed"
-        return feed(sel, iv)
-
     feed = PartitionSelector.process
-    monkeypatch.setattr(PartitionSelector, "process", process)
-    flush = est.flush
-    flushes = []
+    for counter in ("exact", "kmv"):
+        est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=0.45, seed=4, scale=1.4e-7,
+                                                    counter_kind=counter))
+        owner = {}
 
-    def checked_flush():
-        flush()
-        held = est.rel.members | est.rho.members
-        allowed = held | {v >> 1 for v in held if v > 1} | {est.tree.root}
-        assert set(est.nodes) <= allowed
-        root = est.nodes[est.tree.root]
-        assert not root.saturated or root.selector is None
-        flushes.append(len(est.nodes))
+        def process(sel, iv):
+            v = owner.get(id(sel))
+            if v is None or v not in est.nodes or est.nodes[v].selector is not sel:
+                owner.clear()
+                owner.update((id(node.selector), u) for u, node in est.nodes.items()
+                             if node.selector is not None)
+                v = owner.get(id(sel))
+            assert v is not None, "a selector outside the node table was fed"
+            assert not est.nodes[v].saturated, f"selector of saturated node {v} was fed"
+            return feed(sel, iv)
 
-    est.flush = checked_flush
-    for iv in inst:
-        est.process(iv)
-    res = est.estimate()
-    assert res.branch == "sampled" and len(flushes) > 2
-    assert est.nodes[est.tree.root].selector is None
-    assert res.tracked_nodes == max(flushes)
-    assert general_replay_violations(est, inst) == []
+        monkeypatch.setattr(PartitionSelector, "process", process)
+        flush = est.flush
+        flushes = []
+
+        def checked_flush():
+            flush()
+            held = est.rel.members | est.rho.members
+            needed = held | {v >> 1 for v in held if v > 1} | {est.tree.root}
+            assert set(est.nodes) == needed
+            root = est.nodes[est.tree.root]
+            assert not root.saturated or root.selector is None
+            flushes.append(len(est.nodes))
+
+        est.flush = checked_flush
+        for iv in inst:
+            est.process(iv)
+        res = est.estimate()
+        assert res.branch == "sampled" and len(flushes) > m // 128
+        assert est.nodes[est.tree.root].selector is None
+        assert res.tracked_nodes == max(flushes)
+        assert general_replay_violations(est, inst) == []
 
 
 @pytest.mark.parametrize("n", [1 << 14, 1 << 20])

@@ -5,15 +5,16 @@ import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
-from intervalstream.estimator_samelen import (SamelenAlphaEstimator,
+from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator,
                                               SamelenConfig,
                                               samelen_estimate_oracle,
                                               shift_gamma_counts,
                                               shift_window_stats)
 from intervalstream.generators import gen_uniform_samelen
+from intervalstream.hashing import PolyBank
 from intervalstream.selector_samelen import grid_window, holds_pair, shift_subinstance
 
-from conftest import reference_bottom_k
+from conftest import reference_bottom_k, reference_records
 
 
 def run(inst, lam, eps, seed, counter="exact"):
@@ -34,6 +35,40 @@ def test_config_constants():
         SamelenConfig(n=16, lam=0, user_eps=0.2, seed=0)
     with pytest.raises(ValueError):
         SamelenConfig(n=16, lam=2, user_eps=0.5, seed=0)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5])
+def test_distinct_points_refuses_eps_with_value_error(eps):
+    # as every other eps check: a plain ValueError, not its DomainError subclass
+    with pytest.raises(ValueError, match="eps must be in") as refused:
+        DistinctPoints(16, eps, 0)
+    assert type(refused.value) is ValueError
+
+
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+def test_keys_calls_hash_something_per_item(monkeypatch, counter):
+    # per-item process feeds one-pair chunks, and every interval comes
+    # twice, so most chunks bring no new window: no keys call is made for
+    # them.  Each occupied window of a grid is hashed once by the sample,
+    # and under KMV once more by the counter's sketch (k far above the count)
+    lam = 4
+    stream = [iv for iv in gen_uniform_samelen(512, 60, lam, seed=3) for _ in range(2)]
+    sizes = []
+    keys = PolyBank.keys
+
+    def counted_keys(bank, xs):
+        sizes.append(len(xs))
+        return keys(bank, xs)
+
+    monkeypatch.setattr(PolyBank, "keys", counted_keys)
+    est = SamelenAlphaEstimator(SamelenConfig(n=512, lam=lam, user_eps=0.3, seed=1,
+                                              counter_kind=counter))
+    for iv in stream:
+        est.process(iv)
+    occupied = sum(len(grid) for grid in reference_records(stream, lam))
+    assert 0 not in sizes
+    assert sizes == [1] * occupied * (2 if counter == "kmv" else 1)
+    assert est.columns_hashed == occupied
 
 
 def test_process_validation():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalstream import selector
-from intervalstream.core import Instance, Interval, intersects
+from intervalstream.core import Instance, Interval, intersects, pairwise_disjoint
 from intervalstream.generators import gen_uniform
 from intervalstream.oracle import alpha, brute_force_alpha
 from intervalstream.rng import SplitMix64
@@ -33,7 +33,8 @@ def test_first_interval_initializes_whole_line():
     assert sel.window_count == 1
     w = sel.windows()[0]
     assert w.lo_code == -math.inf and w.hi_code == math.inf
-    assert w.leftmost == w.rightmost == w.chosen == Interval(1, 3)
+    assert w.leftmost == w.rightmost == Interval(1, 3)
+    assert sel.solution() == [Interval(1, 3)]
 
 
 def test_three_interval_trace():
@@ -43,35 +44,44 @@ def test_three_interval_trace():
     assert set(sel.solution()) == {Interval(2, 3), Interval(5, 6)}
 
 
-def test_witness_update_keeps_chosen():
+def test_witness_update_moves_solution():
+    # the solution is the window's leftmost witness, so it follows the update
     sel = run([Interval(1, 10), Interval(2, 3)])
     assert sel.window_count == 1
     w = sel.windows()[0]
     assert w.leftmost == w.rightmost == Interval(2, 3)
-    assert w.chosen == Interval(1, 10)
+    assert sel.solution() == [Interval(2, 3)]
 
 
 def test_boundary_spanning_interval_ignored():
     sel = run([Interval(1, 10), Interval(2, 3), Interval(5, 6)])
-    before = [(w.lo_code, w.hi_code, w.leftmost, w.rightmost, w.chosen)
-              for w in sel.windows()]
+    before = (sel.windows(), sel.solution())
     sel.process(Interval(3, 5))  # spans the boundary at 3
-    after = [(w.lo_code, w.hi_code, w.leftmost, w.rightmost, w.chosen)
-             for w in sel.windows()]
-    assert before == after
+    assert (sel.windows(), sel.solution()) == before
 
 
 def test_duplicate_of_witness_is_noop():
     sel = run([Interval(2, 5), Interval(2, 5)])
     w = sel.windows()[0]
-    assert w.leftmost == w.rightmost == w.chosen == Interval(2, 5)
+    assert w.leftmost == w.rightmost == Interval(2, 5)
+    assert sel.solution() == [Interval(2, 5)]
     assert sel.window_count == 1
 
 
-def test_single_search_per_item():
+def test_single_search_per_item(monkeypatch):
+    # after the first item, each item costs one search: one bisect over the
+    # block starts and one inside the block
+    searches = []
+
+    def counted_bisect(keys, key):
+        searches.append(key)
+        return bisect_right(keys, key)
+
+    monkeypatch.setattr(selector, "bisect_right", counted_bisect)
     stream = [Interval(i, i + 2) for i in range(1, 50, 3)]
     sel = run(stream)
-    assert sel.searches <= sel.items == len(stream)
+    assert sel.items == len(stream)
+    assert searches == [iv.lcode for iv in stream[1:] for _ in range(2)]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -155,7 +165,7 @@ class FlatListSelector:
 
     def __init__(self):
         self.keys, self.wins = [], []
-        self.items = self.searches = self.peak_windows = 0
+        self.items = self.peak_windows = 0
 
     @property
     def window_count(self):
@@ -165,15 +175,14 @@ class FlatListSelector:
         return list(self.wins)
 
     def solution(self):
-        return [w.chosen for w in self.wins]
+        return [w.leftmost for w in self.wins]
 
     def process(self, iv):
         self.items += 1
         if not self.wins:
-            self.wins, self.keys = [WindowState(-math.inf, math.inf, iv, iv, iv)], [-math.inf]
+            self.wins, self.keys = [WindowState(-math.inf, math.inf, iv, iv)], [-math.inf]
             self.peak_windows = 1
             return
-        self.searches += 1
         idx = bisect_right(self.keys, iv.lcode) - 1
         w = self.wins[idx]
         if iv.rcode > w.hi_code:
@@ -187,10 +196,10 @@ class FlatListSelector:
             return
         if iv.lcode > r:
             c = w.leftmost
-            w1, w2 = WindowState(w.lo_code, r, c, c, c), WindowState(r + 1, w.hi_code, iv, iv, iv)
+            w1, w2 = WindowState(w.lo_code, r, c, c), WindowState(r + 1, w.hi_code, iv, iv)
         else:
             c = w.rightmost
-            w1, w2 = WindowState(w.lo_code, ell - 1, iv, iv, iv), WindowState(ell, w.hi_code, c, c, c)
+            w1, w2 = WindowState(w.lo_code, ell - 1, iv, iv), WindowState(ell, w.hi_code, c, c)
         self.wins[idx:idx + 1] = [w1, w2]
         self.keys[idx:idx + 1] = [w1.lo_code, w2.lo_code]
         self.peak_windows = max(self.peak_windows, len(self.wins))
@@ -199,7 +208,7 @@ class FlatListSelector:
 def assert_same_state(sel, ref):
     assert sel.windows() == ref.windows()
     assert sel.solution() == ref.solution()
-    assert (sel.items, sel.searches, sel.peak_windows) == (ref.items, ref.searches, ref.peak_windows)
+    assert (sel.items, sel.peak_windows) == (ref.items, ref.peak_windows)
     assert sel.window_count == ref.window_count
 
 
@@ -317,15 +326,43 @@ def test_several_feeds_match_process(kind, seed, min_chunk, monkeypatch):
         assert_same_state(sel, ref)
 
 
+def assert_solution_is_leftmost_witnesses(sel):
+    windows, solution = sel.windows(), sel.solution()
+    assert solution == [w.leftmost for w in windows]
+    assert len(solution) == sel.window_count
+    for w, (lcode, rcode) in zip(windows, solution):
+        assert w.lo_code <= lcode <= rcode <= w.hi_code
+    assert all(a_rcode < b_lcode for (_, a_rcode), (b_lcode, _) in zip(solution, solution[1:]))
+    assert pairwise_disjoint(solution)
+
+
+@pytest.mark.parametrize("kind,seed", FEED_STREAMS)
+def test_solution_is_the_leftmost_witnesses(kind, seed):
+    # after each of several feeds and after every per-item process, the
+    # solution is each window's leftmost witness in window order, inside its
+    # window, so disjoint; both ways give the same intervals
+    inst = feed_instance(kind, seed, 400)
+    rng = SplitMix64(seed)
+    cuts = sorted({0, len(inst), *(rng.below(len(inst) + 1) for _ in range(6))})
+    fed, stepped = PartitionSelector(), PartitionSelector()
+    for a, b in zip(cuts, cuts[1:]):
+        fed.feed(inst.lcodes[a:b], inst.rcodes[a:b])
+        for iv in inst.intervals[a:b]:
+            stepped.process(iv)
+            assert_solution_is_leftmost_witnesses(stepped)
+        assert_solution_is_leftmost_witnesses(fed)
+        assert list(map(tuple, fed.solution())) == list(map(tuple, stepped.solution()))
+
+
 def test_feed_empty_columns():
     sel = PartitionSelector()
     for dtype in (np.int64, object):
         sel.feed(np.array([], dtype=dtype), np.array([], dtype=dtype))
-    assert (sel.windows(), sel.items, sel.searches, sel.peak_windows) == ([], 0, 0, 0)
+    assert (sel.windows(), sel.solution(), sel.items, sel.peak_windows) == ([], [], 0, 0)
     sel.feed(np.array([2, 8]), np.array([4, 10]))
-    before = (sel.windows(), sel.items, sel.searches, sel.peak_windows)
+    before = (sel.windows(), sel.solution(), sel.items, sel.peak_windows)
     sel.feed(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
-    assert (sel.windows(), sel.items, sel.searches, sel.peak_windows) == before
+    assert (sel.windows(), sel.solution(), sel.items, sel.peak_windows) == before
 
 
 class CountingSelector(PartitionSelector):
@@ -348,7 +385,7 @@ def test_feed_skips_exactly_the_straddling_pairs():
     straddling = [(2, 5), (4, 5), (3, 7)] * 400
     sel.feed(np.array([l for l, _ in straddling]), np.array([r for _, r in straddling]))
     assert sel.sent == []
-    assert (sel.items, sel.searches) == (2 + len(straddling), 1 + len(straddling))
+    assert sel.items == 2 + len(straddling)
     sel.feed(np.array([2, 6]), np.array([4, 6]))
     assert sel.sent == [(2, 4), (6, 6)]
 

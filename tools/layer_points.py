@@ -17,6 +17,9 @@ one pair, so these time the vectorised pass at its smallest), and the
 lambda 0 route (``distinct_points_estimate``) on a stream of points, with
 ``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
+``dense_bytes_per_window`` is the memory a ``PartitionSelector`` still holds
+after its feed of the 400k dense stream, by ``tracemalloc`` in a run of its
+own, over its window count.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import os
 import platform
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -59,6 +63,18 @@ def best_seconds(fn, *args) -> float:
 
 def feed(inst) -> None:
     PartitionSelector().feed(inst.lcodes, inst.rcodes)
+
+
+def bytes_per_window(inst) -> float:
+    """Bytes allocated during a feed of inst and still held after it, over
+    the selector's window count."""
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    sel = PartitionSelector()
+    sel.feed(inst.lcodes, inst.rcodes)
+    held = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    return held / sel.window_count
 
 
 def run_samelen(inst) -> None:
@@ -112,6 +128,7 @@ def main() -> int:
         dense_s[count] = best_seconds(feed, dense)
         result["items_per_s"][f"PartitionSelector.feed.dense_{count // 1000}k"] = round(count / dense_s[count])
     result["dense_ratio"] = round(dense_s[400_000] / dense_s[100_000], 2)
+    result["dense_bytes_per_window"] = round(bytes_per_window(dense), 1)
     samelen = gen_uniform_samelen(SAMELEN["n"], SAMELEN["count"], SAMELEN["lam"], SEED)
     samelen_items = gen_uniform_samelen(SAMELEN_ITEMS["n"], SAMELEN_ITEMS["count"],
                                         SAMELEN_ITEMS["lam"], SEED)
