@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, code_pairs, refuse_first
+from .core import DomainError, Instance, Interval, code_columns, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
-from .oracle import SegTree, beta_hat, relevance_threshold, relevant_segments
+from .oracle import SegTree, beta_hat, distinct, relevance_threshold, relevant_segments
 from .rng import SplitMix64
 from .selector import PartitionSelector
 
@@ -33,18 +32,6 @@ SAMPLER_LIMIT = 500_000
 
 # pending intervals at which process and feed flush
 _CHUNK = 1024
-
-
-def emitted_segments(tree: SegTree, iv: Interval,
-                     path: Optional[List[int]] = None) -> List[int]:
-    """Nodes activated by one interval: the root followed by both children
-    of every internal node containing the interval, sizes non-increasing.
-    path, when given, is tree.containing_path(iv)."""
-    out = [tree.root]
-    for u in path if path is not None else tree.containing_path(iv):
-        if u < tree.n_pow2:
-            out += (2 * u, 2 * u + 1)
-    return out
 
 
 @dataclass
@@ -121,14 +108,15 @@ class _Node:
     """State of one tree node u, shared by both samples when either holds u
     (own role) or a child of u (parent role).
 
-    A sample takes a node only at its first emission, so u's entry starts at
-    the first emission of u or of a child of u, and no interval is contained
-    in u before either.  The tracker is therefore exactly min(gamma(u), cap)
-    whichever sample created it: `seen` holds the nodes of u's subtree that
-    contain an interval until there are cap of them, then None.  `selector`
-    is the nested 2-approximation over the intervals contained in u, kept
-    for a member of the rho sample and for the root; it is dropped when the
-    tracker saturates, since u can then never be relevant.
+    A sample takes a node only at its first emission, and no interval is
+    contained in u before the first emission of u or of a child of u.  So an
+    entry made after its chunk's offers, before the chunk's pairs reach the
+    table, tracks exactly min(gamma(u), cap): `seen` holds the nodes of u's
+    subtree that contain an interval until there are cap of them, then None.
+    `selector`, the nested 2-approximation over the intervals contained in
+    u, is kept while u is the root or a rho member, the only selectors
+    ``estimate`` reads, and dropped when u saturates and so can never be
+    relevant.
     """
 
     __slots__ = ("seen", "selector")
@@ -146,28 +134,6 @@ class _Node:
         """The entry itself, its tracked nodes and its selector's windows."""
         return (1 + (len(self.seen) if self.seen is not None else 0)
                 + (self.selector.window_count if self.selector is not None else 0))
-
-    def add(self, iv: Interval, below: Sequence[int], cap: int) -> int:
-        """Feed an interval contained in u; below is its containing path
-        from u down.  Returns the change in units."""
-        before = len(self.seen)
-        self.seen.update(below)
-        if len(self.seen) >= cap:
-            freed = before + (self.selector.window_count if self.selector is not None else 0)
-            self.seen = self.selector = None
-            return -freed
-        grown = len(self.seen) - before
-        if self.selector is not None:
-            windows = self.selector.window_count
-            self.selector.process(iv)
-            grown += self.selector.window_count - windows
-        return grown
-
-
-def _lineage(v: int) -> Tuple[int, ...]:
-    """The nodes whose entries a sample holding v needs: v, and its parent
-    unless v is the root."""
-    return (v, v >> 1) if v > 1 else (v,)
 
 
 class GeneralAlphaEstimator:
@@ -195,86 +161,118 @@ class GeneralAlphaEstimator:
         self.items = 0
         self.peak_units = 0
         self.peak_nodes = 0
-        # intervals, or their (lcode, rcode) pairs, taken but not yet flushed
-        self._pending: List = []
+        # slices of the code columns taken but not yet flushed, and their length
+        self._pending: List[Tuple[np.ndarray, np.ndarray]] = []
+        self._queued = 0
 
     @property
     def columns_hashed(self) -> int:
         """Ids hashed so far, summed over both samples' banks."""
         return self.rel.bank.columns_hashed + self.rho.bank.columns_hashed
 
-    def process(self, iv: Interval) -> None:
+    def _check(self, iv: Interval) -> None:
         if iv.left < 1 or iv.right > self.config.n:
             raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
-        self.items += 1
-        self._pending.append(iv)
-        if len(self._pending) >= _CHUNK:
-            self.flush()
+
+    def process(self, iv: Interval) -> None:
+        self.feed(*code_columns((iv,)))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype), as ``process``
-        would pair by pair; they are refused whole, with the message of the
-        first interval ``process`` would refuse."""
-        refuse_first((lcodes < 2) | (rcodes > 2 * self.config.n), lcodes, rcodes, self.process)
+        """Feed two code columns (int64 or object dtype), refused whole with
+        the message of the first interval ``_check`` refuses, or queued and
+        flushed each time _CHUNK pairs are pending, however the stream is
+        cut into calls; ``process(iv)`` feeds the one pair of an Interval."""
+        refuse_first((lcodes < 2) | (rcodes > 2 * self.config.n), lcodes, rcodes, self._check)
         self.items += len(lcodes)
-        for pair in code_pairs(lcodes, rcodes):
-            self._pending.append(pair)
-            if len(self._pending) >= _CHUNK:
+        while len(lcodes):
+            take = _CHUNK - self._queued
+            self._pending.append((lcodes[:take], rcodes[:take]))
+            self._queued += len(self._pending[-1][0])
+            lcodes, rcodes = lcodes[take:], rcodes[take:]
+            if self._queued >= _CHUNK:
                 self.flush()
 
     def flush(self) -> None:
-        """Apply the pending intervals in stream order.  The counter takes
-        each interval's emitted ids, and its units as of that interval are
-        noted; one PolyBank.keys call per sample hashes the ids it reported
-        fresh (an id offered before is a member or never enters, so known
-        ids skip the samples); then each interval's fresh ids are offered to
-        both samples and the interval feeds the node table.  The peak units
-        are taken per interval, so the outcome does not depend on where
-        flushes fall."""
+        """Apply the pending pairs as one chunk of code columns.  Its
+        closure (the nodes containing one of its pairs) gives the ids it
+        emits, each once: the root and both children of every internal node
+        of the closure.  The counter takes each; the fresh ones a sample
+        does not hold go to one keys call and one bulk offer per sample,
+        neither of which depends on the order of offers or on a repeat.
+        Then the table follows the samples (``_hold``), every unsaturated
+        tracker takes the closure's nodes in its subtree, and each selector
+        whose tracker stays below the cap takes the chunk's pairs inside its
+        node, in stream order.  The peak units are taken once per chunk,
+        before the trackers that reached the cap are forgotten."""
         if not self._pending:
             return
-        tree, counter = self.tree, self.counter
-        taken = []
-        for iv in self._pending:
-            path = tree.containing_path(iv)
-            fresh = [v for v in emitted_segments(tree, iv, path) if counter.add(v)]
-            taken.append((iv, path, fresh, counter.units))
-        ids = [v for _, _, fresh, _ in taken for v in fresh]
-        keyed = zip(ids, self.rel.bank.keys(ids), self.rho.bank.keys(ids))
-        cap = self.config.gamma_cap
-        for iv, path, fresh, counter_units in taken:
-            for v, rel_value, rho_value in islice(keyed, len(fresh)):
-                self._offer(v, rel_value, rho_value)
-            for idx, v in enumerate(path):
-                node = self.nodes.get(v)
-                if node is not None and not node.saturated:
-                    self._node_units += node.add(iv, path[idx:], cap)
-            self.peak_units = max(self.peak_units, self._node_units + self.rel.units
-                                  + self.rho.units + counter_units)
-            self.peak_nodes = max(self.peak_nodes, len(self.nodes))
-        self._pending.clear()
+        lcodes, rcodes = (np.concatenate(column) for column in zip(*self._pending))
+        self._pending, self._queued = [], 0
+        tree, nodes, levels = self.tree, self.nodes, self.tree.depth_levels
+        shifted = tree.minimal_container((lcodes, rcodes))[:, None] >> np.arange(levels + 1)
+        closure = distinct(shifted[shifted > 0])
+        inner = closure[closure < tree.n_pow2]
+        emitted = [tree.root] + (2 * inner).tolist() + (2 * inner + 1).tolist()
+        fresh = [v for v in emitted if self.counter.add(v)]
+        offers = []
+        for sample in (self.rel, self.rho):
+            ids = [v for v in fresh if v not in sample.members]
+            offers.append(sample.offer_many(ids, sample.bank.keys(ids)) if ids else ([], []))
+        (rel_in, rel_out), (rho_in, rho_out) = offers
+        self._hold(rel_in + rho_in, rel_out + rho_out, rho_out)
+        # in in-order the nodes of u's subtree are those ranked strictly
+        # between 2u and 2u + 2, both shifted left by u's height
+        ranks = (2 * closure + 1) << (levels - tree.depth(closure))
+        order = np.argsort(ranks)
+        ranks, ordered = ranks[order], closure[order].tolist()
+        live = np.array([u for u, node in nodes.items() if node.seen is not None],
+                        dtype=closure.dtype)
+        heights = levels - tree.depth(live)
+        lo = ranks.searchsorted((2 * live) << heights, side="right")
+        hi = ranks.searchsorted((2 * live + 2) << heights)
+        full, cap = [], self.config.gamma_cap
+        for u, a, b in zip(*(column[hi > lo].tolist() for column in (live, lo, hi))):
+            node = nodes[u]
+            tracked = len(node.seen)
+            node.seen.update(ordered[a:b])
+            self._node_units += len(node.seen) - tracked
+            if len(node.seen) >= cap:
+                full.append(node)
+            elif node.selector is not None:
+                windows = node.selector.window_count
+                inside = tree.contains(u, (lcodes, rcodes))
+                node.selector.feed(lcodes[inside], rcodes[inside])
+                self._node_units += node.selector.window_count - windows
+        self.peak_units = max(self.peak_units, self._node_units + self.rel.units
+                              + self.rho.units + self.counter.units)
+        self.peak_nodes = max(self.peak_nodes, len(nodes))
+        for node in full:
+            self._node_units -= node.units - 1
+            node.seen = node.selector = None
 
-    def _offer(self, v: int, rel_value: int, rho_value: int) -> None:
-        """Offer node v to both samples and keep the table to the root and
-        the nodes that a sample holds, or whose child a sample holds: a
-        sample taking v needs the entries of v and its parent, which are
-        made when missing (v's with a selector when the rho sample took it),
-        and the entries of an evicted node and its parent go once no sample
-        needs them.  v's first offer comes before any child of v is emitted,
-        so v has no entry yet unless v is the root."""
-        out = (self.rel.offer(v, rel_value), self.rho.offer(v, rho_value))
-        if out == (None, None):
-            return
-        for u in _lineage(v):
-            if u not in self.nodes:
-                node = self.nodes[u] = _Node(with_selector=u == v and out[1] is not None)
-                self._node_units += node.units
-        held = (self.rel.members, self.rho.members)
-        for evicted in out:
-            for u in _lineage(evicted) if evicted else ():
-                if u in self.nodes and u != self.tree.root and not any(
+    def _hold(self, entered: List[int], evicted: List[int], rho_evicted: List[int]) -> None:
+        """Keep the table to the root and the nodes that a sample holds, or
+        whose child a sample holds: make the missing entries of an entering
+        node and its parent, with a selector iff the node is now a member of
+        the rho sample (a parent and its child may enter together); drop the
+        selector of a node the rho sample evicted, and the entries of an
+        evicted node and its parent once no sample needs them."""
+        nodes, root, held = self.nodes, self.tree.root, (self.rel.members, self.rho.members)
+        for v in entered:
+            for u in (v, v >> 1):  # the root's parent, 0, is no node
+                if u and u not in nodes:
+                    nodes[u] = _Node(with_selector=u in self.rho.members)
+                    self._node_units += 1
+        for v in rho_evicted:
+            node = nodes.get(v)
+            if v != root and node is not None and node.selector is not None:
+                self._node_units -= node.selector.window_count
+                node.selector = None
+        for v in evicted:
+            for u in (v, v >> 1):
+                if u in nodes and u != root and not any(
                         w in members for members in held for w in (u, 2 * u, 2 * u + 1)):
-                    self._node_units -= self.nodes.pop(u).units
+                    self._node_units -= nodes.pop(u).units
 
     def is_relevant(self, v: int) -> bool:
         """Small capped gamma under a saturated parent (never the root)."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappush, heapreplace, nsmallest
-from operator import neg
 from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -182,21 +181,22 @@ class BottomK:
         places, and each later one enters by evicting the largest held pair
         until one does not, and then no later one does; so no id of xs is
         evicted by another, and after the fill only the pairs below the
-        largest held one are sorted.  When all of them fit, they join the
-        heap at once."""
+        largest held one are sorted.  The fill joins the heap at once, or,
+        when it is small against the heap, one push at a time, so a small
+        call costs O(len(xs) log k), not O(k)."""
         heap, members = self._heap, self.members
         room = max(self.k - len(heap), 0)
-        if len(xs) <= room:
-            heap.extend(zip(map(neg, values), map(neg, xs)))
-            heapify(heap)
-            members.update(xs)
-            return list(xs), []
-        fill = nsmallest(room, zip(values, xs))
-        if fill:
+        fill = list(zip(values, xs)) if len(xs) <= room else nsmallest(room, zip(values, xs))
+        if 8 * len(fill) < len(heap):
+            for v, x in fill:
+                heappush(heap, (-v, -x))
+        else:
             heap.extend((-v, -x) for v, x in fill)
             heapify(heap)
         entered = [x for _, x in fill]
         members.update(entered)
+        if len(xs) <= room:
+            return entered, []
         top_v, top_x = -heap[0][0], -heap[0][1]
         below = sorted((v, x) for v, x in zip(values, xs)
                        if (v < top_v or (v == top_v and x < top_x)) and x not in members)

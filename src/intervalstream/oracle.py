@@ -32,9 +32,18 @@ class SegTree:
         self.depth_levels = self.n_pow2.bit_length() - 1  # log2(n_pow2)
         self.root = 1
 
+    def depth(self, v):
+        """Depth of node v, the root's 0: the bit length of v less one.  For
+        a column (int64 or object dtype) it counts the powers of two at or
+        below each value, exact where np.frexp rounds up past 2**53."""
+        if not isinstance(v, np.ndarray):
+            return v.bit_length() - 1
+        powers = np.array([1 << d for d in range(self.depth_levels + 1)], dtype=v.dtype)
+        return np.searchsorted(powers, v, side="right") - 1
+
     def span(self, v: int) -> Tuple[int, int]:
         """The half-open segment [lo, hi) covered by node v."""
-        depth = v.bit_length() - 1
+        depth = self.depth(v)
         size = self.n_pow2 >> depth
         lo = 1 + (v - (1 << depth)) * size
         return lo, lo + size
@@ -65,14 +74,7 @@ class SegTree:
             raise ValueError(f"{iv} is outside the root segment")
         a = (lcode >> 1) + (self.n_pow2 - 1)
         b = (rcode >> 1) + (self.n_pow2 - 1)
-        x = a ^ b  # below n_pow2
-        if not isinstance(x, np.ndarray):
-            return a >> x.bit_length()
-        # bit lengths by counting the powers of two at or below x: exact in
-        # int64 and object columns alike, where the float of x (np.frexp)
-        # rounds up past 2**53
-        powers = np.array([1 << d for d in range(self.depth_levels)], dtype=x.dtype)
-        return a >> np.searchsorted(powers, x, side="right")
+        return a >> (self.depth(a ^ b) + 1)  # the bit length of a ^ b
 
     def containing_path(self, iv: Interval) -> List[int]:
         """Nodes containing the interval, root first (a root-to-node path)."""
@@ -159,7 +161,7 @@ def gamma(inst: Instance, v: int, tree: SegTree = None) -> int:
     return count
 
 
-def _distinct(column: np.ndarray) -> np.ndarray:
+def distinct(column: np.ndarray) -> np.ndarray:
     """The distinct values of a column, ascending.  It sorts with argsort,
     as alpha does: a first np.sort or np.unique in a process loads more
     code and raises the peak RSS."""
@@ -175,13 +177,13 @@ def _holding_closure(inst: Instance, tree: SegTree) -> Tuple[np.ndarray, np.ndar
     one depth at a time from the leaves up: a level's nodes are its own
     containers plus the parents of the level below, and the gamma of a node
     is 1 plus the sum of its children's."""
-    own = _distinct(tree.minimal_container((inst.lcodes, inst.rcodes)))
+    own = distinct(tree.minimal_container((inst.lcodes, inst.rcodes)))
     levels, end = [], len(own)
     below, below_gammas = own[:0], np.zeros(0, dtype=np.int64)
     for depth in range(tree.depth_levels, -1, -1):
         start = int(np.searchsorted(own, 1 << depth))  # nodes of this depth are >= 2**depth
         parents = below >> 1
-        level = _distinct(np.concatenate((own[start:end], parents)))
+        level = distinct(np.concatenate((own[start:end], parents)))
         sums = np.bincount(np.searchsorted(level, parents), weights=below_gammas,
                            minlength=len(level))
         below, below_gammas, end = level, 1 + sums.astype(np.int64), start

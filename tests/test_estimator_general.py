@@ -1,15 +1,15 @@
 import math
 import time
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import estimator, oracle
-from intervalstream.estimator import (EstimatorConfig, GeneralAlphaEstimator,
-                                      emitted_segments, estimate_oracle_mode)
+from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
 from intervalstream.generators import gen_uniform
-from intervalstream.hashing import KMVDistinct
+from intervalstream.hashing import ExactDistinct, KMVDistinct
 from intervalstream.oracle import SegTree, beta_hat, relevant_segments
 from intervalstream.selector import PartitionSelector
 
@@ -18,6 +18,17 @@ from conftest import all_intervals, general_replay_violations, random_instance
 
 def dense_instance(n: int) -> Instance:
     return Instance(n, tuple(Interval(i, i) for i in range(1, n + 1)))
+
+
+def emitted_segments(tree: SegTree, iv: Interval):
+    """Nodes activated by one interval, the reference for a chunk's emitted
+    ids: the root followed by both children of every internal node
+    containing the interval, sizes non-increasing."""
+    out = [tree.root]
+    for u in tree.containing_path(iv):
+        if u < tree.n_pow2:
+            out += (2 * u, 2 * u + 1)
+    return out
 
 
 def run_estimator(inst, **cfg_kwargs):
@@ -121,20 +132,100 @@ def test_feed_matches_process_on_every_prefix(monkeypatch, counter, n, kw):
     assert ref.estimate().branch == ("fallback" if n == 64 else "sampled")
 
 
+def test_chunk_emits_each_id_once(monkeypatch):
+    # a flush passes the counter each id its chunk emits exactly once: the
+    # union of the per-interval emitted_segments over the chunk's intervals
+    added = []
+    add = ExactDistinct.add
+    monkeypatch.setattr(ExactDistinct, "add", lambda c, x: added.append(x) or add(c, x))
+    for n, inst in ((16, Instance(16, tuple(all_intervals(16)))),
+                    (64, random_instance(64, 300, 40, seed=8, open_fraction=0.3)),
+                    (1 << 20, gen_uniform(1 << 20, 200, 64, seed=4))):
+        est = GeneralAlphaEstimator(EstimatorConfig(n=n, user_eps=0.3, seed=1, scale=1e-9))
+        ivs = list(inst)
+        for start in range(0, len(ivs), 37):
+            added.clear()
+            est.feed(inst.lcodes[start:start + 37], inst.rcodes[start:start + 37])
+            est.flush()
+            expect = {v for iv in ivs[start:start + 37] for v in emitted_segments(est.tree, iv)}
+            assert len(added) == len(set(added)) and set(added) == expect
+
+
+# (instance, eps, scale, seed, gamma_cap patch) and the (value, branch,
+# relevant_count, rho_available, degraded, n_act_hat, rho_hat,
+# columns_hashed) that the per-interval flush gave, the same for both
+# counters; the instances are uniform (n, count, max-len, seed) or the
+# points 1..count at n: the estimate-general input, the criterion-8 and 8b
+# instances, fallback and sampled runs up to n=2**50, and two runs whose
+# patched cap leaves relevant nodes, one with rho_hat > 0
+PARITY = [
+    ("uniform", (4096, 200, 64, 1), 0.45, 1e-07, 1, None, (85.0, "fallback", 0, 0, False, 0.0, 0.0, 834)),
+    ("uniform", (4096, 200, 64, 2), 0.45, 1e-07, 2, None, (82.0, "fallback", 0, 0, False, 0.0, 0.0, 834)),
+    ("uniform", (4096, 200, 64, 3), 0.45, 1e-07, 3, None, (82.0, "fallback", 0, 0, False, 0.0, 0.0, 826)),
+    ("points", (1024, 1024), 0.45, 1.4e-07, 0, None, (1024.0, "fallback", 0, 0, False, 0.0, 0.0, 4094)),
+    ("points", (1024, 1024), 0.45, 1.4e-07, 1, None, (1024.0, "fallback", 0, 0, False, 0.0, 0.0, 4094)),
+    ("points", (2048, 1664), 0.45, 1.4e-07, 0, None, (0.0, "sampled", 1, 0, True, 3331.0, 0.0, 6662)),
+    ("points", (2048, 1664), 0.45, 1.4e-07, 1, None, (0.0, "sampled", 0, 0, True, 3331.0, 0.0, 6662)),
+    ("points", (2048, 2048), 0.45, 8e-08, 3, None, (0.0, "sampled", 0, 0, True, 4095.0, 0.0, 8190)),
+    ("uniform", (2048, 6000, 2, 2), 0.45, 8e-08, 9, None, (0.0, "sampled", 0, 0, True, 3997.0, 0.0, 7994)),
+    ("uniform", (4096, 3000, 6, 1), 0.45, 1e-07, 0, 12,
+     (625.6385220108839, "sampled", 46, 1, True, 4469.0, 3.0, 8938)),
+    ("uniform", (4096, 3000, 6, 1), 0.45, 1e-07, 1, 40, (0.0, "sampled", 17, 0, True, 4469.0, 0.0, 8938)),
+    ("uniform", (1 << 16, 5000, 64, 1), 0.45, 1e-07, 1, None,
+     (1647.0, "fallback", 0, 0, False, 0.0, 0.0, 16718)),
+    ("uniform", (1 << 20, 3000, 64, 1), 0.45, 1e-07, 1, None,
+     (2744.0, "fallback", 0, 0, False, 0.0, 0.0, 41322)),
+    ("uniform", (1 << 20, 5000, 64, 1), 0.45, 1e-07, 1, None,
+     (0.0, "sampled", 0, 0, True, 29001.0, 0.0, 58002)),
+    ("uniform", (1 << 50, 50, 64, 7), 0.45, 3e-08, 3, None, (50.0, "fallback", 0, 0, False, 0.0, 0.0, 7786)),
+    ("uniform", (64, 200, 8, 5), 0.3, 1e-09, 2, None, (27.0, "fallback", 0, 0, False, 0.0, 0.0, 206)),
+]
+
+
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+@pytest.mark.parametrize("kind, args, eps, scale, seed, cap, expect", PARITY)
+def test_outputs_match_the_per_interval_flush(monkeypatch, counter, kind, args, eps, scale,
+                                              seed, cap, expect):
+    if cap is not None:
+        monkeypatch.setattr(EstimatorConfig, "gamma_cap", property(lambda self: cap))
+    if kind == "uniform":
+        inst = gen_uniform(*args)
+    else:
+        n, count = args
+        inst = Instance(n, tuple(Interval(i, i) for i in range(1, count + 1)))
+    est = GeneralAlphaEstimator(EstimatorConfig(n=inst.n, user_eps=eps, seed=seed, scale=scale,
+                                                counter_kind=counter))
+    est.feed(inst.lcodes, inst.rcodes)
+    res = est.estimate()
+    assert (res.value, res.branch, res.relevant_count, res.rho_available, res.degraded,
+            res.n_act_hat, res.rho_hat, est.columns_hashed) == expect
+
+
 @pytest.mark.parametrize("counter", ["exact", "kmv"])
 def test_peak_units_do_not_depend_on_flushes(counter):
-    # estimate() flushes the buffer, so reading it after every item applies
-    # each item alone, while one feed buffers up to 1024 items; the peak is
-    # the unbuffered algorithm's either way
-    inst = random_instance(64, 60, 16, seed=5, open_fraction=0.3)
-    cfg = EstimatorConfig(n=64, user_eps=0.3, seed=3, counter_kind=counter, scale=1e-9)
-    fed, stepped = GeneralAlphaEstimator(cfg), GeneralAlphaEstimator(cfg)
-    fed.feed(inst.lcodes, inst.rcodes)
-    for iv in inst:
-        stepped.process(iv)
-        stepped.estimate()
-    assert fed.estimate() == stepped.estimate()
-    assert fed.estimate().peak_units == 152
+    # one feed and per-item process flush at the same 1,024-item boundaries,
+    # so they give the same estimate, every field included; estimate()
+    # flushes the buffer, so reading it after every item applies each item
+    # as a chunk of its own, which may move only the peak units and the
+    # table size, as both are taken once per chunk
+    # each run with the (peak_units, tracked_nodes) of the fed estimator
+    runs = [(random_instance(64, 60, 16, seed=5, open_fraction=0.3),
+             dict(n=64, user_eps=0.3, scale=1e-9), "fallback", (152, 14)),
+            (Instance(2048, tuple(Interval(i, i) for i in range(1, 1665))),
+             dict(n=2048, user_eps=0.45, scale=1.4e-7), "sampled", (34634, 1603))]
+    for inst, kw, branch, peak in runs:
+        cfg = EstimatorConfig(seed=3, counter_kind=counter, **kw)
+        fed, queued, stepped = (GeneralAlphaEstimator(cfg) for _ in range(3))
+        fed.feed(inst.lcodes, inst.rcodes)
+        for iv in inst:
+            queued.process(iv)
+            stepped.process(iv)
+            stepped.estimate()
+        res = fed.estimate()
+        assert res == queued.estimate() and res.branch == branch
+        assert (res.peak_units, res.tracked_nodes) == peak
+        assert replace(stepped.estimate(), peak_units=res.peak_units,
+                       tracked_nodes=res.tracked_nodes) == res
 
 
 def test_fallback_branch_small_universe():
@@ -204,9 +295,12 @@ def test_sampled_branch_random_instance():
 
 @pytest.mark.parametrize("n, branch", [(64, "fallback"), (2048, "sampled")])
 def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
-    # an 8-entry sketch forgets ids, which then come back as possibly new and
-    # are offered again; an id offered before is a member or never enters,
-    # so both samples keep the members and the trackers of the exact run
+    # an 8-entry sketch forgets ids, which then come back as possibly new in
+    # a later chunk and are offered again; an id offered before is a member
+    # or never enters, so both samples keep the members and the trackers of
+    # the exact run; a chunk passes each of its ids to the counter once, so
+    # chunks of 8 intervals let forgotten ids come back
+    monkeypatch.setattr(estimator, "_CHUNK", 8)
     if n == 64:
         inst, kw = random_instance(64, 100, 16, seed=3), dict(user_eps=0.3, scale=1e-9)
     else:
@@ -233,13 +327,38 @@ def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
             [est_exact.is_relevant(v) for _, v in s_exact.pairs()]
 
 
+@pytest.mark.parametrize("counter", ["exact", "kmv"])
+def test_selectors_hold_the_nested_approximation(monkeypatch, counter):
+    # a chunk feeds each selector the pairs inside its node, in stream
+    # order, so after every flush each selector holds the 2-approximation
+    # over the prefix's intervals contained in its node; the patched cap
+    # leaves unsaturated rho members under saturated parents
+    monkeypatch.setattr(estimator, "_CHUNK", 100)
+    monkeypatch.setattr(EstimatorConfig, "gamma_cap", property(lambda self: 12))
+    inst = gen_uniform(4096, 3000, 6, seed=1)
+    est = GeneralAlphaEstimator(EstimatorConfig(n=4096, user_eps=0.45, seed=0, scale=1e-7,
+                                                counter_kind=counter))
+    checked = 0
+    for stop in range(0, len(inst), 500):
+        est.feed(inst.lcodes[stop:stop + 500], inst.rcodes[stop:stop + 500])
+        prefix = Instance(inst.n, tuple(islice(inst, stop + 500)))
+        for u, node in est.nodes.items():
+            if node.selector is not None:
+                assert node.selector.window_count == beta_hat(prefix, u), f"node {u}"
+                checked += 1
+    res = est.estimate()
+    assert res.branch == "sampled" and res.rho_hat > 0 and checked > 12
+
+
 @pytest.mark.parametrize("m", [1664, 2048])
 def test_retained_state_is_per_held_node(monkeypatch, m):
     # sampled branch: the root saturates, so its selector goes, and no
     # selector is fed once its node's tracker saturates; after every flush
     # the table holds exactly the root and each node that a sample holds, or
-    # whose child a sample holds, whichever counter runs; flushes come every
-    # 128 intervals, so the table is checked a dozen times a run
+    # whose child a sample holds, whichever counter runs, and a node other
+    # than the root has a selector iff it is an unsaturated member of the
+    # rho sample; flushes come every 128 intervals, so the table is checked
+    # a dozen times a run
     monkeypatch.setattr(estimator, "_CHUNK", 128)
     n = 2048
     inst = Instance(n, tuple(Interval(i, i) for i in range(1, m + 1)))
@@ -271,6 +390,10 @@ def test_retained_state_is_per_held_node(monkeypatch, m):
             assert set(est.nodes) == needed
             root = est.nodes[est.tree.root]
             assert not root.saturated or root.selector is None
+            for u, node in est.nodes.items():
+                if u != est.tree.root:
+                    assert (node.selector is not None) == \
+                        (u in est.rho.members and not node.saturated), f"node {u}"
             flushes.append(len(est.nodes))
 
         est.flush = checked_flush
