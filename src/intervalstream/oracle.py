@@ -15,6 +15,10 @@ from .core import Instance, Interval, intersects
 from .selector import PartitionSelector
 
 
+# Sorted positions whose successors alpha() finds in one searchsorted.
+_ALPHA_BLOCK = 8192
+
+
 class SegTree:
     """Implicit balanced segment tree over elementary segments [i, i+1),
     i in [1, n_pow2], with the universe rounded up to a power of two.
@@ -82,22 +86,31 @@ class SegTree:
         return [v >> s for s in range(v.bit_length() - 1, -1, -1)]
 
 
-def _earliest_finish(pairs) -> int:
-    """Size of the greedy independent subset of (lcode, rcode) pairs given
-    in ascending rcode order; ties in rcode need no order, as any one of
-    them that fits ends the same."""
-    count = 0
-    last_rcode = -1
-    for lcode, rcode in pairs:
-        if lcode > last_rcode:
-            count += 1
-            last_rcode = rcode
-    return count
-
-
 def alpha(inst: Instance) -> int:
-    """Exact maximum independent-subset size, by earliest-finish greedy."""
-    return _earliest_finish(inst.codes(np.argsort(inst.rcodes)))
+    """Exact maximum independent-subset size, by earliest-finish greedy.
+
+    In ascending rcode order every pair up to a pick ends by the pick's
+    rcode r, so it also starts by r; the next pick, the first later pair
+    that starts past r, is then the first position whose ``reach``, the
+    running maximum of the lcodes, exceeds r.  The greedy hops from pick
+    to pick by these successor positions, found with one ``searchsorted``
+    per block of _ALPHA_BLOCK positions, made only for the blocks it
+    enters.  Ties in rcode need no order, as any one of them that fits
+    ends the same.  Beside the columns it holds the sort order and
+    ``reach``, one block of successors at a time."""
+    order = np.argsort(inst.rcodes)
+    reach = inst.lcodes[order]
+    np.maximum.accumulate(reach, out=reach)
+    count, pos, total = 0, 0, len(order)
+    while pos < total:
+        base = pos - pos % _ALPHA_BLOCK
+        block = order[base:base + _ALPHA_BLOCK]
+        end = base + len(block)
+        succ = memoryview(reach.searchsorted(inst.rcodes[block], side="right"))
+        while pos < end:
+            count += 1
+            pos = succ[pos - base]
+    return count
 
 
 def brute_force_alpha(inst: Instance) -> int:

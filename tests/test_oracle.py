@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intervalstream import oracle
 from intervalstream.core import Instance, Interval
+from intervalstream.generators import gen_uniform
 from intervalstream.oracle import (SegTree, active_segments, alpha,
                                    beta, beta_hat, brute_force_alpha, gamma,
                                    gamma_all, relevance_threshold,
@@ -37,6 +39,55 @@ def test_brute_force_examples():
 def test_alpha_matches_brute_force(seed):
     inst = random_instance(24, 10, 8, seed, open_fraction=0.3)
     assert alpha(inst) == brute_force_alpha(inst)
+
+
+def earliest_finish(inst):
+    """Reference for alpha: the earliest-finish greedy one pair at a time,
+    in ascending rcode order."""
+    count, last_rcode = 0, -1
+    for lcode, rcode in inst.codes(np.argsort(inst.rcodes)):
+        if lcode > last_rcode:
+            count += 1
+            last_rcode = rcode
+    return count
+
+
+# alpha hops from pick to pick by successor positions found a block of
+# sorted positions at a time; blocks of 1 to 64 put many hops across blocks
+@pytest.mark.parametrize("block", [1, 2, 3, 64])
+@pytest.mark.parametrize("seed", range(6))
+def test_alpha_matches_earliest_finish_across_blocks(block, seed, monkeypatch):
+    monkeypatch.setattr(oracle, "_ALPHA_BLOCK", block)
+    # a small universe: many rcode ties, and open ends give codes of both parities
+    inst = random_instance(64, 400, 12 * (seed % 3 + 1), seed, open_fraction=0.5)
+    assert len(set(inst.rcodes.tolist())) < len(inst) // 2
+    assert alpha(inst) == earliest_finish(inst)
+    inst = gen_uniform(1 << 12, 500, 1 << (seed + 4), seed)  # long intervals skip blocks
+    assert alpha(inst) == earliest_finish(inst)
+
+
+def test_alpha_rcode_ties_and_open_codes():
+    # closed and open ends at the same points, and many pairs sharing an rcode
+    tied = ([Interval(k, 6) for k in range(1, 7)] + [Interval(k, 6, True, True) for k in range(1, 6)]
+            + [Interval(6, 8, True), Interval(7, 7), Interval(8, 12)])
+    inst = Instance(12, tied)
+    assert alpha(inst) == earliest_finish(inst) == brute_force_alpha(inst) == 4
+    inst = Instance(4, [Interval(1, 2, False, True), Interval(2, 3, True, True), Interval(3, 4, True)])
+    assert alpha(inst) == earliest_finish(inst) == 3
+
+
+@pytest.mark.parametrize("block", [5, 8192])
+@pytest.mark.parametrize("e,offset", [(63, 2 ** 62), (80, 0)])
+def test_alpha_on_object_columns(e, offset, block, monkeypatch):
+    monkeypatch.setattr(oracle, "_ALPHA_BLOCK", block)
+    inst = spread_instance(2 ** e, 300, e, offset=offset)
+    assert inst.lcodes.dtype == inst.rcodes.dtype == object
+    assert alpha(inst) == earliest_finish(inst)
+
+
+def test_alpha_of_the_empty_instance():
+    for n in (1, 2 ** 80):
+        assert alpha(Instance(n, ())) == 0
 
 
 def test_segtree_shape():

@@ -297,6 +297,26 @@ def test_window_cores_are_never_empty(kind, seed):
         assert all(intersects(w.leftmost, w.rightmost) for w in sel.windows())
 
 
+class CountingSelector(PartitionSelector):
+    """Records the pairs feed() sends to process, and counts the chunks it
+    filters against a window-start column."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+        self.searches = 0
+
+    def process(self, iv):
+        self.sent.append(iv)
+        super().process(iv)
+
+    def _next_starts(self, wide):
+        self.searches += 1
+        return super()._next_starts(wide)
+
+
+# with chunks of one or four pairs a window (the default), every stream
+# below is cut into chunks, and some chunk meets a partition of 2+ windows
 @pytest.mark.parametrize("min_chunk", [1, 3, 256])
 @pytest.mark.parametrize("kind,seed", FEED_STREAMS)
 def test_feed_matches_process(kind, seed, min_chunk, monkeypatch):
@@ -305,9 +325,12 @@ def test_feed_matches_process(kind, seed, min_chunk, monkeypatch):
     ref = PartitionSelector()
     for pair in inst.codes():
         ref.process(pair)
-    sel = PartitionSelector()
-    sel.feed(inst.lcodes, inst.rcodes)
-    assert_same_state(sel, ref)
+    for per_window in (1, 4):
+        monkeypatch.setattr(selector, "_CHUNK_PER_WINDOW", per_window)
+        sel = CountingSelector()
+        sel.feed(inst.lcodes, inst.rcodes)
+        assert_same_state(sel, ref)
+        assert sel.searches >= 1
 
 
 @pytest.mark.parametrize("min_chunk", [1, 3, 256])
@@ -317,13 +340,16 @@ def test_several_feeds_match_process(kind, seed, min_chunk, monkeypatch):
     inst = feed_instance(kind, seed, 800)
     rng = SplitMix64(seed)
     cuts = sorted({0, len(inst), *(rng.below(len(inst) + 1) for _ in range(6))})
-    ref, sel = PartitionSelector(), PartitionSelector()
     pairs = list(inst.codes())
-    for a, b in zip(cuts, cuts[1:]):
-        for pair in pairs[a:b]:
-            ref.process(pair)
-        sel.feed(inst.lcodes[a:b], inst.rcodes[a:b])
-        assert_same_state(sel, ref)
+    for per_window in (1, 4):
+        monkeypatch.setattr(selector, "_CHUNK_PER_WINDOW", per_window)
+        ref, sel = PartitionSelector(), CountingSelector()
+        for a, b in zip(cuts, cuts[1:]):
+            for pair in pairs[a:b]:
+                ref.process(pair)
+            sel.feed(inst.lcodes[a:b], inst.rcodes[a:b])
+            assert_same_state(sel, ref)
+        assert sel.searches >= 1
 
 
 def assert_solution_is_leftmost_witnesses(sel):
@@ -365,16 +391,6 @@ def test_feed_empty_columns():
     assert (sel.windows(), sel.solution(), sel.items, sel.peak_windows) == before
 
 
-class CountingSelector(PartitionSelector):
-    def __init__(self):
-        super().__init__()
-        self.sent = []
-
-    def process(self, iv):
-        self.sent.append(iv)
-        super().process(iv)
-
-
 def test_feed_skips_exactly_the_straddling_pairs():
     """A pair whose right code is the next window's start straddles and is
     never sent to process; one ending a code before it is sent."""
@@ -389,3 +405,38 @@ def test_feed_skips_exactly_the_straddling_pairs():
     sel.feed(np.array([2, 6]), np.array([4, 6]))
     assert sel.sent == [(2, 4), (6, 6)]
 
+
+def test_feed_sends_survivors_in_stream_order_among_tied_left_codes():
+    """The filter searches the chunk's left codes sorted; the pairs it keeps
+    still reach process in stream order, ties in left code included.  The
+    pairs make one chunk, filtered against the partition it starts from."""
+    sel = CountingSelector()
+    sel.feed(np.array([4, 12, 20]), np.array([4, 12, 20]))  # starts 5 and 13
+    assert [w.lo_code for w in sel.windows()] == [-math.inf, 5, 13]
+    sel.sent.clear()
+    rng = SplitMix64(7)
+    pairs = [(lcode, lcode + rng.below(12)) for lcode in (rng.below(3) * 6 + 2 for _ in range(240))]
+    assert len(pairs) <= selector._MIN_CHUNK
+    ref = PartitionSelector()
+    for pair in [(4, 4), (12, 12), (20, 20), *pairs]:
+        ref.process(pair)
+    sel.feed(np.array([l for l, _ in pairs]), np.array([r for _, r in pairs]))
+    straddles = [(l, r) for l, r in pairs if (l < 5 <= r) or (l < 13 <= r)]
+    assert 0 < len(straddles) < len(pairs)
+    assert sel.sent == [pair for pair in pairs if pair not in straddles]
+    assert_same_state(sel, ref)
+
+
+def test_first_feed_sends_every_pair_to_process():
+    """An empty selector, or one of a single window, has no boundary to
+    straddle, so its chunk goes whole to process."""
+    pairs = [(4, 4), (12, 12), (2, 5), (4, 5), (3, 7)] * 40
+    sel = CountingSelector()
+    sel.feed(np.array([l for l, _ in pairs]), np.array([r for _, r in pairs]))
+    assert sel.sent == pairs
+    assert sel.items == len(pairs)
+    nested = [(100 - i, 100 + i) for i in range(1000)]  # all hold 100: one window
+    sel = CountingSelector()
+    sel.feed(np.array([l for l, _ in nested]), np.array([r for _, r in nested]))
+    assert sel.sent == nested
+    assert sel.window_count == 1

@@ -8,9 +8,12 @@ It prints one JSON object.  Each rate is the best of three in-process runs:
 ``parse_stream`` on the text of a uniform stream, ``PartitionSelector.feed``
 on the same stream and on dense streams of 100k and 400k items,
 ``oracle.alpha``, ``oracle.gamma_all`` and ``estimate_oracle_mode`` (at
-eps 0.3); then the same-length layer over code columns:
-``ShiftedGridSelector.feed``, ``SamelenAlphaEstimator.feed`` and
-``samelen_estimate_oracle`` on a stream of equal-length intervals,
+eps 0.3); ``PartitionSelector.feed`` and ``oracle.alpha`` again on the
+input shape of the ``select-general`` benchmark workload (long intervals,
+so most pairs straddle a window boundary); then the same-length layer
+over code columns: ``ShiftedGridSelector.feed``,
+``SamelenAlphaEstimator.feed`` and ``samelen_estimate_oracle`` on a
+stream of equal-length intervals,
 ``ShiftedGridSelector.process`` and ``SamelenAlphaEstimator.process`` one
 Interval at a time on a small such stream (each call feeds a chunk of
 one pair, so these time the vectorised pass at its smallest), and the
@@ -45,6 +48,7 @@ from intervalstream.selector_samelen import ShiftedGridSelector
 ROUNDS = 3
 SEED = 1
 UNIFORM = dict(n=1 << 20, count=200_000, max_len=64)  # the ROADMAP Baseline point
+SELECT_GENERAL = dict(n=1 << 20, count=50_000, max_len=16384)  # as the select-general workload
 ORACLE_EPS = 0.3  # as the oracle-general benchmark workload
 DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
 SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
@@ -120,8 +124,12 @@ def main() -> int:
     result = {"machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                           "numpy": np.__version__},
               "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "oracle_eps": ORACLE_EPS, "dense": DENSE,
-              "samelen": SAMELEN, "samelen_items": SAMELEN_ITEMS,
+              "select_general": SELECT_GENERAL, "samelen": SAMELEN, "samelen_items": SAMELEN_ITEMS,
               "items_per_s": {name: round(UNIFORM["count"] / s) for name, s in seconds.items()}}
+    select_general = gen_uniform(SELECT_GENERAL["n"], SELECT_GENERAL["count"], SELECT_GENERAL["max_len"], SEED)
+    for name, fn in (("PartitionSelector.feed", feed), ("oracle.alpha", oracle.alpha)):
+        result["items_per_s"][f"{name}.select_general"] = round(
+            SELECT_GENERAL["count"] / best_seconds(fn, select_general))
     dense_s = {}
     for count in (100_000, 400_000):
         dense = gen_uniform(DENSE["n"], count, DENSE["max_len"], SEED)
