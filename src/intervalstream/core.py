@@ -38,6 +38,12 @@ class DomainError(ValueError):
     """Structurally valid input whose values fall outside the universe."""
 
 
+def check_eps(eps: float) -> None:
+    """Refuse an eps outside (0, 1/2), the range every estimator takes."""
+    if not 0 < eps < 0.5:
+        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+
+
 _OPENNESS = {"cc": (False, False), "co": (False, True),
              "oc": (True, False), "oo": (True, True)}
 # by the parities of (lcode, rcode), which are the openness flags

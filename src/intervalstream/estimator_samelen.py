@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, code_columns, refuse_first
+from .core import DomainError, Instance, Interval, check_eps, code_columns, refuse_first
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (Extremes, RecordTable, ShiftedGridSelector, _runs, check_lam,
@@ -35,8 +35,7 @@ class SamelenConfig:
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
         check_lam(self.lam)
-        if not 0 < self.user_eps < 0.5:
-            raise ValueError(f"eps must be in (0, 1/2), got {self.user_eps}")
+        check_eps(self.user_eps)
 
     @property
     def eps_shift(self) -> float:
@@ -55,10 +54,6 @@ class SamelenConfig:
         """Hash universe for window ids: grid index j mapped to j + 2 >= 1."""
         return math.ceil(2 * self.n / (3 * self.lam)) + 2
 
-    @property
-    def kmv_k(self) -> int:
-        return math.ceil(96.0 / self.eps2 ** 2)
-
 
 @dataclass
 class SamelenEstimate:
@@ -75,37 +70,31 @@ class _ShiftState:
 
     Window j is hashed as the id j + 2, which also keys its record.  A
     window enters the sample at its first offer or never, so only windows
-    the counter reports as possibly new are hashed and offered, when they
-    are seen.  The records are kept for the sample's members only, in a
+    the counter reports as possibly new are offered, when they are seen.
+    The records are kept for the sample's members only, in a
     ``RecordTable`` of at most k rows: an entering member takes the row of
     the member it evicts.
     """
 
     def __init__(self, shift: int, cfg: SamelenConfig, family: HashFamily, rng: SplitMix64):
-        self.counter = make_counter(cfg.counter_kind, family,
-                                    rng.spawn(10 + shift).seed, cfg.kmv_k)
+        self.counter = make_counter(cfg.counter_kind, family, rng.spawn(10 + shift).seed)
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
         self.table = RecordTable(cfg.k)
 
     def observe_chunk(self, wins: np.ndarray, *records: np.ndarray) -> None:
-        """Take a chunk's windows, distinct and ascending, with their
-        records over the chunk as ``window_records`` gives them.  The
-        counter takes them at once; the members' records merge with the
-        chunk's (``RecordTable.merge_chunk``); and the possibly new ids
-        that are no member, if any, go to one keys call and one bulk offer,
+        """Take a chunk's windows, distinct and ascending, with their records
+        over the chunk as ``window_records`` gives them.  The members' records
+        merge with the chunk's (``RecordTable.merge_chunk``); the counter takes
+        the windows at once, and the possibly new ids go to one bulk offer,
         whose entered ids take their rows in one assignment.  Neither the
-        counter nor the sample depends on the order of offers or on a
-        repeat, so the state does not depend on how the stream is cut."""
+        counter nor the sample depends on the order of offers or on a repeat, so
+        the state does not depend on how the stream is cut."""
         ids = wins + 2
         ids_list = ids.tolist()
-        fresh = self.counter.add_many(ids_list)
-        table = self.table
-        table.merge_chunk(ids_list, records)
-        offered = [w for w in fresh if w not in table.rows]
-        if offered:
-            entered, evicted = self.sample.offer_many(offered, self.sample.bank.keys(offered))
-            if entered:
-                table.enter_chunk(entered, records, ids.searchsorted(entered), evicted)
+        self.table.merge_chunk(ids_list, records)
+        entered, evicted = self.sample.offer_many(self.counter.add_many(ids_list))
+        if entered:
+            self.table.enter_chunk(entered, records, ids.searchsorted(entered), evicted)
 
 
 class SamelenAlphaEstimator:
@@ -191,10 +180,9 @@ def shift_gamma_counts(intervals, shift: int, lam: int) -> Tuple[int, int]:
 def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     """Deterministic pipeline: exact per-grid counts through the streaming
     combination formula; a grid's gamma1 + gamma2 is its selector size."""
-    if not 0 < user_eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
+    cfg = SamelenConfig(n=inst.n, lam=lam, user_eps=user_eps, seed=0)
     sel = _fed_selector(inst, lam)
-    return sel.shift_size(sel.best_shift()) / (1.0 + user_eps / 2.0)
+    return sel.shift_size(sel.best_shift()) / (1.0 + cfg.eps_shift)
 
 
 class DistinctPoints:
@@ -208,12 +196,9 @@ class DistinctPoints:
     once; ``process(iv)`` feeds the one pair of an Interval's codes."""
 
     def __init__(self, n: int, user_eps: float, seed: int, counter_kind: str = "exact"):
-        if not 0 < user_eps < 0.5:
-            raise ValueError(f"eps must be in (0, 1/2), got {user_eps}")
+        check_eps(user_eps)
         self.eps_count = user_eps / 3.0
-        family = HashFamily.create(n, self.eps_count)
-        self.counter = make_counter(counter_kind, family, seed,
-                                    kmv_k=math.ceil(96.0 / self.eps_count ** 2))
+        self.counter = make_counter(counter_kind, HashFamily.create(n, self.eps_count), seed)
 
     @staticmethod
     def _check(iv: Interval) -> None:

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 
 from . import oracle
 from .core import Instance, pairwise_disjoint
-from .estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
+from .estimator import (EstimatorConfig, GeneralAlphaEstimator, corrected, eps1_of,
+                        estimate_oracle_mode)
 from .estimator_samelen import (SamelenAlphaEstimator, SamelenConfig, distinct_points_estimate,
                                 samelen_estimate_oracle)
 from .selector import PartitionSelector
@@ -75,8 +76,8 @@ def trial_success(algorithm: str, output: float, alpha: int, eps: float = 0.0) -
     if algorithm == "estimate-general":
         return 0.5 * (1.0 - eps) * alpha <= output <= alpha
     if algorithm == "estimate-general-oracle":
-        eps1 = eps / 6.0
-        return (0.5 - eps1) / (1.0 + eps1) ** 2 * alpha <= output <= alpha
+        eps1 = eps1_of(eps)
+        return corrected(0.5 - eps1, eps1) * alpha <= output <= alpha
     if algorithm in ("estimate-samelen", "estimate-samelen-oracle"):
         return (2.0 / 3.0) * (1.0 - eps) * alpha <= output <= alpha
     raise ValueError(f"unknown algorithm {algorithm!r}")

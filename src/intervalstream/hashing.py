@@ -7,9 +7,9 @@ A permutation order over [n] is induced by comparing (h(x), x) pairs
 lexicographically, where h is a random degree-(t-1) polynomial modulo a
 prime p.  The fixed constants C1 = 8 and C2 = 4 set p >= C1 * n / eps, so
 that [n] occupies at most an eps/C1 fraction of the field, and t =
-max(2, ceil(C2 * log2(1/eps))).  PolyBank draws and evaluates every such
-polynomial; BottomK is the one sampler.  All randomness flows from explicit
-64-bit seeds.
+max(2, ceil(C2 * log2(1/eps))).  PolyBank draws and evaluates one such
+polynomial; BottomK is the one sampler, and hashes the ids offered to it
+with its own PolyBank.  All randomness flows from explicit 64-bit seeds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from .core import check_eps
 from .rng import SplitMix64
 
 C1 = 8
@@ -101,38 +102,38 @@ class HashFamily:
     def create(cls, universe: int, eps: float) -> "HashFamily":
         if universe < 1:
             raise ValueError(f"universe must be >= 1, got {universe}")
-        if not 0 < eps < 0.5:
-            raise ValueError(f"eps must be in (0, 1/2), got {eps}")
-        m = math.ceil(C1 * universe / eps)
-        prime = next_prime(m)
+        check_eps(eps)
+        prime = next_prime(math.ceil(C1 * universe / eps))
         degree = max(2, math.ceil(C2 * math.log2(1.0 / eps)))
         return cls(universe, eps, prime, degree)
 
 
-class PolyBank:
-    """A bank of independent family members: row j holds the coefficients of
-    one random polynomial, drawn row after row from SplitMix64(seed).below.
-    Every value is exact Horner, valid for every prime below 2**64: on
-    Python integers, or on one int64 column for a long ``keys`` call under
-    a prime of at most _INT64_PRIME."""
+def kmv_k(eps: float) -> int:
+    """Size of a KMV counter over a family of this eps: ceil(96 / eps**2)."""
+    return math.ceil(96.0 / eps ** 2)
 
-    def __init__(self, rows: int, family: HashFamily, seed: int):
+
+class PolyBank:
+    """One random member h of the family, its coefficients drawn in turn from
+    SplitMix64(seed).below.  Every value is exact Horner, for every prime
+    below 2**64: on Python integers, or on one int64 column for a long
+    ``keys`` call under a prime of at most _INT64_PRIME."""
+
+    def __init__(self, family: HashFamily, seed: int):
         self.family = family
         self.prime = family.prime
         self.columns_hashed = 0
         rng = SplitMix64(seed)
-        self.coeffs = [[rng.below(self.prime) for _ in range(family.degree)]
-                       for _ in range(rows)]
+        self.coeffs = [rng.below(self.prime) for _ in range(family.degree)]
 
-    def eval(self, xs: Sequence[int]) -> List[List[int]]:
-        """Hash values of xs, one list per row."""
-        return [[horner(cs, x, self.prime) for x in xs] for cs in self.coeffs]
+    def eval(self, xs: Sequence[int]) -> List[int]:
+        """h(x) for each x of xs, on Python integers: the reference for keys."""
+        return [horner(self.coeffs, x, self.prime) for x in xs]
 
     def keys(self, xs: Sequence[int]) -> List[int]:
-        """Row 0's hash values of xs: the first halves of the (h(x), x) keys
-        by which a BottomK sketch ranks the ids."""
+        """h(x) for each x of xs, counted in ``columns_hashed``."""
         self.columns_hashed += len(xs)
-        cs, prime = self.coeffs[0], self.prime
+        cs, prime = self.coeffs, self.prime
         if len(xs) < _MIN_COLUMN or prime > _INT64_PRIME:
             return [horner(cs, x, prime) for x in xs]
         return horner(cs, np.asarray(xs, dtype=np.int64) % prime, prime).tolist()
@@ -140,7 +141,7 @@ class PolyBank:
 
 class BottomK:
     """Bottom-k sketch: the k smallest (h(x), x) pairs over the ids offered so
-    far, under one polynomial h, row 0 of its own one-row PolyBank.
+    far, under the one polynomial h of its own PolyBank.
 
     It samples without replacement.  An id enters only when its pair comes
     before the k-th smallest held one, and that one only falls, so an id
@@ -153,15 +154,17 @@ class BottomK:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         self.k = k
-        self.bank = PolyBank(1, family, seed)
+        self.bank = PolyBank(family, seed)
         self.members: Set[int] = set()
         self._heap: List[Tuple[int, int]] = []  # (-value, -id): top = largest pair
 
-    def offer(self, x: int, value: int) -> Optional[int]:
-        """Offer id x with hash value `value` (from bank.keys).  Returns None
-        when the sample is unchanged, else the id x evicted, 0 for none."""
+    def offer(self, x: int) -> Optional[int]:
+        """Offer id x, hashed alone unless a member: the reference for
+        ``offer_many``.  Returns None when the sample is unchanged, else the id
+        x evicted, 0 for none."""
         if x in self.members:
             return None
+        value = self.bank.keys([x])[0]
         if len(self._heap) < self.k:
             heappush(self._heap, (-value, -x))
             self.members.add(x)
@@ -173,18 +176,23 @@ class BottomK:
         self.members.add(x)
         return evicted
 
-    def offer_many(self, xs: Sequence[int], values: Sequence[int]) -> Tuple[List[int], List[int]]:
-        """Offer distinct ids xs, none of them a member, with their hash
-        values.  The sample afterwards holds what offering them one at a time,
-        in any order, leaves.  Returns the ids that entered and the members
-        they evicted.  In increasing pair order the smallest fill the free
-        places, and each later one enters by evicting the largest held pair
-        until one does not, and then no later one does; so no id of xs is
-        evicted by another, and after the fill only the pairs below the
-        largest held one are sorted.  The fill joins the heap at once, or,
-        when it is small against the heap, one push at a time, so a small
-        call costs O(len(xs) log k), not O(k)."""
+    def offer_many(self, xs: Sequence[int]) -> Tuple[List[int], List[int]]:
+        """Offer distinct ids xs.  Returns the ids that entered and the members
+        they evicted; the sample then holds what offering xs one at a time, in
+        any order, leaves.  The members among xs are skipped (``_offer_new``)."""
+        return self._offer_new([x for x in xs if x not in self.members])
+
+    def _offer_new(self, xs: List[int]) -> Tuple[List[int], List[int]]:
+        """``offer_many`` of distinct non-members, hashed in one ``keys`` call
+        unless there are none.  In increasing pair order the smallest fill the
+        free places, and each later one enters by evicting the largest held
+        pair until one does not, and then no later one does; so no id of xs is
+        evicted by another, and after the fill only the pairs below the largest
+        held one are sorted.  The fill joins the heap at once, or one push at a
+        time when it is small against the heap, so a small call costs
+        O(len(xs) log k), not O(k)."""
         heap, members = self._heap, self.members
+        values = self.bank.keys(xs) if xs else []
         room = max(self.k - len(heap), 0)
         fill = list(zip(values, xs)) if len(xs) <= room else nsmallest(room, zip(values, xs))
         if 8 * len(fill) < len(heap):
@@ -263,15 +271,13 @@ class KMVDistinct(BottomK):
         repeat.  Callers that act only on True see every first occurrence."""
         if x in self.members:
             return False
-        self.offer(x, self.bank.keys([x])[0])
+        self.offer(x)
         return True
 
     def add_many(self, xs: Sequence[int]) -> List[int]:
-        """Add distinct ids, as add does each: returns the ids that were not
-        members, which one keys call hashes and one bulk offer takes."""
+        """Add distinct ids as add does each: returns the non-members, offered at once."""
         fresh = [x for x in xs if x not in self.members]
-        if fresh:
-            self.offer_many(fresh, self.bank.keys(fresh))
+        self._offer_new(fresh)
         return fresh
 
     def estimate(self) -> float:
@@ -280,9 +286,9 @@ class KMVDistinct(BottomK):
         return (self.k - 1) * self.bank.prime / max(-self._heap[0][0], 1)
 
 
-def make_counter(kind: str, family: HashFamily, seed: int, kmv_k: int):
+def make_counter(kind: str, family: HashFamily, seed: int):
     if kind == "exact":
         return ExactDistinct()
     if kind == "kmv":
-        return KMVDistinct(kmv_k, family, seed)
+        return KMVDistinct(kmv_k(family.eps), family, seed)
     raise ValueError(f"unknown counter kind {kind!r}")

@@ -11,7 +11,7 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from .core import Instance, Interval, intersects
+from .core import Instance, Interval, check_eps, intersects
 from .selector import PartitionSelector
 
 
@@ -226,8 +226,7 @@ def relevance_threshold(n: int, eps: float) -> float:
 def relevant_segments(inst: Instance, eps: float, tree: SegTree = None) -> Set[int]:
     """Nodes with small gamma whose parent's gamma meets the threshold;
     falls back to the root when no node qualifies."""
-    if not 0 < eps < 0.5:
-        raise ValueError(f"eps must be in (0, 1/2), got {eps}")
+    check_eps(eps)
     tree = tree or SegTree(inst.n)
     gammas = gamma_all(inst, tree)
     threshold = relevance_threshold(tree.n, eps)

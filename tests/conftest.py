@@ -9,7 +9,7 @@ import math
 
 from intervalstream import oracle
 from intervalstream.core import Instance, Interval, Window, contained_in, intersects
-from intervalstream.hashing import ExactDistinct, HashFamily, PolyBank, horner
+from intervalstream.hashing import ExactDistinct, HashFamily, horner
 from intervalstream.rng import SplitMix64
 
 
@@ -105,24 +105,32 @@ def validate_partition(selector, stream, n: int) -> None:
 
 def reference_bottom_k(sketch, ids):
     """The min(k, len(ids)) smallest (h(x), x) pairs over the distinct ids,
-    h evaluated by horner on the sketch bank's row-0 coefficients: the
-    reference for a BottomK sketch offered ids."""
+    h evaluated by horner on the sketch bank's coefficients: the reference
+    for a BottomK sketch offered ids."""
     bank = sketch.bank
-    pairs = sorted((horner(bank.coeffs[0], x, bank.prime), x) for x in set(ids))
+    pairs = sorted((horner(bank.coeffs, x, bank.prime), x) for x in set(ids))
     return pairs[:sketch.k]
 
 
 DRAWS = 20000
 
 
+def coefficient_rows(fam, rows, seed):
+    """The coefficients of ``rows`` polynomials of the family, drawn row
+    after row from SplitMix64(seed).below: the first row is the polynomial
+    of PolyBank(fam, seed), and each row is one permutation of the family."""
+    rng = SplitMix64(seed)
+    return [[rng.below(fam.prime) for _ in range(fam.degree)] for _ in range(rows)]
+
+
 def minwise_frequencies(n=64, eps=0.25, x_count=16, draws=DRAWS, seed=42):
     """Empirical winner frequencies of a fixed set under independent
-    permutations (the min-wise tests and criterion 4): each row of a bank
+    permutations (the min-wise tests and criterion 4): each coefficient row
     orders the ids by (h(x), x), and its first id wins."""
     fam = HashFamily.create(n, eps)
     xs = list(range(3, 3 + 4 * x_count, 4))
-    bank = PolyBank(draws, fam, seed=seed)
-    winners = [min(zip(row, xs))[1] for row in bank.eval(xs)]
+    winners = [min((horner(cs, x, fam.prime), x) for x in xs)[1]
+               for cs in coefficient_rows(fam, draws, seed)]
     freq = collections.Counter(winners)
     return xs, winners, freq
 

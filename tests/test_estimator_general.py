@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
-from intervalstream import estimator, oracle
+from intervalstream import estimator, hashing, oracle
 from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
 from intervalstream.generators import gen_uniform
 from intervalstream.hashing import ExactDistinct, KMVDistinct
@@ -113,7 +113,7 @@ def test_feed_refuses_the_first_interval_process_refuses():
 def test_feed_matches_process_on_every_prefix(monkeypatch, counter, n, kw):
     # an 8-entry KMV sketch forgets ids, so fresh ids repeat; at n=2048 the
     # root saturates, so the prefixes cross into the sampled branch
-    monkeypatch.setattr(EstimatorConfig, "kmv_k", property(lambda self: 8))
+    monkeypatch.setattr(hashing, "kmv_k", lambda eps: 8)
     if n == 64:
         inst = random_instance(n, 60, 16, seed=5, open_fraction=0.3)
     else:
@@ -306,7 +306,7 @@ def test_kmv_evicting_sketch_matches_exact_counter(monkeypatch, n, branch):
     else:
         inst, kw = dense_instance(n), dict(user_eps=0.45, scale=8e-8)
     est_exact, res_exact = run_estimator(inst, n=n, seed=7, counter_kind="exact", **kw)
-    monkeypatch.setattr(EstimatorConfig, "kmv_k", property(lambda self: 8))
+    monkeypatch.setattr(hashing, "kmv_k", lambda eps: 8)
     fresh = []
     add = KMVDistinct.add
 

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from intervalstream import hashing
-from intervalstream.estimator import EstimatorConfig
-from intervalstream.estimator_samelen import SamelenConfig
-from intervalstream.hashing import (BottomK, ExactDistinct, HashFamily,
-                                    KMVDistinct, PolyBank, horner, next_prime)
+from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator
+from intervalstream.estimator_samelen import DistinctPoints, SamelenAlphaEstimator, SamelenConfig
+from intervalstream.hashing import (BottomK, ExactDistinct, HashFamily, KMVDistinct,
+                                    PolyBank, horner, kmv_k, make_counter, next_prime)
 from intervalstream.rng import SplitMix64
 
-from conftest import DRAWS, minwise_frequencies, reference_bottom_k
+from conftest import DRAWS, coefficient_rows, minwise_frequencies, reference_bottom_k
 
 
 def _is_prime_slow(x: int) -> bool:
@@ -43,20 +43,19 @@ def test_next_prime():
         assert _is_prime_slow(next_prime(x))
 
 
-def _order_key(bank, r):
-    """Row r's min-wise order on ids: x before y when (h(x), x) < (h(y), y)."""
-    return lambda x: (horner(bank.coeffs[r], x, bank.prime), x)
+def _order_key(bank):
+    """The bank's min-wise order on ids: x before y when (h(x), x) < (h(y), y)."""
+    return lambda x: (horner(bank.coeffs, x, bank.prime), x)
 
 
 def _offer_all(sketch, xs):
-    """Offer xs in turn, each hashed by the sketch's bank; returns what each
-    offer returned."""
-    return [sketch.offer(x, v) for x, v in zip(xs, sketch.bank.keys(xs))]
+    """Offer xs in turn; returns what each offer returned."""
+    return [sketch.offer(x) for x in xs]
 
 
 def test_perm_less_total_order():
     fam = HashFamily.create(16, 0.25)
-    key = _order_key(PolyBank(1, fam, seed=7), 0)
+    key = _order_key(PolyBank(fam, seed=7))
 
     def less(x, y):
         return key(x) < key(y)
@@ -86,7 +85,7 @@ def test_min_sampler_examples():
         xs = [rng.randrange(1, 64) for _ in range(rng.randrange(1, 20))]
         samp = BottomK(1, fam, seed=rng.spawn(trial).seed)
         _offer_all(samp, xs)
-        assert [x for _, x in samp.pairs()] == [min(xs, key=_order_key(samp.bank, 0))]
+        assert [x for _, x in samp.pairs()] == [min(xs, key=_order_key(samp.bank))]
 
 
 def test_exact_distinct():
@@ -141,28 +140,35 @@ def test_kmv_monte_carlo_calibration():
 
 
 def test_kmv_hash_is_row_0_of_a_one_row_bank():
-    # the counter draws and evaluates its polynomial as every bank does
+    # the counter draws and evaluates its polynomial as every bank does: the
+    # first coefficient row drawn from its seed
     for fam in (HashFamily.create(4096, 0.2),
                 HashFamily(universe=8, eps=0.3, prime=next_prime(1 << 63), degree=2)):
-        bank = PolyBank(1, fam, seed=6)
+        bank = PolyBank(fam, seed=6)
         c = KMVDistinct(8, fam, seed=6)
         xs = [1, 2, 3, 77, fam.universe]
-        assert c.bank.coeffs == bank.coeffs
-        assert c.bank.keys(xs) == bank.eval(xs)[0]
+        assert c.bank.coeffs == bank.coeffs == coefficient_rows(fam, 2, seed=6)[0]
+        assert c.bank.keys(xs) == bank.eval(xs)
         for x in xs:
             c.add(x)
-        assert c.pairs() == sorted(zip(bank.eval(xs)[0], xs))
+        assert c.pairs() == sorted(zip(bank.eval(xs), xs))
 
 
 def test_kwise_scalar_matches_bank_rows():
+    # eight coefficient rows drawn from one seed, the first of them the
+    # bank's: on each, horner over an int64 column equals horner on each
+    # Python int; the bank's keys and eval equal the first row's values, and
+    # only keys counts the ids it hashed
     fam = HashFamily.create(256, 0.3)
-    bank = PolyBank(8, fam, seed=99)
+    rows = coefficient_rows(fam, 8, seed=99)
+    bank = PolyBank(fam, seed=99)
     xs = [1, 7, 19, 250]
-    values = bank.eval(xs)
-    assert len(values) == 8 and bank.keys(xs) == values[0]
+    assert bank.coeffs == rows[0]
+    assert bank.keys(xs) == bank.eval(xs) == [horner(rows[0], x, fam.prime) for x in xs]
     assert bank.columns_hashed == len(xs)
-    for r in range(8):
-        assert values[r] == [horner(bank.coeffs[r], x, bank.prime) for x in xs]
+    column = np.asarray(xs, dtype=np.int64)
+    for cs in rows:
+        assert horner(cs, column, fam.prime).tolist() == [horner(cs, x, fam.prime) for x in xs]
 
 
 def _power_sum(coeffs, x, prime):
@@ -190,18 +196,22 @@ def _families_up_to_2_64():
                          ids=["samelen-n2^20", "general-n4096-rel", "general-n2^50-rel",
                               "p-2^40", "p-2^50", "p-2^63", "p-below-2^64"])
 def test_polybank_exact_for_every_prime_below_2_64(fam):
-    _assert_eval_matches_power_sum(PolyBank(3, fam, seed=11))
+    _assert_eval_matches_power_sum(fam, rows=3)
 
 
-def _assert_eval_matches_power_sum(bank):
-    fam = bank.family
-    assert all(0 <= c < fam.prime for cs in bank.coeffs for c in cs)
+def _assert_eval_matches_power_sum(fam, rows, seed=11):
+    """On each of ``rows`` coefficient rows drawn from seed, horner equals
+    the power sum; the bank of that seed, whose polynomial is the first
+    row, gives the same values by eval and by keys."""
+    coeffs = coefficient_rows(fam, rows, seed)
+    assert all(0 <= c < fam.prime for cs in coeffs for c in cs)
     rng = SplitMix64(fam.prime % 1000)
     xs = [1, 2, fam.universe, fam.prime - 1] + [rng.randrange(1, fam.universe) for _ in range(20)]
-    values = bank.eval(xs)
-    for r, cs in enumerate(bank.coeffs):
-        assert values[r] == [_power_sum(cs, x, fam.prime) for x in xs]
-    assert bank.keys(xs) == values[0]
+    for cs in coeffs:
+        assert [horner(cs, x, fam.prime) for x in xs] == [_power_sum(cs, x, fam.prime) for x in xs]
+    bank = PolyBank(fam, seed)
+    assert bank.coeffs == coeffs[0]
+    assert bank.eval(xs) == bank.keys(xs) == [_power_sum(coeffs[0], x, fam.prime) for x in xs]
 
 
 def _largest_prime_for_limb(degree: int, bits: int) -> int:
@@ -232,11 +242,11 @@ def _families_above_2_32():
 def test_polybank_blas_exact_above_2_32(fam, edge):
     # exact on both sides of each float64 edge
     assert fam.prime > 1 << 32
-    _assert_eval_matches_power_sum(PolyBank(6, fam, seed=11))
+    _assert_eval_matches_power_sum(fam, rows=6)
     if edge:
         above = HashFamily(universe=fam.universe, eps=fam.eps,
                            prime=next_prime(fam.prime + 1), degree=fam.degree)
-        _assert_eval_matches_power_sum(PolyBank(6, above, seed=11))
+        _assert_eval_matches_power_sum(above, rows=6)
 
 
 # primes below 2**32, above 2**32 and near 2**63: the same-length
@@ -263,7 +273,7 @@ def test_keys_ties_to_smaller_id_and_earlier_column(fam):
     s = BottomK(4, fam, seed=9)
     chunks = ([40, 3, 17, 3, 8, 40], [7, 7, 7], [12, 1, 30, 6, 6, 2])
     for xs in chunks:
-        assert s.bank.keys(xs) == [horner(s.bank.coeffs[0], x, fam.prime) for x in xs]
+        assert s.bank.keys(xs) == [horner(s.bank.coeffs, x, fam.prime) for x in xs]
         _offer_all(s, xs)
     assert s.pairs() == reference_bottom_k(s, [x for xs in chunks for x in xs])
 
@@ -393,10 +403,10 @@ def test_column_keys_equal_horner(fam, monkeypatch):
     # evaluate each id on Python ints.  Every value equals horner's.
     assert _is_prime_slow(3_037_000_493)
     assert 3_037_000_498 ** 2 + 3_037_000_498 < 2 ** 63 <= 3_037_000_501 * 3_037_000_500
-    bank = PolyBank(1, fam, seed=fam.prime % 1009)
+    bank = PolyBank(fam, seed=fam.prime % 1009)
     rng = SplitMix64(fam.prime)
     xs = [0, 1, fam.prime - 1, fam.universe] + [rng.below(fam.prime) for _ in range(10 ** 4)]
-    expected = [horner(bank.coeffs[0], x, fam.prime) for x in xs]
+    expected = [horner(bank.coeffs, x, fam.prime) for x in xs]
     calls = []
     counting = lambda cs, x, p: calls.append(x) or horner(cs, x, p)
     monkeypatch.setattr(hashing, "horner", counting)
@@ -408,21 +418,53 @@ def test_column_keys_equal_horner(fam, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [1, 3, 40])
-def test_offer_many_equals_offers_one_at_a_time(k):
-    # chunks of distinct non-members, offered at once or one by one in
-    # stream order, leave the same sample; the bulk offer reports the ids
-    # that entered and the members they evicted
+def test_offer_many_equals_offers_one_at_a_time(k, monkeypatch):
+    # chunks of distinct ids, members among them, offered at once or one by
+    # one in stream order, leave the same sample; the bulk offer reports the
+    # ids that entered and the members they evicted, and hashes only the
+    # non-members, in one keys call, or in none when there are none (an
+    # empty chunk, a chunk of members only)
     fam = HashFamily.create(512, 0.25)
     one, bulk = BottomK(k, fam, seed=9), BottomK(k, fam, seed=9)
+    calls = []
+    keys = PolyBank.keys
+    monkeypatch.setattr(PolyBank, "keys", lambda bank, xs: calls.append(bank) or keys(bank, xs))
     rng = SplitMix64(k)
-    for _ in range(30):
-        chunk = sorted({rng.randrange(1, 500) for _ in range(rng.randrange(0, 12))} - bulk.members)
-        before = set(bulk.members)
+    for step in range(40):
+        if step % 10 == 5:
+            chunk = sorted(bulk.members)
+        elif step % 10 == 6:
+            chunk = []
+        else:
+            chunk = sorted({rng.randrange(1, 500) for _ in range(rng.randrange(0, 12))})
+        before, hashed = set(bulk.members), bulk.bank.columns_hashed
         for x in chunk:
-            one.offer(x, one.bank.keys([x])[0])
-        entered, evicted = bulk.offer_many(chunk, bulk.bank.keys(chunk))
+            one.offer(x)
+        del calls[:]
+        entered, evicted = bulk.offer_many(chunk)
         assert one.pairs() == bulk.pairs() and one.members == bulk.members
         assert set(entered) == bulk.members - before and set(evicted) == before - bulk.members
+        fresh = set(chunk) - before
+        assert bulk.bank.columns_hashed - hashed == len(fresh)
+        assert calls == ([bulk.bank] if fresh else [])
+
+
+def test_make_counter_sizes_kmv_from_the_family():
+    # ceil(96 / eps**2) over the eps of the counter's family, as each
+    # estimator builds it: rel eps 0.45/42, grid eps 0.2/6, points eps 0.3/3
+    general = GeneralAlphaEstimator(EstimatorConfig(n=1 << 20, user_eps=0.45, seed=0,
+                                                    counter_kind="kmv", scale=1e-7))
+    samelen = SamelenAlphaEstimator(SamelenConfig(n=1 << 20, lam=16, user_eps=0.2, seed=0,
+                                                  counter_kind="kmv"))
+    points = DistinctPoints(100_000, 0.3, seed=0, counter_kind="kmv")
+    assert general.counter.k == 836_267
+    assert [st.counter.k for st in samelen.states] == [86_400] * 3
+    assert points.counter.k == 9_601
+    fam = HashFamily.create(512, 0.25)
+    assert make_counter("kmv", fam, seed=1).k == kmv_k(0.25) == math.ceil(96.0 / 0.25 ** 2)
+    assert isinstance(make_counter("exact", fam, seed=1), ExactDistinct)
+    with pytest.raises(ValueError, match="unknown counter kind"):
+        make_counter("bloom", fam, seed=1)
 
 
 def test_counters_add_many_equal_add():

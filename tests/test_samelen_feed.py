@@ -10,7 +10,7 @@ pass of ``feed_columns``."""
 
 import pytest
 
-from intervalstream import selector_samelen
+from intervalstream import hashing, selector_samelen
 from intervalstream.core import DomainError, Interval, code_columns
 from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator, SamelenConfig,
                                               shift_window_stats)
@@ -128,7 +128,7 @@ def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes
     # k = 3 makes every sample and sketch evict
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
-        monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: k))
+        monkeypatch.setattr(hashing, "kmv_k", lambda eps: k)
     lam, stream, hi = dtype_stream(dtypes)
     cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
     for head, lcodes, rcodes in prefixes(stream):
@@ -202,7 +202,7 @@ def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
     # second part's straddle 2**63 over the same windows.
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
-        monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: k))
+        monkeypatch.setattr(hashing, "kmv_k", lambda eps: k)
     lam = 1 << 40
     narrow = samelen_stream(43, lam, WIDE - 30 * lam, WIDE - 1, 24)
     wide = samelen_stream(47, lam, WIDE - 30 * lam, WIDE + 30 * lam, 30)
@@ -352,7 +352,7 @@ def test_a_refused_call_leaves_no_trace(monkeypatch, kind, bad, run):
     # then the component goes on as one that never saw the call.  At k = 3
     # the samples and sketches are full before the call.
     monkeypatch.setattr(SamelenConfig, "k", property(lambda self: 3))
-    monkeypatch.setattr(SamelenConfig, "kmv_k", property(lambda self: 3))
+    monkeypatch.setattr(hashing, "kmv_k", lambda eps: 3)
     name, _, counter = kind.partition("-")
     lam, n = (0, 30) if name == "points" else (3, 60)
 

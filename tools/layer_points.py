@@ -18,7 +18,10 @@ stream of equal-length intervals,
 Interval at a time on a small such stream (each call feeds a chunk of
 one pair, so these time the vectorised pass at its smallest), and the
 lambda 0 route (``distinct_points_estimate``) on a stream of points, with
-``oracle.alpha`` on each of the two streams beside them.  ``dense_ratio`` is the 400k
+``oracle.alpha`` on each of the two streams beside them; and
+``GeneralAlphaEstimator.feed`` (then ``estimate``, which flushes the last
+partial chunk) at the general estimator's item-2 point of ROADMAP.md, once
+with the exact counter and once with ``kmv`` (``.kmv``).  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
 ``dense_bytes_per_window`` is the memory a ``PartitionSelector`` still holds
 after its feed of the 400k dense stream, by ``tracemalloc`` in a run of its
@@ -38,7 +41,7 @@ import numpy as np
 
 from intervalstream import oracle
 from intervalstream.core import Instance, format_stream, parse_stream
-from intervalstream.estimator import estimate_oracle_mode
+from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
 from intervalstream.estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,
                                               distinct_points_estimate, samelen_estimate_oracle)
 from intervalstream.generators import gen_uniform, gen_uniform_samelen
@@ -54,6 +57,7 @@ DENSE = dict(n=1 << 22, max_len=1)  # length <= 1: the selector keeps most items
 SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
 SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process: one-pair chunks
 POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
+GENERAL = dict(n=1 << 20, count=20_000, max_len=64, eps=0.45, scale=1e-7)  # ROADMAP item 2
 
 
 def best_seconds(fn, *args) -> float:
@@ -111,6 +115,13 @@ def run_points(inst) -> None:
     distinct_points_estimate(inst, POINTS["eps"], SEED)
 
 
+def run_general(inst, counter: str) -> None:
+    est = GeneralAlphaEstimator(EstimatorConfig(n=GENERAL["n"], user_eps=GENERAL["eps"], seed=SEED,
+                                                counter_kind=counter, scale=GENERAL["scale"]))
+    est.feed(inst.lcodes, inst.rcodes)
+    est.estimate()
+
+
 def main() -> int:
     uniform = gen_uniform(UNIFORM["n"], UNIFORM["count"], UNIFORM["max_len"], SEED)
     text = format_stream(uniform)
@@ -153,6 +164,11 @@ def main() -> int:
     for stream, inst in (("samelen", samelen), ("points", points)):
         result["items_per_s"][f"oracle.alpha.{stream}"] = round(
             len(inst) / best_seconds(oracle.alpha, inst))
+    general = gen_uniform(GENERAL["n"], GENERAL["count"], GENERAL["max_len"], SEED)
+    result["general"] = GENERAL
+    for name, counter in (("GeneralAlphaEstimator.feed", "exact"),
+                          ("GeneralAlphaEstimator.feed.kmv", "kmv")):
+        result["items_per_s"][name] = round(len(general) / best_seconds(run_general, general, counter))
     json.dump(result, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
