@@ -48,8 +48,6 @@ def _instance_id(args) -> str:
 
 
 def _parse_members(text: str) -> List[int]:
-    if not text:
-        return []
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 

@@ -18,10 +18,10 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain, islice
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -232,7 +232,7 @@ def contained_in(a: Interval, w: Window) -> bool:
 
 
 # Lines per np.loadtxt call in parse_stream, and pairs per slice of
-# Instance.codes().
+# Instance.codes() and of refuse.
 _BLOCK = 8192
 
 # Lines below which a refused piece of a block is not halved.
@@ -252,36 +252,45 @@ def _column(codes) -> np.ndarray:
         return np.array(codes, dtype=object)
 
 
-def _codes_fit(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int]) -> bool:
-    """The vectorised check of code columns: every pair is a nonempty
-    interval (lcode <= rcode) inside [1, n]; n None sets no upper bound."""
-    if not len(lcodes):
-        return True
-    return bool((lcodes <= rcodes).all() and lcodes.min() >= 2
-                and (n is None or rcodes.max() <= 2 * n))
-
-
-def refuse_first(bad: np.ndarray, lcodes: np.ndarray, rcodes: np.ndarray,
-                 check: Callable[[Interval], None]) -> None:
-    """Run the per-item ``check`` on the first pair that ``bad`` flags, which
-    it must refuse: so a column is refused with the interval, and the
-    message, that per-item ``process`` would refuse first."""
-    if bad.any():
+def refuse(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int] = None,
+           length: Optional[int] = None) -> None:
+    """Refuse two code columns at their first pair that breaks a rule, with
+    the exception and message that the pair gets on its own.  The rules,
+    in the order that names a pair's refusal: the pair is a nonempty
+    interval, lcode <= rcode (the Interval constructor's DomainError); it
+    has length ``length`` when one is given (ValueError, or at length 0 the
+    lambda 0 route's DomainError); it lies inside [1, n] when n is given
+    (DomainError).  The columns are read in slices of _BLOCK pairs, so the
+    masks are bounded by the slice."""
+    for start in range(0, len(lcodes), _BLOCK):
+        ls, rs = lcodes[start:start + _BLOCK], rcodes[start:start + _BLOCK]
+        rules = {"empty": ls > rs}
+        if length is not None:
+            rules["length"] = ((rs + 1) >> 1) - (ls >> 1) != length
+        if n is not None:
+            rules["range"] = (ls < 2) | (rs > 2 * n)
+        bad = reduce(or_, rules.values())
+        if not bad.any():
+            continue
         i = int(bad.argmax())
-        check(_make_interval((int(lcodes[i]), int(rcodes[i]))))
+        rule = next(name for name, mask in rules.items() if mask[i])
+        lcode, rcode = int(ls[i]), int(rs[i])
+        if rule == "empty":  # the constructor words the refusal
+            Interval(lcode >> 1, (rcode + 1) >> 1, bool(lcode & 1), bool(rcode & 1))
+        iv = _make_interval((lcode, rcode))
+        if rule == "length" and length == 0:
+            raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
+        if rule == "length":
+            raise ValueError(f"interval {iv} has length {iv.length}, expected {length}")
+        raise DomainError(f"interval {iv} outside [1, {n}]")
 
 
-def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray,
-               order: Optional[np.ndarray] = None) -> Iterator[Tuple[int, int]]:
+def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray) -> Iterator[Tuple[int, int]]:
     """The ``(lcode, rcode)`` pairs of two code columns as Python ints, in
-    column order or in the index order ``order``.  The columns are read in
-    slices of _BLOCK pairs, so no full-length list is built."""
-    starts = range(0, len(lcodes), _BLOCK)
-    if order is None:
-        parts = (slice(s, s + _BLOCK) for s in starts)
-    else:
-        parts = (order[s:s + _BLOCK] for s in starts)
-    return chain.from_iterable(zip(lcodes[p].tolist(), rcodes[p].tolist()) for p in parts)
+    column order.  The columns are read in slices of _BLOCK pairs, so no
+    full-length list is built."""
+    return chain.from_iterable(zip(lcodes[s:s + _BLOCK].tolist(), rcodes[s:s + _BLOCK].tolist())
+                               for s in range(0, len(lcodes), _BLOCK))
 
 
 def code_columns(intervals) -> Tuple[np.ndarray, np.ndarray]:
@@ -319,9 +328,7 @@ class Instance:
             if not isinstance(iv, Interval):
                 raise TypeError(f"an Instance holds Interval objects, got {iv!r}")
         lcodes, rcodes = code_columns(intervals)
-        if not _codes_fit(lcodes, rcodes, n):
-            bad = next(iv for iv in intervals if iv[0] < 2 or iv[1] > 2 * n)
-            raise DomainError(f"interval {bad} outside [1, {n}]")
+        refuse(lcodes, rcodes, n)
         self._fill(n, lcodes, rcodes)
 
     @classmethod
@@ -342,10 +349,9 @@ class Instance:
     def __reduce__(self):
         return (Instance._trusted, (self.n, self.lcodes, self.rcodes))
 
-    def codes(self, order: Optional[np.ndarray] = None) -> Iterator[Tuple[int, int]]:
-        """The ``(lcode, rcode)`` pairs as Python ints, in stream order or in
-        the index order ``order``."""
-        return code_pairs(self.lcodes, self.rcodes, order)
+    def codes(self) -> Iterator[Tuple[int, int]]:
+        """The ``(lcode, rcode)`` pairs as Python ints, in stream order."""
+        return code_pairs(self.lcodes, self.rcodes)
 
     @property
     def intervals(self) -> Tuple[Interval, ...]:
@@ -436,11 +442,12 @@ class _LineCheck:
 
 def _block_codes(lines: List[str], n: Optional[int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The code columns of a block of lines by one np.loadtxt call, when
-    every line with tokens is a closed interval ``left right`` inside [1, n]
-    with endpoints below 2**62; otherwise None.  np.loadtxt refuses openness
-    flags, ragged rows and tokens that are no int64, and splits a line as
-    str.split does, so a block without data (comment and blank lines only)
-    is one the line check reads no interval from either."""
+    every line with tokens is a closed interval ``left right`` with
+    endpoints in [1, 2**62) that ``refuse`` takes against n; otherwise None.
+    (With n None, endpoints >= 1 are the whole range rule.)  np.loadtxt
+    refuses openness flags, ragged rows and tokens that are no int64, and
+    splits a line as str.split does, so a block without data (comment and
+    blank lines only) is one the line check reads no interval from either."""
     with warnings.catch_warnings(record=True):  # "input contained no data"
         try:
             ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
@@ -452,7 +459,11 @@ def _block_codes(lines: List[str], n: Optional[int]) -> Optional[Tuple[np.ndarra
     if ends.shape[1] != 2 or ends.min() < 1 or ends.max() >= _CODE_LIMIT:
         return None
     lcodes, rcodes = 2 * ends[:, 0], 2 * ends[:, 1]
-    return (lcodes, rcodes) if _codes_fit(lcodes, rcodes, n) else None
+    try:
+        refuse(lcodes, rcodes, n)
+    except DomainError:
+        return None
+    return lcodes, rcodes
 
 
 def _parse_block(lines: List[str], lineno: int,

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, check_eps, code_columns, refuse_first
+from .core import Instance, Interval, check_eps, code_columns, refuse
 from .hashing import BottomK, HashFamily, make_counter
 from .oracle import SegTree, beta_hat, distinct, relevance_threshold, relevant_segments
 from .rng import SplitMix64
@@ -174,19 +174,17 @@ class GeneralAlphaEstimator:
         """Ids hashed so far, summed over both samples' banks."""
         return self.rel.bank.columns_hashed + self.rho.bank.columns_hashed
 
-    def _check(self, iv: Interval) -> None:
-        if iv.left < 1 or iv.right > self.config.n:
-            raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
-
     def process(self, iv: Interval) -> None:
         self.feed(*code_columns((iv,)))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype), refused whole with
-        the message of the first interval ``_check`` refuses, or queued and
-        flushed each time _CHUNK pairs are pending, however the stream is
-        cut into calls; ``process(iv)`` feeds the one pair of an Interval."""
-        refuse_first((lcodes < 2) | (rcodes > 2 * self.config.n), lcodes, rcodes, self._check)
+        """Feed two code columns (int64 or object dtype): the call is
+        refused whole, before any pair is taken, at its first pair that is
+        empty or outside [1, n] (``core.refuse``); otherwise its pairs are
+        queued and flushed each time _CHUNK pairs are pending, however the
+        stream is cut into calls.  ``process(iv)`` feeds the one pair of an
+        Interval."""
+        refuse(lcodes, rcodes, self.config.n)
         self.items += len(lcodes)
         while len(lcodes):
             take = _CHUNK - self._queued

@@ -16,11 +16,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .core import DomainError, Instance, Interval, check_eps, code_columns, refuse_first
+from .core import Instance, Interval, check_eps, code_columns, refuse
 from .hashing import BottomK, HashFamily, make_counter
 from .rng import SplitMix64
 from .selector_samelen import (Extremes, RecordTable, ShiftedGridSelector, _runs, check_lam,
-                               check_length, feed_columns, lengths, window_records)
+                               feed_columns, window_records)
 
 
 @dataclass
@@ -81,7 +81,7 @@ class _ShiftState:
         self.sample = BottomK(cfg.k, family, rng.spawn(20 + shift).seed)
         self.table = RecordTable(cfg.k)
 
-    def observe_chunk(self, wins: np.ndarray, *records: np.ndarray) -> None:
+    def observe_chunk(self, wins: np.ndarray, records: np.ndarray) -> None:
         """Take a chunk's windows, distinct and ascending, with their records
         over the chunk as ``window_records`` gives them.  The members' records
         merge with the chunk's (``RecordTable.merge_chunk``); the counter takes
@@ -100,10 +100,9 @@ class _ShiftState:
 class SamelenAlphaEstimator:
     """Streaming estimator for length-lam intervals with endpoints in [1, n].
 
-    ``feed`` takes code columns a chunk at a time, with one length and one
-    range check per chunk, and is the fast entry; ``process(iv)`` feeds the
-    one pair of an Interval's codes, so the state does not depend on how
-    the stream is cut into chunks."""
+    ``feed`` takes code columns a chunk at a time and is the fast entry;
+    ``process(iv)`` feeds the one pair of an Interval's codes, so the state
+    does not depend on how the stream is cut into chunks."""
 
     def __init__(self, config: SamelenConfig):
         self.config = config
@@ -117,28 +116,23 @@ class SamelenAlphaEstimator:
         """Window ids hashed so far, summed over the three grids' banks."""
         return sum(st.sample.bank.columns_hashed for st in self.states)
 
-    def _check(self, iv: Interval) -> None:
-        check_length(self.config.lam, iv)
-        if iv.left < 1 or iv.right > self.config.n:
-            raise DomainError(f"interval {iv} outside [1, {self.config.n}]")
-
     def process(self, iv: Interval) -> None:
-        self._feed_chunk(*code_columns((iv,)))
+        lcodes, rcodes = code_columns((iv,))
+        refuse(lcodes, rcodes, self.config.n, self.config.lam)
+        self._feed_chunk(lcodes, rcodes)
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks
-        (``selector_samelen.feed_columns``).  A chunk is refused, before any
-        of it is taken, at its first interval ``_check`` refuses, with that
-        message."""
+        (``selector_samelen.feed_columns``).  The call is refused whole,
+        before any pair is taken, at its first pair that is empty, of
+        another length or outside [1, n] (``core.refuse``)."""
+        refuse(lcodes, rcodes, self.config.n, self.config.lam)
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        cfg = self.config
-        refuse_first((lengths(lcodes, rcodes) != cfg.lam) | (lcodes < 2) | (rcodes > 2 * cfg.n),
-                     lcodes, rcodes, self._check)
         self.items += len(lcodes)
-        for st, records in zip(self.states, window_records(cfg.lam, (0, 1, 2), lcodes, rcodes)):
-            st.observe_chunk(*records)
+        for st, grid in zip(self.states, window_records(self.config.lam, lcodes, rcodes)):
+            st.observe_chunk(*grid)
 
     def estimate(self) -> SamelenEstimate:
         cfg = self.config
@@ -191,31 +185,30 @@ class DistinctPoints:
     1 + eps', so a count within (1 +- eps') of alpha lands in
     [2/3(1-eps) alpha, alpha].
 
-    ``feed`` takes code columns a chunk at a time, with one length check
-    per chunk, and adds each chunk's distinct points to the counter at
-    once; ``process(iv)`` feeds the one pair of an Interval's codes."""
+    ``feed`` takes code columns a chunk at a time and adds each chunk's
+    distinct points to the counter at once; ``process(iv)`` feeds the one
+    pair of an Interval's codes."""
 
     def __init__(self, n: int, user_eps: float, seed: int, counter_kind: str = "exact"):
         check_eps(user_eps)
+        self.n = n
         self.eps_count = user_eps / 3.0
         self.counter = make_counter(counter_kind, HashFamily.create(n, self.eps_count), seed)
 
-    @staticmethod
-    def _check(iv: Interval) -> None:
-        if iv.length != 0:
-            raise DomainError(f"lambda 0 requires zero-length intervals, got {iv}")
-
     def process(self, iv: Interval) -> None:
-        self._feed_chunk(*code_columns((iv,)))
+        lcodes, rcodes = code_columns((iv,))
+        refuse(lcodes, rcodes, self.n, 0)
+        self._feed_chunk(lcodes, rcodes)
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns in chunks (``selector_samelen.feed_columns``);
-        a chunk is refused, before any of it is taken, at its first interval
-        of nonzero length, with the message of ``_check``."""
+        """Feed two code columns in chunks (``selector_samelen.feed_columns``).
+        The call is refused whole, before any pair is taken, at its first
+        pair that is empty, of nonzero length or outside [1, n]
+        (``core.refuse``)."""
+        refuse(lcodes, rcodes, self.n, 0)
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        refuse_first(lengths(lcodes, rcodes) != 0, lcodes, rcodes, self._check)
         points = np.sort(lcodes >> 1)
         self.counter.add_many(points[_runs(points)].tolist())
 

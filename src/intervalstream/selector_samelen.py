@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Interval, _make_interval, code_columns, refuse_first
+from .core import Interval, _make_interval, code_columns, refuse
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
@@ -40,17 +40,6 @@ def check_lam(lam: int) -> None:
     codes."""
     if lam < 1:
         raise ValueError(f"interval length must be >= 1, got {lam}")
-
-
-def check_length(lam: int, iv: Interval) -> None:
-    """Refuse an interval whose length is not lam."""
-    if iv.length != lam:
-        raise ValueError(f"interval {iv} has length {iv.length}, expected {lam}")
-
-
-def lengths(lcodes: np.ndarray, rcodes: np.ndarray) -> np.ndarray:
-    """The column of ``Interval.length`` (right - left) of two code columns."""
-    return ((rcodes + 1) >> 1) - (lcodes >> 1)
 
 
 def feed_columns(process: Callable[[Interval], None],
@@ -134,21 +123,24 @@ def _first_extremes(lcodes: np.ndarray, rcodes: np.ndarray,
     return tuple(out)
 
 
-def window_records(lam: int, shifts: Sequence[int], lcodes: np.ndarray,
-                   rcodes: np.ndarray) -> List[Tuple[np.ndarray, ...]]:
-    """The window records of the grids ``shifts`` (distinct, each in 0..2)
-    over a chunk of pairs, as columns, one tuple per grid: the distinct
-    indices of the windows holding a pair, ascending, and the codes of each
-    window's leftmost and rightmost pair over its pairs in order, as
-    ``record_moves`` leaves them pair by pair: ``(wins, leftmost lcodes, leftmost
-    rcodes, rightmost lcodes, rightmost rcodes)``, the codes in the dtype of
-    the input.  Window j of grid a starts at code 2*(a+3j)*lam, so the key
-    a + 3j tells it from the windows of every grid: one stable sort by key
-    groups the pairs of all the grids by window, and each record is two
-    first-extreme reductions."""
-    column = np.array(shifts)[:, None]
-    key, fits = grid_window(lam, column, (lcodes, rcodes))
-    key = (key * 3 + column)[fits]
+# the three grids' shifts as a column: grid_window answers one row per grid
+_SHIFTS = np.arange(3)[:, None]
+
+
+def window_records(lam: int, lcodes: np.ndarray,
+                   rcodes: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The window records of the three grids over a chunk of pairs, one
+    ``(wins, records)`` per grid: the distinct indices of the windows
+    holding a pair, ascending, and the matrix of their records, one row
+    ``(leftmost lcode, leftmost rcode, rightmost lcode, rightmost rcode)``
+    per window over its pairs in order, as ``record_moves`` leaves them pair
+    by pair.  The matrix is object dtype when either code column is.
+    Window j of grid a starts at code 2*(a+3j)*lam, so the key a + 3j tells
+    it from the windows of every grid: one stable sort by key groups the
+    pairs of all the grids by window, and each record is two first-extreme
+    reductions."""
+    key, fits = grid_window(lam, _SHIFTS, (lcodes, rcodes))
+    key = (key * 3 + _SHIFTS)[fits]
     spot = np.flatnonzero(fits) % len(lcodes)
     sort = np.argsort(key, kind="stable")
     key, spot = key[sort], spot[sort]
@@ -159,90 +151,82 @@ def window_records(lam: int, shifts: Sequence[int], lcodes: np.ndarray,
     # the columns of up to 3 * _CHUNK entries go before the reductions
     del fits, sort, spot
     left, right = _first_extremes(ls, rs, starts)
-    columns = wins, ls[left], rs[left], ls[right], rs[right]
-    return [tuple(col[mask] for col in columns) for mask in (grid == a for a in shifts)]
+    # np.array of the four columns takes object dtype when any is object
+    records = np.array((ls[left], rs[left], ls[right], rs[right])).T
+    return [(wins[mask], records[mask]) for mask in (grid == a for a in (0, 1, 2))]
 
 
 class RecordTable:
-    """The records of a set of windows in code columns.  ``rows`` maps a
-    window's key to its row of four columns: the (lcode, rcode) of the
-    window's leftmost and of its rightmost interval.  The rows in use are
-    the first len(rows), since a window entering in place of one that
-    leaves takes its row.  The columns are int64, or object dtype once
-    codes arrive that int64 does not hold; their capacity doubles, up to
-    ``cap`` when one is given."""
+    """The records of a set of windows in one code matrix.  ``rows`` maps a
+    window's key to its row of ``codes``: the (lcode, rcode) of the window's
+    leftmost and of its rightmost interval.  The rows in use are the first
+    len(rows), since a window entering in place of one that leaves takes
+    its row.  The matrix is int64, or object dtype once records arrive in
+    object dtype; its capacity doubles, up to ``cap`` when one is given."""
 
     def __init__(self, cap: Optional[int] = None):
         self.cap = cap
         self.rows: Dict[int, int] = {}
-        self.leftmost_l = self.leftmost_r = self.rightmost_l = self.rightmost_r = \
-            np.zeros(0, dtype=np.int64)
+        self.codes = np.zeros((0, 4), dtype=np.int64)
 
-    def _columns(self) -> Tuple[np.ndarray, ...]:
-        return self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r
-
-    def _reserve(self, size: int, wide: bool = False) -> None:
-        """Room for ``size`` rows; ``wide`` turns the columns to object
-        dtype."""
-        cap, dtype = len(self.leftmost_l), self.leftmost_l.dtype
-        if size <= cap and (dtype == object or not wide):
+    def _reserve(self, size: int, records: np.ndarray) -> None:
+        """Room for ``size`` rows, in object dtype once ``records`` is."""
+        cap = len(self.codes)
+        wide = records.dtype == object and self.codes.dtype != object
+        if size <= cap and not wide:
             return
         if size > cap:
             cap = max(size, 2 * cap) if self.cap is None else min(max(size, 2 * cap), self.cap)
-        grown = [np.zeros(cap, dtype=object if wide else dtype) for _ in range(4)]
-        for new, old in zip(grown, self._columns()):
-            new[:len(old)] = old
-        self.leftmost_l, self.leftmost_r, self.rightmost_l, self.rightmost_r = grown
+        grown = np.zeros((cap, 4), dtype=object if wide else self.codes.dtype)
+        grown[:len(self.codes)] = self.codes
+        self.codes = grown
 
-    def merge_chunk(self, keys: List[int], records: Sequence[np.ndarray]) -> np.ndarray:
-        """Merge the records of a chunk's windows ``keys``, four columns as
-        ``window_records`` gives them, into the rows of the windows that
-        have one, by the masks of ``record_moves``.  Returns the boolean
-        column of the keys that have a row.  Object records turn the table
-        to object dtype, so ``enter_chunk`` comes after this."""
-        # core._column picks each column's dtype on its own, so any record
-        # column may be the wide one
-        if any(record.dtype == object for record in records):
-            self._reserve(0, wide=True)
+    def merge_chunk(self, keys: List[int], records: np.ndarray) -> np.ndarray:
+        """Merge the records of a chunk's windows ``keys``, a matrix as
+        ``window_records`` gives it, into the rows of the windows that have
+        one, by the masks of ``record_moves``.  Returns the boolean column of
+        the keys that have a row."""
+        self._reserve(len(self.rows), records)
         if not self.rows:
             return np.zeros(len(keys), dtype=bool)
         at = np.array([self.rows.get(w, -1) for w in keys], dtype=np.int64)
         held = at >= 0
         if held.any():
+            # through column views: on the one-pair chunks of per-item
+            # process, 1-D fancy indexing costs less than the 2-D kind
             at = at[held]
-            new_ll, new_lr, new_rl, new_rr = (col[held] for col in records)
-            left, right = record_moves(self.leftmost_r[at], self.rightmost_l[at], new_lr, new_rl)
-            self.leftmost_l[at[left]], self.leftmost_r[at[left]] = new_ll[left], new_lr[left]
-            self.rightmost_l[at[right]], self.rightmost_r[at[right]] = new_rl[right], new_rr[right]
+            ll, lr, rl, rr = self.codes.T
+            new_ll, new_lr, new_rl, new_rr = records[held].T
+            left, right = record_moves(lr[at], rl[at], new_lr, new_rl)
+            ll[at[left]], lr[at[left]] = new_ll[left], new_lr[left]
+            rl[at[right]], rr[at[right]] = new_rl[right], new_rr[right]
         return held
 
-    def enter_chunk(self, keys: List[int], records: Sequence[np.ndarray], spots: np.ndarray,
+    def enter_chunk(self, keys: List[int], records: np.ndarray, spots: np.ndarray,
                     evicted: Sequence[int] = ()) -> None:
         """Give each window of ``keys`` a row, the rows of the windows
         ``evicted`` first, holding its record at ``spots`` of a chunk's
-        records, in one assignment per column."""
+        records, in one row assignment."""
         used = len(self.rows)
         size = used + len(keys) - len(evicted)
         slots = [self.rows.pop(w) for w in evicted] + list(range(used, size))
-        self._reserve(size)
+        self._reserve(size, records)
         self.rows.update(zip(keys, slots))
-        slots = np.array(slots, dtype=np.int64)
-        for col, record in zip(self._columns(), records):
-            col[slots] = record[spots]
+        self.codes[slots] = records[spots]
 
     def type2_count(self) -> int:
         """The windows holding two disjoint intervals: a rightmost interval
         that starts after the leftmost ends (``holds_pair``), one compare
         over the rows in use."""
-        ll, lr, rl, rr = (col[:len(self.rows)] for col in self._columns())
-        return int(np.count_nonzero(holds_pair(((ll, lr), (rl, rr)))))
+        used = self.codes[:len(self.rows)]
+        return int(np.count_nonzero(holds_pair((used[:, :2].T, used[:, 2:].T))))
 
     @property
     def extremes(self) -> Dict[int, Extremes]:
         """Each window's (leftmost, rightmost) Intervals, built from the
-        columns when read."""
-        ll, lr, rl, rr = (col[:len(self.rows)].tolist() for col in self._columns())
-        return {w: (_make_interval((ll[row], lr[row])), _make_interval((rl[row], rr[row])))
+        matrix when read."""
+        codes = self.codes[:len(self.rows)].tolist()
+        return {w: (_make_interval(codes[row][:2]), _make_interval(codes[row][2:]))
                 for w, row in self.rows.items()}
 
 
@@ -251,12 +235,12 @@ class ShiftedGridSelector:
     the record of every occupied window in a ``RecordTable``, keyed by
     window index.
 
-    ``feed`` takes code columns a chunk at a time, with one length check per
-    chunk, and is the fast entry; ``process(iv)`` feeds the one pair of an
-    Interval's codes, so both run the one vectorised pass and the state
-    does not depend on how the stream is cut into chunks.  Intervals are
-    built from the codes only when a solution or the ``extremes`` of a
-    table are read: equal to what was fed, not the same objects."""
+    ``feed`` takes code columns a chunk at a time and is the fast entry;
+    ``process(iv)`` feeds the one pair of an Interval's codes, so both run
+    the one vectorised pass and the state does not depend on how the stream
+    is cut into chunks.  Intervals are built from the codes only when a
+    solution or the ``extremes`` of a table are read: equal to what was
+    fed, not the same objects."""
 
     def __init__(self, lam: int):
         check_lam(lam)
@@ -274,24 +258,25 @@ class ShiftedGridSelector:
         return self.window_count
 
     def process(self, iv: Interval) -> None:
-        self._feed_chunk(*code_columns((iv,)))
+        lcodes, rcodes = code_columns((iv,))
+        refuse(lcodes, rcodes, length=self.lam)
+        self._feed_chunk(lcodes, rcodes)
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns (int64 or object dtype) in chunks of
-        _CHUNK pairs (``feed_columns``).  A chunk is refused, before any of it
-        is taken, at its first interval of another length, with the message
-        of ``check_length``."""
+        _CHUNK pairs (``feed_columns``).  The call is refused whole, before
+        any pair is taken, at its first pair that is empty or of another
+        length (``core.refuse``)."""
+        refuse(lcodes, rcodes, length=self.lam)
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        refuse_first(lengths(lcodes, rcodes) != self.lam, lcodes, rcodes,
-                     lambda iv: check_length(self.lam, iv))
         self.items += len(lcodes)
-        for table, (wins, *records) in zip(self.tables,
-                                           window_records(self.lam, (0, 1, 2), lcodes, rcodes)):
+        for table, (wins, records) in zip(self.tables, window_records(self.lam, lcodes, rcodes)):
             wins = wins.tolist()
             new = np.flatnonzero(~table.merge_chunk(wins, records))
-            table.enter_chunk([wins[i] for i in new.tolist()], records, new)
+            if len(new):
+                table.enter_chunk([wins[i] for i in new.tolist()], records, new)
 
     def shift_size(self, shift: int) -> int:
         table = self.tables[shift]

@@ -58,6 +58,10 @@ def test_gen_index_modes():
     assert oracle.alpha(parse_stream(text)) == 7
     code, _ = run_cli(["gen", "index-samelen", "--n-bits", "12", "--seed", "5"])
     assert code == 0
+    # empty --members: no bit is set
+    code, text = run_cli(["gen", "index-samelen", "--n-bits", "7", "--members", "", "--i", "2"])
+    assert code == 0
+    assert oracle.alpha(parse_stream(text)) == 2
 
 
 def test_select_general_stdin():

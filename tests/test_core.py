@@ -582,6 +582,7 @@ def test_instance_surface():
     assert list(inst.codes()) == [tuple(iv) for iv in ivs]
     assert inst == parse_stream(format_stream(inst))
     assert inst != Instance(11, ivs) and inst != Instance(10, ivs[:3])
+    assert inst.__eq__(ivs) is NotImplemented and inst != ivs
     assert hash(inst) == hash(Instance(10, ivs))
     assert repr(inst) == f"Instance(n=10, intervals={ivs!r})"
     empty = Instance(5)
@@ -600,10 +601,3 @@ def test_instance_rejects_plain_tuples():
     for bad in ((2, 4), (1, 2, False, False), [2, 4]):
         with pytest.raises(TypeError):
             Instance(5, (Interval(1, 2), bad))
-
-
-def test_codes_in_given_order():
-    ivs = [Interval(5, 6), Interval(1, 9, True, True), Interval(2, 3)]
-    inst = Instance(9, ivs)
-    order = np.argsort(inst.rcodes, kind="stable")
-    assert list(inst.codes(order)) == [tuple(ivs[i]) for i in (2, 0, 1)]

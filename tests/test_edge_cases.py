@@ -1,6 +1,7 @@
 """Edges the mainline suites do not reach: mixed open/closed same-length
-streams, negative grid window indices, single-point windows, and CLI
-guardrails."""
+streams, negative grid window indices, single-point windows, CLI
+guardrails, and the argument refusals of the generators, the harness and
+the hashing and tree constructors."""
 
 import json
 import math
@@ -9,8 +10,11 @@ import pytest
 
 from intervalstream.core import Instance, Interval, intersects
 from intervalstream import oracle
-from intervalstream.estimator_samelen import samelen_estimate_oracle
-from intervalstream.generators import gen_index_samelen, random_index_input
+from intervalstream.estimator_samelen import SamelenConfig, samelen_estimate_oracle
+from intervalstream.generators import (gen_index_general, gen_index_samelen, gen_uniform,
+                                       gen_uniform_samelen, random_index_input)
+from intervalstream.harness import run_single, run_trials, trial_success
+from intervalstream.hashing import BottomK, HashFamily, KMVDistinct
 from intervalstream.selector import PartitionSelector
 from intervalstream.selector_samelen import ShiftedGridSelector, grid_window
 
@@ -120,3 +124,33 @@ def test_estimator_samelen_accepts_open_intervals():
         est.process(iv)
     res = est.estimate()
     assert res.value <= oracle.alpha(inst)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: gen_uniform(10, -1, 3, 0), ValueError, "count must be >= 0, got -1"),
+    (lambda: gen_uniform_samelen(10, -1, 3, 0), ValueError, "count must be >= 0, got -1"),
+    (lambda: gen_uniform_samelen(10, 5, 10, 0), ValueError,
+     "need 1 <= length < n, got length=10, n=10"),
+    (lambda: gen_index_samelen(0, (), 1), ValueError, "n_bits must be >= 1, got 0"),
+    (lambda: gen_index_samelen(4, (), 5), ValueError, "query index 5 outside [1, 4]"),
+    (lambda: gen_index_samelen(4, (5, 2), 1), ValueError, "members [2, 5] not within [1, 4]"),
+    (lambda: gen_index_general(4, (), 1, 0), ValueError, "k must be >= 1, got 0"),
+    (lambda: SamelenConfig(n=0, lam=1, user_eps=0.3, seed=0), ValueError,
+     "n must be positive, got 0"),
+    (lambda: oracle.SegTree(0), ValueError, "n must be positive, got 0"),
+    (lambda: BottomK(0, HashFamily.create(16, 0.3), 0), ValueError, "k must be >= 1, got 0"),
+    (lambda: KMVDistinct(1, HashFamily.create(16, 0.3), 0), ValueError, "k must be >= 2, got 1"),
+    (lambda: run_trials("select-general", Instance(4), 0, 0), ValueError,
+     "trials must be >= 1, got 0"),
+    (lambda: trial_success("select-nothing", 1.0, 1), ValueError,
+     "unknown algorithm 'select-nothing'"),
+    (lambda: run_single("select-nothing", Instance(4), 0), ValueError,
+     "unknown algorithm 'select-nothing'"),
+], ids=["gen-uniform-count", "gen-samelen-count", "gen-samelen-length", "index-n-bits",
+        "index-query", "index-members", "index-general-k", "samelen-config-n", "segtree-n",
+        "bottomk-k", "kmv-k", "run-trials-trials", "trial-success-algorithm",
+        "run-single-algorithm"])
+def test_argument_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

@@ -3,6 +3,7 @@ import time
 from dataclasses import replace
 from itertools import islice
 
+import numpy as np
 import pytest
 
 from intervalstream.core import DomainError, Instance, Interval
@@ -105,6 +106,24 @@ def test_feed_refuses_the_first_interval_process_refuses():
         est.feed(inst.lcodes, inst.rcodes)
     assert str(fed.value) == str(refused.value)
     assert est.items == 0  # nothing of the columns was taken
+
+
+@pytest.mark.parametrize("fields", [(10, 3, False, False), (3, 3, True, True), (3, 3, False, True)])
+def test_feed_refuses_an_empty_pair_with_the_constructor_message(fields):
+    # lcode > rcode: the Interval constructor's refusal, and the call is
+    # refused whole, past a _CHUNK of valid pairs before the empty one
+    with pytest.raises(DomainError) as built:
+        Interval(*fields)
+    left, right, left_open, right_open = fields
+    valid = gen_uniform(64, 2 * estimator._CHUNK, 8, seed=3)
+    lcodes = np.append(valid.lcodes, 2 * left + left_open)
+    rcodes = np.append(valid.rcodes, 2 * right - right_open)
+    assert lcodes[-1] > rcodes[-1]
+    est = GeneralAlphaEstimator(EstimatorConfig(n=64, user_eps=0.3, seed=0, scale=1e-9))
+    with pytest.raises(DomainError) as fed:
+        est.feed(lcodes, rcodes)
+    assert str(fed.value) == str(built.value)
+    assert est.items == 0 and est.columns_hashed == 0
 
 
 @pytest.mark.parametrize("counter", ["exact", "kmv"])

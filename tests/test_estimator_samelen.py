@@ -184,11 +184,12 @@ def test_space_units_bound():
 
 
 def _entries(obj) -> int:
-    """Entries a container retains: the elements of an array, the entries of
-    a dict's values or of a list's items; anything else (a scalar or a
-    fixed-size record) counts once."""
+    """Entries a container retains: the rows of an array (an element of a
+    column, or a fixed-width row of a matrix), the entries of a dict's values
+    or of a list's items; anything else (a scalar or a fixed-size record)
+    counts once."""
     if isinstance(obj, np.ndarray):
-        return obj.size
+        return len(obj)
     if isinstance(obj, dict):
         return sum(_entries(v) for v in obj.values())
     if isinstance(obj, (list, set)):
@@ -200,7 +201,7 @@ def test_retained_state_does_not_grow_with_m():
     # The samples keep O(k) whatever the number of occupied windows: every
     # container of a shift state holds at most k entries, before and after
     # estimate, and only the sample's members keep a row of the record
-    # table: four code columns of capacity at most k.  (The distinct counter
+    # table: one code matrix of four columns and at most k rows.  (The distinct counter
     # is accounted for separately, in units.)
     lam, eps, seed = 4, 0.45, 21
     occupied = []
@@ -217,8 +218,8 @@ def test_retained_state_does_not_grow_with_m():
                 containers = {name: v for obj in (st, st.sample, st.table)
                               for name, v in vars(obj).items()
                               if isinstance(v, (np.ndarray, dict, list, set))}
-                assert {"members", "_heap", "rows", "leftmost_l", "leftmost_r",
-                        "rightmost_l", "rightmost_r"} <= set(containers)
+                assert {"members", "_heap", "rows", "codes"} <= set(containers)
+                assert st.table.codes.shape[1:] == (4,)
                 for name, v in containers.items():
                     assert _entries(v) <= bound, (m, phase, a, name, _entries(v))
         for a, st in enumerate(est.states):

@@ -45,7 +45,8 @@ def earliest_finish(inst):
     """Reference for alpha: the earliest-finish greedy one pair at a time,
     in ascending rcode order."""
     count, last_rcode = 0, -1
-    for lcode, rcode in inst.codes(np.argsort(inst.rcodes)):
+    order = np.argsort(inst.rcodes)
+    for lcode, rcode in zip(inst.lcodes[order].tolist(), inst.rcodes[order].tolist()):
         if lcode > last_rcode:
             count += 1
             last_rcode = rcode

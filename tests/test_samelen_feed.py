@@ -8,6 +8,7 @@ against the rule itself.  The chunk constants are patched so that short
 streams cross chunk boundaries and take both the bulk and the per-item
 pass of ``feed_columns``."""
 
+import numpy as np
 import pytest
 
 from intervalstream import hashing, selector_samelen
@@ -216,17 +217,17 @@ def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
     lcodes, rcodes = code_columns(narrow[8:])
     assert lcodes.dtype != object and rcodes.dtype != object
     mixed.feed(lcodes, rcodes)
-    assert all(col.dtype != object for st in mixed.states for col in st.table._columns())
+    assert all(st.table.codes.dtype == np.int64 for st in mixed.states)
     lcodes, rcodes = code_columns(wide[:20])
     assert rcodes.dtype == object
     mixed.feed(lcodes, rcodes)
-    assert all(col.dtype == object for st in mixed.states for col in st.table._columns())
+    assert all(st.table.codes.dtype == object for st in mixed.states)
     for iv in wide[20:]:
         mixed.process(iv)
     assert estimator_state(mixed) == estimator_state(by_item)
     for st in mixed.states:
         assert set(st.table.rows) == st.sample.members
-        assert len(st.table.leftmost_l) <= mixed.config.k
+        assert st.table.codes.shape[1] == 4 and len(st.table.codes) <= mixed.config.k
     # more occupied windows than k in every grid: the k = 3 samples evict
     assert all(len(shift_window_stats(stream, a, lam)) > 3 for a in (0, 1, 2))
 
@@ -304,12 +305,11 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
             [selector_samelen.grid_window(lam, a, iv) for iv in stream]
     # the three grids at once, the shift column read as Python ints too
     records = reference_records(stream, lam)
-    for a, (wins, *codes) in enumerate(selector_samelen.window_records(lam, (0, 1, 2),
-                                                                       lcodes, rcodes)):
+    for a, (wins, codes) in enumerate(selector_samelen.window_records(lam, lcodes, rcodes)):
         expected = records[a]
         assert wins.tolist() == sorted(expected)
-        ll, lr, rl, rr = (col.tolist() for col in codes)
-        assert list(zip(zip(ll, lr), zip(rl, rr))) == \
+        assert codes.shape == (len(wins), 4)
+        assert [(tuple(row[:2]), tuple(row[2:])) for row in codes.tolist()] == \
             [tuple(map(tuple, expected[j])) for j in sorted(expected)]
     by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
     for iv in stream:
@@ -320,8 +320,7 @@ def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
 
 
 def table_state(table):
-    used = len(table.rows)
-    return dict(table.rows), [(col.dtype, col[:used].tolist()) for col in table._columns()]
+    return dict(table.rows), table.codes.dtype, table.codes[:len(table.rows)].tolist()
 
 
 def hashed(counter):
@@ -340,42 +339,52 @@ def trace_state(component):
           sorted(st.sample.members), table_state(st.table)) for st in component.states]
 
 
-@pytest.mark.parametrize("run", ["process", "feed"])
+def make_component(kind):
+    """(component, lam, n) of a kind ``selector``, ``estimator-<counter>``
+    or ``points-<counter>``, its samples and sketches sized 3 or 4 by the
+    caller's patches, so that they fill on short streams."""
+    name, _, counter = kind.partition("-")
+    lam, n = (0, 30) if name == "points" else (3, 60)
+    if name == "selector":
+        return ShiftedGridSelector(lam), lam, n
+    if name == "estimator":
+        return SamelenAlphaEstimator(SamelenConfig(n=n, lam=lam, user_eps=0.3, seed=3,
+                                                   counter_kind=counter)), lam, n
+    points = DistinctPoints(n, 0.3, 3, counter)
+    if counter == "kmv":
+        points.counter.k = 4
+    return points, lam, n
+
+
+@pytest.mark.parametrize("run", ["process", "feed", "feed-chunks"])
 @pytest.mark.parametrize("kind,bad", [
     ("selector", Interval(5, 7)),
     ("estimator-exact", Interval(5, 7)), ("estimator-exact", Interval(59, 62)),
     ("estimator-kmv", Interval(5, 7)), ("estimator-kmv", Interval(59, 62)),
-    ("points-exact", Interval(4, 5, True, True)), ("points-kmv", Interval(4, 5, True, True))])
+    ("points-exact", Interval(4, 5, True, True)), ("points-kmv", Interval(4, 5, True, True)),
+    ("points-exact", Interval(31, 31)), ("points-kmv", Interval(31, 31))])
 def test_a_refused_call_leaves_no_trace(monkeypatch, kind, bad, run):
-    # a refused interval under process, or a refused chunk under feed (70
-    # pairs, past _MIN_BULK, with the bad one in the middle), moves nothing;
-    # then the component goes on as one that never saw the call.  At k = 3
-    # the samples and sketches are full before the call.
+    # a refused interval under process, or a refused call under feed (70
+    # pairs, past _MIN_BULK, with the bad one in the middle: one chunk, or
+    # under feed-chunks five chunks of at most 16 pairs, the bad one in the
+    # second), moves nothing; then the component goes on as one that never
+    # saw the call.  At k = 3 the samples and sketches are full before the
+    # call.
     monkeypatch.setattr(SamelenConfig, "k", property(lambda self: 3))
     monkeypatch.setattr(hashing, "kmv_k", lambda eps: 3)
-    name, _, counter = kind.partition("-")
-    lam, n = (0, 30) if name == "points" else (3, 60)
-
-    def make():
-        if name == "selector":
-            return ShiftedGridSelector(lam)
-        if name == "estimator":
-            return SamelenAlphaEstimator(SamelenConfig(n=n, lam=lam, user_eps=0.3, seed=3,
-                                                       counter_kind=counter))
-        points = DistinctPoints(n, 0.3, 3, counter)
-        if counter == "kmv":
-            points.counter.k = 4
-        return points
-
-    stream = point_stream(61, 1, n, 110) if name == "points" else samelen_stream(59, lam, 1, n, 110)
+    if run == "feed-chunks":
+        monkeypatch.setattr(selector_samelen, "_CHUNK", 16)
+        monkeypatch.setattr(selector_samelen, "_MIN_BULK", 8)
+    (component, lam, n), (reference, _, _) = make_component(kind), make_component(kind)
+    stream = point_stream(61, 1, n, 110) if lam == 0 else samelen_stream(59, lam, 1, n, 110)
     head, call = stream[:40], stream[40:]
     call[30] = bad
     assert len(call) >= selector_samelen._MIN_BULK
-    component, reference = make(), make()
+    assert run != "feed-chunks" or 30 >= selector_samelen._CHUNK  # past the first chunk
     component.feed(*code_columns(head))
     reference.feed(*code_columns(head))
     before = trace_state(component)
-    assert before != trace_state(make())
+    assert before != trace_state(make_component(kind)[0])
     with pytest.raises(ValueError):
         if run == "process":
             component.process(bad)
@@ -386,3 +395,21 @@ def test_a_refused_call_leaves_no_trace(monkeypatch, kind, bad, run):
     component.feed(*rest)
     reference.feed(*rest)
     assert trace_state(component) == trace_state(reference)
+
+
+@pytest.mark.parametrize("kind", ["selector", "estimator-exact", "points-exact", "points-kmv"])
+def test_an_empty_pair_gets_the_constructor_message(monkeypatch, kind):
+    # codes (7, 5) are the open point (3, 3), whose length right - left is
+    # 0: the call is refused whole with the Interval constructor's message,
+    # by the lambda 0 route too
+    monkeypatch.setattr(hashing, "kmv_k", lambda eps: 3)
+    with pytest.raises(DomainError) as built:
+        Interval(3, 3, True, True)
+    component, lam, n = make_component(kind)
+    stream = point_stream(67, 1, n, 20) if lam == 0 else samelen_stream(67, lam, 1, n, 20)
+    lcodes, rcodes = (np.append(column, code) for column, code in zip(code_columns(stream), (7, 5)))
+    before = trace_state(component)
+    with pytest.raises(DomainError) as fed:
+        component.feed(lcodes, rcodes)
+    assert str(fed.value) == str(built.value)
+    assert trace_state(component) == before
