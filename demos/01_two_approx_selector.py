@@ -4,6 +4,8 @@ The selector keeps a partition of the real line into windows.  Each window
 remembers the leftmost/rightmost witnesses of the intervals it has seen; its
 leftmost witness is its solution interval.  When a new interval avoids the
 witnesses' common core, the window splits and the solution grows by one.
+A window is printed as its range of position codes: point x is code 2x and
+the open gap just past x is 2x + 1, so (3,+inf) is codes 7..inf.
 """
 
 from intervalstream import PartitionSelector, Interval
@@ -16,7 +18,7 @@ sel = PartitionSelector()
 print("processing a small stream:")
 for iv in stream:
     sel.process(iv)
-    windows = "  ".join(f"{w.window}->{w.leftmost}" for w in sel.windows())
+    windows = "  ".join(f"codes {w.lo_code}..{w.hi_code}->{w.leftmost}" for w in sel.windows())
     print(f"  after {iv}: {windows}")
 
 print(f"\nsolution: {[str(i) for i in sel.solution()]}")

@@ -10,7 +10,7 @@ from intervalstream import ShiftedGridSelector
 from intervalstream.core import Instance, Interval
 from intervalstream import oracle
 from intervalstream.generators import gen_uniform_samelen
-from intervalstream.selector_samelen import shift_subinstance
+from intervalstream.selector_samelen import grid_window
 
 lam = 2
 stream = [Interval(1, 3), Interval(4, 6), Interval(8, 10), Interval(6, 8)]
@@ -20,7 +20,7 @@ for iv in stream:
 
 print(f"stream: {[str(i) for i in stream]} (all length {lam})")
 for a in (0, 1, 2):
-    sub = shift_subinstance(stream, a, lam)
+    sub = [iv for iv in stream if grid_window(lam, a, iv) is not None]
     exact = oracle.alpha(Instance(10, tuple(sub)))
     print(f"  grid {a}: solution {[str(i) for i in sel.shift_solution(a)]} "
           f"(optimal for this grid: {exact})")

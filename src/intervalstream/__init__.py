@@ -1,7 +1,7 @@
 """Streaming interval selection and independent-set size estimation."""
 
-from .core import (DomainError, Instance, Interval, ParseError, Window,
-                   contained_in, format_stream, intersects, parse_stream)
+from .core import (DomainError, Instance, Interval, ParseError, format_stream,
+                   intersects, parse_stream)
 from .estimator import (EstimatorConfig, GeneralAlphaEstimator,
                         estimate_oracle_mode)
 from .estimator_samelen import (SamelenAlphaEstimator, SamelenConfig,

@@ -1,4 +1,4 @@
-"""Exact integer model of intervals, windows, and interval streams.
+"""Exact integer model of intervals and interval streams.
 
 Endpoint openness is encoded by doubling coordinates into *position codes*:
 point ``x`` becomes code ``2*x`` and the open gap just past ``x`` becomes
@@ -17,7 +17,6 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, islice
 from operator import itemgetter, or_
@@ -150,68 +149,6 @@ def _fields_of(other, op: str) -> Tuple[int, int, bool, bool]:
     return other._field_values()
 
 
-# Extended code type for windows: integer codes or +-inf.
-Code = Union[int, float]
-
-
-@dataclass(frozen=True)
-class Window:
-    """An algorithm-constructed interval of the real line.
-
-    Stored as an inclusive range ``[lo_code, hi_code]`` of position codes;
-    either bound may be infinite.  A single-code window is a legal
-    (single-point) window.
-    """
-
-    lo_code: Code
-    hi_code: Code
-
-    def __post_init__(self):
-        if self.lo_code > self.hi_code:
-            raise DomainError(f"empty window: codes ({self.lo_code}, {self.hi_code})")
-
-    @classmethod
-    def whole_line(cls) -> "Window":
-        return cls(-math.inf, math.inf)
-
-    @classmethod
-    def from_endpoints(cls, low, high, low_closed: bool = True,
-                       high_closed: bool = True) -> "Window":
-        lo = -math.inf if low == -math.inf else 2 * low + (0 if low_closed else 1)
-        hi = math.inf if high == math.inf else 2 * high - (0 if high_closed else 1)
-        return cls(lo, hi)
-
-    @property
-    def low(self) -> Code:
-        if self.lo_code == -math.inf:
-            return -math.inf
-        return self.lo_code // 2
-
-    @property
-    def low_closed(self) -> bool:
-        return self.lo_code != -math.inf and self.lo_code % 2 == 0
-
-    @property
-    def high(self) -> Code:
-        if self.hi_code == math.inf:
-            return math.inf
-        return (self.hi_code + 1) // 2
-
-    @property
-    def high_closed(self) -> bool:
-        return self.hi_code != math.inf and self.hi_code % 2 == 0
-
-    def contains_code(self, code: Code) -> bool:
-        return self.lo_code <= code <= self.hi_code
-
-    def __str__(self) -> str:
-        lb = "[" if self.low_closed else "("
-        rb = "]" if self.high_closed else ")"
-        lo = "-inf" if self.low == -math.inf else str(self.low)
-        hi = "+inf" if self.high == math.inf else str(self.high)
-        return f"{lb}{lo},{hi}{rb}"
-
-
 def intersects(a: Interval, b: Interval) -> bool:
     """True iff the point sets of the two intervals meet."""
     return max(a.lcode, b.lcode) <= min(a.rcode, b.rcode)
@@ -226,11 +163,6 @@ def pairwise_disjoint(intervals: Iterable[Interval]) -> bool:
                for (_, a_rcode), (b_lcode, _) in zip(ordered, ordered[1:]))
 
 
-def contained_in(a: Interval, w: Window) -> bool:
-    """True iff every point of ``a`` lies in window ``w``."""
-    return w.lo_code <= a.lcode and a.rcode <= w.hi_code
-
-
 # Lines per np.loadtxt call in parse_stream, and pairs per slice of
 # Instance.codes() and of refuse.
 _BLOCK = 8192
@@ -240,6 +172,9 @@ _MIN_PIECE = 32
 
 # Endpoints below this have int64 position codes: 2 * x + 1 < 2**63.
 _CODE_LIMIT = 2 ** 62
+
+# The largest int64, as a Python int: a bound that compares without wrapping.
+_INT64_MAX = 2 ** 63 - 1
 
 _make_interval = partial(tuple.__new__, Interval)  # from (lcode, rcode), unchecked
 

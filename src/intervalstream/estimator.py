@@ -55,8 +55,8 @@ class EstimatorConfig:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         check_eps(self.user_eps)
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
 
     @property
     def eps1(self) -> float:

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .core import Instance, Interval, check_eps, code_columns, refuse
 from .hashing import BottomK, HashFamily, make_counter
+from .oracle import distinct
 from .rng import SplitMix64
-from .selector_samelen import (Extremes, RecordTable, ShiftedGridSelector, _runs, check_lam,
-                               feed_columns, window_records)
+from .selector_samelen import (RecordTable, ShiftedGridSelector, check_lam, feed_columns,
+                               window_records)
 
 
 @dataclass
@@ -152,30 +153,12 @@ class SamelenAlphaEstimator:
                                k=cfg.k, units=units)
 
 
-def _fed_selector(intervals, lam: int) -> ShiftedGridSelector:
-    sel = ShiftedGridSelector(lam)
-    sel.feed(*code_columns(intervals))
-    return sel
-
-
-def shift_window_stats(intervals, shift: int, lam: int) -> Dict[int, Extremes]:
-    """Exact (leftmost, rightmost) intervals per occupied window index of
-    one grid: the records of a ``ShiftedGridSelector`` fed ``intervals``, an
-    Instance or an iterable of Intervals of length lam."""
-    return _fed_selector(intervals, lam).tables[shift].extremes
-
-
-def shift_gamma_counts(intervals, shift: int, lam: int) -> Tuple[int, int]:
-    """Exact (gamma1, gamma2): occupied windows and type-2 windows of one grid."""
-    table = _fed_selector(intervals, lam).tables[shift]
-    return len(table.rows), table.type2_count()
-
-
 def samelen_estimate_oracle(inst: Instance, lam: int, user_eps: float) -> float:
     """Deterministic pipeline: exact per-grid counts through the streaming
     combination formula; a grid's gamma1 + gamma2 is its selector size."""
     cfg = SamelenConfig(n=inst.n, lam=lam, user_eps=user_eps, seed=0)
-    sel = _fed_selector(inst, lam)
+    sel = ShiftedGridSelector(lam)
+    sel.feed(inst.lcodes, inst.rcodes)
     return sel.shift_size(sel.best_shift()) / (1.0 + cfg.eps_shift)
 
 
@@ -209,8 +192,7 @@ class DistinctPoints:
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 
     def _feed_chunk(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        points = np.sort(lcodes >> 1)
-        self.counter.add_many(points[_runs(points)].tolist())
+        self.counter.add_many(distinct(lcodes >> 1).tolist())
 
     def estimate(self) -> Tuple[float, int]:
         """The estimate and the counter's units."""

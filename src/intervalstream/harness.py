@@ -172,6 +172,8 @@ def run_trials(algorithm: str, inst: Instance, trials: int, base_seed: int,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if groups is not None and not 1 <= groups <= trials:
+        raise ValueError(f"groups must be in [1, {trials}], got {groups}")
     alpha = oracle.alpha(inst)
     tasks = [dict(algorithm=algorithm, inst=inst, seed=base_seed + t, eps=eps,
                   lam=lam, scale=scale, counter=counter, instance_id=instance_id,
@@ -198,7 +200,7 @@ def run_trials(algorithm: str, inst: Instance, trials: int, base_seed: int,
         "ratio_median": median(outputs) / alpha if alpha else None,
         "peak_memory_units": max(r.peak_memory_units for r in reports),
     }
-    if groups:
+    if groups is not None:
         summary["group_medians"] = median_of_groups(outputs, groups)
         summary["median_of_groups"] = median(summary["group_medians"])
     return reports, summary

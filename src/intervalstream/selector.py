@@ -14,11 +14,14 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import List
+from typing import List, Union
 
 import numpy as np
 
-from .core import Code, Interval, Window, code_pairs
+from .core import _INT64_MAX, Interval, code_pairs
+
+# A window bound: a position code, or -inf / +inf at the ends of the line.
+Code = Union[int, float]
 
 # Windows per block after a block is halved; a block is halved when it
 # reaches twice this size.
@@ -32,8 +35,6 @@ _LOAD = 250
 _MIN_CHUNK = 256
 _CHUNK_PER_WINDOW = 4
 
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 @dataclass(slots=True)
 class WindowState:
@@ -41,10 +42,6 @@ class WindowState:
     hi_code: Code
     leftmost: Interval
     rightmost: Interval
-
-    @property
-    def window(self) -> Window:
-        return Window(self.lo_code, self.hi_code)
 
 
 class PartitionSelector:

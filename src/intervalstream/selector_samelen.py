@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Interval, _make_interval, code_columns, refuse
+from .core import _INT64_MAX, Interval, _make_interval, code_columns, refuse
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
@@ -31,8 +31,6 @@ _CHUNK = 1 << 17
 # estimator_samelen.process metrics, which time the vectorised pass.
 # Every benchmark workload is larger; once the trace times feed, drop this.
 _MIN_BULK = 64
-
-_INT64_MAX = 2 ** 63 - 1
 
 
 def check_lam(lam: int) -> None:
@@ -295,11 +293,3 @@ class ShiftedGridSelector:
 
     def solution(self) -> List[Interval]:
         return self.shift_solution(self.best_shift())
-
-
-def shift_subinstance(intervals, shift: int, lam: int) -> List[Interval]:
-    """The intervals contained in some window of the given grid, in order;
-    ``intervals`` is an Instance or an iterable of Intervals."""
-    lcodes, rcodes = code_columns(intervals)
-    _, fits = grid_window(lam, shift, (lcodes, rcodes))
-    return list(map(_make_interval, zip(lcodes[fits].tolist(), rcodes[fits].tolist())))

@@ -8,9 +8,10 @@ import collections
 import math
 
 from intervalstream import oracle
-from intervalstream.core import Instance, Interval, Window, contained_in, intersects
+from intervalstream.core import Instance, Interval, code_columns, intersects
 from intervalstream.hashing import ExactDistinct, HashFamily, horner
 from intervalstream.rng import SplitMix64
+from intervalstream.selector_samelen import ShiftedGridSelector
 
 
 def grid_codes(n: int):
@@ -23,9 +24,12 @@ def brute_intersects(a: Interval, b: Interval, n: int) -> bool:
                for c in grid_codes(n))
 
 
-def brute_contained(a: Interval, w: Window, n: int) -> bool:
+def brute_contained(a: Interval, window, n: int) -> bool:
+    """Whether every grid point of ``a`` lies in ``window``, a code range
+    ``(lo_code, hi_code)``."""
+    lo_code, hi_code = window
     own = [c for c in grid_codes(n) if a.lcode <= c <= a.rcode]
-    return all(w.lo_code <= c <= w.hi_code for c in own)
+    return all(lo_code <= c <= hi_code for c in own)
 
 
 def all_intervals(n: int):
@@ -53,12 +57,21 @@ def reference_records(stream, lam: int):
         for iv in stream:
             # the window of grid a where iv starts is the only one that can hold it
             j = (iv.lcode - 2 * a * lam) // (6 * lam)
-            if contained_in(iv, Window(2 * (a + 3 * j) * lam, 2 * (a + 3 * j + 3) * lam - 1)):
+            if 2 * (a + 3 * j) * lam <= iv.lcode and iv.rcode <= 2 * (a + 3 * j + 3) * lam - 1:
                 contained[j].append(iv)
         # min and max return the first of equal keys
         grids.append({j: (min(ivs, key=lambda iv: iv.rcode), max(ivs, key=lambda iv: iv.lcode))
                       for j, ivs in contained.items()})
     return grids
+
+
+def fed_tables(intervals, lam: int):
+    """The three grids' RecordTables of a ShiftedGridSelector fed
+    ``intervals``, an Instance or Intervals of length lam: ``extremes`` per
+    window, and ``len(rows)`` and ``type2_count()`` as gamma1 and gamma2."""
+    sel = ShiftedGridSelector(lam)
+    sel.feed(*code_columns(intervals))
+    return sel.tables
 
 
 def recompute_leftmost(contained):

@@ -28,7 +28,7 @@ from intervalstream.generators import (expected_alpha_index_general,
 from intervalstream.harness import run_trials
 from intervalstream.oracle import SegTree
 from intervalstream.selector import PartitionSelector
-from intervalstream.selector_samelen import ShiftedGridSelector, shift_subinstance
+from intervalstream.selector_samelen import ShiftedGridSelector, grid_window
 
 from conftest import DRAWS, general_replay_violations, minwise_frequencies
 from test_cli import run_cli
@@ -125,7 +125,7 @@ def test_criterion_3_samelen_selector(samelen_corpus):
             sel.process(iv)
         a = oracle.alpha(inst)
         for shift in (0, 1, 2):
-            sub = shift_subinstance(inst.intervals, shift, lam)
+            sub = [iv for iv in inst if grid_window(lam, shift, iv) is not None]
             if sel.shift_size(shift) != oracle.alpha(Instance(inst.n, tuple(sub))):
                 failures += 1
         if len(sel.solution()) < math.ceil(2.0 * a / 3.0):

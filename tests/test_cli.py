@@ -6,11 +6,12 @@ import pytest
 
 from intervalstream.cli import main
 from intervalstream.core import Interval, parse_stream
-from intervalstream.estimator_samelen import shift_gamma_counts
 from intervalstream.harness import run_trials
 from intervalstream import oracle
 from intervalstream.rng import SplitMix64
 from intervalstream.selector import PartitionSelector
+
+from conftest import fed_tables
 
 
 def run_cli(args, stdin_text=None, capsys=None):
@@ -116,7 +117,7 @@ def test_estimate_reports_columns_hashed():
     code, out = run_cli(["estimate", "--algo", "samelen", "--lambda", "8",
                          "--eps", "0.3", "--seed", "2"], stdin_text=text)
     assert code == 0
-    windows = sum(shift_gamma_counts(inst.intervals, a, 8)[0] for a in (0, 1, 2))
+    windows = sum(len(table.rows) for table in fed_tables(inst, 8))
     assert json.loads(out)["details"]["columns_hashed"] == windows
 
 
@@ -244,6 +245,24 @@ def test_trials_lambda_zero_lines_match_estimate(tmp_path):
 def test_samelen_oracle_mode_refuses_what_the_selector_refuses(args, stdin_text, message,
                                                               capsys):
     assert run_cli(args, stdin_text=stdin_text) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args,message", [
+    (["estimate", "--algo", "general", "--scale", "inf"], "scale must be finite and positive, got inf"),
+    (["estimate", "--algo", "general", "--scale", "nan"], "scale must be finite and positive, got nan"),
+    (["trials", "--algo", "estimate-general", "--trials", "2", "--scale", "inf"],
+     "scale must be finite and positive, got inf"),
+    (["trials", "--algo", "estimate-general", "--trials", "2", "--scale", "nan"],
+     "scale must be finite and positive, got nan"),
+    (["trials", "--algo", "select-general", "--trials", "3", "--groups", "0"],
+     "groups must be in [1, 3], got 0"),
+    (["trials", "--algo", "select-general", "--trials", "3", "--groups", "5"],
+     "groups must be in [1, 3], got 5"),
+], ids=["estimate-scale-inf", "estimate-scale-nan", "trials-scale-inf", "trials-scale-nan",
+        "trials-groups-0", "trials-groups-above-trials"])
+def test_refused_options_exit_2(args, message, capsys):
+    assert run_cli(args, stdin_text="n 64\n1 3\n4 9\n20 40\n") == (2, "")
     assert capsys.readouterr().err == f"error: {message}\n"
 
 

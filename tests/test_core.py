@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 import warnings
 
@@ -9,8 +8,8 @@ from hypothesis import given, strategies as st
 
 from intervalstream import core
 from intervalstream.core import (DomainError, Instance, Interval, ParseError,
-                                 Window, contained_in, format_stream,
-                                 intersects, pairwise_disjoint, parse_stream)
+                                 format_stream, intersects, pairwise_disjoint,
+                                 parse_stream)
 from intervalstream.rng import SplitMix64
 
 from conftest import all_intervals, brute_contained, brute_intersects
@@ -80,25 +79,21 @@ def test_intersects_examples():
     assert not intersects(Interval(1, 10, True, True), Interval(10, 19))
 
 
-def test_contained_in_examples():
-    assert contained_in(Interval(1, 2), Window.from_endpoints(1, 3, True, False))
-    assert not contained_in(Interval(4, 6), Window.from_endpoints(0, 6, True, False))
-    assert contained_in(Interval(3, 5, True, True), Window.from_endpoints(3, 9, True, False))
-
-
 def test_position_codes_faithful_exhaustive():
     n = 6
     ivs = all_intervals(n)
-    windows = [Window.from_endpoints(lo, hi, lc, hc)
+    # every nonempty window [lo, hi], each end closed then open, as its code range
+    windows = [(lo_code, hi_code)
                for lo in range(0, n + 1) for hi in range(lo, n + 2)
-               for lc in (True, False) for hc in (True, False)
-               if 2 * lo + (0 if lc else 1) <= 2 * hi - (0 if hc else 1)]
+               for lo_code in (2 * lo, 2 * lo + 1) for hi_code in (2 * hi, 2 * hi - 1)
+               if lo_code <= hi_code]
     for a in ivs:
         for b in ivs:
             assert intersects(a, b) == brute_intersects(a, b, n + 2), (a, b)
     for a in ivs[::7]:
-        for w in windows[::5]:
-            assert contained_in(a, w) == brute_contained(a, w, n + 2), (a, str(w))
+        for lo_code, hi_code in windows[::5]:
+            contained = lo_code <= a.lcode and a.rcode <= hi_code
+            assert contained == brute_contained(a, (lo_code, hi_code), n + 2), (a, lo_code, hi_code)
 
 
 def test_pairwise_disjoint_matches_brute_force():
@@ -122,18 +117,6 @@ def test_pairwise_disjoint_matches_brute_force():
         assert pairwise_disjoint(reversed(ivs)) == expect, ivs
         outcomes.add(expect)
     assert outcomes == {True, False}
-
-
-def test_window_properties():
-    w = Window.whole_line()
-    assert w.low == -math.inf and w.high == math.inf
-    w2 = Window.from_endpoints(2, 7, False, True)
-    assert (w2.low, w2.low_closed, w2.high, w2.high_closed) == (2, False, 7, True)
-    assert str(w2) == "(2,7]"
-    with pytest.raises(DomainError):
-        Window(5, 4)
-    single = Window.from_endpoints(3, 3)
-    assert single.contains_code(6) and not single.contains_code(5)
 
 
 interval_strategy = st.builds(

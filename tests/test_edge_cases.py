@@ -70,10 +70,9 @@ def test_single_point_window_arises_and_behaves():
     for iv in stream:
         sel.process(iv)
     validate_partition(sel, stream, 9)
-    windows = [w.window for w in sel.windows()]
-    assert [str(w) for w in windows] == ["(-inf,5)", "[5,5]", "(5,+inf)"]
-    point = windows[1]
-    assert point.lo_code == point.hi_code == 10
+    # (-inf,5), [5,5] and (5,+inf) as code ranges
+    windows = [(w.lo_code, w.hi_code) for w in sel.windows()]
+    assert windows == [(-math.inf, 9), (10, 10), (11, math.inf)]
     assert set(sel.solution()) == {Interval(1, 2), Interval(5, 5), Interval(7, 9)}
     # further processing of the point window stays a no-op
     sel.process(Interval(5, 5))

@@ -86,6 +86,10 @@ def test_config_validation():
         EstimatorConfig(n=64, user_eps=0.5, seed=0)
     with pytest.raises(ValueError):
         EstimatorConfig(n=64, user_eps=0.3, seed=0, scale=0)
+    # a scale that is not finite would size the samplers by inf or nan
+    for scale in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"^scale must be finite and positive, got {scale}$"):
+            EstimatorConfig(n=64, user_eps=0.3, seed=0, scale=scale)
     with pytest.raises(ValueError, match="scale"):
         GeneralAlphaEstimator(EstimatorConfig(n=64, user_eps=0.3, seed=0))
 

@@ -7,14 +7,12 @@ from intervalstream.core import DomainError, Instance, Interval
 from intervalstream import oracle
 from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator,
                                               SamelenConfig,
-                                              samelen_estimate_oracle,
-                                              shift_gamma_counts,
-                                              shift_window_stats)
+                                              samelen_estimate_oracle)
 from intervalstream.generators import gen_uniform_samelen
 from intervalstream.hashing import PolyBank
-from intervalstream.selector_samelen import grid_window, holds_pair, shift_subinstance
+from intervalstream.selector_samelen import grid_window, holds_pair
 
-from conftest import reference_bottom_k, reference_records
+from conftest import fed_tables, reference_bottom_k, reference_records
 
 
 def run(inst, lam, eps, seed, counter="exact"):
@@ -109,9 +107,8 @@ def test_type2_window_counts_toward_m():
     inst = Instance(32, (Interval(7, 9), Interval(10, 12)))
     est, res = run(inst, lam=2, eps=0.3, seed=5)
     # shift 0 window [6,12) holds only [7,9]; [10,12] straddles
-    g1, g2 = shift_gamma_counts(inst.intervals, 0, 2)
-    for a in (0, 1, 2):
-        eg1, eg2 = shift_gamma_counts(inst.intervals, a, 2)
+    for a, table in enumerate(fed_tables(inst, 2)):
+        eg1, eg2 = len(table.rows), table.type2_count()
         assert res.gamma1_hats[a] == float(eg1)
         if eg1 == 1 and eg2 == 1:
             # the unique occupied window is type 2, and the sample holds it
@@ -123,11 +120,12 @@ def test_oracle_mode_identity_and_bracket():
     for seed in range(10):
         lam = 1 + seed % 5
         inst = gen_uniform_samelen(256, 80, lam, seed=seed)
+        tables = fed_tables(inst, lam)
         best = 0
         for a in (0, 1, 2):
-            sub = shift_subinstance(inst.intervals, a, lam)
+            sub = [iv for iv in inst if grid_window(lam, a, iv) is not None]
             alpha_a = oracle.alpha(Instance(inst.n, tuple(sub)))
-            g1, g2 = shift_gamma_counts(inst.intervals, a, lam)
+            g1, g2 = len(tables[a].rows), tables[a].type2_count()
             assert g1 + g2 == alpha_a  # per-grid identity of the two counts
             best = max(best, alpha_a)
         for eps in (0.2, 0.45):
@@ -140,9 +138,8 @@ def test_oracle_mode_identity_and_bracket():
 def test_exact_counter_estimate_matches_exact_counts():
     inst = gen_uniform_samelen(512, 120, 8, seed=3)
     est, res = run(inst, lam=8, eps=0.3, seed=11)
-    for a in (0, 1, 2):
-        g1, _ = shift_gamma_counts(inst.intervals, a, 8)
-        assert res.gamma1_hats[a] == float(g1)
+    for a, table in enumerate(fed_tables(inst, 8)):
+        assert res.gamma1_hats[a] == float(len(table.rows))
 
 
 def test_sampler_winner_replay(monkeypatch):
@@ -156,7 +153,7 @@ def test_sampler_winner_replay(monkeypatch):
             monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
         est, res = run(inst, lam=lam, eps=0.3, seed=13)
         for a, st in enumerate(est.states):
-            stats = shift_window_stats(inst.intervals, a, lam)
+            stats = fed_tables(inst, lam)[a].extremes
             expected = reference_bottom_k(st.sample, [j + 2 for j in stats])
             assert st.sample.pairs() == expected
             assert len(expected) == min(est.config.k, len(stats))
@@ -169,7 +166,7 @@ def test_sampler_winner_replay(monkeypatch):
                 window_alpha = oracle.alpha(Instance(inst.n, tuple(sub)))
                 assert holds_pair(stats[j]) == (window_alpha >= 2)
             assert res.type2_counts[a] == sum(holds_pair(stats[w - 2]) for _, w in expected)
-    assert all(len(shift_window_stats(inst.intervals, a, lam)) > 5 for a in (0, 1, 2))
+    assert all(len(table.rows) > 5 for table in fed_tables(inst, lam))
 
 
 def test_space_units_bound():
@@ -179,8 +176,7 @@ def test_space_units_bound():
     expected_cap = sum(st.counter.units + 3 * cfg.k for st in est.states)
     assert res.units <= expected_cap
     # below k occupied windows, each grid keeps every window once
-    assert res.units == sum(4 * len(shift_window_stats(inst.intervals, a, 8))
-                            for a in (0, 1, 2))
+    assert res.units == sum(4 * len(table.rows) for table in fed_tables(inst, 8))
 
 
 def _entries(obj) -> int:
@@ -225,7 +221,7 @@ def test_retained_state_does_not_grow_with_m():
         for a, st in enumerate(est.states):
             assert set(st.table.rows) == st.sample.members
             assert sorted(st.table.rows.values()) == list(range(len(st.table.rows)))
-        occupied.append(sum(len(shift_window_stats(inst.intervals, a, lam)) for a in (0, 1, 2)))
+        occupied.append(sum(len(table.rows) for table in fed_tables(inst, lam)))
     assert occupied[1] > 5 * occupied[0]
 
 
@@ -233,9 +229,8 @@ def test_kmv_counter_mode_runs():
     inst = gen_uniform_samelen(512, 100, 8, seed=4)
     est, res = run(inst, lam=8, eps=0.3, seed=2, counter="kmv")
     # far fewer occupied windows than the sketch size: still exact
-    for a in (0, 1, 2):
-        g1, _ = shift_gamma_counts(inst.intervals, a, 8)
-        assert res.gamma1_hats[a] == float(g1)
+    for a, table in enumerate(fed_tables(inst, 8)):
+        assert res.gamma1_hats[a] == float(len(table.rows))
 
 
 def test_determinism():

@@ -139,6 +139,17 @@ def test_median_of_groups():
     assert summary["median_of_groups"] == summary["median_output"]
 
 
+@pytest.mark.parametrize("groups", [0, -1, 4])
+def test_run_trials_refuses_groups_before_any_trial(groups, monkeypatch):
+    # groups outside [1, trials] is refused before the first trial runs
+    calls = []
+    monkeypatch.setattr(harness, "run_single", lambda **kw: calls.append(kw))
+    with pytest.raises(ValueError, match=rf"^groups must be in \[1, 3\], got {groups}$"):
+        run_trials("select-general", gen_uniform(64, 20, 8, seed=1), trials=3,
+                   base_seed=0, groups=groups)
+    assert calls == []
+
+
 def test_median_of_groups_counts_every_value():
     # 10 values in 3 groups: sizes 4, 3, 3, so the last value counts
     vals = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 100.0]

@@ -3,15 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from intervalstream.core import Instance, Interval, Window, contained_in, intersects
-from intervalstream.estimator_samelen import shift_window_stats
+from intervalstream.core import Instance, Interval, intersects
 from intervalstream.oracle import alpha
-from intervalstream.selector_samelen import (ShiftedGridSelector, grid_window, holds_pair,
-                                             shift_subinstance)
+from intervalstream.selector_samelen import ShiftedGridSelector, grid_window, holds_pair
 
 from intervalstream.rng import SplitMix64
 
-from conftest import reference_records
+from conftest import fed_tables, reference_records
 
 
 def run(lam, stream):
@@ -22,7 +20,7 @@ def run(lam, stream):
 
 
 def shift_alpha(stream, shift, lam, n):
-    sub = shift_subinstance(stream, shift, lam)
+    sub = [iv for iv in stream if grid_window(lam, shift, iv) is not None]
     return alpha(Instance(n, tuple(sub)))
 
 
@@ -59,8 +57,8 @@ def test_grid_window_matches_window_containment(lam):
                 grids = 0
                 for a in (0, 1, 2):
                     holding = [j for j in range(-1, 3)
-                               if contained_in(iv, Window(2 * (a + 3 * j) * lam,
-                                                          2 * (a + 3 * j + 3) * lam - 1))]
+                               if 2 * (a + 3 * j) * lam <= iv.lcode
+                               and iv.rcode <= 2 * (a + 3 * j + 3) * lam - 1]
                     assert len(holding) <= 1
                     assert grid_window(lam, a, iv) == (holding[0] if holding else None)
                     grids += bool(holding)
@@ -178,9 +176,10 @@ def test_ratio_space_disjointness(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_window_ext_matches_shift_window_stats(seed):
-    # the selector's records, under process and as shift_window_stats reads
-    # them after a feed, are the exact (leftmost, rightmost) of the stream so
-    # far, pair-holding windows included; open ends make ties on rcode and lcode
+    # the selector's records, under process and in the per-grid window stats
+    # (the tables of a selector fed the prefix), are the exact (leftmost,
+    # rightmost) of the stream so far, pair-holding windows included; open
+    # ends make ties on rcode and lcode
     rng = SplitMix64(seed + 4242)
     lam = rng.randrange(1, 4)
     stream = [Interval(left, left + lam, rng.below(2) == 1, rng.below(2) == 1)
@@ -190,8 +189,9 @@ def test_window_ext_matches_shift_window_stats(seed):
     for t, iv in enumerate(stream, start=1):
         sel.process(iv)
         expected = reference_records(stream[:t], lam)
+        tables = fed_tables(stream[:t], lam)
         for a in (0, 1, 2):
-            assert sel.tables[a].extremes == shift_window_stats(stream[:t], a, lam) == expected[a]
+            assert sel.tables[a].extremes == tables[a].extremes == expected[a]
             for j, ext in expected[a].items():
                 if holds_pair(ext):
                     first_pairs.setdefault((a, j), ext)
