@@ -45,8 +45,8 @@ def check_eps(eps: float) -> None:
 
 _OPENNESS = {"cc": (False, False), "co": (False, True),
              "oc": (True, False), "oo": (True, True)}
-# by the parities of (lcode, rcode), which are the openness flags
-_SUFFIX = {(int(lo), int(ro)): k for k, (lo, ro) in _OPENNESS.items()}
+# a line's openness token by lcode % 2 + 2 * (rcode % 2), the openness flags
+_SUFFIX = ("", " oc", " co", " oo")
 
 
 class Interval(tuple):
@@ -476,14 +476,11 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
 
 
 def format_stream(inst: Instance) -> str:
-    """Canonical text form; parse_stream(format_stream(x)) == x."""
-    out = [f"n {inst.n}"]
-    for lcode, rcode in inst.codes():
-        # decoded as Interval's properties do, without an Interval per line
-        left, right = lcode >> 1, (rcode + 1) >> 1
-        suffix = _SUFFIX[lcode & 1, rcode & 1]
-        if suffix == "cc":
-            out.append(f"{left} {right}")
-        else:
-            out.append(f"{left} {right} {suffix}")
-    return "\n".join(out) + "\n"
+    """Canonical text form; parse_stream(format_stream(x)) == x.  Decoded as
+    Interval's properties do, a _BLOCK-pair slice of the columns at a time."""
+    out = [f"n {inst.n}\n"]
+    for s in range(0, len(inst), _BLOCK):
+        ls, rs = inst.lcodes[s:s + _BLOCK], inst.rcodes[s:s + _BLOCK]
+        out.append("".join(map("{} {}{}\n".format, (ls >> 1).tolist(), ((rs + 1) >> 1).tolist(),
+                               map(_SUFFIX.__getitem__, ((ls & 1) + 2 * (rs & 1)).tolist()))))
+    return "".join(out)

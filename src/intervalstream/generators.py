@@ -5,38 +5,59 @@ depending on a single membership bit.
 
 from __future__ import annotations
 
-from typing import Iterable, Set
+from typing import Iterable, Optional, Set
 
-from .core import Instance, Interval
-from .rng import SplitMix64
+import numpy as np
+
+from .core import _BLOCK, _CODE_LIMIT, Instance, Interval, _column, refuse
+from .rng import _MASK, SplitMix64
+
+
+def _uniform(n: int, count: int, seed: int, max_len: Optional[int], length: int = 0) -> Instance:
+    """Closed intervals as ``rng.below`` draws them one at a time: the length,
+    ``below(max_len + 1)`` (or ``length``), then the left endpoint,
+    ``randrange(1, n - length)``.  A rejected draw shifts every later one, so
+    the rest of its block is judged again, in windows of twice the rows the
+    last rejection let through.  A bound past 2**64 rejects every draw."""
+    width = 1 if max_len is None else 2
+    name, value = ("length", length) if width == 1 else ("max_len", max_len)
+    if not 1 <= value < n:
+        raise ValueError(f"need 1 <= {name} < n, got {name}={value}, n={n}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    rng, dtype = SplitMix64(seed), object if n >= _CODE_LIMIT else np.uint64  # as _column
+    done, w = [np.zeros((0, width), dtype=dtype)], _BLOCK
+    for start in range(0, count, _BLOCK):
+        u = rng.next_u64s(width * min(_BLOCK, count - start))
+        while len(u):
+            rows = u[:width * w].astype(dtype, copy=False).reshape(-1, width)
+            bounds = np.full(rows.shape, n - length if width == 1 else max_len + 1, dtype=dtype)
+            if width == 2:
+                bounds[:, 1] = n - rows[:, 0] % bounds[:, 0]
+            bad = rows > _MASK - (_MASK - bounds + 1) % bounds
+            r = int(bad.argmax()) if bad.any() else bad.size
+            done.append(rows[:r // width] % bounds[:r // width])
+            skip = int(r < bad.size)  # past the rejected draw r
+            if skip and bounds.flat[r] > 1 << 64:
+                raise ValueError(f"bound must be in (0, 2**64], got {bounds.flat[r]}")
+            u = np.concatenate((u[r - r % width:r], u[r + skip:], rng.next_u64s(skip)))
+            w = max(2 * (r // width), 16) if skip else min(2 * w, _BLOCK)
+    draws = np.concatenate(done)
+    lefts, lengths = draws[:, -1] + 1, length if width == 1 else draws[:, 0]
+    lcodes, rcodes = _column(2 * lefts), _column(2 * (lefts + lengths))
+    refuse(lcodes, rcodes, n)
+    return Instance._trusted(n, lcodes, rcodes)
 
 
 def gen_uniform(n: int, count: int, max_len: int, seed: int) -> Instance:
     """Closed intervals: length uniform in [0, max_len], left endpoint
     uniform in [1, n - length]."""
-    if not 1 <= max_len < n:
-        raise ValueError(f"need 1 <= max_len < n, got max_len={max_len}, n={n}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    rng = SplitMix64(seed)
-    intervals = []
-    for _ in range(count):
-        length = rng.below(max_len + 1)
-        left = rng.randrange(1, n - length)
-        intervals.append(Interval(left, left + length))
-    return Instance(n, tuple(intervals))
+    return _uniform(n, count, seed, max_len)
 
 
 def gen_uniform_samelen(n: int, count: int, length: int, seed: int) -> Instance:
     """Closed intervals of one fixed length, left endpoint uniform."""
-    if not 1 <= length < n:
-        raise ValueError(f"need 1 <= length < n, got length={length}, n={n}")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    rng = SplitMix64(seed)
-    intervals = tuple(Interval(left, left + length)
-                      for left in (rng.randrange(1, n - length) for _ in range(count)))
-    return Instance(n, intervals)
+    return _uniform(n, count, seed, None, length)
 
 
 def _check_members(n_bits: int, members: Iterable[int], i: int) -> Set[int]:

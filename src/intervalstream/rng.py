@@ -2,10 +2,12 @@
 
 Every random choice in this package flows from an explicit 64-bit seed
 through this generator, so identical seeds reproduce identical runs
-bit-for-bit on any platform.
-"""
+bit-for-bit on any platform.  The k-th output is mix64(seed + k * golden):
+``next_u64s`` computes a block of outputs at once, as one uint64 column."""
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -29,6 +31,10 @@ class SplitMix64:
     def next_u64(self) -> int:
         self._counter = (self._counter + _GOLDEN) & _MASK
         return mix64(self._counter)
+
+    def next_u64s(self, count: int) -> np.ndarray:
+        start, self._counter = self._counter, (self._counter + count * _GOLDEN) & _MASK
+        return mix64(np.arange(1, count + 1, dtype=np.uint64) * _GOLDEN + start)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound), unbiased via rejection."""

@@ -8,7 +8,6 @@ and criterion 8 checks that branch against the oracle; the n=2048 variant uses
 an instance that beats the threshold and so checks the sampled branch.
 """
 
-import json
 import math
 import time
 from collections import Counter

@@ -139,6 +139,33 @@ def test_format_is_canonical(ivs):
     assert format_stream(parse_stream(text)) == text
 
 
+def reference_format(inst):
+    """format_stream one Interval at a time, from its fields."""
+    tokens = {(False, False): "", (False, True): " co", (True, False): " oc", (True, True): " oo"}
+    return "".join([f"n {inst.n}\n"] + [f"{iv.left} {iv.right}{tokens[iv.left_open, iv.right_open]}\n"
+                                          for iv in inst])
+
+
+@pytest.mark.parametrize("n", [40, 2**62 - 1, 2**63 + 7, 2**64 + 9])
+def test_format_matches_per_interval_reference(n, monkeypatch):
+    """Mixed openness, in int64 columns and in object columns past 2**63,
+    over several blocks (of 5 lines here) and a partial last one."""
+    monkeypatch.setattr(core, "_BLOCK", 5)
+    rng = SplitMix64(n)
+    ivs = [Interval(n, n), Interval(1, n, True, True), Interval(1, 1)]
+    for _ in range(23):
+        left = 1 + (rng.next_u64() << 8 | rng.below(256)) % (n - 1)
+        right = left + 1 + (rng.next_u64() << 8) % (n - left)
+        ivs.append(Interval(left, right, bool(rng.below(2)), bool(rng.below(2))))
+    for count in (0, 1, 5, len(ivs)):
+        inst = Instance(n, ivs[:count])
+        text = format_stream(inst)
+        assert text == reference_format(inst)
+        assert parse_stream(text) == inst
+    assert {(iv.left_open, iv.right_open) for iv in ivs} == {(False, False), (False, True), (True, False), (True, True)}
+    assert inst.rcodes.dtype == (object if 2 * n >= 2**63 else np.int64)
+
+
 def test_instance_rejects_out_of_universe():
     with pytest.raises(DomainError):
         Instance(5, (Interval(1, 6),))

@@ -1,9 +1,8 @@
-import math
-
+import numpy as np
 import pytest
 
-from intervalstream.core import Instance, Interval
-from intervalstream import harness, oracle
+from intervalstream.core import Instance, Interval, format_stream
+from intervalstream import generators, harness, oracle
 from intervalstream.generators import (expected_alpha_index_general,
                                        expected_alpha_index_samelen,
                                        gen_index_general, gen_index_samelen,
@@ -11,6 +10,7 @@ from intervalstream.generators import (expected_alpha_index_general,
                                        random_index_input)
 from intervalstream.harness import (median_of_groups, run_single, run_trials,
                                     trial_success)
+from intervalstream.rng import SplitMix64
 
 
 def test_gen_uniform_basics():
@@ -29,6 +29,118 @@ def test_gen_uniform_samelen():
     inst = gen_uniform_samelen(64, 30, 5, seed=3)
     assert all(iv.length == 5 for iv in inst)
     assert inst == gen_uniform_samelen(64, 30, 5, seed=3)
+
+
+def reference_uniform(n, count, max_len, seed):
+    """gen_uniform one item at a time: the per-item loop it reproduces."""
+    if not 1 <= max_len < n:
+        raise ValueError(f"need 1 <= max_len < n, got max_len={max_len}, n={n}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    rng = SplitMix64(seed)
+    intervals = []
+    for _ in range(count):
+        length = rng.below(max_len + 1)
+        left = rng.randrange(1, n - length)
+        intervals.append(Interval(left, left + length))
+    return Instance(n, tuple(intervals))
+
+
+def reference_uniform_samelen(n, count, length, seed):
+    """gen_uniform_samelen one item at a time."""
+    if not 1 <= length < n:
+        raise ValueError(f"need 1 <= length < n, got length={length}, n={n}")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    rng = SplitMix64(seed)
+    return Instance(n, tuple(Interval(left, left + length)
+                             for left in (rng.randrange(1, n - length) for _ in range(count))))
+
+
+def outcome(gen, *args):
+    """What a generator call gives: its Instance with the dtypes of its code
+    columns, or the type and message of what it raises."""
+    try:
+        inst = gen(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return inst, inst.lcodes.dtype, inst.rcodes.dtype, format_stream(inst)
+
+
+def test_next_u64s_equals_next_u64_one_at_a_time():
+    # 2**64 - 1 and 2**64 - 3 * golden put the counter right at the wrap
+    for seed in (0, 1, 12345, 2**64 - 1, 2**64 - 3 * 0x9E3779B97F4A7C15 % 2**64):
+        col, one = SplitMix64(seed), SplitMix64(seed)
+        drawn = []
+        for count in (0, 1, 5, 0, 64):
+            block = col.next_u64s(count)
+            assert block.dtype == np.uint64 and len(block) == count
+            drawn += block.tolist()
+        assert drawn == [one.next_u64() for _ in range(70)]
+        assert col.next_u64() == one.next_u64()
+
+
+BOUNDARY_N = [2, 3, 2**31, 2**62 - 1, 2**62, 2**63 + 1, 2**64]
+
+
+@pytest.mark.parametrize("n", BOUNDARY_N)
+def test_generators_match_per_item_reference(n):
+    """Both generators give the reference's instance, code dtypes and bytes,
+    or its refusal.  2**63 + 1 rejects about half its left draws."""
+    for seed in (0, 1, 7, 12345):
+        for count in (0, 1, 2, 97):
+            for size in sorted({1, min(3, n - 1), min(64, n - 1), n - 1}):
+                assert outcome(gen_uniform, n, count, size, seed) == \
+                    outcome(reference_uniform, n, count, size, seed), (seed, count, size)
+                assert outcome(gen_uniform_samelen, n, count, size, seed) == \
+                    outcome(reference_uniform_samelen, n, count, size, seed), (seed, count, size)
+
+
+def test_generators_match_reference_across_blocks():
+    for seed in (1, 2):
+        assert outcome(gen_uniform, 2**20, 2 * 8192 + 5, 16384, seed) == \
+            outcome(reference_uniform, 2**20, 2 * 8192 + 5, 16384, seed)
+        assert outcome(gen_uniform_samelen, 2**20, 2 * 8192 + 5, 16, seed) == \
+            outcome(reference_uniform_samelen, 2**20, 2 * 8192 + 5, 16, seed)
+
+
+def test_generators_refuse_as_reference():
+    cases = [(10**23, 5, 3), (10**23, 0, 3), (2**64 + 5, 40, 100), (2**64 + 1, 3, 2**64),
+             (100, -1, 5), (100, 5, 0), (100, -1, 0), (100, 5, 100), (100, 5, -2)]
+    for n, count, size in cases:
+        for gen, ref in ((gen_uniform, reference_uniform),
+                         (gen_uniform_samelen, reference_uniform_samelen)):
+            got = outcome(gen, n, count, size, 3)
+            assert got == outcome(ref, n, count, size, 3), (gen.__name__, n, count, size)
+    # the first item's left bound, n minus its length, names the refusal
+    first_length = SplitMix64(1).below(4)
+    assert outcome(gen_uniform, 10**23, 5, 3, 1) == (
+        ValueError, f"bound must be in (0, 2**64], got {10**23 - first_length}")
+    assert len(gen_uniform(10**23, 0, 3, 1)) == 0  # no draw, no refusal
+
+
+@pytest.mark.parametrize("block", [3, 4])
+def test_rejection_on_a_block_edge(block, monkeypatch):
+    """Blocks of 3 or 4 items: at n = 2**63 + 1 a rejection lands on every
+    item position of a block, its first and last among them."""
+    monkeypatch.setattr(generators, "_BLOCK", block)
+    n, count = 2**63 + 1, 60
+    rng, where = SplitMix64(5), set()
+
+    def limit(bound):
+        return (1 << 64) - (1 << 64) % bound
+
+    for i in range(count):  # replay the reference and note each rejection's item
+        while (length := rng.next_u64()) >= limit(4):
+            where.add(i % block)
+        length %= 4
+        while rng.next_u64() >= limit(n - length):
+            where.add(i % block)
+    assert where == set(range(block))
+    for seed in (5, 6):
+        assert outcome(gen_uniform, n, count, 3, seed) == outcome(reference_uniform, n, count, 3, seed)
+        assert outcome(gen_uniform_samelen, n, count, 3, seed) == \
+            outcome(reference_uniform_samelen, n, count, 3, seed)
 
 
 def test_index_samelen_figure_instance():

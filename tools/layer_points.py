@@ -5,7 +5,8 @@ Run from the root of a checkout:
     PYTHONPATH=src python3 tools/layer_points.py
 
 It prints one JSON object.  Each rate is the best of three in-process runs:
-``parse_stream`` on the text of a uniform stream, ``PartitionSelector.feed``
+``gen_uniform`` writing a uniform stream and ``format_stream`` on it,
+``parse_stream`` on its text, ``PartitionSelector.feed``
 on the same stream and on dense streams of 100k and 400k items,
 ``oracle.alpha``, ``oracle.gamma_all`` and ``estimate_oracle_mode`` (at
 eps 0.3); ``PartitionSelector.feed`` and ``oracle.alpha`` again on the
@@ -21,7 +22,9 @@ lambda 0 route (``distinct_points_estimate``) on a stream of points, with
 ``oracle.alpha`` on each of the two streams beside them; and
 ``GeneralAlphaEstimator.feed`` (then ``estimate``, which flushes the last
 partial chunk) at the general estimator's item-2 point of ROADMAP.md, once
-with the exact counter and once with ``kmv`` (``.kmv``).  ``dense_ratio`` is the 400k
+with the exact counter and once with ``kmv`` (``.kmv``).  ``gen_uniform``,
+``gen_uniform_samelen`` and ``format_stream`` run again at the 1M-item
+inputs of ROADMAP item 2 (``.1m``).  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
 ``dense_bytes_per_window`` is the memory a ``PartitionSelector`` still holds
 after its feed of the 400k dense stream, by ``tracemalloc`` in a run of its
@@ -58,6 +61,7 @@ SAMELEN = dict(n=1 << 20, count=200_000, lam=16, eps=0.2)
 SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process: one-pair chunks
 POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
 GENERAL = dict(n=1 << 20, count=20_000, max_len=64, eps=0.45, scale=1e-7)  # ROADMAP item 2
+GEN_1M = dict(n=1 << 20, count=1_000_000, max_len=64, length=16)  # ROADMAP item 2 input sizes
 
 
 def best_seconds(fn, *args) -> float:
@@ -126,6 +130,8 @@ def main() -> int:
     uniform = gen_uniform(UNIFORM["n"], UNIFORM["count"], UNIFORM["max_len"], SEED)
     text = format_stream(uniform)
     seconds = {
+        "gen_uniform": best_seconds(gen_uniform, UNIFORM["n"], UNIFORM["count"], UNIFORM["max_len"], SEED),
+        "format_stream": best_seconds(format_stream, uniform),
         "parse_stream": best_seconds(parse_stream, text),
         "PartitionSelector.feed": best_seconds(feed, uniform),
         "oracle.alpha": best_seconds(oracle.alpha, uniform),
@@ -136,6 +142,7 @@ def main() -> int:
                           "numpy": np.__version__},
               "seed": SEED, "rounds": ROUNDS, "uniform": UNIFORM, "oracle_eps": ORACLE_EPS, "dense": DENSE,
               "select_general": SELECT_GENERAL, "samelen": SAMELEN, "samelen_items": SAMELEN_ITEMS,
+              "gen_1m": GEN_1M,
               "items_per_s": {name: round(UNIFORM["count"] / s) for name, s in seconds.items()}}
     select_general = gen_uniform(SELECT_GENERAL["n"], SELECT_GENERAL["count"], SELECT_GENERAL["max_len"], SEED)
     for name, fn in (("PartitionSelector.feed", feed), ("oracle.alpha", oracle.alpha)):
@@ -169,6 +176,12 @@ def main() -> int:
     for name, counter in (("GeneralAlphaEstimator.feed", "exact"),
                           ("GeneralAlphaEstimator.feed.kmv", "kmv")):
         result["items_per_s"][name] = round(len(general) / best_seconds(run_general, general, counter))
+    n, count = GEN_1M["n"], GEN_1M["count"]
+    for name, fn, size in (("gen_uniform.1m", gen_uniform, GEN_1M["max_len"]),
+                           ("gen_uniform_samelen.1m", gen_uniform_samelen, GEN_1M["length"])):
+        result["items_per_s"][name] = round(count / best_seconds(fn, n, count, size, SEED))
+    result["items_per_s"]["format_stream.1m"] = round(
+        count / best_seconds(format_stream, gen_uniform(n, count, GEN_1M["max_len"], SEED)))
     json.dump(result, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
