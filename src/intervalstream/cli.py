@@ -16,9 +16,6 @@ from typing import List, Optional
 
 from . import oracle
 from .core import DomainError, Instance, ParseError, format_stream, parse_stream
-from .generators import (expected_alpha_index_general, expected_alpha_index_samelen,
-                         gen_index_general, gen_index_samelen, gen_uniform,
-                         gen_uniform_samelen, random_index_input)
 from .harness import ALGORITHMS, json_line, run_single, run_trials
 
 
@@ -52,6 +49,9 @@ def _parse_members(text: str) -> List[int]:
 
 
 def cmd_gen(args) -> int:
+    from .generators import (expected_alpha_index_general, expected_alpha_index_samelen,
+                             gen_index_general, gen_index_samelen, gen_uniform,
+                             gen_uniform_samelen, random_index_input)
     if args.mode == "uniform":
         if args.length is not None:
             inst = gen_uniform_samelen(args.n, args.count, args.length, args.seed)

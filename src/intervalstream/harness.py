@@ -10,19 +10,11 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from statistics import median
 from typing import Dict, List, Optional, Tuple
 
 from . import oracle
 from .core import Instance, pairwise_disjoint
-from .estimator import (EstimatorConfig, GeneralAlphaEstimator, corrected, eps1_of,
-                        estimate_oracle_mode)
-from .estimator_samelen import (SamelenAlphaEstimator, SamelenConfig, distinct_points_estimate,
-                                samelen_estimate_oracle)
-from .selector import PartitionSelector
-from .selector_samelen import ShiftedGridSelector
 
 ALGORITHMS = ("select-general", "select-samelen",
               "estimate-general", "estimate-general-oracle",
@@ -76,6 +68,7 @@ def trial_success(algorithm: str, output: float, alpha: int, eps: float = 0.0) -
     if algorithm == "estimate-general":
         return 0.5 * (1.0 - eps) * alpha <= output <= alpha
     if algorithm == "estimate-general-oracle":
+        from .estimator import corrected, eps1_of
         eps1 = eps1_of(eps)
         return corrected(0.5 - eps1, eps1) * alpha <= output <= alpha
     if algorithm in ("estimate-samelen", "estimate-samelen-oracle"):
@@ -93,9 +86,12 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
               "counter": counter}
     details: Dict = {}
     space_ok = None
-    start = time.perf_counter()
 
+    # each branch imports its algorithm's module, so a command loads only
+    # what it runs; the clock starts after the import
     if algorithm == "select-general":
+        from .selector import PartitionSelector
+        start = time.perf_counter()
         sel = PartitionSelector()
         sel.feed(inst.lcodes, inst.rcodes)
         output = float(sel.window_count)
@@ -103,6 +99,8 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         space_ok = units <= max(alpha, 1)
         details["disjoint"] = pairwise_disjoint(sel.solution())
     elif algorithm == "select-samelen":
+        from .selector_samelen import ShiftedGridSelector
+        start = time.perf_counter()
         sel = ShiftedGridSelector(lam)
         sel.feed(inst.lcodes, inst.rcodes)
         shift = sel.best_shift()
@@ -113,6 +111,8 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         details["best_shift"] = shift
         details["disjoint"] = pairwise_disjoint(solution)
     elif algorithm == "estimate-general":
+        from .estimator import EstimatorConfig, GeneralAlphaEstimator
+        start = time.perf_counter()
         est = GeneralAlphaEstimator(EstimatorConfig(
             n=inst.n, user_eps=eps, seed=seed, counter_kind=counter, scale=scale))
         est.feed(inst.lcodes, inst.rcodes)
@@ -124,12 +124,18 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
                        relevant_count=res.relevant_count, tracked_nodes=res.tracked_nodes,
                        columns_hashed=est.columns_hashed)
     elif algorithm == "estimate-general-oracle":
+        from .estimator import estimate_oracle_mode
+        start = time.perf_counter()
         output = estimate_oracle_mode(inst, eps)
         units = 0
     elif algorithm == "estimate-samelen" and lam == 0:
+        from .estimator_samelen import distinct_points_estimate
+        start = time.perf_counter()
         output, units = distinct_points_estimate(inst, eps, seed, counter)
         details["route"] = "distinct-points"
     elif algorithm == "estimate-samelen":
+        from .estimator_samelen import SamelenAlphaEstimator, SamelenConfig
+        start = time.perf_counter()
         est = SamelenAlphaEstimator(SamelenConfig(
             n=inst.n, lam=lam, user_eps=eps, seed=seed, counter_kind=counter))
         est.feed(inst.lcodes, inst.rcodes)
@@ -139,6 +145,8 @@ def run_single(algorithm: str, inst: Instance, seed: int, eps: float = 0.25,
         details.update(type2_counts=res.type2_counts, k=res.k,
                        columns_hashed=est.columns_hashed)
     elif algorithm == "estimate-samelen-oracle":
+        from .estimator_samelen import samelen_estimate_oracle
+        start = time.perf_counter()
         output = samelen_estimate_oracle(inst, lam, eps)
         units = 0
     else:
@@ -181,11 +189,13 @@ def run_trials(algorithm: str, inst: Instance, trials: int, base_seed: int,
              for t in range(trials)]
     workers = min(workers, trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_trial_task, tasks))
     else:
         reports = [_trial_task(t) for t in tasks]
 
+    from statistics import median
     outputs = [r.output for r in reports]
     summary = {
         "kind": "summary",
@@ -210,6 +220,7 @@ def median_of_groups(values: List[float], groups: int) -> List[float]:
     """Split values into contiguous groups and take each group's median.
     Every value counts: the first len(values) % groups groups hold one
     value more than the others."""
+    from statistics import median
     if groups < 1 or groups > len(values):
         raise ValueError(f"groups must be in [1, {len(values)}], got {groups}")
     size, extra = divmod(len(values), groups)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -290,7 +292,8 @@ class RecordingPool:
 
 
 def test_run_trials_pool_capped_by_trials_and_cpus(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    # run_trials imports the pool class from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     inst = gen_uniform(64, 20, 8, seed=1)
     serial, _ = run_trials("select-general", inst, trials=5, base_seed=0)

@@ -24,7 +24,12 @@ lambda 0 route (``distinct_points_estimate``) on a stream of points, with
 partial chunk) at the general estimator's item-2 point of ROADMAP.md, once
 with the exact counter and once with ``kmv`` (``.kmv``).  ``gen_uniform``,
 ``gen_uniform_samelen`` and ``format_stream`` run again at the 1M-item
-inputs of ROADMAP item 2 (``.1m``).  ``dense_ratio`` is the 400k
+inputs of ROADMAP item 2 (``.1m``).  ``cli_start.select_general`` and
+``cli_start.estimate_general`` (in ``seconds``) time the CLI's start: each
+is the median, over 7 fresh processes run one after another, of the time
+from spawning ``python`` to the end of one ``cli.main`` on the smoke-sized
+input of that benchmark workload (interpreter start, the imports the
+command runs, parsing and the command itself).  ``dense_ratio`` is the 400k
 time over the 100k time; a selector linear in m reads 4.
 ``dense_bytes_per_window`` is the memory a ``PartitionSelector`` still holds
 after its feed of the 400k dense stream, by ``tracemalloc`` in a run of its
@@ -36,12 +41,16 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
+import intervalstream
 from intervalstream import oracle
 from intervalstream.core import Instance, format_stream, parse_stream
 from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator, estimate_oracle_mode
@@ -62,6 +71,18 @@ SAMELEN_ITEMS = dict(n=1 << 16, count=3_000, lam=4, eps=0.2)  # per-item process
 POINTS = dict(n=1 << 20, count=1_000_000, eps=0.3)  # the lambda 0 route
 GENERAL = dict(n=1 << 20, count=20_000, max_len=64, eps=0.45, scale=1e-7)  # ROADMAP item 2
 GEN_1M = dict(n=1 << 20, count=1_000_000, max_len=64, length=16)  # ROADMAP item 2 input sizes
+START_RUNS = 7
+# the smoke-sized input and the command of two benchmark workloads
+CLI_START = {
+    "select_general": (dict(n=4096, count=300, max_len=64), ["select", "--algo", "general"]),
+    "estimate_general": (dict(n=64, count=20, max_len=8),
+                         ["estimate", "--algo", "general", "--eps", "0.45", "--scale", "1e-7",
+                          "--seed", "1"]),
+}
+START_CHILD = ("import sys, time\n"
+               "from intervalstream import cli\n"
+               "cli.main(sys.argv[1:])\n"
+               "print(time.monotonic())\n")
 
 
 def best_seconds(fn, *args) -> float:
@@ -126,6 +147,20 @@ def run_general(inst, counter: str) -> None:
     est.estimate()
 
 
+def cli_start_seconds(argv) -> float:
+    """Median, over START_RUNS fresh processes run one after another, of the
+    seconds from spawn to the end of one ``cli.main(argv)``."""
+    src = os.path.dirname(os.path.dirname(intervalstream.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    times = []
+    for _ in range(START_RUNS):
+        spawned = time.monotonic()
+        child = subprocess.run([sys.executable, "-c", START_CHILD, *argv], env=env, check=True,
+                               capture_output=True, text=True)
+        times.append(float(child.stdout) - spawned)
+    return statistics.median(times)
+
+
 def main() -> int:
     uniform = gen_uniform(UNIFORM["n"], UNIFORM["count"], UNIFORM["max_len"], SEED)
     text = format_stream(uniform)
@@ -182,6 +217,14 @@ def main() -> int:
         result["items_per_s"][name] = round(count / best_seconds(fn, n, count, size, SEED))
     result["items_per_s"]["format_stream.1m"] = round(
         count / best_seconds(format_stream, gen_uniform(n, count, GEN_1M["max_len"], SEED)))
+    result["seconds"] = {}
+    with tempfile.TemporaryDirectory() as work:
+        for name, (shape, command) in CLI_START.items():
+            path = os.path.join(work, f"{name}.txt")
+            with open(path, "w") as fh:
+                fh.write(format_stream(gen_uniform(shape["n"], shape["count"], shape["max_len"], SEED)))
+            result["seconds"][f"cli_start.{name}"] = round(
+                cli_start_seconds([*command, "--in", path, "--out", os.devnull]), 4)
     json.dump(result, sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return 0
