@@ -28,8 +28,9 @@ def _write(args, text: str) -> None:
 
 
 def _read_instance(args, require_header: bool = False) -> Instance:
-    # parse_stream reads the file a block of lines at a time: the text of
-    # the whole stream is never held at once
+    # parse_stream reads a regular --in file in one np.loadtxt pass by its
+    # path, and stdin, a pipe or a FIFO a block of lines at a time; either
+    # way the text of the whole stream is never held at once
     if args.infile:
         try:
             fh = open(args.infile)

@@ -6,16 +6,20 @@ point ``x`` becomes code ``2*x`` and the open gap just past ``x`` becomes
 codes, so intersection and containment are plain integer comparisons with
 no epsilon handling, even for mixed open/closed inputs.
 
-An Instance holds its stream as two code columns, not as Interval objects,
-and ``parse_stream`` fills them a block of lines at a time with
-``np.loadtxt``; the line-by-line check reads only the pieces of a block
-that this refuses.
+An Instance holds its stream as two code columns, not as Interval objects.
+``parse_stream`` fills them with ``np.loadtxt``: an open regular file in
+one call that reads the file by its name, any other text a block of lines
+at a time.  Neither holds the whole text at once (``np.loadtxt`` reads a
+file in chunks), and the line-by-line check reads only the lines that
+``np.loadtxt`` or the range rule refuses.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
+import stat
 import warnings
 from functools import partial, reduce
 from itertools import chain, islice
@@ -375,18 +379,22 @@ class _LineCheck:
         return _column(lcodes), _column(rcodes)
 
 
-def _block_codes(lines: List[str], n: Optional[int]) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """The code columns of a block of lines by one np.loadtxt call, when
-    every line with tokens is a closed interval ``left right`` with
-    endpoints in [1, 2**62) that ``refuse`` takes against n; otherwise None.
-    (With n None, endpoints >= 1 are the whole range rule.)  np.loadtxt
-    refuses openness flags, ragged rows and tokens that are no int64, and
-    splits a line as str.split does, so a block without data (comment and
-    blank lines only) is one the line check reads no interval from either."""
+def _block_codes(lines: Union[List[str], str], n: Optional[int],
+                 **read) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The code columns of a block of lines, or of the file at the path
+    ``lines`` (``read`` then holds np.loadtxt's ``skiprows`` and
+    ``encoding``), by one np.loadtxt call, when every line with tokens is a
+    closed interval ``left right`` with endpoints in [1, 2**62) that
+    ``refuse`` takes against n; otherwise None.  (With n None, endpoints
+    >= 1 are the whole range rule.)  np.loadtxt refuses openness flags,
+    ragged rows, tokens that are no int64 and text that does not decode,
+    and splits a line as str.split does, so a block without data (comment
+    and blank lines only) is one the line check reads no interval from
+    either."""
     with warnings.catch_warnings(record=True):  # "input contained no data"
         try:
-            ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
-        except ValueError:
+            ends = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2, **read)
+        except (ValueError, OSError):
             return None
     if not len(ends):
         return _column(()), _column(())
@@ -437,6 +445,37 @@ def _parse_refused(lines: List[str], lineno: int,
     yield check.codes(lines, lineno)
 
 
+# Name suffixes that np.loadtxt reads through a decompressor (numpy's
+# DataSource); a text file so named is read a block of lines at a time.
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+# Files smaller than this are read a block of lines at a time: np.loadtxt
+# by a path goes through numpy's DataSource, which in a fresh process made
+# the parse of 1,000-2,000 lines (14-28 kB) about 0.1 ms slower and paid
+# off from about 4,000 lines (55 kB); its first call in a process also
+# imports gzip (about 0.6 ms).
+_ONE_PASS_BYTES = 1 << 17
+
+
+def _regular_path(text) -> Optional[str]:
+    """The absolute path of the regular file of _ONE_PASS_BYTES or more
+    that the open text file ``text`` reads, when it has read nothing yet
+    and its name names that file (the same device and inode); otherwise
+    None.  A pipe, a FIFO and ``sys.stdin`` (named ``<stdin>``) have none."""
+    name = getattr(text, "name", None)
+    if not isinstance(text, io.TextIOBase) or not isinstance(name, str) or name.endswith(_COMPRESSED):
+        return None
+    try:
+        opened = os.fstat(text.fileno())
+        if not stat.S_ISREG(opened.st_mode) or opened.st_size < _ONE_PASS_BYTES or text.tell() != 0:
+            return None
+        path = os.path.abspath(name)  # a local path: np.loadtxt fetches a name like a URL
+        named = os.stat(path)
+    except (OSError, ValueError):
+        return None
+    return path if os.path.samestat(opened, named) else None
+
+
 def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) -> Instance:
     """Parse the stream file format into an Instance.
 
@@ -447,13 +486,18 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
 
     This is the check for text input, and the Instance is built without
     checking again.  The line check reads the lines up to the first with
-    tokens, so it reads the header.  The lines after it go in blocks of
-    _BLOCK lines to one np.loadtxt call each plus the vectorised check of
-    their codes; the pieces of a block that either refuses go to the line
-    check, so the first bad line and its message are those of a
-    line-by-line parse.  A str is split into lines as a text file is read:
-    only at ``\n``, ``\r`` and ``\r\n``.
+    tokens, so it reads the header.  An open regular file of 128 KiB or
+    more (``_regular_path``) whose reading splits lines as numpy's does
+    (``\n``, ``\r`` and ``\r\n``) then goes whole, from the next line
+    on, to one np.loadtxt call by its path plus the vectorised check of its
+    codes.  Any other text, and a file that either refuses, is read on
+    from the handle: the lines go in blocks of _BLOCK lines to one
+    np.loadtxt call each plus the check; the pieces of a block that either
+    refuses go to the line check, so the first bad line and its message
+    are those of a line-by-line parse.  A str is split into lines as a
+    text file is read: only at ``\n``, ``\r`` and ``\r\n``.
     """
+    path = _regular_path(text)
     lines = iter(io.StringIO(text, newline=None) if isinstance(text, str) else text)
     check = _LineCheck()
     chunks = [(_column(()), _column(()))]
@@ -463,9 +507,18 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
         lineno += 1
         if check.started:
             break
-    while block := list(islice(lines, _BLOCK)):
-        chunks.extend(_parse_block(block, lineno, check))
-        lineno += len(block)
+    # a handle that splits lines at \n, \r and \r\n, as np.loadtxt's own
+    # reading does, sets text.newlines at the first newline it reads (with
+    # none, it is at its end); one that splits at one of them only never does
+    codes = None
+    if path is not None and check.started and text.newlines is not None:
+        codes = _block_codes(path, check.declared_n, skiprows=lineno - 1, encoding=text.encoding)
+    if codes is not None:
+        chunks.append(codes)
+    else:
+        while block := list(islice(lines, _BLOCK)):
+            chunks.extend(_parse_block(block, lineno, check))
+            lineno += len(block)
     lcodes, rcodes = (np.concatenate(column) for column in zip(*chunks))
     declared_n = check.declared_n
     if declared_n is None:
@@ -477,10 +530,14 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
 
 def format_stream(inst: Instance) -> str:
     """Canonical text form; parse_stream(format_stream(x)) == x.  Decoded as
-    Interval's properties do, a _BLOCK-pair slice of the columns at a time."""
+    Interval's properties do, a _BLOCK-pair slice of the columns at a time,
+    each slice written by one %-format of its left, right, suffix fields."""
     out = [f"n {inst.n}\n"]
     for s in range(0, len(inst), _BLOCK):
         ls, rs = inst.lcodes[s:s + _BLOCK], inst.rcodes[s:s + _BLOCK]
-        out.append("".join(map("{} {}{}\n".format, (ls >> 1).tolist(), ((rs + 1) >> 1).tolist(),
-                               map(_SUFFIX.__getitem__, ((ls & 1) + 2 * (rs & 1)).tolist()))))
+        fields = [None] * (3 * len(ls))
+        fields[0::3] = (ls >> 1).tolist()
+        fields[1::3] = ((rs + 1) >> 1).tolist()
+        fields[2::3] = map(_SUFFIX.__getitem__, ((ls & 1) + 2 * (rs & 1)).tolist())
+        out.append("%d %d%s\n" * len(ls) % tuple(fields))
     return "".join(out)

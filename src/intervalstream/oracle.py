@@ -230,9 +230,10 @@ def relevant_segments(inst: Instance, eps: float, tree: SegTree = None) -> Set[i
     tree = tree or SegTree(inst.n)
     gammas = gamma_all(inst, tree)
     threshold = relevance_threshold(tree.n, eps)
-    # a node with gamma >= 1 holds an interval, so it is a key of gammas
-    rel = {v for v, g in gammas.items()
-           if v != tree.root and g < threshold and gammas[v >> 1] >= threshold}
+    # only the children of the saturated nodes are tested; a node with
+    # gamma >= 1 holds an interval, so it is a key of gammas
+    rel = {c for u, g in gammas.items() if g >= threshold
+           for c in (2 * u, 2 * u + 1) if c in gammas and gammas[c] < threshold}
     return rel or {tree.root}
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from intervalstream import core
 from intervalstream.cli import main
 from intervalstream.core import Interval, parse_stream
 from intervalstream.harness import run_trials
@@ -454,3 +455,31 @@ def test_repeated_calls_carry_no_flag_over(tmp_path):
     assert json.loads(flagged)["params"]["counter"] == "kmv"
     assert json.loads(flagged)["wall_time_s"] is not None
     assert again == first
+
+
+# closed intervals, enough bytes for the one-pass read of a --in file
+BIG = [f"{i} {i + 4}\n" for i in range(100_000, 112_000)]
+IN_STREAMS = {
+    "closed": ["n 200000\n", *BIG],
+    "flagged": ["n 200000\n", *(line[:-1] + " oc\n" if i % 7 == 0 else line for i, line in enumerate(BIG))],
+    "bad-middle": ["n 200000\n", *BIG[:6000], "7 x\n", *BIG[6000:]],
+    "late-header": [*BIG[:6000], "n 200000\n", *BIG[6000:]],
+}
+
+
+@pytest.mark.parametrize("command", [["exact"], ["select", "--algo", "general"]], ids=["exact", "select"])
+@pytest.mark.parametrize("stream", sorted(IN_STREAMS))
+def test_in_file_and_stdin_print_the_same(tmp_path, command, stream):
+    """`--in FILE` (read in one pass) and stdin redirected from the same
+    file (read a block at a time) give the same exit code, stdout and
+    stderr, but for the instance id."""
+    path = tmp_path / "s.txt"
+    path.write_text("".join(IN_STREAMS[stream]))
+    assert path.stat().st_size >= core._ONE_PASS_BYTES
+    cli = [sys.executable, "-m", "intervalstream.cli", *command]
+    by_name = subprocess.run([*cli, "--in", str(path)], capture_output=True, text=True, timeout=60)
+    with open(path) as stdin:
+        by_stdin = subprocess.run(cli, stdin=stdin, capture_output=True, text=True, timeout=60)
+    assert by_name.returncode == by_stdin.returncode == (0 if stream in ("closed", "flagged") else 2)
+    assert by_name.stderr == by_stdin.stderr
+    assert by_name.stdout.replace(json.dumps(str(path)), '"<stdin>"') == by_stdin.stdout

@@ -1,5 +1,10 @@
 import copy
+import io
+import json
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +18,13 @@ from intervalstream.core import (DomainError, Instance, Interval, ParseError,
 from intervalstream.rng import SplitMix64
 
 from conftest import all_intervals, brute_contained, brute_intersects
+
+
+@pytest.fixture(autouse=True)
+def one_pass_for_every_file(monkeypatch):
+    """Open files of any size take the one-pass read, so that the small
+    files here test it."""
+    monkeypatch.setattr(core, "_ONE_PASS_BYTES", 0)
 
 
 def test_parse_basic():
@@ -329,8 +341,9 @@ def reference_parse(lines, require_header=False):
     return Instance(declared_n, intervals)
 
 
-# separators that str.split and int() accept; np.loadtxt refuses the digits
-SPACES = (" ", "  ", "\t", "\xa0", "\u3000")
+# separators that str.split and int() accept, none of which ends a line of
+# a text file; np.loadtxt refuses the digits
+SPACES = (" ", "  ", "\t", "\xa0", "\u3000", "\x0c", "\x85", "\u2028")
 DIGITS = {"0": "\u0660", "1": "\u0661", "2": "\uff12", "5": "\u0665", "7": "\uff17"}
 
 
@@ -363,28 +376,71 @@ def random_stream(rng, lines):
     return "\n".join(out) + "\n"
 
 
-def parse_both_ways(text, **kw):
-    """parse_stream over the str and over its lines with their ends, as a
-    file gives them; both must agree."""
-    inst = parse_stream(text, **kw)
-    assert parse_stream(iter(text.splitlines(keepends=True)), **kw) == inst
-    return inst
+def file_lines(text):
+    """The lines of the text with their ends, as a text file gives them:
+    split at \\n, \\r and \\r\\n only."""
+    return io.StringIO(text, newline=None).readlines()
 
 
-def test_block_parse_equals_line_reference(monkeypatch):
+def outcome(source, **kw):
+    """The Instance parse_stream returns, or its error as error_of gives it;
+    ``source`` is read once."""
+    try:
+        return parse_stream(source, **kw)
+    except (ParseError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def write_file(path, text, **kw):
+    with open(path, "w", newline="", **kw) as fh:
+        fh.write(text)
+    return path
+
+
+def from_file(path, **kw):
+    with open(path, **kw) as fh:
+        return outcome(fh)
+
+
+def parse_both_ways(text, path, **kw):
+    """parse_stream over the str, over its lines with their ends, and over
+    an open file at ``path`` that holds the text (the one-pass read): all
+    three give the same Instance or the same error, which this returns or
+    raises as the str gives it."""
+    with open(write_file(path, text, encoding="utf-8"), encoding="utf-8") as fh:
+        got = outcome(fh, **kw)
+    assert outcome(iter(file_lines(text)), **kw) == got
+    assert outcome(text, **kw) == got
+    return parse_stream(text, **kw)
+
+
+def record_block_reads(monkeypatch):
+    """Record, for each _block_codes call, whether it read a file by its
+    path and whether it took what it read."""
+    block_codes, reads = core._block_codes, []
+
+    def record(lines, *args, **kw):
+        codes = block_codes(lines, *args, **kw)
+        reads.append((isinstance(lines, str), codes is not None))
+        return codes
+
+    monkeypatch.setattr(core, "_block_codes", record)
+    return reads
+
+
+def test_block_parse_equals_line_reference(monkeypatch, tmp_path):
     monkeypatch.setattr(core, "_BLOCK", 3)
-    block_codes, taken = core._block_codes, []
-    monkeypatch.setattr(core, "_block_codes",
-                        lambda *a: taken.append(block_codes(*a) is not None) or block_codes(*a))
+    reads = record_block_reads(monkeypatch)
     rng = SplitMix64(2024)
     for _ in range(300):
         text = random_stream(rng, rng.below(25))
-        expect = reference_parse(text.splitlines())
-        got = parse_both_ways(text)
+        expect = reference_parse(file_lines(text))
+        got = parse_both_ways(text, tmp_path / "stream.txt")
         assert got == expect and got.intervals == expect.intervals, text
         assert got.n == expect.n and type(got.n) is int
-    # both paths ran: np.loadtxt blocks and line-checked blocks
-    assert True in taken and False in taken
+    # every path ran: np.loadtxt blocks, line-checked blocks, and one-pass
+    # file reads both taken and refused
+    assert set(reads) == {(False, True), (False, False), (True, True), (True, False)}
 
 
 BAD_LINES = ("n 12", "1 2 3 4", "7", "1 x", "1 2.0", "1 2 xx", "1 2 3", "5 3",
@@ -401,32 +457,33 @@ def error_of(fn, *args, **kw):
     return None
 
 
-def test_block_parse_errors_equal_line_reference(monkeypatch):
+def test_block_parse_errors_equal_line_reference(monkeypatch, tmp_path):
     monkeypatch.setattr(core, "_BLOCK", 3)
+    path = tmp_path / "stream.txt"
     rng = SplitMix64(77)
     for _ in range(40):
-        body = random_stream(rng, 12).splitlines()
+        body = random_stream(rng, 12).split("\n")[:-1]
         if not body or not body[0].startswith("n "):
             body.insert(0, "n 40")
         for bad in BAD_LINES:
             lines = list(body)
             lines.insert(1 + rng.below(len(lines)), bad)
             text = "\n".join(lines) + "\n"
-            expect = error_of(reference_parse, text.splitlines())
+            expect = error_of(reference_parse, file_lines(text))
             assert expect is not None
-            assert error_of(parse_both_ways, text) == expect, text
+            assert error_of(parse_both_ways, text, path) == expect, text
         for bad in BAD_FIRST:
             text = "# lead\n\n" + bad + "\n" + "\n".join(body[1:]) + "\n"
-            expect = error_of(reference_parse, text.splitlines())
+            expect = error_of(reference_parse, file_lines(text))
             assert expect is not None
-            assert error_of(parse_both_ways, text) == expect, text
+            assert error_of(parse_both_ways, text, path) == expect, text
     # a header after an interval, and codes that would wrap around int64
     for text in ("1 2\nn 12\n", "# c\n1 2\n3 4\n5 6\nn 9\n",
                  f"1 1\n{-2 ** 62 - 1} {2 ** 62 - 1}\n", f"1 1\n{-2 ** 63} 3\n"):
-        expect = error_of(reference_parse, text.splitlines())
-        assert expect is not None and error_of(parse_both_ways, text) == expect
+        expect = error_of(reference_parse, file_lines(text))
+        assert expect is not None and error_of(parse_both_ways, text, path) == expect
     headless = "1 2\n# c\n3 4\n5 6 oc\n"
-    assert (error_of(parse_stream, headless, require_header=True)
+    assert (error_of(parse_both_ways, headless, path, require_header=True)
             == error_of(reference_parse, headless.splitlines(), require_header=True)
             == (ParseError, "line 0: header 'n <int>' is required here"))
 
@@ -478,7 +535,7 @@ def is_flagged(line):
 
 
 @pytest.mark.parametrize("min_piece", [1, 4])
-def test_sparse_flag_block_parse_equals_line_reference(monkeypatch, min_piece):
+def test_sparse_flag_block_parse_equals_line_reference(monkeypatch, min_piece, tmp_path):
     monkeypatch.setattr(core, "_BLOCK", 64)
     monkeypatch.setattr(core, "_MIN_PIECE", min_piece)
     pieces = record_line_checked(monkeypatch)
@@ -500,7 +557,7 @@ def test_sparse_flag_block_parse_equals_line_reference(monkeypatch, min_piece):
         for a, size in pieces[1:]:
             halves = [(a, a + size // 2), (a + size // 2, a + size)] if size > min_piece else [(a, a + size)]
             assert all(any(lo <= f < hi for f in flagged) for lo, hi in halves)
-        assert parse_both_ways(text) == expect
+        assert parse_both_ways(text, tmp_path / "stream.txt") == expect
 
 
 def test_flagged_block_goes_whole_to_the_line_check(monkeypatch):
@@ -526,7 +583,7 @@ def test_comment_run_skips_the_line_check(monkeypatch):
 
 
 @pytest.mark.parametrize("min_piece", [1, 4])
-def test_sparse_flag_block_parse_errors_equal_line_reference(monkeypatch, min_piece):
+def test_sparse_flag_block_parse_errors_equal_line_reference(monkeypatch, min_piece, tmp_path):
     monkeypatch.setattr(core, "_BLOCK", 64)
     monkeypatch.setattr(core, "_MIN_PIECE", min_piece)
     rng = SplitMix64(100 + min_piece)
@@ -538,16 +595,7 @@ def test_sparse_flag_block_parse_errors_equal_line_reference(monkeypatch, min_pi
             text = "\n".join(lines) + "\n"
             expect = error_of(reference_parse, text.splitlines())
             assert expect is not None
-            assert error_of(parse_both_ways, text) == expect, text
-
-
-def outcome(source):
-    """The Instance parse_stream returns, or its error as error_of gives it;
-    ``source`` is read once."""
-    try:
-        return parse_stream(source)
-    except (ParseError, DomainError) as exc:
-        return type(exc), str(exc)
+            assert error_of(parse_both_ways, text, tmp_path / "stream.txt") == expect, text
 
 
 @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -556,18 +604,14 @@ def test_str_splits_lines_as_a_file_does(tmp_path, sep):
     """A str and the same text read from a file give the same Instance or
     the same error: only \\n, \\r and \\r\\n end a line."""
     text = f"n 9\n1 2{sep}3 4\n5 6\n"
-    path = tmp_path / "stream.txt"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    with open(path, encoding="utf-8") as fh:
-        from_file = outcome(fh)
-    assert outcome(text) == from_file
+    read = from_file(write_file(tmp_path / "stream.txt", text, encoding="utf-8"), encoding="utf-8")
+    assert outcome(text) == read
     ends_line = sep in ("\r", "\r\n")
-    assert isinstance(from_file, Instance) == ends_line
+    assert isinstance(read, Instance) == ends_line
     if ends_line:
-        assert len(from_file) == 3
+        assert len(read) == 3
     else:
-        assert from_file == (ParseError, f"line 2: expected 'left right [flags]', got {f'1 2{sep}3 4'!r}")
+        assert read == (ParseError, f"line 2: expected 'left right [flags]', got {f'1 2{sep}3 4'!r}")
 
 
 def test_codes_are_int64_below_2_62_and_objects_above():
@@ -578,6 +622,185 @@ def test_codes_are_int64_below_2_62_and_objects_above():
         assert huge.rcodes.dtype == object
         assert list(huge.codes()) == [tuple(iv) for iv in huge.intervals]
         assert huge == reference_parse(text.splitlines())
+
+
+# ---- the one-pass read of an open regular file ---------------------------
+
+CLOSED = "n 50\n" + "".join(f"{i} {i + 3}\n" for i in range(1, 41))
+B62 = 2 ** 62
+FILE_CASES = {
+    # name: (text, file name, the (read by path, taken) pair of each _block_codes call)
+    "crlf": (CLOSED.replace("\n", "\r\n"), "s.txt", [(True, True)]),
+    "lone-cr": (CLOSED.replace("\n", "\r"), "s.txt", [(True, True)]),
+    "flag-last": (CLOSED + "7 9 oc\n", "s.txt", [(True, False), (False, False), (False, True)]),
+    "header-only": ("# c\nn 7\n", "s.txt", [(True, True)]),
+    "empty": ("", "s.txt", []),
+    "comment-only": ("# c\n\n  # d\n", "s.txt", []),
+    "past-2^62": (f"n {2 ** 70}\n1 2\n3 {B62}\n{B62} {2 ** 70}\n", "s.txt", [(True, False), (False, False)]),
+    "plain-gz": (CLOSED, "s.gz", [(False, True)]),
+    "no-header": (CLOSED[5:], "s.txt", [(True, True)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_CASES))
+def test_file_one_pass_equals_line_reference(monkeypatch, tmp_path, case):
+    """Each open file gives what its text gives; a file that np.loadtxt
+    refuses, or takes past 2**62, is read on a block at a time."""
+    text, name, expect_reads = FILE_CASES[case]
+    path = write_file(tmp_path / name, text)
+    reads = record_block_reads(monkeypatch)
+    got = from_file(path)
+    assert reads == expect_reads
+    assert got == outcome(text) == reference_parse(file_lines(text))
+    if case == "past-2^62":
+        assert got.rcodes.dtype == object
+
+
+def test_closed_file_is_read_in_one_pass(monkeypatch, tmp_path):
+    """The line check reads the header line only, and np.loadtxt the rest
+    of the file in one call, past several blocks."""
+    monkeypatch.setattr(core, "_BLOCK", 4)
+    path = write_file(tmp_path / "s.txt", CLOSED)
+    pieces, reads = record_line_checked(monkeypatch), record_block_reads(monkeypatch)
+    assert from_file(path) == reference_parse(file_lines(CLOSED))
+    assert pieces == [(1, 1)] and reads == [(True, True)]
+
+
+def test_smaller_file_is_read_a_block_at_a_time(monkeypatch, tmp_path):
+    path = write_file(tmp_path / "s.txt", CLOSED)
+    reads = record_block_reads(monkeypatch)
+    for size, expect_reads in ((len(CLOSED), [(True, True)]), (len(CLOSED) + 1, [(False, True)])):
+        monkeypatch.setattr(core, "_ONE_PASS_BYTES", size)
+        reads.clear()
+        assert from_file(path) == reference_parse(file_lines(CLOSED))
+        assert reads == expect_reads
+
+
+def test_file_bad_line_equals_line_reference(monkeypatch, tmp_path):
+    """A file that the one-pass read refuses is read on from its handle: a
+    bad line, a late header or a flagged line in the middle gives the line
+    reference's outcome."""
+    lines = file_lines(CLOSED)
+    for middle in ("1 x\n", "n 9\n", "3 3 oo\n", "4 99\n", "5 6 oc\n"):
+        text = "".join(lines[:20] + [middle] + lines[20:])
+        expect = error_of(reference_parse, file_lines(text)) or reference_parse(file_lines(text))
+        assert expect == outcome(text)
+        path = write_file(tmp_path / "s.txt", text)
+        reads = record_block_reads(monkeypatch)
+        assert from_file(path) == expect
+        assert reads[0] == (True, False)
+
+
+def test_handles_the_one_pass_skips(monkeypatch, tmp_path):
+    """A handle that has read a line, one that splits at \\n only, and one
+    whose name now names another file are read from the handle."""
+    path = write_file(tmp_path / "s.txt", CLOSED)
+    reads = record_block_reads(monkeypatch)
+    with open(path) as fh:
+        fh.readline()
+        assert outcome(fh) == outcome(CLOSED[5:])
+    with open(path) as fh:
+        next(fh)
+        assert outcome(fh) == outcome(CLOSED[5:])
+    lone_cr = "n 9\n1 2\r3 4\n5 6\n"
+    write_file(path, lone_cr)
+    with open(path, newline="\n") as fh:
+        assert outcome(fh) == (ParseError, f"line 2: expected 'left right [flags]', got {'1 2' + chr(13) + '3 4'!r}")
+    assert all(not by_path for by_path, _ in reads)
+    write_file(path, CLOSED)
+    with open(path) as fh:
+        os.replace(write_file(tmp_path / "other.txt", "n 3\n1 2\n"), path)
+        assert outcome(fh) == outcome(CLOSED)
+    assert all(not by_path for by_path, _ in reads)
+
+
+def test_file_encoding_is_the_handles(monkeypatch, tmp_path):
+    """np.loadtxt decodes with the handle's encoding; text that does not
+    decode strictly is read from the handle, with its error handler."""
+    text = "n 9 # caf\xe9\n1 2\n3 4 # \xe9\n"
+    expect = outcome(text)
+    path = write_file(tmp_path / "s.txt", text, encoding="latin-1")
+    reads = record_block_reads(monkeypatch)
+    assert from_file(path, encoding="latin-1") == expect
+    assert reads == [(True, True)]
+    reads.clear()
+    assert from_file(path, encoding="utf-8", errors="replace") == expect
+    assert reads == [(True, False), (False, True)]
+
+
+def test_url_like_name_is_read_as_a_local_file(monkeypatch, tmp_path):
+    """np.loadtxt fetches a name that parses as a URL; the one-pass read
+    gives it the absolute path."""
+    import urllib.request
+
+    def refuse(*args, **kw):
+        raise AssertionError("a URL was opened")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    write_file(tmp_path / "http:" / "host" / "s.txt", CLOSED)
+    monkeypatch.chdir(tmp_path)
+    expect = outcome(CLOSED)
+    reads = record_block_reads(monkeypatch)
+    assert from_file("http://host/s.txt") == expect
+    assert reads == [(True, True)]
+
+
+# Parses the text that a FIFO or the redirected stdin gives (argv[1]:
+# "fifo", with the FIFO's path and the text's file, or "stdin"), with the
+# one-pass read open to files of any size, and prints the Instance's n and
+# codes and whether any _block_codes call read a path.
+NOT_A_PATH_CHILD = """
+import json, sys, threading
+from intervalstream import core
+core._ONE_PASS_BYTES = 0
+by_path = []
+block_codes = core._block_codes
+def record(lines, *args, **kw):
+    by_path.append(isinstance(lines, str))
+    return block_codes(lines, *args, **kw)
+core._block_codes = record
+if sys.argv[1] == "fifo":
+    def write():
+        with open(sys.argv[2], "w") as out, open(sys.argv[3]) as src:
+            out.write(src.read())
+    threading.Thread(target=write, daemon=True).start()
+    with open(sys.argv[2]) as fh:
+        inst = core.parse_stream(fh)
+else:
+    inst = core.parse_stream(sys.stdin)
+print(json.dumps([inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), any(by_path)]))
+"""
+
+
+def not_a_path_child(args, **kw):
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", NOT_A_PATH_CHILD, *args], capture_output=True,
+                          text=True, timeout=60, env=env, **kw)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_fifo_takes_the_block_path(tmp_path):
+    """A FIFO has one reader: the one-pass read would open it a second time
+    and wait for a writer that never comes (the timeout fails the test)."""
+    fifo, source = tmp_path / "fifo", write_file(tmp_path / "s.txt", CLOSED)
+    os.mkfifo(fifo)
+    inst = parse_stream(CLOSED)
+    assert not_a_path_child(["fifo", str(fifo), str(source)]) == [
+        inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), False]
+
+
+def test_redirected_stdin_takes_the_block_path(tmp_path):
+    """stdin redirected from a file is named <stdin>; a file of that name
+    in the working directory is another file and is not read."""
+    write_file(tmp_path / "<stdin>", "n 3\n1 2\n")
+    inst = parse_stream(CLOSED)
+    with open(write_file(tmp_path / "s.txt", CLOSED)) as stdin:
+        got = not_a_path_child(["stdin"], stdin=stdin, cwd=tmp_path)
+    assert got == [inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), False]
 
 
 # ---- the Instance surface ------------------------------------------------

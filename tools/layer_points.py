@@ -24,7 +24,12 @@ lambda 0 route (``distinct_points_estimate``) on a stream of points, with
 partial chunk) at the general estimator's item-2 point of ROADMAP.md, once
 with the exact counter and once with ``kmv`` (``.kmv``).  ``gen_uniform``,
 ``gen_uniform_samelen`` and ``format_stream`` run again at the 1M-item
-inputs of ROADMAP item 2 (``.1m``).  ``cli_start.select_general`` and
+inputs of ROADMAP item 2 (``.1m``).  ``parse_stream`` runs again on the
+text of the ``select_general`` and ``.1m`` inputs, beside
+``parse_stream.file`` on an open file of the same text (one np.loadtxt
+pass), and ``parse_stream.file.1m_flag_last`` on the 1M-item file with one
+flagged last line (the worst case: the one pass is refused at its end and
+the file is read again a block at a time).  ``cli_start.select_general`` and
 ``cli_start.estimate_general`` (in ``seconds``) time the CLI's start: each
 is the median, over 7 fresh processes run one after another, of the time
 from spawning ``python`` to the end of one ``cli.main`` on the smoke-sized
@@ -147,6 +152,26 @@ def run_general(inst, counter: str) -> None:
     est.estimate()
 
 
+def parse_file(path) -> None:
+    with open(path) as fh:
+        parse_stream(fh)
+
+
+def parse_points(work, name, inst, rates) -> None:
+    """Rates of parse_stream on the text of inst and on an open file of it,
+    and, for the 1M-item input, on that file with a flagged last line."""
+    text = format_stream(inst)
+    path = os.path.join(work, f"{name}.txt")
+    with open(path, "w") as fh:
+        fh.write(text)
+    rates[f"parse_stream.{name}"] = round(len(inst) / best_seconds(parse_stream, text))
+    rates[f"parse_stream.file.{name}"] = round(len(inst) / best_seconds(parse_file, path))
+    if name == "1m":
+        with open(path, "a") as fh:
+            fh.write("1 2 oc\n")
+        rates["parse_stream.file.1m_flag_last"] = round((len(inst) + 1) / best_seconds(parse_file, path))
+
+
 def cli_start_seconds(argv) -> float:
     """Median, over START_RUNS fresh processes run one after another, of the
     seconds from spawn to the end of one ``cli.main(argv)``."""
@@ -215,10 +240,12 @@ def main() -> int:
     for name, fn, size in (("gen_uniform.1m", gen_uniform, GEN_1M["max_len"]),
                            ("gen_uniform_samelen.1m", gen_uniform_samelen, GEN_1M["length"])):
         result["items_per_s"][name] = round(count / best_seconds(fn, n, count, size, SEED))
-    result["items_per_s"]["format_stream.1m"] = round(
-        count / best_seconds(format_stream, gen_uniform(n, count, GEN_1M["max_len"], SEED)))
+    uniform_1m = gen_uniform(n, count, GEN_1M["max_len"], SEED)
+    result["items_per_s"]["format_stream.1m"] = round(count / best_seconds(format_stream, uniform_1m))
     result["seconds"] = {}
     with tempfile.TemporaryDirectory() as work:
+        for name, inst in (("select_general", select_general), ("1m", uniform_1m)):
+            parse_points(work, name, inst, result["items_per_s"])
         for name, (shape, command) in CLI_START.items():
             path = os.path.join(work, f"{name}.txt")
             with open(path, "w") as fh:
