@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from . import oracle
@@ -28,17 +30,20 @@ def _write(args, text: str) -> None:
 
 
 def _read_instance(args, require_header: bool = False) -> Instance:
-    # parse_stream reads a regular --in file in one np.loadtxt pass by its
-    # path, and stdin, a pipe or a FIFO a block of lines at a time; either
-    # way the text of the whole stream is never held at once
+    # parse_stream opens --in by its path (a regular file of 128 KiB or more
+    # goes in one np.loadtxt pass); stdin is split at \n, \r and \r\n as
+    # that file is.  Neither holds the text of the whole stream at once.
     if args.infile:
         try:
-            fh = open(args.infile)
+            return parse_stream(Path(args.infile), require_header=require_header)
         except OSError as exc:
             raise ValueError(f"cannot read --in {args.infile}: {exc.strerror}") from exc
-        with fh:
-            return parse_stream(fh, require_header=require_header)
-    return parse_stream(sys.stdin, require_header=require_header)
+    try:
+        fd = sys.stdin.fileno()
+    except io.UnsupportedOperation:  # a stdin with no descriptor, such as a StringIO
+        return parse_stream(sys.stdin, require_header=require_header)
+    with open(fd, encoding=sys.stdin.encoding, errors=sys.stdin.errors, closefd=False) as stdin:
+        return parse_stream(stdin, require_header=require_header)
 
 
 def _instance_id(args) -> str:

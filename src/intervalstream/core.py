@@ -7,11 +7,12 @@ codes, so intersection and containment are plain integer comparisons with
 no epsilon handling, even for mixed open/closed inputs.
 
 An Instance holds its stream as two code columns, not as Interval objects.
-``parse_stream`` fills them with ``np.loadtxt``: an open regular file in
-one call that reads the file by its name, any other text a block of lines
-at a time.  Neither holds the whole text at once (``np.loadtxt`` reads a
-file in chunks), and the line-by-line check reads only the lines that
-``np.loadtxt`` or the range rule refuses.
+``parse_stream`` fills them with ``np.loadtxt``: a regular file given by
+its path in one call that reads the file by that path, any other text (a
+str, lines, an open handle) a block of lines at a time.  Neither holds
+the whole text at once (``np.loadtxt`` reads a file in chunks), and the
+line-by-line check reads only the lines that ``np.loadtxt`` or the range
+rule refuses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 import os
 import stat
 import warnings
+from contextlib import nullcontext
 from functools import partial, reduce
 from itertools import chain, islice
 from operator import itemgetter, or_
@@ -457,26 +459,8 @@ _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 _ONE_PASS_BYTES = 1 << 17
 
 
-def _regular_path(text) -> Optional[str]:
-    """The absolute path of the regular file of _ONE_PASS_BYTES or more
-    that the open text file ``text`` reads, when it has read nothing yet
-    and its name names that file (the same device and inode); otherwise
-    None.  A pipe, a FIFO and ``sys.stdin`` (named ``<stdin>``) have none."""
-    name = getattr(text, "name", None)
-    if not isinstance(text, io.TextIOBase) or not isinstance(name, str) or name.endswith(_COMPRESSED):
-        return None
-    try:
-        opened = os.fstat(text.fileno())
-        if not stat.S_ISREG(opened.st_mode) or opened.st_size < _ONE_PASS_BYTES or text.tell() != 0:
-            return None
-        path = os.path.abspath(name)  # a local path: np.loadtxt fetches a name like a URL
-        named = os.stat(path)
-    except (OSError, ValueError):
-        return None
-    return path if os.path.samestat(opened, named) else None
-
-
-def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) -> Instance:
+def parse_stream(text: Union[str, Iterable[str], os.PathLike],
+                 require_header: bool = False) -> Instance:
     """Parse the stream file format into an Instance.
 
     Format: optional header ``n <int>``, then one interval per line as
@@ -484,41 +468,50 @@ def parse_stream(text: Union[str, Iterable[str]], require_header: bool = False) 
     {cc, co, oc, oo} (default cc).  ``#`` starts a comment line.
     Without a header, n defaults to the maximum observed endpoint.
 
-    This is the check for text input, and the Instance is built without
-    checking again.  The line check reads the lines up to the first with
-    tokens, so it reads the header.  An open regular file of 128 KiB or
-    more (``_regular_path``) whose reading splits lines as numpy's does
-    (``\n``, ``\r`` and ``\r\n``) then goes whole, from the next line
-    on, to one np.loadtxt call by its path plus the vectorised check of its
-    codes.  Any other text, and a file that either refuses, is read on
-    from the handle: the lines go in blocks of _BLOCK lines to one
-    np.loadtxt call each plus the check; the pieces of a block that either
-    refuses go to the line check, so the first bad line and its message
-    are those of a line-by-line parse.  A str is split into lines as a
-    text file is read: only at ``\n``, ``\r`` and ``\r\n``.
+    ``text`` is a str, an iterable of lines (an open text file among
+    them), or the path of a file as an ``os.PathLike``, which is opened
+    here with the default encoding and split into lines at ``\n``, ``\r``
+    and ``\r\n``, as a str is.  This is the check for text input, and the
+    Instance is built without checking again.  The line check reads the
+    lines up to the first with tokens, so it reads the header.  A path
+    that names a regular file of 128 KiB or more, and does not end in a
+    suffix of _COMPRESSED, then goes whole, from the next line on, to one
+    np.loadtxt call by that path plus the vectorised check of its codes.
+    Any other text, an open handle included, and a file that either
+    refuses, is read on from the handle: the lines go in blocks of _BLOCK
+    lines to one np.loadtxt call each plus the check; the pieces of a
+    block that either refuses go to the line check, so the first bad line
+    and its message are those of a line-by-line parse.
     """
-    path = _regular_path(text)
-    lines = iter(io.StringIO(text, newline=None) if isinstance(text, str) else text)
-    check = _LineCheck()
-    chunks = [(_column(()), _column(()))]
-    lineno = 1
-    for line in lines:
-        chunks.append(check.codes((line,), lineno))
-        lineno += 1
-        if check.started:
-            break
-    # a handle that splits lines at \n, \r and \r\n, as np.loadtxt's own
-    # reading does, sets text.newlines at the first newline it reads (with
-    # none, it is at its end); one that splits at one of them only never does
-    codes = None
-    if path is not None and check.started and text.newlines is not None:
-        codes = _block_codes(path, check.declared_n, skiprows=lineno - 1, encoding=text.encoding)
-    if codes is not None:
-        chunks.append(codes)
-    else:
-        while block := list(islice(lines, _BLOCK)):
-            chunks.extend(_parse_block(block, lineno, check))
-            lineno += len(block)
+    named = isinstance(text, os.PathLike)
+    if isinstance(text, str):
+        text = io.StringIO(text, newline=None)
+    with open(text) if named else nullcontext(text) as source:
+        path = None
+        if named:
+            opened = os.fstat(source.fileno())
+            # a FIFO, or any file not regular, has one reader: it is never opened again
+            if (stat.S_ISREG(opened.st_mode) and opened.st_size >= _ONE_PASS_BYTES
+                    and not os.fspath(text).endswith(_COMPRESSED)):
+                path = os.path.abspath(text)  # a local path: np.loadtxt fetches a name like a URL
+        lines = iter(source)
+        check = _LineCheck()
+        chunks = [(_column(()), _column(()))]
+        lineno = 1
+        for line in lines:
+            chunks.append(check.codes((line,), lineno))
+            lineno += 1
+            if check.started:
+                break
+        codes = None
+        if path is not None and check.started:
+            codes = _block_codes(path, check.declared_n, skiprows=lineno - 1, encoding=source.encoding)
+        if codes is not None:
+            chunks.append(codes)
+        else:
+            while block := list(islice(lines, _BLOCK)):
+                chunks.extend(_parse_block(block, lineno, check))
+                lineno += len(block)
     lcodes, rcodes = (np.concatenate(column) for column in zip(*chunks))
     declared_n = check.declared_n
     if declared_n is None:

@@ -291,6 +291,10 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(missing) in err
+    # a directory opens no file: parse_stream's open fails, worded as --in's
+    code, out = run_cli(["exact", "--in", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith(f"error: cannot read --in {tmp_path}: ")
 
 
 @pytest.mark.parametrize("args,stdin_text", [
@@ -464,6 +468,8 @@ IN_STREAMS = {
     "flagged": ["n 200000\n", *(line[:-1] + " oc\n" if i % 7 == 0 else line for i, line in enumerate(BIG))],
     "bad-middle": ["n 200000\n", *BIG[:6000], "7 x\n", *BIG[6000:]],
     "late-header": [*BIG[:6000], "n 200000\n", *BIG[6000:]],
+    "lone-cr": [line.replace("\n", "\r") for line in ["n 200000\n", *BIG]],
+    "crlf": [line.replace("\n", "\r\n") for line in ["n 200000\n", *BIG]],
 }
 
 
@@ -471,8 +477,9 @@ IN_STREAMS = {
 @pytest.mark.parametrize("stream", sorted(IN_STREAMS))
 def test_in_file_and_stdin_print_the_same(tmp_path, command, stream):
     """`--in FILE` (read in one pass) and stdin redirected from the same
-    file (read a block at a time) give the same exit code, stdout and
-    stderr, but for the instance id."""
+    file (read a block at a time, split at \\n, \\r and \\r\\n as the
+    file is) give the same exit code, stdout and stderr, but for the
+    instance id."""
     path = tmp_path / "s.txt"
     path.write_text("".join(IN_STREAMS[stream]))
     assert path.stat().st_size >= core._ONE_PASS_BYTES
@@ -480,6 +487,6 @@ def test_in_file_and_stdin_print_the_same(tmp_path, command, stream):
     by_name = subprocess.run([*cli, "--in", str(path)], capture_output=True, text=True, timeout=60)
     with open(path) as stdin:
         by_stdin = subprocess.run(cli, stdin=stdin, capture_output=True, text=True, timeout=60)
-    assert by_name.returncode == by_stdin.returncode == (0 if stream in ("closed", "flagged") else 2)
+    assert by_name.returncode == by_stdin.returncode == (0 if stream in ("closed", "crlf", "flagged", "lone-cr") else 2)
     assert by_name.stderr == by_stdin.stderr
     assert by_name.stdout.replace(json.dumps(str(path)), '"<stdin>"') == by_stdin.stdout

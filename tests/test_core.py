@@ -6,6 +6,8 @@ import pickle
 import subprocess
 import sys
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ from conftest import all_intervals, brute_contained, brute_intersects
 
 @pytest.fixture(autouse=True)
 def one_pass_for_every_file(monkeypatch):
-    """Open files of any size take the one-pass read, so that the small
-    files here test it."""
+    """Files of any size named by a path take the one-pass read, so that
+    the small files here test it."""
     monkeypatch.setattr(core, "_ONE_PASS_BYTES", 0)
 
 
@@ -397,18 +399,18 @@ def write_file(path, text, **kw):
     return path
 
 
-def from_file(path, **kw):
-    with open(path, **kw) as fh:
-        return outcome(fh)
+def from_file(path):
+    return outcome(Path(path))
 
 
 def parse_both_ways(text, path, **kw):
-    """parse_stream over the str, over its lines with their ends, and over
-    an open file at ``path`` that holds the text (the one-pass read): all
-    three give the same Instance or the same error, which this returns or
-    raises as the str gives it."""
-    with open(write_file(path, text, encoding="utf-8"), encoding="utf-8") as fh:
-        got = outcome(fh, **kw)
+    """parse_stream over the str, over its lines with their ends, over an
+    open file at ``path`` that holds the text, and over ``Path(path)`` (the
+    one-pass read): all four give the same Instance or the same error,
+    which this returns or raises as the str gives it."""
+    got = outcome(Path(write_file(path, text)), **kw)
+    with open(path) as fh:
+        assert outcome(fh, **kw) == got
     assert outcome(iter(file_lines(text)), **kw) == got
     assert outcome(text, **kw) == got
     return parse_stream(text, **kw)
@@ -604,7 +606,7 @@ def test_str_splits_lines_as_a_file_does(tmp_path, sep):
     """A str and the same text read from a file give the same Instance or
     the same error: only \\n, \\r and \\r\\n end a line."""
     text = f"n 9\n1 2{sep}3 4\n5 6\n"
-    read = from_file(write_file(tmp_path / "stream.txt", text, encoding="utf-8"), encoding="utf-8")
+    read = from_file(write_file(tmp_path / "stream.txt", text))
     assert outcome(text) == read
     ends_line = sep in ("\r", "\r\n")
     assert isinstance(read, Instance) == ends_line
@@ -624,8 +626,10 @@ def test_codes_are_int64_below_2_62_and_objects_above():
         assert huge == reference_parse(text.splitlines())
 
 
-# ---- the one-pass read of an open regular file ---------------------------
+# ---- the one-pass read of a regular file named by its path --------------
 
+# the floor of the one-pass read, taken before the autouse fixture zeroes it
+ONE_PASS_BYTES = core._ONE_PASS_BYTES
 CLOSED = "n 50\n" + "".join(f"{i} {i + 3}\n" for i in range(1, 41))
 B62 = 2 ** 62
 FILE_CASES = {
@@ -644,7 +648,7 @@ FILE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FILE_CASES))
 def test_file_one_pass_equals_line_reference(monkeypatch, tmp_path, case):
-    """Each open file gives what its text gives; a file that np.loadtxt
+    """Each file gives what its text gives; a file that np.loadtxt
     refuses, or takes past 2**62, is read on a block at a time."""
     text, name, expect_reads = FILE_CASES[case]
     path = write_file(tmp_path / name, text)
@@ -692,45 +696,66 @@ def test_file_bad_line_equals_line_reference(monkeypatch, tmp_path):
 
 
 def test_handles_the_one_pass_skips(monkeypatch, tmp_path):
-    """A handle that has read a line, one that splits at \\n only, and one
-    whose name now names another file are read from the handle."""
-    path = write_file(tmp_path / "s.txt", CLOSED)
+    """An open handle is read from the handle, as its own reading splits
+    it, whatever its size and however much of it was read: unread, past
+    its first line, after next(), opened to split at \\n only, and one
+    whose name now names another file."""
     reads = record_block_reads(monkeypatch)
-    with open(path) as fh:
-        fh.readline()
-        assert outcome(fh) == outcome(CLOSED[5:])
-    with open(path) as fh:
-        next(fh)
-        assert outcome(fh) == outcome(CLOSED[5:])
+    big = "n 200000\n" + "".join(f"{i} {i + 4}\n" for i in range(100_000, 112_000))
+    for floor, text in ((0, CLOSED), (ONE_PASS_BYTES, big)):
+        monkeypatch.setattr(core, "_ONE_PASS_BYTES", floor)
+        path = write_file(tmp_path / "s.txt", text)
+        assert os.path.getsize(path) >= floor
+        with open(path) as fh:
+            assert outcome(fh) == outcome(text)
+        with open(path) as fh:
+            fh.readline()
+            assert outcome(fh) == outcome(text[text.index("\n") + 1:])
+        with open(path) as fh:
+            next(fh)
+            assert outcome(fh) == outcome(text[text.index("\n") + 1:])
     lone_cr = "n 9\n1 2\r3 4\n5 6\n"
-    write_file(path, lone_cr)
+    path = write_file(tmp_path / "s.txt", lone_cr)
     with open(path, newline="\n") as fh:
         assert outcome(fh) == (ParseError, f"line 2: expected 'left right [flags]', got {'1 2' + chr(13) + '3 4'!r}")
-    assert all(not by_path for by_path, _ in reads)
     write_file(path, CLOSED)
     with open(path) as fh:
         os.replace(write_file(tmp_path / "other.txt", "n 3\n1 2\n"), path)
         assert outcome(fh) == outcome(CLOSED)
-    assert all(not by_path for by_path, _ in reads)
+    assert reads and all(not by_path for by_path, _ in reads)
 
 
 def test_file_encoding_is_the_handles(monkeypatch, tmp_path):
-    """np.loadtxt decodes with the handle's encoding; text that does not
-    decode strictly is read from the handle, with its error handler."""
+    """np.loadtxt decodes with the encoding the path was opened with; text
+    that does not decode strictly is read from the handle, with its error
+    handler.  (``core.open`` stands in for the default encoding.)"""
     text = "n 9 # caf\xe9\n1 2\n3 4 # \xe9\n"
     expect = outcome(text)
     path = write_file(tmp_path / "s.txt", text, encoding="latin-1")
     reads = record_block_reads(monkeypatch)
-    assert from_file(path, encoding="latin-1") == expect
+    monkeypatch.setattr(core, "open", partial(open, encoding="latin-1"), raising=False)
+    assert from_file(path) == expect
     assert reads == [(True, True)]
     reads.clear()
-    assert from_file(path, encoding="utf-8", errors="replace") == expect
+    monkeypatch.setattr(core, "open", partial(open, encoding="utf-8", errors="replace"), raising=False)
+    assert from_file(path) == expect
     assert reads == [(True, False), (False, True)]
+
+
+class PlainName(os.PathLike):
+    """A path that is not normalised as a pathlib.Path is."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __fspath__(self):
+        return self.name
 
 
 def test_url_like_name_is_read_as_a_local_file(monkeypatch, tmp_path):
     """np.loadtxt fetches a name that parses as a URL; the one-pass read
-    gives it the absolute path."""
+    gives it the absolute path.  (Path("http://host/s.txt") collapses the
+    double slash; a plain os.PathLike keeps it.)"""
     import urllib.request
 
     def refuse(*args, **kw):
@@ -743,15 +768,17 @@ def test_url_like_name_is_read_as_a_local_file(monkeypatch, tmp_path):
     expect = outcome(CLOSED)
     reads = record_block_reads(monkeypatch)
     assert from_file("http://host/s.txt") == expect
-    assert reads == [(True, True)]
+    assert outcome(PlainName("http://host/s.txt")) == expect
+    assert reads == [(True, True)] * 2
 
 
 # Parses the text that a FIFO or the redirected stdin gives (argv[1]:
-# "fifo", with the FIFO's path and the text's file, or "stdin"), with the
+# "fifo" or "fifo-path", with the FIFO's path and the text's file, to parse
+# an open handle of the FIFO or its Path; or "stdin"), with the
 # one-pass read open to files of any size, and prints the Instance's n and
 # codes and whether any _block_codes call read a path.
 NOT_A_PATH_CHILD = """
-import json, sys, threading
+import json, pathlib, sys, threading
 from intervalstream import core
 core._ONE_PASS_BYTES = 0
 by_path = []
@@ -760,15 +787,18 @@ def record(lines, *args, **kw):
     by_path.append(isinstance(lines, str))
     return block_codes(lines, *args, **kw)
 core._block_codes = record
-if sys.argv[1] == "fifo":
+if sys.argv[1] == "stdin":
+    inst = core.parse_stream(sys.stdin)
+else:
     def write():
         with open(sys.argv[2], "w") as out, open(sys.argv[3]) as src:
             out.write(src.read())
     threading.Thread(target=write, daemon=True).start()
-    with open(sys.argv[2]) as fh:
-        inst = core.parse_stream(fh)
-else:
-    inst = core.parse_stream(sys.stdin)
+    if sys.argv[1] == "fifo-path":
+        inst = core.parse_stream(pathlib.Path(sys.argv[2]))
+    else:
+        with open(sys.argv[2]) as fh:
+            inst = core.parse_stream(fh)
 print(json.dumps([inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), any(by_path)]))
 """
 
@@ -785,12 +815,14 @@ def not_a_path_child(args, **kw):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
 def test_fifo_takes_the_block_path(tmp_path):
     """A FIFO has one reader: the one-pass read would open it a second time
-    and wait for a writer that never comes (the timeout fails the test)."""
+    and wait for a writer that never comes (the timeout fails the test).
+    Named by its Path or opened, it is read a block at a time."""
     fifo, source = tmp_path / "fifo", write_file(tmp_path / "s.txt", CLOSED)
     os.mkfifo(fifo)
     inst = parse_stream(CLOSED)
-    assert not_a_path_child(["fifo", str(fifo), str(source)]) == [
-        inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), False]
+    for mode in ("fifo", "fifo-path"):
+        assert not_a_path_child([mode, str(fifo), str(source)]) == [
+            inst.n, inst.lcodes.tolist(), inst.rcodes.tolist(), False]
 
 
 def test_redirected_stdin_takes_the_block_path(tmp_path):

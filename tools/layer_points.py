@@ -26,10 +26,11 @@ with the exact counter and once with ``kmv`` (``.kmv``).  ``gen_uniform``,
 ``gen_uniform_samelen`` and ``format_stream`` run again at the 1M-item
 inputs of ROADMAP item 2 (``.1m``).  ``parse_stream`` runs again on the
 text of the ``select_general`` and ``.1m`` inputs, beside
-``parse_stream.file`` on an open file of the same text (one np.loadtxt
-pass), and ``parse_stream.file.1m_flag_last`` on the 1M-item file with one
-flagged last line (the worst case: the one pass is refused at its end and
-the file is read again a block at a time).  ``cli_start.select_general`` and
+``parse_stream.file`` on the ``Path`` of a file of the same text (one
+np.loadtxt pass, as the CLI reads ``--in``), and
+``parse_stream.file.1m_flag_last`` on the 1M-item file with one flagged
+last line (the worst case: the one pass is refused at its end and the file
+is read again a block at a time).  ``cli_start.select_general`` and
 ``cli_start.estimate_general`` (in ``seconds``) time the CLI's start: each
 is the median, over 7 fresh processes run one after another, of the time
 from spawning ``python`` to the end of one ``cli.main`` on the smoke-sized
@@ -52,6 +53,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
@@ -153,12 +155,11 @@ def run_general(inst, counter: str) -> None:
 
 
 def parse_file(path) -> None:
-    with open(path) as fh:
-        parse_stream(fh)
+    parse_stream(Path(path))
 
 
 def parse_points(work, name, inst, rates) -> None:
-    """Rates of parse_stream on the text of inst and on an open file of it,
+    """Rates of parse_stream on the text of inst and on the Path of a file of it,
     and, for the 1M-item input, on that file with a flagged last line."""
     text = format_stream(inst)
     path = os.path.join(work, f"{name}.txt")
