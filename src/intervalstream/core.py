@@ -18,7 +18,6 @@ rule refuses.
 from __future__ import annotations
 
 import io
-import math
 import os
 import stat
 import warnings
@@ -176,7 +175,8 @@ _BLOCK = 8192
 # Lines below which a refused piece of a block is not halved.
 _MIN_PIECE = 32
 
-# Endpoints below this have int64 position codes: 2 * x + 1 < 2**63.
+# n and every endpoint lie below this, so every position code, at most
+# 2 * x + 1, fits int64: the code columns are int64 by contract.
 _CODE_LIMIT = 2 ** 62
 
 # The largest int64, as a Python int: a bound that compares without wrapping.
@@ -185,12 +185,12 @@ _INT64_MAX = 2 ** 63 - 1
 _make_interval = partial(tuple.__new__, Interval)  # from (lcode, rcode), unchecked
 
 
-def _column(codes) -> np.ndarray:
-    """A code column: int64, or object dtype when a code does not fit."""
-    try:
-        return np.array(codes, dtype=np.int64)
-    except OverflowError:
-        return np.array(codes, dtype=object)
+def check_n(n: int) -> None:
+    """Refuse a universe bound outside [1, 2**62): the one rule for n."""
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    if n >= _CODE_LIMIT:
+        raise DomainError(f"n must be below 2**62, got {n}")
 
 
 def refuse(lcodes: np.ndarray, rcodes: np.ndarray, n: Optional[int] = None,
@@ -234,21 +234,36 @@ def code_pairs(lcodes: np.ndarray, rcodes: np.ndarray) -> Iterator[Tuple[int, in
                                for s in range(0, len(lcodes), _BLOCK))
 
 
-def code_columns(intervals) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``(lcodes, rcodes)`` columns of an Instance, or of an iterable of
-    Intervals (built here, as an Instance builds its own)."""
+def code_columns(intervals, n: Optional[int] = None,
+                 length: Optional[int] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """The int64 ``(lcodes, rcodes)`` columns of an Instance, or of an
+    iterable of Intervals: built here, as an Instance builds its own, and
+    refused as ``refuse`` refuses them against n and length.  An Interval
+    whose codes do not fit int64 lies outside every universe, so it is
+    refused as outside [1, n] (n at most 2**62 - 1), after any earlier
+    Interval that breaks a rule."""
     if isinstance(intervals, Instance):
         return intervals.lcodes, intervals.rcodes
     intervals = tuple(intervals)
-    return _column([iv[0] for iv in intervals]), _column([iv[1] for iv in intervals])
+    try:
+        lcodes = np.array([iv[0] for iv in intervals], dtype=np.int64)
+        rcodes = np.array([iv[1] for iv in intervals], dtype=np.int64)
+    except OverflowError:
+        i = next(i for i, (lcode, rcode) in enumerate(intervals)
+                 if lcode < -_INT64_MAX - 1 or rcode > _INT64_MAX)
+        code_columns(intervals[:i], n, length)
+        bound = _CODE_LIMIT - 1 if n is None else n
+        raise DomainError(f"interval {intervals[i]} outside [1, {bound}]") from None
+    refuse(lcodes, rcodes, n, length)
+    return lcodes, rcodes
 
 
 class Instance:
     """A coordinate universe bound plus intervals in stream order.
 
-    The intervals are stored as two position-code columns, ``lcodes`` and
-    ``rcodes``: int64 arrays, or object arrays when a code does not fit in
-    int64 (endpoints of 2**62 and above).  ``Instance(n, intervals)``,
+    The intervals are stored as two int64 position-code columns, ``lcodes``
+    and ``rcodes``; n lies in [1, 2**62) (``check_n``), so every code of an
+    interval inside [1, n] fits.  ``Instance(n, intervals)``,
     ``inst.intervals``, iteration, ``len``, ``==`` and pickling behave as
     for a record of n and a tuple of Intervals, but the Interval objects are
     built only on demand.  ``codes()`` yields the plain ``(lcode, rcode)``
@@ -262,15 +277,12 @@ class Instance:
     __slots__ = ("n", "lcodes", "rcodes")
 
     def __init__(self, n: int, intervals: Iterable[Interval] = ()):
-        if n < 1:
-            raise DomainError(f"n must be positive, got {n}")
+        check_n(n)
         intervals = tuple(intervals)
         for iv in intervals:
             if not isinstance(iv, Interval):
                 raise TypeError(f"an Instance holds Interval objects, got {iv!r}")
-        lcodes, rcodes = code_columns(intervals)
-        refuse(lcodes, rcodes, n)
-        self._fill(n, lcodes, rcodes)
+        self._fill(n, *code_columns(intervals, n))
 
     @classmethod
     def _trusted(cls, n: int, lcodes: np.ndarray, rcodes: np.ndarray) -> "Instance":
@@ -330,7 +342,7 @@ class _LineCheck:
     def codes(self, lines: Iterable[str], lineno: int) -> Tuple[np.ndarray, np.ndarray]:
         """The code columns of the interval lines among ``lines``, whose
         first line is line ``lineno`` of the stream."""
-        limit = math.inf if self.declared_n is None else self.declared_n
+        limit = _CODE_LIMIT - 1 if self.declared_n is None else self.declared_n
         lcodes, rcodes = [], []
         for lineno, line in enumerate(lines, start=lineno):
             if "#" in line:
@@ -347,8 +359,10 @@ class _LineCheck:
                     declared_n = int(tokens[1])
                 except ValueError:
                     raise ParseError(lineno, f"bad header value {tokens[1]!r}") from None
-                if declared_n < 1:
-                    raise DomainError(f"line {lineno}: n must be positive, got {declared_n}")
+                try:
+                    check_n(declared_n)
+                except DomainError as exc:
+                    raise DomainError(f"line {lineno}: {exc}") from None
                 self.declared_n = limit = declared_n
                 self.started = True
                 continue
@@ -374,11 +388,13 @@ class _LineCheck:
                     raise ParseError(lineno, str(exc)) from None
             if left < 1:
                 raise DomainError(f"line {lineno}: endpoint {left} < 1")
+            if right > limit and self.declared_n is None:
+                raise DomainError(f"line {lineno}: endpoint {right} must be below 2**62")
             if right > limit:
                 raise DomainError(f"line {lineno}: endpoint {right} > declared n {self.declared_n}")
             lcodes.append(lcode)
             rcodes.append(rcode)
-        return _column(lcodes), _column(rcodes)
+        return np.array(lcodes, dtype=np.int64), np.array(rcodes, dtype=np.int64)
 
 
 def _block_codes(lines: Union[List[str], str], n: Optional[int],
@@ -399,7 +415,7 @@ def _block_codes(lines: Union[List[str], str], n: Optional[int],
         except (ValueError, OSError):
             return None
     if not len(ends):
-        return _column(()), _column(())
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     # the bounds first, so that doubling cannot wrap around
     if ends.shape[1] != 2 or ends.min() < 1 or ends.max() >= _CODE_LIMIT:
         return None
@@ -466,7 +482,8 @@ def parse_stream(text: Union[str, Iterable[str], os.PathLike],
     Format: optional header ``n <int>``, then one interval per line as
     ``<left> <right>`` with an optional openness token in
     {cc, co, oc, oo} (default cc).  ``#`` starts a comment line.
-    Without a header, n defaults to the maximum observed endpoint.
+    Without a header, n defaults to the maximum observed endpoint.  n and
+    every endpoint lie in [1, 2**62) (``check_n``).
 
     ``text`` is a str, an iterable of lines (an open text file among
     them), or the path of a file as an ``os.PathLike``, which is opened
@@ -496,7 +513,7 @@ def parse_stream(text: Union[str, Iterable[str], os.PathLike],
                 path = os.path.abspath(text)  # a local path: np.loadtxt fetches a name like a URL
         lines = iter(source)
         check = _LineCheck()
-        chunks = [(_column(()), _column(()))]
+        chunks = [(np.zeros(0, dtype=np.int64),) * 2]
         lineno = 1
         for line in lines:
             chunks.append(check.codes((line,), lineno))

@@ -175,15 +175,14 @@ class GeneralAlphaEstimator:
         return self.rel.bank.columns_hashed + self.rho.bank.columns_hashed
 
     def process(self, iv: Interval) -> None:
-        self.feed(*code_columns((iv,)))
+        self.feed(*code_columns((iv,), self.config.n))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype): the call is
-        refused whole, before any pair is taken, at its first pair that is
-        empty or outside [1, n] (``core.refuse``); otherwise its pairs are
-        queued and flushed each time _CHUNK pairs are pending, however the
-        stream is cut into calls.  ``process(iv)`` feeds the one pair of an
-        Interval."""
+        """Feed two int64 code columns: the call is refused whole, before
+        any pair is taken, at its first pair that is empty or outside [1, n]
+        (``core.refuse``); otherwise its pairs are queued and flushed each
+        time _CHUNK pairs are pending, however the stream is cut into calls.
+        ``process(iv)`` feeds the one pair of an Interval."""
         refuse(lcodes, rcodes, self.config.n)
         self.items += len(lcodes)
         while len(lcodes):
@@ -227,7 +226,7 @@ class GeneralAlphaEstimator:
         order = np.argsort(ranks)
         ranks, ordered = ranks[order], closure[order].tolist()
         live = np.array([u for u, node in nodes.items() if node.seen is not None],
-                        dtype=closure.dtype)
+                        dtype=np.int64)
         heights = levels - tree.depth(live)
         lo = ranks.searchsorted((2 * live) << heights, side="right")
         hi = ranks.searchsorted((2 * live + 2) << heights)

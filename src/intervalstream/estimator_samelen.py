@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .core import Instance, Interval, check_eps, code_columns, refuse
+from .core import Instance, Interval, check_eps, check_n, code_columns, refuse
 from .hashing import BottomK, HashFamily, make_counter
 from .oracle import distinct
 from .rng import SplitMix64
@@ -33,8 +33,7 @@ class SamelenConfig:
     counter_kind: str = "exact"
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+        check_n(self.n)
         check_lam(self.lam)
         check_eps(self.user_eps)
 
@@ -118,12 +117,10 @@ class SamelenAlphaEstimator:
         return sum(st.sample.bank.columns_hashed for st in self.states)
 
     def process(self, iv: Interval) -> None:
-        lcodes, rcodes = code_columns((iv,))
-        refuse(lcodes, rcodes, self.config.n, self.config.lam)
-        self._feed_chunk(lcodes, rcodes)
+        self._feed_chunk(*code_columns((iv,), self.config.n, self.config.lam))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype) in chunks
+        """Feed two int64 code columns in chunks
         (``selector_samelen.feed_columns``).  The call is refused whole,
         before any pair is taken, at its first pair that is empty, of
         another length or outside [1, n] (``core.refuse``)."""
@@ -179,9 +176,7 @@ class DistinctPoints:
         self.counter = make_counter(counter_kind, HashFamily.create(n, self.eps_count), seed)
 
     def process(self, iv: Interval) -> None:
-        lcodes, rcodes = code_columns((iv,))
-        refuse(lcodes, rcodes, self.n, 0)
-        self._feed_chunk(lcodes, rcodes)
+        self._feed_chunk(*code_columns((iv,), self.n, 0))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
         """Feed two code columns in chunks (``selector_samelen.feed_columns``).

@@ -9,7 +9,7 @@ from typing import Iterable, Optional, Set
 
 import numpy as np
 
-from .core import _BLOCK, _CODE_LIMIT, Instance, Interval, _column, refuse
+from .core import _BLOCK, Instance, Interval, check_n, refuse
 from .rng import _MASK, SplitMix64
 
 
@@ -18,33 +18,31 @@ def _uniform(n: int, count: int, seed: int, max_len: Optional[int], length: int 
     ``below(max_len + 1)`` (or ``length``), then the left endpoint,
     ``randrange(1, n - length)``.  A rejected draw shifts every later one, so
     the rest of its block is judged again, in windows of twice the rows the
-    last rejection let through.  A bound past 2**64 rejects every draw."""
+    last rejection let through."""
     width = 1 if max_len is None else 2
     name, value = ("length", length) if width == 1 else ("max_len", max_len)
     if not 1 <= value < n:
         raise ValueError(f"need 1 <= {name} < n, got {name}={value}, n={n}")
+    check_n(n)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    rng, dtype = SplitMix64(seed), object if n >= _CODE_LIMIT else np.uint64  # as _column
-    done, w = [np.zeros((0, width), dtype=dtype)], _BLOCK
+    rng, done, w = SplitMix64(seed), [np.zeros((0, width), dtype=np.uint64)], _BLOCK
     for start in range(0, count, _BLOCK):
         u = rng.next_u64s(width * min(_BLOCK, count - start))
         while len(u):
-            rows = u[:width * w].astype(dtype, copy=False).reshape(-1, width)
-            bounds = np.full(rows.shape, n - length if width == 1 else max_len + 1, dtype=dtype)
+            rows = u[:width * w].reshape(-1, width)
+            bounds = np.full(rows.shape, n - length if width == 1 else max_len + 1, dtype=np.uint64)
             if width == 2:
                 bounds[:, 1] = n - rows[:, 0] % bounds[:, 0]
             bad = rows > _MASK - (_MASK - bounds + 1) % bounds
             r = int(bad.argmax()) if bad.any() else bad.size
             done.append(rows[:r // width] % bounds[:r // width])
             skip = int(r < bad.size)  # past the rejected draw r
-            if skip and bounds.flat[r] > 1 << 64:
-                raise ValueError(f"bound must be in (0, 2**64], got {bounds.flat[r]}")
             u = np.concatenate((u[r - r % width:r], u[r + skip:], rng.next_u64s(skip)))
             w = max(2 * (r // width), 16) if skip else min(2 * w, _BLOCK)
     draws = np.concatenate(done)
     lefts, lengths = draws[:, -1] + 1, length if width == 1 else draws[:, 0]
-    lcodes, rcodes = _column(2 * lefts), _column(2 * (lefts + lengths))
+    lcodes, rcodes = (2 * lefts).astype(np.int64), (2 * (lefts + lengths)).astype(np.int64)
     refuse(lcodes, rcodes, n)
     return Instance._trusted(n, lcodes, rcodes)
 

@@ -11,7 +11,7 @@ from typing import List, Set, Tuple
 
 import numpy as np
 
-from .core import Instance, Interval, check_eps, intersects
+from .core import Instance, Interval, check_eps, check_n, intersects
 from .selector import PartitionSelector
 
 
@@ -29,8 +29,7 @@ class SegTree:
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
+        check_n(n)
         self.n = n
         self.n_pow2 = 1 << max(0, (n - 1).bit_length())
         self.depth_levels = self.n_pow2.bit_length() - 1  # log2(n_pow2)
@@ -38,11 +37,11 @@ class SegTree:
 
     def depth(self, v):
         """Depth of node v, the root's 0: the bit length of v less one.  For
-        a column (int64 or object dtype) it counts the powers of two at or
-        below each value, exact where np.frexp rounds up past 2**53."""
+        an int64 column it counts the powers of two at or below each value,
+        exact where np.frexp rounds up past 2**53."""
         if not isinstance(v, np.ndarray):
             return v.bit_length() - 1
-        powers = np.array([1 << d for d in range(self.depth_levels + 1)], dtype=v.dtype)
+        powers = np.array([1 << d for d in range(self.depth_levels + 1)], dtype=np.int64)
         return np.searchsorted(powers, v, side="right") - 1
 
     def span(self, v: int) -> Tuple[int, int]:
@@ -69,12 +68,9 @@ class SegTree:
         ancestor of the leaves holding its two end codes (code c lies in
         leaf [c >> 1, (c >> 1) + 1)).  ``iv`` may also be a pair of code
         columns of an Instance over the tree's universe, and the answer then
-        a column of nodes: int64, or object dtype past n_pow2 = 2**62."""
+        an int64 column of nodes (n < 2**62, so every node id fits)."""
         lcode, rcode = iv
-        if isinstance(lcode, np.ndarray):
-            if self.n_pow2 > 2 ** 62:  # node ids past int64
-                lcode, rcode = lcode.astype(object), rcode.astype(object)
-        elif lcode < 2 or rcode > 2 * self.n_pow2 + 1:
+        if not isinstance(lcode, np.ndarray) and (lcode < 2 or rcode > 2 * self.n_pow2 + 1):
             raise ValueError(f"{iv} is outside the root segment")
         a = (lcode >> 1) + (self.n_pow2 - 1)
         b = (rcode >> 1) + (self.n_pow2 - 1)

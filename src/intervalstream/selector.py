@@ -84,8 +84,8 @@ class PartitionSelector:
         return [iv for _, _, leftmost, _ in self._blocks for iv in leftmost]
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype) through ``process``
-        in order, skipping in bulk the pairs that straddle a window boundary.
+        """Feed two int64 code columns through ``process`` in order,
+        skipping in bulk the pairs that straddle a window boundary.
 
         Windows only split, never merge, so a pair whose right code reaches
         the next window start after the one holding its left code, in the
@@ -96,11 +96,8 @@ class PartitionSelector:
         skipped pair still counts as an item, so the counters, windows and
         solution are those of per-pair ``process`` after every chunk.  While
         the selector holds at most one window there is no boundary, and the
-        whole chunk goes to ``process``.  Window starts are compared as int64
-        when both columns are int64, so int64 columns cannot follow object
-        columns that left a window start past int64 (OverflowError).
+        whole chunk goes to ``process``.
         """
-        wide = object in (lcodes.dtype, rcodes.dtype)
         start, total = 0, len(lcodes)
         while start < total:
             end = min(total, start + max(_MIN_CHUNK, _CHUNK_PER_WINDOW * self._count))
@@ -108,7 +105,7 @@ class PartitionSelector:
             start = end
             if self._count > 1:
                 order = np.argsort(ls)
-                next_starts = self._next_starts(wide)
+                next_starts = self._next_starts()
                 slot = np.empty(len(ls), dtype=np.intp)
                 slot[order] = np.searchsorted(next_starts, ls[order], side="right")
                 keep = rs < next_starts[slot]
@@ -117,13 +114,10 @@ class PartitionSelector:
             for pair in code_pairs(ls, rs):
                 self.process(pair)
 
-    def _next_starts(self, wide: bool) -> np.ndarray:
+    def _next_starts(self) -> np.ndarray:
         """Entry i is the lo_code of window i + 1, and the last entry a
-        sentinel above every code: an int64 column with sentinel int64 max,
-        or, when ``wide``, an object column with sentinel math.inf."""
+        sentinel above every code, int64 max."""
         starts = islice(chain.from_iterable(block[0] for block in self._blocks), 1, None)
-        if wide:
-            return np.array(list(starts) + [math.inf], dtype=object)
         return np.fromiter(chain(starts, (_INT64_MAX,)), dtype=np.int64, count=self._count)
 
     def process(self, iv: Interval) -> None:

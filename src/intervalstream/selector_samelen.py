@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import _INT64_MAX, Interval, _make_interval, code_columns, refuse
+from .core import Interval, _make_interval, code_columns, refuse
 
 Extremes = Tuple[Interval, Interval]  # (leftmost, rightmost) of a window
 
@@ -65,19 +65,12 @@ def grid_window(lam: int, shift: int, iv):
     rcodes)``; a column has no None, so the answer is then the column of
     indices j and the boolean column of the pairs their window contains.
     With columns, ``shift`` may be a column of G shifts, shape (G, 1), and
-    the answers then have one row per grid.  The window ends reach
-    |lcode| + 6*lam, so int64 columns for which that passes int64 are read
-    as Python ints, where int64 would wrap, and so is a shift column beside
-    them."""
+    the answers then have one row per grid.  Both codes are counted in
+    units of 2*lam, which is exact, as the floor of a floor is the same
+    floor, so no value exceeds the codes and int64 columns cannot wrap."""
     lcode, rcode = iv
-    if isinstance(lcode, np.ndarray):
-        if lcode.dtype != object and len(lcode) and \
-                max(-int(lcode.min()), int(lcode.max())) + 6 * lam > _INT64_MAX:
-            lcode, rcode = lcode.astype(object), rcode.astype(object)
-        if lcode.dtype == object and isinstance(shift, np.ndarray):
-            shift = shift.astype(object)
-    j = (lcode - 2 * shift * lam) // (6 * lam)
-    fits = rcode < 2 * (shift + 3 * j + 3) * lam
+    j = (lcode // (2 * lam) - shift) // 3
+    fits = rcode // (2 * lam) < shift + 3 * j + 3
     if isinstance(fits, np.ndarray):
         return j, fits
     return j if fits else None
@@ -132,7 +125,7 @@ def window_records(lam: int, lcodes: np.ndarray,
     holding a pair, ascending, and the matrix of their records, one row
     ``(leftmost lcode, leftmost rcode, rightmost lcode, rightmost rcode)``
     per window over its pairs in order, as ``record_moves`` leaves them pair
-    by pair.  The matrix is object dtype when either code column is.
+    by pair.
     Window j of grid a starts at code 2*(a+3j)*lam, so the key a + 3j tells
     it from the windows of every grid: one stable sort by key groups the
     pairs of all the grids by window, and each record is two first-extreme
@@ -149,7 +142,6 @@ def window_records(lam: int, lcodes: np.ndarray,
     # the columns of up to 3 * _CHUNK entries go before the reductions
     del fits, sort, spot
     left, right = _first_extremes(ls, rs, starts)
-    # np.array of the four columns takes object dtype when any is object
     records = np.array((ls[left], rs[left], ls[right], rs[right])).T
     return [(wins[mask], records[mask]) for mask in (grid == a for a in (0, 1, 2))]
 
@@ -159,23 +151,21 @@ class RecordTable:
     window's key to its row of ``codes``: the (lcode, rcode) of the window's
     leftmost and of its rightmost interval.  The rows in use are the first
     len(rows), since a window entering in place of one that leaves takes
-    its row.  The matrix is int64, or object dtype once records arrive in
-    object dtype; its capacity doubles, up to ``cap`` when one is given."""
+    its row.  The matrix is int64; its capacity doubles, up to ``cap`` when
+    one is given."""
 
     def __init__(self, cap: Optional[int] = None):
         self.cap = cap
         self.rows: Dict[int, int] = {}
         self.codes = np.zeros((0, 4), dtype=np.int64)
 
-    def _reserve(self, size: int, records: np.ndarray) -> None:
-        """Room for ``size`` rows, in object dtype once ``records`` is."""
+    def _reserve(self, size: int) -> None:
+        """Room for ``size`` rows."""
         cap = len(self.codes)
-        wide = records.dtype == object and self.codes.dtype != object
-        if size <= cap and not wide:
+        if size <= cap:
             return
-        if size > cap:
-            cap = max(size, 2 * cap) if self.cap is None else min(max(size, 2 * cap), self.cap)
-        grown = np.zeros((cap, 4), dtype=object if wide else self.codes.dtype)
+        cap = max(size, 2 * cap) if self.cap is None else min(max(size, 2 * cap), self.cap)
+        grown = np.zeros((cap, 4), dtype=np.int64)
         grown[:len(self.codes)] = self.codes
         self.codes = grown
 
@@ -184,7 +174,6 @@ class RecordTable:
         ``window_records`` gives it, into the rows of the windows that have
         one, by the masks of ``record_moves``.  Returns the boolean column of
         the keys that have a row."""
-        self._reserve(len(self.rows), records)
         if not self.rows:
             return np.zeros(len(keys), dtype=bool)
         at = np.array([self.rows.get(w, -1) for w in keys], dtype=np.int64)
@@ -208,7 +197,7 @@ class RecordTable:
         used = len(self.rows)
         size = used + len(keys) - len(evicted)
         slots = [self.rows.pop(w) for w in evicted] + list(range(used, size))
-        self._reserve(size, records)
+        self._reserve(size)
         self.rows.update(zip(keys, slots))
         self.codes[slots] = records[spots]
 
@@ -256,15 +245,13 @@ class ShiftedGridSelector:
         return self.window_count
 
     def process(self, iv: Interval) -> None:
-        lcodes, rcodes = code_columns((iv,))
-        refuse(lcodes, rcodes, length=self.lam)
-        self._feed_chunk(lcodes, rcodes)
+        self._feed_chunk(*code_columns((iv,), length=self.lam))
 
     def feed(self, lcodes: np.ndarray, rcodes: np.ndarray) -> None:
-        """Feed two code columns (int64 or object dtype) in chunks of
-        _CHUNK pairs (``feed_columns``).  The call is refused whole, before
-        any pair is taken, at its first pair that is empty or of another
-        length (``core.refuse``)."""
+        """Feed two int64 code columns in chunks of _CHUNK pairs
+        (``feed_columns``).  The call is refused whole, before any pair is
+        taken, at its first pair that is empty or of another length
+        (``core.refuse``)."""
         refuse(lcodes, rcodes, length=self.lam)
         feed_columns(self.process, self._feed_chunk, lcodes, rcodes)
 

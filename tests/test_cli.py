@@ -297,20 +297,21 @@ def test_missing_input_file_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read --in {tmp_path}: ")
 
 
-@pytest.mark.parametrize("args,stdin_text", [
-    (["gen", "uniform", "--n", str(10 ** 23)], ""),
+@pytest.mark.parametrize("args,stdin_text,error", [
+    (["gen", "uniform", "--n", str(10 ** 23)], "", f"n must be below 2**62, got {10 ** 23}"),
     (["estimate", "--algo", "samelen", "--lambda", "0", "--counter", "kmv"],
-     f"n {1 << 62}\n1 1\n"),
+     f"n {1 << 61}\n1 1\n", "bound must be in (0, 2**64"),
     (["estimate", "--algo", "general", "--eps", "0.45", "--scale", "1e-9"],
-     f"n {1 << 54}\n1 3\n"),
-], ids=["gen-n-1e23", "lambda0-kmv-n2^62", "general-n2^54"])
-def test_bound_of_2_64_or_more_is_an_error_not_a_hang(args, stdin_text):
+     f"n {1 << 54}\n1 3\n", "bound must be in (0, 2**64"),
+], ids=["gen-n-1e23", "lambda0-kmv-n2^61", "general-n2^54"])
+def test_bound_of_2_64_or_more_is_an_error_not_a_hang(args, stdin_text, error):
     # a draw bound past 2**64 once looped forever (gen, the lambda 0 KMV
-    # counter) or raised OverflowError (the general estimator's banks)
+    # counter, whose field prime passes 2**64 from n = 2**61) or raised
+    # OverflowError (the general estimator's banks); gen now refuses its n
     proc = subprocess.run([sys.executable, "-m", "intervalstream.cli", *args],
                           input=stdin_text, text=True, capture_output=True, timeout=60)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: bound must be in (0, 2**64")
+    assert proc.stderr.startswith(f"error: {error}")
 
 
 def test_console_entrypoint_subprocess():
@@ -322,10 +323,13 @@ def test_console_entrypoint_subprocess():
 
 B62 = 2 ** 62
 HUGE_STREAMS = {
-    # endpoints up to 2**62 - 1 keep int64 codes; 2**62 and above do not
-    "below-2^62": (f"{B62 - 1} {B62 - 1}\n{B62 - 3} {B62 - 1} oc\n2 {B62 - 2}\n", B62 - 1),
-    "at-2^62": (f"1 {B62}\n{B62} {B62}\n{B62 - 1} {B62} co\n", B62),
-    "2^70": (f"3 5\n{B62} {2 ** 70}\n{2 ** 70} {2 ** 70}\n", 2 ** 70),
+    # endpoints up to 2**62 - 1 are answered; a right end of 2**62 or more
+    # is refused at its line: (body, the refusal without a header or None)
+    "below-2^62": (f"{B62 - 1} {B62 - 1}\n{B62 - 3} {B62 - 1} oc\n2 {B62 - 2}\n", None),
+    "at-2^62": (f"1 {B62}\n{B62} {B62}\n{B62 - 1} {B62} co\n",
+                f"line 1: endpoint {B62} must be below 2**62"),
+    "2^70": (f"3 5\n{B62} {2 ** 70}\n{2 ** 70} {2 ** 70}\n",
+             f"line 2: endpoint {2 ** 70} must be below 2**62"),
 }
 HUGE_SELECT_OUT = (
     '{"algorithm":"select-general","alpha":2,"details":{"disjoint":true},'
@@ -337,22 +341,121 @@ HUGE_SELECT_OUT = (
 @pytest.mark.parametrize("header", [False, True], ids=["no-header", "header-2^70"])
 @pytest.mark.parametrize("name", list(HUGE_STREAMS))
 def test_huge_endpoints_exact_and_select(name, header, capsys):
-    body, max_right = HUGE_STREAMS[name]
-    n = 2 ** 70 if header else max_right
-    text = (f"n {n}\n" if header else "") + body
-    code, out = run_cli(["exact"], stdin_text=text)
-    assert (code, out) == (0, f'{{"alpha":2,"intervals":3,"kind":"exact","n":{n}}}\n')
-    assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)
+    """The stream below 2**62 is answered, as n = 2**62 - 1 under no header
+    or that header; a header of 2**70 and a right end of 2**62 or more are
+    refused at their line, with exit 2 and empty stdout."""
+    body, refusal = HUGE_STREAMS[name]
+    if header:
+        refusal = f"line 1: n must be below 2**62, got {2 ** 70}"
+    texts = [(f"n {2 ** 70}\n" if header else "") + body]
+    if refusal is None:
+        texts.append(f"n {B62 - 1}\n" + body)
+    for text in texts:
+        for args in (["exact"], ["select", "--algo", "general"]):
+            code, out = run_cli(args, stdin_text=text)
+            if refusal is not None:
+                assert (code, out, capsys.readouterr().err) == (2, "", f"error: {refusal}\n")
+            elif args == ["exact"]:
+                assert (code, out) == (0, f'{{"alpha":2,"intervals":3,"kind":"exact","n":{B62 - 1}}}\n')
+            else:
+                assert (code, out) == (0, HUGE_SELECT_OUT)
     assert capsys.readouterr().err == ""
 
 
-def test_select_int64_lefts_with_rights_past_2_62_after_a_long_prefix():
-    # past the first feed chunk, a right end of 2**62 or more in the last
-    # window is contained there: the two columns differ in dtype
-    text = f"n {2 ** 70}\n" + "5 6\n" * 300 + f"20 {B62}\n30 {2 ** 70}\n"
+def test_select_rights_at_the_top_after_a_long_prefix():
+    # past the first feed chunk, right ends up to 2**62 - 1 in the last
+    # window are contained there: below the int64 max window sentinel
+    text = f"n {B62 - 1}\n" + "5 6\n" * 300 + f"20 {B62 - 2}\n30 {B62 - 1}\n"
     assert run_cli(["exact"], stdin_text=text) == (
-        0, f'{{"alpha":2,"intervals":302,"kind":"exact","n":{2 ** 70}}}\n')
+        0, f'{{"alpha":2,"intervals":302,"kind":"exact","n":{B62 - 1}}}\n')
     assert run_cli(["select", "--algo", "general"], stdin_text=text) == (0, HUGE_SELECT_OUT)
+
+
+def test_n_and_endpoints_of_2_62_are_refused_at_the_boundary(tmp_path, capsys):
+    """gen's n, a header, a right end with no header, and the last line of
+    an --in file of over 128 KiB, which the one-pass read refuses and the
+    line check words with its line number: exit 2, empty stdout and one
+    error line each."""
+    big = tmp_path / "big.txt"
+    big.write_text("1 2\n" * 40000 + f"3 {B62}\n")
+    assert big.stat().st_size > 128 * 1024
+    cases = [
+        (["gen", "uniform", "--n", str(B62)], None, f"n must be below 2**62, got {B62}"),
+        (["exact"], f"n {B62}\n1 2\n", f"line 1: n must be below 2**62, got {B62}"),
+        (["exact"], f"1 2\n3 {B62}\n", f"line 2: endpoint {B62} must be below 2**62"),
+        (["exact", "--in", str(big)], None, f"line 40001: endpoint {B62} must be below 2**62"),
+    ]
+    for args, stdin_text, error in cases:
+        assert run_cli(args, stdin_text=stdin_text) == (2, "")
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+
+TOP = B62 - 1  # the largest n
+TOP_LAM = 1 << 40
+
+
+def _top_stream(seed, lam=None, span=1 << 41):
+    """24 intervals at n = TOP with endpoints within ``span`` of it and
+    every openness: lengths below 2**40, or all ``lam``."""
+    rng = SplitMix64(seed)
+    lines = [f"n {TOP}"]
+    for i in range(24):
+        length = rng.below(TOP_LAM) if lam is None else lam
+        left = TOP - length - rng.below(span - length)
+        flags = ("cc", "co", "oc", "oo")[i % 4] if length else "cc"
+        lines.append(f"{left} {left + length} {flags}")
+    return "\n".join(lines) + "\n"
+
+
+TOP_GENERAL = _top_stream(7)
+TOP_SAMELEN = _top_stream(8, TOP_LAM, 1 << 44)
+
+
+_SELECT_TOP = (
+    '{"algorithm":"select-general","alpha":6,"details":{"disjoint":true},"instance_id":"<stdin>",'
+    '"kind":"trial","output":4.0,"params":{"counter":"exact","eps":0.25,"lambda":1,"scale":1.0,'
+    '"seed":0},"peak_memory_units":4,"space_ok":true,"success":true,"wall_time_s":null}\n')
+_ORACLE_TOP = (
+    '{"algorithm":"estimate-general-oracle","alpha":6,"details":{},"instance_id":"<stdin>",'
+    '"kind":"trial","output":4.0,"params":{"counter":"exact","eps":0.25,"lambda":1,"scale":1.0,'
+    '"seed":0},"peak_memory_units":0,"success":true,"wall_time_s":null}\n')
+_SELECT_SAMELEN_TOP = (
+    '{"algorithm":"select-samelen","alpha":9,"details":{"best_shift":0,"disjoint":true},'
+    '"instance_id":"<stdin>","kind":"trial","output":8.0,"params":{"counter":"exact","eps":0.25,'
+    '"lambda":1099511627776,"scale":1.0,"seed":0},"peak_memory_units":14,"space_ok":true,'
+    '"success":true,"wall_time_s":null}\n')
+_ESTIMATE_SAMELEN_TOP = (
+    '{"algorithm":"estimate-samelen","alpha":9,"details":{"columns_hashed":14,"k":10368,'
+    '"type2_counts":[3,2,3]},"instance_id":"<stdin>","kind":"trial","output":7.111111111111111,'
+    '"params":{"counter":"COUNTER","eps":0.25,"lambda":1099511627776,"scale":1.0,"seed":0},'
+    '"peak_memory_units":56,"success":true,"wall_time_s":null}\n')
+# (arguments, stdin, stdout) of each layer that had a path for codes past
+# int64, pinned from the code that still had it
+TOP_RUNS = [
+    (["exact"], TOP_GENERAL, f'{{"alpha":6,"intervals":24,"kind":"exact","n":{TOP}}}\n'),
+    (["select", "--algo", "general"], TOP_GENERAL, _SELECT_TOP),
+    (["estimate", "--algo", "general", "--oracle-mode"], TOP_GENERAL, _ORACLE_TOP),
+    (["exact"], TOP_SAMELEN, f'{{"alpha":9,"intervals":24,"kind":"exact","n":{TOP}}}\n'),
+    (["select", "--algo", "samelen", "--lambda", str(TOP_LAM)], TOP_SAMELEN, _SELECT_SAMELEN_TOP),
+    *[(["estimate", "--algo", "samelen", "--lambda", str(TOP_LAM), "--counter", counter],
+       TOP_SAMELEN, _ESTIMATE_SAMELEN_TOP.replace("COUNTER", counter))
+      for counter in ("exact", "kmv")],
+]
+
+
+@pytest.mark.parametrize("args,stdin_text,expected", TOP_RUNS,
+                         ids=["exact", "select-general", "estimate-general-oracle",
+                              "exact-samelen", "select-samelen", "estimate-samelen-exact",
+                              "estimate-samelen-kmv"])
+def test_top_of_the_range_output(args, stdin_text, expected, capsys):
+    """Codes reaching within 2**42 of int64 max, through every layer: a wrap
+    anywhere changes these bytes, and exact's alpha is brute force's."""
+    assert run_cli(args, stdin_text=stdin_text) == (0, expected)
+    assert capsys.readouterr().err == ""
+    if args == ["exact"]:
+        inst = parse_stream(stdin_text)
+        assert json.loads(expected)["alpha"] == oracle.brute_force_alpha(inst)
+        assert inst.n == TOP and int(inst.rcodes.max()) > 2 * TOP - 2 ** 42
 
 
 def _open_ends(count, lam, n, seed):

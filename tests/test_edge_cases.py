@@ -8,9 +8,11 @@ import math
 
 import pytest
 
-from intervalstream.core import Instance, Interval, intersects
+from intervalstream.core import DomainError, Instance, Interval, intersects
 from intervalstream import oracle
-from intervalstream.estimator_samelen import SamelenConfig, samelen_estimate_oracle
+from intervalstream.estimator import EstimatorConfig, GeneralAlphaEstimator
+from intervalstream.estimator_samelen import (DistinctPoints, SamelenAlphaEstimator, SamelenConfig,
+                                              samelen_estimate_oracle)
 from intervalstream.generators import (gen_index_general, gen_index_samelen, gen_uniform,
                                        gen_uniform_samelen, random_index_input)
 from intervalstream.harness import run_single, run_trials, trial_success
@@ -134,9 +136,9 @@ def test_estimator_samelen_accepts_open_intervals():
     (lambda: gen_index_samelen(4, (), 5), ValueError, "query index 5 outside [1, 4]"),
     (lambda: gen_index_samelen(4, (5, 2), 1), ValueError, "members [2, 5] not within [1, 4]"),
     (lambda: gen_index_general(4, (), 1, 0), ValueError, "k must be >= 1, got 0"),
-    (lambda: SamelenConfig(n=0, lam=1, user_eps=0.3, seed=0), ValueError,
+    (lambda: SamelenConfig(n=0, lam=1, user_eps=0.3, seed=0), DomainError,
      "n must be positive, got 0"),
-    (lambda: oracle.SegTree(0), ValueError, "n must be positive, got 0"),
+    (lambda: oracle.SegTree(0), DomainError, "n must be positive, got 0"),
     (lambda: BottomK(0, HashFamily.create(16, 0.3), 0), ValueError, "k must be >= 1, got 0"),
     (lambda: KMVDistinct(1, HashFamily.create(16, 0.3), 0), ValueError, "k must be >= 2, got 1"),
     (lambda: run_trials("select-general", Instance(4), 0, 0), ValueError,
@@ -145,11 +147,41 @@ def test_estimator_samelen_accepts_open_intervals():
      "unknown algorithm 'select-nothing'"),
     (lambda: run_single("select-nothing", Instance(4), 0), ValueError,
      "unknown algorithm 'select-nothing'"),
+    (lambda: Instance(2 ** 62), DomainError, f"n must be below 2**62, got {2 ** 62}"),
+    (lambda: oracle.SegTree(2 ** 62), DomainError, f"n must be below 2**62, got {2 ** 62}"),
+    (lambda: SamelenConfig(n=2 ** 62, lam=1, user_eps=0.3, seed=0), DomainError,
+     f"n must be below 2**62, got {2 ** 62}"),
+    (lambda: gen_uniform(2 ** 62, 5, 3, 0), DomainError, f"n must be below 2**62, got {2 ** 62}"),
 ], ids=["gen-uniform-count", "gen-samelen-count", "gen-samelen-length", "index-n-bits",
         "index-query", "index-members", "index-general-k", "samelen-config-n", "segtree-n",
         "bottomk-k", "kmv-k", "run-trials-trials", "trial-success-algorithm",
-        "run-single-algorithm"])
+        "run-single-algorithm", "instance-n-2^62", "segtree-n-2^62", "samelen-config-n-2^62",
+        "gen-uniform-n-2^62"])
 def test_argument_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+@pytest.mark.parametrize("iv", [Interval(1, 2 ** 63), Interval(2 ** 63, 2 ** 63 + 3),
+                                Interval(-2 ** 63, 3)], ids=["right", "both", "left"])
+def test_interval_past_int64_is_refused_by_name(iv):
+    """An Interval whose codes do not fit int64 lies outside every universe:
+    an Instance and every process that builds code columns refuse it by
+    name as outside [1, n], never with an OverflowError; a component
+    without an n words the largest n."""
+    top = 2 ** 62 - 1
+    cases = [(lambda: Instance(40, [Interval(1, 2), iv]), 40),
+             (lambda: ShiftedGridSelector(3).process(iv), top),
+             (lambda: SamelenAlphaEstimator(SamelenConfig(n=40, lam=3, user_eps=0.3,
+                                                          seed=0)).process(iv), 40),
+             (lambda: DistinctPoints(40, 0.3, 0).process(iv), 40),
+             (lambda: GeneralAlphaEstimator(EstimatorConfig(n=40, user_eps=0.45, seed=0,
+                                                            scale=1e-6)).process(iv), 40)]
+    for call, n in cases:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == f"interval {iv} outside [1, {n}]"
+    # an earlier interval that breaks a rule is named first
+    with pytest.raises(DomainError, match=r"^interval \[50,60\] outside \[1, 40\]$"):
+        Instance(40, [Interval(50, 60), iv])

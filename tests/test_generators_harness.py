@@ -3,7 +3,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from intervalstream.core import Instance, Interval, format_stream
+from intervalstream.core import DomainError, Instance, Interval, format_stream
 from intervalstream import generators, harness, oracle
 from intervalstream.generators import (expected_alpha_index_general,
                                        expected_alpha_index_samelen,
@@ -82,13 +82,14 @@ def test_next_u64s_equals_next_u64_one_at_a_time():
         assert col.next_u64() == one.next_u64()
 
 
-BOUNDARY_N = [2, 3, 2**31, 2**62 - 1, 2**62, 2**63 + 1, 2**64]
+# 2**64 // 5 + 4 rejects about a fifth of its left draws; 2**62 is refused
+BOUNDARY_N = [2, 3, 2**31, 2**64 // 5 + 4, 2**62 - 1, 2**62]
 
 
 @pytest.mark.parametrize("n", BOUNDARY_N)
 def test_generators_match_per_item_reference(n):
     """Both generators give the reference's instance, code dtypes and bytes,
-    or its refusal.  2**63 + 1 rejects about half its left draws."""
+    or its refusal."""
     for seed in (0, 1, 7, 12345):
         for count in (0, 1, 2, 97):
             for size in sorted({1, min(3, n - 1), min(64, n - 1), n - 1}):
@@ -107,26 +108,28 @@ def test_generators_match_reference_across_blocks():
 
 
 def test_generators_refuse_as_reference():
-    cases = [(10**23, 5, 3), (10**23, 0, 3), (2**64 + 5, 40, 100), (2**64 + 1, 3, 2**64),
-             (100, -1, 5), (100, 5, 0), (100, -1, 0), (100, 5, 100), (100, 5, -2)]
+    cases = [(100, -1, 5), (100, 5, 0), (100, -1, 0), (100, 5, 100), (100, 5, -2)]
     for n, count, size in cases:
         for gen, ref in ((gen_uniform, reference_uniform),
                          (gen_uniform_samelen, reference_uniform_samelen)):
             got = outcome(gen, n, count, size, 3)
             assert got == outcome(ref, n, count, size, 3), (gen.__name__, n, count, size)
-    # the first item's left bound, n minus its length, names the refusal
-    first_length = SplitMix64(1).below(4)
-    assert outcome(gen_uniform, 10**23, 5, 3, 1) == (
-        ValueError, f"bound must be in (0, 2**64], got {10**23 - first_length}")
-    assert len(gen_uniform(10**23, 0, 3, 1)) == 0  # no draw, no refusal
+    # an n of 2**62 or more is refused before any draw, with no draw too
+    for n, count, size in [(10**23, 5, 3), (10**23, 0, 3), (2**64 + 5, 40, 100),
+                           (2**64 + 1, 3, 2**64), (2**62, 1, 2**62 - 1)]:
+        for gen in (gen_uniform, gen_uniform_samelen):
+            assert outcome(gen, n, count, size, 3) == (
+                DomainError, f"n must be below 2**62, got {n}"), (gen.__name__, n, count, size)
 
 
 @pytest.mark.parametrize("block", [3, 4])
 def test_rejection_on_a_block_edge(block, monkeypatch):
-    """Blocks of 3 or 4 items: at n = 2**63 + 1 a rejection lands on every
-    item position of a block, its first and last among them."""
+    """Blocks of 3 or 4 items: at n = 2**64 // 5 + 4, where every left
+    bound n - length lies in (2**64 / 5, 2**62) and so about a fifth of the
+    left draws are rejected, a rejection lands on every item position of a
+    block, its first and last among them."""
     monkeypatch.setattr(generators, "_BLOCK", block)
-    n, count = 2**63 + 1, 60
+    n, count = 2**64 // 5 + 4, 60
     rng, where = SplitMix64(5), set()
 
     def limit(bound):

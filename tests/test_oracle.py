@@ -18,6 +18,8 @@ from intervalstream.selector import PartitionSelector
 
 from conftest import all_intervals, random_instance
 
+TOP = 2 ** 62 - 1  # the largest n
+
 
 def test_alpha_examples():
     assert alpha(Instance(1, ())) == 0
@@ -78,16 +80,16 @@ def test_alpha_rcode_ties_and_open_codes():
 
 
 @pytest.mark.parametrize("block", [5, 8192])
-@pytest.mark.parametrize("e,offset", [(63, 2 ** 62), (80, 0)])
-def test_alpha_on_object_columns(e, offset, block, monkeypatch):
+@pytest.mark.parametrize("offset", [TOP - 2 ** 41, 0])
+def test_alpha_at_the_top_of_the_range(offset, block, monkeypatch):
     monkeypatch.setattr(oracle, "_ALPHA_BLOCK", block)
-    inst = spread_instance(2 ** e, 300, e, offset=offset)
-    assert inst.lcodes.dtype == inst.rcodes.dtype == object
+    inst = spread_instance(TOP, 300, 5, offset=offset)
+    assert int(inst.rcodes.max()) == 2 * TOP
     assert alpha(inst) == earliest_finish(inst)
 
 
 def test_alpha_of_the_empty_instance():
-    for n in (1, 2 ** 80):
+    for n in (1, TOP):
         assert alpha(Instance(n, ())) == 0
 
 
@@ -184,9 +186,10 @@ def spread_instance(n, count, seed, offset=0):
     return Instance(n, ivs)
 
 
-# (label, instance): small universes against brute force too; int64 columns
-# whose leaf xors pass 2**53, so a float bit length rounds up; int64 columns
-# under a tree past int64; object columns, and int64 lefts with object rights
+# (label, instance): small universes against brute force too; columns whose
+# leaf xors pass 2**53, so a float bit length rounds up; small codes under
+# the largest tree; codes up to 2 * TOP, and small pairs mixed with pairs
+# across its root's midpoint
 GAMMA_EDGES = [
     *((f"n{n}-s{seed}", spread_instance(n, 12, seed)) for n in (2, 3, 16, 100) for seed in range(3)),
     ("n1", Instance(1, [Interval(1, 1)] * 3)),
@@ -195,12 +198,12 @@ GAMMA_EDGES = [
     *((f"int64-2^{e}", spread_instance(2 ** e, 60, e)) for e in (54, 58, 61)),
     ("int64-midpoint", Instance(2 ** 54, [Interval(2 ** 53 - 3, 2 ** 53 + 2),
                                          Interval(2 ** 53 - 1, 2 ** 53, True, True)])),
-    ("int64-under-2^70", Instance(2 ** 70, [Interval(1, 5), Interval(3, 3), Interval(2, 9)])),
-    ("object-top-of-2^70", spread_instance(2 ** 70, 40, 1, offset=2 ** 70 - 2 ** 40)),
-    ("object-2^63", spread_instance(2 ** 63, 60, 2, offset=2 ** 62)),
-    ("object-2^80", spread_instance(2 ** 80, 60, 3)),
-    ("mixed", Instance(2 ** 63, [Interval(2 ** 62 - 5, 2 ** 62 + 7), Interval(1, 4),
-                                 Interval(2 ** 62 - 9, 2 ** 62 - 8, False, True)])),
+    ("small-under-top", Instance(TOP, [Interval(1, 5), Interval(3, 3), Interval(2, 9)])),
+    ("top-2^40", spread_instance(TOP, 40, 1, offset=TOP - 2 ** 40)),
+    ("top-half", spread_instance(TOP, 60, 2, offset=2 ** 61)),
+    ("top-all", spread_instance(TOP, 60, 3)),
+    ("mixed", Instance(TOP, [Interval(2 ** 61 - 5, 2 ** 61 + 7), Interval(1, 4),
+                             Interval(2 ** 61 - 9, 2 ** 61 - 8, False, True)])),
 ]
 
 
@@ -219,12 +222,12 @@ def test_gamma_all_matches_the_walk_at_dtype_edges(inst):
         assert all(gammas[v] == gamma(inst, v, tree) for v in tree.segments())
 
 
-def test_gamma_edges_cover_the_dtypes():
-    dtypes = {label: (inst.lcodes.dtype, inst.rcodes.dtype) for label, inst in GAMMA_EDGES}
-    assert dtypes["int64-2^54"] == dtypes["int64-under-2^70"] == (np.int64, np.int64)
-    assert dtypes["object-2^63"] == dtypes["object-2^80"] == (object, object)
-    assert dtypes["object-top-of-2^70"] == (object, object)
-    assert dtypes["mixed"] == (np.int64, object)
+def test_gamma_edges_reach_the_top_of_the_range():
+    edges = dict(GAMMA_EDGES)
+    assert all(inst.lcodes.dtype == inst.rcodes.dtype == np.int64 for inst in edges.values())
+    for label in ("top-2^40", "top-half", "top-all"):
+        assert int(edges[label].rcodes.max()) == 2 * TOP
+    assert SegTree(TOP).n_pow2 == 2 ** 62
     # the whole range [1, n] at n = 2**54: the leaves' xor is 2**54 - 1,
     # whose float is 2**54
     assert float(2 ** 54 - 1) == 2 ** 54
@@ -363,14 +366,14 @@ def test_contains_on_columns_matches_pairs(seed):
         mask = tree.contains(v, (inst.lcodes, inst.rcodes))
         assert mask.dtype == bool
         assert mask.tolist() == [tree.contains(v, iv) for iv in inst]
-    # node bounds past int64, against int64 and object columns
-    shift = 2 ** 62
-    wide = Instance(2 ** 63, inst)
-    huge = Instance(2 ** 63, [Interval(shift + iv.left, shift + iv.right, iv.left_open, iv.right_open)
-                              for iv in inst])
-    assert wide.lcodes.dtype == np.int64 and huge.lcodes.dtype == object
-    tree = SegTree(2 ** 63)
-    for big in (wide, huge):
+    # node bounds past int64 (the root's ends at 2 * 2**62 + 1), against
+    # small codes and codes up to 2 * TOP
+    shift = TOP - 16
+    wide = Instance(TOP, inst)
+    top = Instance(TOP, [Interval(shift + iv.left, shift + iv.right, iv.left_open, iv.right_open)
+                         for iv in inst])
+    tree = SegTree(TOP)
+    for big in (wide, top):
         for v in (tree.root, 2, 3, *tree.containing_path(next(iter(big)))):
             mask = tree.contains(v, (big.lcodes, big.rcodes))
             assert mask.tolist() == [tree.contains(v, iv) for iv in big]

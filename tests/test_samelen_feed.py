@@ -19,7 +19,7 @@ from intervalstream.selector_samelen import ShiftedGridSelector, holds_pair
 
 from conftest import fed_tables, reference_records
 
-WIDE = 1 << 62  # endpoints from here have codes past int64: object columns
+TOP = (1 << 62) - 1  # the largest n and endpoint: codes reach 2 * TOP, near int64 max
 
 
 def samelen_stream(seed, lam, lo, hi, count, openness=True):
@@ -30,23 +30,19 @@ def samelen_stream(seed, lam, lo, hi, count, openness=True):
             for left in (rng.randrange(lo, hi - lam) for _ in range(count))]
 
 
-def dtype_stream(dtypes):
-    """(lam, stream, hi): 40 intervals whose code columns are int64,
-    object, or "mixed".  Past 2**62 the length 2**40 keeps the window
-    universe, and so the field prime, small.  "mixed" has its lefts below
-    2**62 and every fourth within lam of it, so its lcodes fit int64 and its
-    rcodes do not: each column takes its own dtype."""
-    lam = 3 if dtypes == "int64" else 1 << 40
-    lo = {"int64": 1, "object": WIDE, "mixed": WIDE - 60 * lam}[dtypes]
-    hi = WIDE - 1 + lam if dtypes == "mixed" else lo + 60 * lam
+def place_stream(place):
+    """(lam, stream, n): 40 intervals with small codes ("int64"), near the
+    top of the range ("top"), or with small codes at length 2**40
+    ("mixed"); in the last two every fourth interval ends within lam of
+    TOP.  At the top the length 2**40 keeps the window universe, and so the
+    field prime, small, and the window ends pass int64 max."""
+    lam = 3 if place == "int64" else 1 << 40
+    lo = TOP + 1 - 60 * lam if place == "top" else 1
+    hi = lo + 60 * lam
     stream = samelen_stream(29, lam, lo, hi, 40)
-    if dtypes == "mixed":
-        stream[::4] = samelen_stream(31, lam, WIDE - lam, hi, 10)
-    lcodes, rcodes = code_columns(stream)
-    assert [lcodes.dtype == object, rcodes.dtype == object] == \
-        {"int64": [False, False], "object": [True, True], "mixed": [False, True]}[dtypes]
-    assert dtypes != "mixed" or max(rcodes) > selector_samelen._INT64_MAX
-    return lam, stream, hi
+    if place != "int64":
+        stream[::4] = samelen_stream(31, lam, TOP + 1 - 2 * lam, TOP + 1, 10)
+    return lam, stream, hi if place == "int64" else TOP
 
 
 def point_stream(seed, lo, hi, count):
@@ -86,11 +82,10 @@ def prefixes(stream):
         yield stream[:t], lcodes[:t], rcodes[:t]
 
 
-@pytest.mark.parametrize("lo", [1, WIDE], ids=["int64", "object"])
+@pytest.mark.parametrize("lo", [1, TOP - 59], ids=["int64", "top"])
 def test_selector_feed_equals_process(chunking, lo):
     lam = 3
     stream = samelen_stream(17, lam, lo, lo + 60, 40)
-    assert (code_columns(stream)[0].dtype == object) == (lo == WIDE)
     pairs = False
     for head, lcodes, rcodes in prefixes(stream):
         by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
@@ -123,14 +118,14 @@ def test_selector_feed_after_process_and_process_after_feed(chunking):
 
 @pytest.mark.parametrize("counter", ["exact", "kmv"])
 @pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
-@pytest.mark.parametrize("dtypes", ["int64", "object", "mixed"])
-def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes):
+@pytest.mark.parametrize("place", ["int64", "top", "mixed"])
+def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, place):
     # k = 3 makes every sample and sketch evict
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
         monkeypatch.setattr(hashing, "kmv_k", lambda eps: k)
-    lam, stream, hi = dtype_stream(dtypes)
-    cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
+    lam, stream, n = place_stream(place)
+    cfg = SamelenConfig(n=n, lam=lam, user_eps=0.3, seed=5, counter_kind=counter)
     for head, lcodes, rcodes in prefixes(stream):
         by_item, by_feed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
         for iv in head:
@@ -146,15 +141,15 @@ def test_estimator_feed_equals_process(chunking, monkeypatch, counter, k, dtypes
 
 
 @pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
-@pytest.mark.parametrize("dtypes", ["int64", "object", "mixed"])
-def test_records_match_brute_force_reference(chunking, monkeypatch, k, dtypes):
+@pytest.mark.parametrize("place", ["int64", "top", "mixed"])
+def test_records_match_brute_force_reference(chunking, monkeypatch, k, place):
     # every prefix: the selector's records under feed and under process, its
     # solutions, and the estimator's member rows under feed and process are
     # the brute-force records (reference_records); at k = 3 members evict
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
-    lam, stream, hi = dtype_stream(dtypes)
-    cfg = SamelenConfig(n=hi, lam=lam, user_eps=0.3, seed=5)
+    lam, stream, n = place_stream(place)
+    cfg = SamelenConfig(n=n, lam=lam, user_eps=0.3, seed=5)
     for head, lcodes, rcodes in prefixes(stream):
         expected = reference_records(head, lam)
         by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
@@ -177,13 +172,13 @@ def test_records_match_brute_force_reference(chunking, monkeypatch, k, dtypes):
     assert k is None or all(len(grid) > k for grid in expected)
 
 
-def test_selector_codes_below_int64(chunking):
-    # lefts around -2**62: some lcodes pass below int64, which turns the
-    # tables to object dtype under process as under feed
+def test_selector_codes_near_the_bottom_of_int64(chunking):
+    # lefts just above -2**62: lcodes within 120 of int64 min, where the
+    # window arithmetic must not wrap, under process as under feed
     lam = 3
-    stream = samelen_stream(53, lam, -WIDE - 30, -WIDE + 30, 40)
+    stream = samelen_stream(53, lam, -TOP, -TOP + 60, 40)
     lcodes, rcodes = code_columns(stream)
-    assert lcodes.dtype == object and min(lcodes) < -selector_samelen._INT64_MAX - 1
+    assert min(lcodes) < -2 ** 63 + 120
     by_item, by_feed = ShiftedGridSelector(lam), ShiftedGridSelector(lam)
     for iv in stream:
         by_item.process(iv)
@@ -195,32 +190,26 @@ def test_selector_codes_below_int64(chunking):
 @pytest.mark.parametrize("counter", ["exact", "kmv"])
 @pytest.mark.parametrize("k", [None, 3], ids=["full-k", "k3"])
 def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
-    # process, then feed int64 columns, then object columns, then process
-    # again leaves the state of processing it all: the member table starts
-    # in int64 and turns to object dtype at the first object chunk; at k = 3
-    # every sample and sketch evicts.  The first part's codes fit int64, the
-    # second part's straddle 2**63 over the same windows.
+    # process, then feed, then feed again, then process leaves the state of
+    # processing it all; at k = 3 every sample and sketch evicts.  The first
+    # part's right ends stay below TOP - 30 * lam, the second part's reach
+    # TOP over the same windows.
     if k is not None:
         monkeypatch.setattr(SamelenConfig, "k", property(lambda self: k))
         monkeypatch.setattr(hashing, "kmv_k", lambda eps: k)
     lam = 1 << 40
-    narrow = samelen_stream(43, lam, WIDE - 30 * lam, WIDE - 1, 24)
-    wide = samelen_stream(47, lam, WIDE - 30 * lam, WIDE + 30 * lam, 30)
+    narrow = samelen_stream(43, lam, TOP + 1 - 60 * lam, TOP + 1 - 30 * lam, 24)
+    wide = samelen_stream(47, lam, TOP + 1 - 60 * lam, TOP + 1, 30)
     stream = narrow + wide
-    cfg = SamelenConfig(n=WIDE + 30 * lam, lam=lam, user_eps=0.3, seed=9, counter_kind=counter)
+    cfg = SamelenConfig(n=TOP, lam=lam, user_eps=0.3, seed=9, counter_kind=counter)
     by_item, mixed = SamelenAlphaEstimator(cfg), SamelenAlphaEstimator(cfg)
     for iv in stream:
         by_item.process(iv)
     for iv in narrow[:8]:
         mixed.process(iv)
-    lcodes, rcodes = code_columns(narrow[8:])
-    assert lcodes.dtype != object and rcodes.dtype != object
-    mixed.feed(lcodes, rcodes)
+    mixed.feed(*code_columns(narrow[8:]))
+    mixed.feed(*code_columns(wide[:20]))
     assert all(st.table.codes.dtype == np.int64 for st in mixed.states)
-    lcodes, rcodes = code_columns(wide[:20])
-    assert rcodes.dtype == object
-    mixed.feed(lcodes, rcodes)
-    assert all(st.table.codes.dtype == object for st in mixed.states)
     for iv in wide[20:]:
         mixed.process(iv)
     assert estimator_state(mixed) == estimator_state(by_item)
@@ -231,17 +220,14 @@ def test_estimator_process_feed_process(chunking, monkeypatch, counter, k):
     assert all(len(table.rows) > 3 for table in fed_tables(stream, lam))
 
 
-@pytest.mark.parametrize("counter,lo,wide", [("exact", 1, False), ("kmv", 1, False),
-                                             ("exact", WIDE, True), ("kmv", 1, True)],
-                         ids=["exact-int64", "kmv-int64", "exact-object", "kmv-object"])
-def test_distinct_points_feed_equals_process(chunking, counter, lo, wide):
-    # n >= 2**62 puts the KMV field prime past 2**64, where no sketch can be
-    # drawn, so KMV reads object columns of small points
+@pytest.mark.parametrize("counter,lo", [("exact", 1), ("kmv", 1), ("exact", TOP - 30)],
+                         ids=["exact-int64", "kmv-int64", "exact-top"])
+def test_distinct_points_feed_equals_process(chunking, counter, lo):
+    # at the top of the range the KMV field prime passes 2**64, where no
+    # sketch can be drawn, so only the exact counter runs there
     stream = point_stream(31, lo, lo + 30, 50)
     n = lo + 30
     for head, lcodes, rcodes in prefixes(stream):
-        if wide:
-            lcodes, rcodes = lcodes.astype(object), rcodes.astype(object)
         by_item, by_feed = DistinctPoints(n, 0.3, 7, counter), DistinctPoints(n, 0.3, 7, counter)
         if counter == "kmv":
             by_item.counter.k = by_feed.counter.k = 4
@@ -290,19 +276,21 @@ def test_feed_refuses_the_first_interval_process_refuses(chunking, bad_at, range
 
 
 @pytest.mark.parametrize("lam", [1 << 59, 1 << 60, 1 << 61])
-def test_window_ends_past_int64_read_as_python_ints(chunking, lam):
-    # int64 code columns whose window ends pass 2**63: the column answer of
-    # grid_window is the per-pair one, and so feed's state is process's
+def test_window_ends_past_int64_match_the_per_pair_answer(chunking, lam):
+    # code columns whose window ends pass 2**63, counted in units of 2*lam:
+    # the column answer of grid_window is the per-pair one, and so feed's
+    # state is process's
+    lefts = (1, 5, lam - 3, lam + 7, 3 * lam // 2, TOP - lam - 1, TOP - lam)
     stream = [Interval(left, left + lam, lo, ro)
-              for left in (1, 5, lam - 3, lam + 7, 3 * lam // 2, (1 << 62) - 1 - lam)
+              for left in lefts if left + lam <= TOP
               for lo in (False, True) for ro in (False, True)]
     lcodes, rcodes = code_columns(stream)
-    assert lcodes.dtype != object
+    assert max(rcodes) > 2 ** 63 - 6 * lam
     for a in (0, 1, 2):
         j, fits = selector_samelen.grid_window(lam, a, (lcodes, rcodes))
         assert [int(w) if f else None for w, f in zip(j, fits)] == \
             [selector_samelen.grid_window(lam, a, iv) for iv in stream]
-    # the three grids at once, the shift column read as Python ints too
+    # the three grids at once, by a column of shifts
     records = reference_records(stream, lam)
     for a, (wins, codes) in enumerate(selector_samelen.window_records(lam, lcodes, rcodes)):
         expected = records[a]

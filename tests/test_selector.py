@@ -269,18 +269,15 @@ def feed_instance(kind, seed, count):
     inst = random_instance(512, count, 40, seed, open_fraction=0.25)
     if kind == "random":
         return inst
-    if kind == "mixed":  # every fifth right end past 2**62: int64 lefts, object rights
-        mixed = Instance(2 ** 63, [Interval(iv.left, iv.right + 2 ** 62 * (i % 5 == 0),
-                                            iv.left_open, iv.right_open)
-                                   for i, iv in enumerate(inst)])
-        assert (mixed.lcodes.dtype, mixed.rcodes.dtype) == (np.int64, object)
-        return mixed
-    # "huge": the same stream shifted past 2**62, so the columns are objects
-    shift = 2 ** 62
-    huge = Instance(2 ** 63, [Interval(shift + iv.left, shift + iv.right, iv.left_open, iv.right_open)
-                              for iv in inst])
-    assert huge.lcodes.dtype == huge.rcodes.dtype == object
-    return huge
+    # the largest n, 2**62 - 1; a shift of it less 512 keeps the stream inside
+    shift = 2 ** 62 - 1 - 512
+    if kind == "mixed":  # every fifth right end moved up by the shift: small lefts, top rights
+        return Instance(shift + 512, [Interval(iv.left, iv.right + shift * (i % 5 == 0),
+                                               iv.left_open, iv.right_open)
+                                      for i, iv in enumerate(inst)])
+    # "huge": the same stream shifted to end at most at 2**62 - 1
+    return Instance(shift + 512, [Interval(shift + iv.left, shift + iv.right, iv.left_open,
+                                           iv.right_open) for iv in inst])
 
 
 FEED_STREAMS = [(kind, seed) for kind in ("random", "dense", "open", "huge", "mixed")
@@ -311,9 +308,9 @@ class CountingSelector(PartitionSelector):
         self.sent.append(iv)
         super().process(iv)
 
-    def _next_starts(self, wide):
+    def _next_starts(self):
         self.searches += 1
-        return super()._next_starts(wide)
+        return super()._next_starts()
 
 
 # with chunks of one or four pairs a window (the default), every stream
@@ -383,8 +380,7 @@ def test_solution_is_the_leftmost_witnesses(kind, seed):
 
 def test_feed_empty_columns():
     sel = PartitionSelector()
-    for dtype in (np.int64, object):
-        sel.feed(np.array([], dtype=dtype), np.array([], dtype=dtype))
+    sel.feed(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
     assert (sel.windows(), sel.solution(), sel.items, sel.peak_windows) == ([], [], 0, 0)
     sel.feed(np.array([2, 8]), np.array([4, 10]))
     before = (sel.windows(), sel.solution(), sel.items, sel.peak_windows)
